@@ -7,7 +7,8 @@ byte-deterministic: combinations print in term order with reduced
 rationals, and ``--format structured`` swaps the text for JSON carrying
 the same data.  Exit status: 0 on success (all residuals zero), 1 when
 a computation surfaces a refutation or a nonzero residual, 2 on usage,
-parse, or validation errors.
+parse, or validation errors, and on input nested too deeply for the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -494,6 +495,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except ValueError as e:
         print(f"rtcalc: error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(
+            "rtcalc: error: nesting depth limit exceeded: the input nests deeper than "
+            f"the recursion limit ({sys.getrecursionlimit()} frames) allows",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -71,21 +71,6 @@ def _guard(phi: PhiMap, *forests: Forest) -> None:
 State = Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]
 
 
-def _apply_pair_map(states: LinComb, phi: PhiMap, e_ix: int, v_ix: int) -> LinComb:
-    """Run the map on (edge into e_ix, vertex label at v_ix) across states."""
-
-    def step(state: State) -> LinComb:
-        elabels, vlabels = state
-        out = LinComb()
-        for (a2, b2), c in phi(elabels[e_ix], vlabels[v_ix]).items():
-            ne = elabels[:e_ix] + (a2,) + elabels[e_ix + 1 :]
-            nv = vlabels[:v_ix] + (b2,) + vlabels[v_ix + 1 :]
-            out = out + LinComb.of((ne, nv), c)
-        return out
-
-    return states.map_terms(step)
-
-
 # ---------------------------------------------------------------------------
 # Deformed forest product
 
@@ -107,7 +92,7 @@ def _star_basis(phi: PhiMap, F: Forest, G: Forest) -> ForestComb:
         for i, target in enumerate(gmap):
             if target >= 0:
                 parent[f_roots[i]] = target
-                states = _apply_pair_map(states, phi, f_roots[i], target)
+                states = phi.apply_at(states, f_roots[i], target)
                 if states.is_zero:
                     break
         if states.is_zero:
@@ -164,7 +149,7 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
                 states = LinComb.of((elabel, vlabel))
                 for i, tgt in enumerate(gmap):
                     parent[f_roots[i]] = tgt
-                    states = _apply_pair_map(states, phi, f_roots[i], tgt)
+                    states = phi.apply_at(states, f_roots[i], tgt)
                     if states.is_zero:
                         break
                 if states.is_zero:
@@ -232,7 +217,7 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
             for v in sorted(part):
                 pr = sites.parent[v]
                 if pr >= 0 and pr not in part:
-                    states = _apply_pair_map(states, phi, v, pr)
+                    states = phi.apply_at(states, v, pr)
                     if states.is_zero:
                         break
             if states.is_zero:
@@ -266,7 +251,7 @@ def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
         states = LinComb.of(sites.initial_state())
         for v in range(sites.size):
             if sites.parent[v] >= 0:
-                states = _apply_pair_map(states, phi, v, sites.parent[v])
+                states = phi.apply_at(states, v, sites.parent[v])
         out = out + c * states.map_terms(
             lambda st: LinComb.of(rebuild_forest(sites, st))
         )
@@ -459,16 +444,21 @@ def hopf_pairing_defects(
         if lhs != rhs:
             defects.append(PairingDefect("counit-unit", (f,), lhs, rhs))
 
+    # Both identities only pair forests of matching total size, so the
+    # forests are bucketed by vertex count once.
+    unprimed_sizes = [(f, f.vertex_count) for f in unprimed]
+    by_size: Dict[int, List[Forest]] = {}
+    for f, n in unprimed_sizes:
+        by_size.setdefault(n, []).append(f)
     cut_cache = {f: cut_coproduct(phi, forest_elem(f)) for f in unprimed}
-    sizes = {f.vertex_count for f in unprimed}
-    for x1 in primed:
-        for y1 in primed:
-            if x1.vertex_count + y1.vertex_count not in sizes:
+    primed_sizes = [(x1, x1.vertex_count) for x1 in primed]
+    for x1, nx in primed_sizes:
+        for y1, ny in primed_sizes:
+            targets = by_size.get(nx + ny)
+            if not targets:
                 continue
             prod = star_product(phi2, forest_elem(x1), forest_elem(y1))
-            for f in unprimed:
-                if x1.vertex_count + y1.vertex_count != f.vertex_count:
-                    continue
+            for f in targets:
                 lhs = pair_forests(pairing, prod, forest_elem(f))
                 rhs = pair_tensor(
                     pairing, LinComb.of((x1, y1)), cut_cache[f]
@@ -476,12 +466,10 @@ def hopf_pairing_defects(
                 if lhs != rhs:
                     defects.append(PairingDefect("product-vs-cut", (x1, y1, f), lhs, rhs))
 
-    for x1 in primed:
+    for x1, nx in primed_sizes:
         dx = deshuffle(forest_elem(x1))
-        for f in unprimed:
-            for g in unprimed:
-                if f.vertex_count + g.vertex_count != x1.vertex_count:
-                    continue
+        for f, nf in unprimed_sizes:
+            for g in by_size.get(nx - nf, ()):
                 lhs = pair_tensor(pairing, dx, LinComb.of((f, g)))
                 rhs = pair_forests(pairing, forest_elem(x1), forest_elem(forest_mul(f, g)))
                 if lhs != rhs:

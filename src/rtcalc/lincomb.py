@@ -209,7 +209,17 @@ class LinComb:
 
 
 def lc_sum(parts: Iterable[LinComb]) -> LinComb:
-    total = LinComb()
+    """The sum of the parts, accumulated in one dict."""
+    terms: Dict[Hashable, Fraction] = {}
     for p in parts:
-        total = total + p
-    return total
+        for term, c in p._terms.items():
+            prev = terms.get(term)
+            if prev is None:
+                terms[term] = c
+                continue
+            acc = prev + c
+            if acc:
+                terms[term] = acc
+            else:
+                del terms[term]
+    return LinComb._raw(terms)

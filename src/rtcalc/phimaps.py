@@ -74,6 +74,28 @@ class PhiMap:
         """Linear extension to combinations of (edge, vertex) pairs."""
         return pairs.map_terms(lambda ab: self(*ab))
 
+    def apply_at(self, states: LinComb, e_ix: int, v_ix: int) -> LinComb:
+        """Act on one (edge, vertex) slot pair of label-array states.
+
+        ``states`` combines pairs (edge labels, vertex labels) of tuples;
+        the map acts on the edge label at ``e_ix`` together with the vertex
+        label at ``v_ix`` and leaves every other slot alone.
+        """
+
+        def step(state):
+            elabels, vlabels = state
+            return LinComb._raw(
+                {
+                    (
+                        elabels[:e_ix] + (a2,) + elabels[e_ix + 1 :],
+                        vlabels[:v_ix] + (b2,) + vlabels[v_ix + 1 :],
+                    ): c
+                    for (a2, b2), c in self(elabels[e_ix], vlabels[v_ix])._terms.items()
+                }
+            )
+
+        return states.map_terms(step)
+
     def __repr__(self) -> str:
         return f"PhiMap({self.name})"
 

@@ -14,6 +14,18 @@ irrelevant and the operator intertwines the free product with the
 deformed one; ``theta_morphism_defect`` measures the general version of
 that statement for a pair of maps.
 
+The operator factorises over subtrees.  The edge from v down to its
+parent p acts on two label slots only: the decoration of that edge and
+the decoration of p.  Two edges with different lower endpoints therefore
+act on disjoint slots and commute, whatever the map; only edges that
+share a lower endpoint, that is siblings, see each other's output, and
+only through the label of their common parent.  The decoration of v
+itself is touched only by v's own child edges.  Hence the image of
+``node(b, [(e_1, T_1), ..., (e_k, T_k)])`` is the local action of the
+map on (e_1, ..., e_k; b), the child edges taken in sibling order,
+combined with one term of the image of each T_i.  ``theta`` evaluates
+that bottom-up and computes each distinct subtree once per call.
+
 The root-split coproduct at the bottom of the module cuts one root edge
 at a time off a planted tree; regrafting the pieces back at the root
 scales every tree by its number of root edges, and the kernel picks out
@@ -22,10 +34,12 @@ exactly the planted single vertices.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from itertools import product as iproduct
+from math import prod
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, lc_sum
+from .lincomb import LinComb
 from .phimaps import IncompatiblePhi, PhiMap, ensure_usable, identity_map
 from .trees import (
     DecoratedTree,
@@ -34,9 +48,7 @@ from .trees import (
     label_at,
     leaf,
     node,
-    rebuild_tree,
     split_root_edge,
-    tree_sites,
     vertex_ids,
 )
 
@@ -52,6 +64,13 @@ def single_vertex(label: Label) -> TreeComb:
     return LinComb.of(leaf(label))
 
 
+def _pairs(x: TreeComb, y: TreeComb) -> LinComb:
+    """The combination of pairs (tx, ty) with coefficient cx * cy."""
+    return LinComb._raw(
+        {(tx, ty): cx * cy for tx, cx in x._terms.items() for ty, cy in y._terms.items()}
+    )
+
+
 def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
     """The deformed grafting product of two tree combinations.
 
@@ -59,81 +78,130 @@ def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
     ``y``; the map acts on the pair (new edge decoration, decoration of
     v).  Well defined for any linear map, compatible or not.
     """
+    if not x:
+        return LinComb()
+    targets = {
+        ty: [(v, phi(a, label_at(ty, v))) for v in vertex_ids(ty)] for ty in y._terms
+    }
 
-    def per_pair(tx: DecoratedTree, ty: DecoratedTree) -> TreeComb:
-        out = LinComb()
-        for v in vertex_ids(ty):
-            for (a2, b2), c in phi(a, label_at(ty, v)).items():
-                out = out + LinComb.of(graft_at(tx, v, ty, a2, relabel=b2), c)
-        return out
+    def per_pair(pair: Tuple[DecoratedTree, DecoratedTree]) -> TreeComb:
+        tx, ty = pair
+        return LinComb(
+            (graft_at(tx, v, ty, a2, relabel=b2), c)
+            for v, image in targets[ty]
+            for (a2, b2), c in image._terms.items()
+        )
 
-    return lc_sum(
-        cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items()
-    )
+    return _pairs(x, y).map_terms(per_pair)
 
 
 def graft_free(x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
     """Undeformed grafting: attach below every vertex, edge decorated ``a``."""
+    targets = {ty: vertex_ids(ty) for ty in y._terms}
 
-    def per_pair(tx: DecoratedTree, ty: DecoratedTree) -> TreeComb:
-        return lc_sum(LinComb.of(graft_at(tx, v, ty, a)) for v in vertex_ids(ty))
+    def per_pair(pair: Tuple[DecoratedTree, DecoratedTree]) -> TreeComb:
+        tx, ty = pair
+        return LinComb((graft_at(tx, v, ty, a), 1) for v in targets[ty])
 
-    return lc_sum(
-        cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items()
-    )
+    return _pairs(x, y).map_terms(per_pair)
 
 
-def _labels_of_tree(t: DecoratedTree) -> Tuple[Tuple[Label, ...], Tuple[Label, ...]]:
-    sites = tree_sites(t)
-    edges = tuple(e for e in sites.elabel if e is not None)
-    return edges, sites.vlabel
+def _collect_labels(t: DecoratedTree, edges: Set[Label], vertices: Set[Label]) -> None:
+    vertices.add(t.label)
+    for e, c in t.children:
+        edges.add(e)
+        _collect_labels(c, edges, vertices)
+
+
+def _at_root(
+    phi: PhiMap, t: DecoratedTree, images: Sequence[TreeComb], sequence: Iterable[int]
+) -> TreeComb:
+    """The operator on ``t``, given the images of its child subtrees.
+
+    The root's child edges act on (edge label, root label) one at a time,
+    in the positions ``sequence`` lists, on local states (child edge
+    labels, (root label,)); each resulting local term is combined with one
+    term of every child image.
+    """
+    if not t.children:
+        return LinComb.of(t)
+    local = LinComb.of((tuple(e for e, _ in t.children), (t.label,)))
+    for i in sequence:
+        local = phi.apply_at(local, i, 0)
+    kid_terms = [image._terms.items() for image in images]
+
+    def assemble(state) -> TreeComb:
+        edges, (b,) = state
+        return LinComb(
+            (node(b, zip(edges, (s for s, _ in combo))), prod(c for _, c in combo))
+            for combo in iproduct(*kid_terms)
+        )
+
+    return local.map_terms(assemble)
+
+
+def _theta_tree(phi: PhiMap, t: DecoratedTree, memo: Dict[DecoratedTree, TreeComb]) -> TreeComb:
+    """The operator on one tree, siblings in canonical order, by recursion
+    over its subtrees; ``memo`` holds the image of every subtree seen."""
+    image = memo.get(t)
+    if image is None:
+        images = [_theta_tree(phi, c, memo) for _, c in t.children]
+        image = memo[t] = _at_root(phi, t, images, range(len(images)))
+    return image
 
 
 def apply_edge_maps(
-    phi: PhiMap, t: DecoratedTree, order: Optional[Tuple[int, ...]] = None
+    phi: PhiMap, t: DecoratedTree, order: Optional[Sequence[int]] = None
 ) -> TreeComb:
     """Run the map over every (edge, lower endpoint) pair of one tree.
 
-    The shape is frozen while the decoration arrays move; the result is
-    re-canonicalized at the end.  ``order`` lists the edges (as their
-    upper-endpoint site indices) in application sequence; the canonical
-    choice is increasing site index.
+    ``order`` lists the edges, as the site indices of their upper
+    endpoints (depth-first preorder, root 0), in application sequence; the
+    canonical choice is increasing site index.  The edge into v acts only
+    on the decorations of that edge and of v's parent p, so edges with
+    different lower endpoints act on disjoint slots and commute: only the
+    order among siblings matters, and that is all ``order`` decides.  The
+    tree is therefore evaluated bottom-up, each vertex combining its local
+    action with the images of its child subtrees.
     """
-    sites = tree_sites(t)
-    edges = order if order is not None else tuple(range(1, sites.size))
-    states = LinComb.of(sites.initial_state())
-    for v in edges:
-        parent = sites.parent[v]
+    if order is None:
+        return _theta_tree(phi, t, {})
+    if sorted(order) != list(range(1, t.vertex_count)):
+        raise ValueError("order must list every edge of the tree exactly once")
+    rank = {v: i for i, v in enumerate(order)}
 
-        def step(state, v=v, parent=parent):
-            elabels, vlabels = state
-            out = LinComb()
-            for (a2, b2), c in phi(elabels[v], vlabels[parent]).items():
-                ne = elabels[:v] + (a2,) + elabels[v + 1 :]
-                nv = vlabels[:parent] + (b2,) + vlabels[parent + 1 :]
-                out = out + LinComb.of((ne, nv), c)
-            return out
+    def image_at(s: DecoratedTree, ix: int) -> TreeComb:
+        kid_ix = []
+        j = ix + 1
+        for _, c in s.children:
+            kid_ix.append(j)
+            j += c.vertex_count
+        images = [image_at(c, j) for (_, c), j in zip(s.children, kid_ix)]
+        return _at_root(phi, s, images, sorted(range(len(kid_ix)), key=lambda i: rank[kid_ix[i]]))
 
-        states = states.map_terms(step)
-    return states.map_terms(lambda state: LinComb.of(rebuild_tree(sites, state)))
+    return image_at(t, 0)
 
 
 def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
     """The edge-product operator attached to a tree-compatible map.
 
     Refuses maps that are refuted on the labels in sight (full basis when
-    finite).  With ``check_order`` the evaluation is repeated with the
-    edges reversed and the two results are asserted equal, which checks
-    order-independence on the actual input.
+    finite).  The image of ``node(b, [(e_i, T_i)])`` is the local action
+    of the map on (e_1, ..., e_k; b), combined with the images of the
+    subtrees T_i, which are computed once per call and shared across the
+    terms of ``x``; see :func:`apply_edge_maps` for why only the order of
+    siblings matters.  With ``check_order`` the evaluation is repeated
+    with every sibling family reversed and the two results are asserted
+    equal, which checks order-independence on the actual input.
     """
-    edge_labels, vertex_labels = set(), set()
-    for t, _ in x.items():
-        es, vs = _labels_of_tree(t)
-        edge_labels.update(es)
-        vertex_labels.update(vs)
+    edge_labels: Set[Label] = set()
+    vertex_labels: Set[Label] = set()
+    for t in x._terms:
+        _collect_labels(t, edge_labels, vertex_labels)
     ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key()), sorted(vertex_labels, key=lambda l: l.sort_key()))
 
-    out = x.map_terms(lambda t: apply_edge_maps(phi, t))
+    memo: Dict[DecoratedTree, TreeComb] = {}
+    out = x.map_terms(lambda t: _theta_tree(phi, t, memo))
     if check_order:
         rev = x.map_terms(
             lambda t: apply_edge_maps(phi, t, order=tuple(range(t.vertex_count - 1, 0, -1)))

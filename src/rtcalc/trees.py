@@ -14,8 +14,8 @@ Surgery invalidates addresses: any operation that edits a tree re-sorts on
 the way out, so addresses always refer to the tree they were taken from.
 
 Operations that juggle many decorations at once (the deformed coproduct
-and product in :mod:`rtcalc.hopf`, the edge-by-edge decoration maps in
-:mod:`rtcalc.prelie`) work on a flattened "sites" view: vertices get fixed
+and product in :mod:`rtcalc.hopf`, the vertex actions in
+:mod:`rtcalc.postlie`) work on a flattened "sites" view: vertices get fixed
 integer indices, the shape is frozen, and only the label arrays move.  The
 result is folded back into canonical trees at the very end.
 """

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rtcalc
 from rtcalc.cli import main
 
 PHI_D1 = {"builder": "phi_lambda", "d": 1, "lambda": ["1", "1"]}
@@ -401,6 +406,44 @@ def test_missing_required_flag_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theta", t])
     assert exc.value.code == 2
+
+
+def ladder_text(depth):
+    """The ladder (<0> [<0>](<0> ...)) with ``depth`` vertices."""
+    return "(<0>" + " [<0>](<0>" * (depth - 1) + ")" * depth
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so the stack starts as it does
+    from the shell rather than under the test runner's frames."""
+    src = str(Path(rtcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "rtcalc.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_theta_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    t = tfile(tmp_path, "t.txt", ladder_text(400))
+    code, out, err = run_process("theta", "--phi", phi, t)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert "nesting depth" in err
+
+
+def test_theta_on_a_240_deep_ladder_still_succeeds(tmp_path):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    text = ladder_text(240)
+    t = tfile(tmp_path, "t.txt", text)
+    code, out, err = run_process("theta", "--phi", phi, t)
+    assert code == 0
+    assert err == ""
+    # With lambda = 1 at d = 0 the map fixes (<0>, <0>), so theta fixes the ladder.
+    assert out == text + "\n"
 
 
 def test_output_is_deterministic(tmp_path, capsys):

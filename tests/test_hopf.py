@@ -7,6 +7,7 @@ from rtcalc.decorations import symbols
 from rtcalc.hopf import (
     UNIT,
     AdjointnessViolated,
+    Pairing,
     bck_coproduct,
     check_adjoint,
     counit,
@@ -509,3 +510,54 @@ def test_pair_tensor_factorwise():
     x = LinComb.of((t, u))
     assert pair_tensor(pr, x, x) == 1
     assert pair_tensor(pr, x, LinComb.of((u, t))) == 0
+
+
+def oracle_pairing_defects(phi, phi2, pairing, primed, unprimed):
+    """The two triple loops of ``hopf_pairing_defects`` before forests were
+    bucketed by vertex count: every triple, filtered by total size."""
+    defects = []
+    cut_cache = {f: cut_coproduct(phi, forest_elem(f)) for f in unprimed}
+    for x1 in primed:
+        for y1 in primed:
+            prod = star_product(phi2, forest_elem(x1), forest_elem(y1))
+            for f in unprimed:
+                if x1.vertex_count + y1.vertex_count != f.vertex_count:
+                    continue
+                lhs = pair_forests(pairing, prod, forest_elem(f))
+                rhs = pair_tensor(pairing, LinComb.of((x1, y1)), cut_cache[f])
+                if lhs != rhs:
+                    defects.append(("product-vs-cut", (x1, y1, f), lhs, rhs))
+    for x1 in primed:
+        dx = deshuffle(forest_elem(x1))
+        for f in unprimed:
+            for g in unprimed:
+                if f.vertex_count + g.vertex_count != x1.vertex_count:
+                    continue
+                lhs = pair_tensor(pairing, dx, LinComb.of((f, g)))
+                rhs = pair_forests(pairing, forest_elem(x1), forest_elem(forest_mul(f, g)))
+                if lhs != rhs:
+                    defects.append(("deshuffle-vs-product", (x1, f, g), lhs, rhs))
+    return defects
+
+
+class SkewedPairing(Pairing):
+    """The delta pairing, off by one on each two-tree forest against itself,
+    so that the product identities fail on a known set of triples."""
+
+    def forests(self, f1, f2):
+        value = super().forests(f1, f2)
+        return value + 1 if f1 == f2 and len(f1.trees) == 2 else value
+
+
+def test_bucketed_pairing_defects_match_the_unbucketed_loops():
+    E2 = symbols("E", ["a1"])
+    V2 = symbols("V", ["b1", "b2"])
+    phi = identity_map(E2, V2)
+    pairing = SkewedPairing(delta_pairing().base, name="skewed")
+    # Unsorted by size, so the order of the defects is checked as well.
+    pool = all_forests(3, E2.labels(), V2.labels())
+    random.Random(5).shuffle(pool)
+    got = hopf_pairing_defects(phi, phi, pairing, pool, pool)
+    want = oracle_pairing_defects(phi, phi, pairing, pool, pool)
+    assert len(want) > 0
+    assert [(d.identity, d.inputs, d.lhs, d.rhs) for d in got] == want

@@ -89,6 +89,16 @@ def test_lc_sum_matches_fold(parts):
     assert lc_sum(parts) == total
 
 
+def test_lc_sum_drops_cancelled_terms():
+    x = LinComb([("a", Fraction(1, 2)), ("b", 3)])
+    y = LinComb([("c", -1)])
+    assert lc_sum([x, -x, y]) == y
+    assert lc_sum([x, -x, y])._terms == {"c": -1}
+    # A term that cancels and then comes back.
+    assert lc_sum([x, -x, x, y]) == x + y
+    assert lc_sum([]).is_zero
+
+
 def map_terms_by_fraction_fold(x, fn):
     """The plain ``Fraction`` fold that ``map_terms`` replaced, kept as its oracle."""
     acc = {}

@@ -1,13 +1,19 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from rtcalc.decorations import Sym, symbols
-from rtcalc.lincomb import LinComb
+from rtcalc.decorations import Sym, mi, symbols
+from rtcalc.lincomb import LinComb, lc_sum
 from rtcalc.phimaps import (
     IncompatiblePhi,
+    Refuted,
+    build_JD,
+    check_compat,
+    default_block_bases,
+    from_blocks,
     from_table,
     identity_map,
     tensor_map,
@@ -26,7 +32,19 @@ from rtcalc.prelie import (
     theta_morphism_defect,
     tree_elem,
 )
-from rtcalc.trees import DecoratedTree, PlantedTree, leaf, node
+from rtcalc.spde import SpdeConfig, phi_lambda
+from rtcalc.trees import (
+    DecoratedTree,
+    PlantedTree,
+    graft_at,
+    label_at,
+    leaf,
+    node,
+    rebuild_tree,
+    tree_sites,
+    vertex_ids,
+)
+from rtcalc.verify import trees_up_to
 
 E = symbols("E", ["a1", "a2"])
 V = symbols("V", ["b1", "b2"])
@@ -235,3 +253,189 @@ def test_nap_coproduct_linear():
     q = PlantedTree(a2, node(b2, [(a2, leaf(b1))]))
     x = LinComb.of(p, 2) + LinComb.of(q, -1)
     assert nap_coproduct(x) == 2 * root_split(p) - root_split(q)
+
+
+# --- differential tests against the replaced implementations -----------------
+#
+# The oracles below are the implementations that the bottom-up recursion and
+# the single accumulation replaced: the edge-product operator expanding whole
+# label-array states edge by edge across the tree, and the grafting products
+# folding per-pair combinations with ``lc_sum``.
+
+
+def oracle_apply_edge_maps(phi, t, order=None):
+    """State expansion: run the map edge by edge over (labels, labels) states."""
+    sites = tree_sites(t)
+    edges = order if order is not None else tuple(range(1, sites.size))
+    states = LinComb.of(sites.initial_state())
+    for v in edges:
+        parent = sites.parent[v]
+
+        def step(state, v=v, parent=parent):
+            elabels, vlabels = state
+            out = LinComb()
+            for (a2, b2), c in phi(elabels[v], vlabels[parent]).items():
+                ne = elabels[:v] + (a2,) + elabels[v + 1 :]
+                nv = vlabels[:parent] + (b2,) + vlabels[parent + 1 :]
+                out = out + LinComb.of((ne, nv), c)
+            return out
+
+        states = states.map_terms(step)
+    return states.map_terms(lambda state: LinComb.of(rebuild_tree(sites, state)))
+
+
+def oracle_graft_phi(phi, x, a, y):
+    def per_pair(tx, ty):
+        out = LinComb()
+        for v in vertex_ids(ty):
+            for (a2, b2), c in phi(a, label_at(ty, v)).items():
+                out = out + LinComb.of(graft_at(tx, v, ty, a2, relabel=b2), c)
+        return out
+
+    return lc_sum(cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items())
+
+
+def oracle_graft_free(x, a, y):
+    def per_pair(tx, ty):
+        return lc_sum(LinComb.of(graft_at(tx, v, ty, a)) for v in vertex_ids(ty))
+
+    return lc_sum(cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items())
+
+
+def reversed_order(t):
+    return tuple(range(t.vertex_count - 1, 0, -1))
+
+
+def random_table_map(seed):
+    """A seeded table map on the 2x2 symbol bases; not tree-compatible."""
+    rng = random.Random(seed)
+    table = {}
+    for a, b in product(E.labels(), V.labels()):
+        table[(a, b)] = [
+            (Fraction(rng.randint(-2, 2), rng.randint(1, 3)), a2, b2)
+            for a2, b2 in product(E.labels(), V.labels())
+            if rng.random() < 0.6
+        ]
+    return from_table(E, V, table)
+
+
+def test_edge_maps_match_state_expansion_for_a_noncompatible_table_map():
+    phi = random_table_map(31)
+    assert isinstance(check_compat(phi), Refuted)
+    shuffler = random.Random(32)
+    trees = trees_up_to(4, E.labels(), V.labels())
+    assert len(trees) == 438
+    order_sensitive = 0
+    for t in trees:
+        canonical = oracle_apply_edge_maps(phi, t)
+        backwards = oracle_apply_edge_maps(phi, t, reversed_order(t))
+        assert apply_edge_maps(phi, t) == canonical
+        assert apply_edge_maps(phi, t, reversed_order(t)) == backwards
+        shuffled = list(range(1, t.vertex_count))
+        shuffler.shuffle(shuffled)
+        assert apply_edge_maps(phi, t, tuple(shuffled)) == oracle_apply_edge_maps(phi, t, tuple(shuffled))
+        order_sensitive += canonical != backwards
+    # The map is far enough from compatible that order shows on some trees.
+    assert order_sensitive > 0
+
+
+def test_check_order_raises_exactly_where_the_oracle_orders_differ():
+    # Flagged compatible so that only the order check can refuse it.
+    phi = dataclasses.replace(random_table_map(31), compat_by_construction=True)
+    raised = 0
+    for t in trees_up_to(4, E.labels(), V.labels()):
+        differs = oracle_apply_edge_maps(phi, t) != oracle_apply_edge_maps(phi, t, reversed_order(t))
+        try:
+            got = theta(phi, tree_elem(t), check_order=True)
+        except IncompatiblePhi:
+            assert differs, t.render()
+            raised += 1
+        else:
+            assert not differs, t.render()
+            assert got == oracle_apply_edge_maps(phi, t)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-1, 2)])
+def test_theta_matches_state_expansion_for_phi_lambda(lam):
+    phi = phi_lambda(SpdeConfig(0, (lam,)))
+    labels = [mi(k) for k in range(3)]
+    trees = trees_up_to(4, labels, labels)
+    for t in trees:
+        assert theta(phi, tree_elem(t)) == oracle_apply_edge_maps(phi, t)
+    # A multi-term input shares subtrees between its terms.
+    x = LinComb((t, Fraction(k % 5 - 2, 1 + k % 3)) for k, t in enumerate(trees[::97]))
+    assert theta(phi, x) == x.map_terms(lambda t: oracle_apply_edge_maps(phi, t))
+
+
+def test_theta_matches_state_expansion_for_a_d_form_block_map():
+    rng = random.Random(33)
+    mat2 = lambda: [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)]
+    BE, BV = default_block_bases(2, 2)
+    phi = from_blocks(build_JD(mat2(), mat2(), "D"), BE, BV)
+    for t in trees_up_to(4, BE.labels(), BV.labels()):
+        want = oracle_apply_edge_maps(phi, t)
+        assert theta(phi, tree_elem(t)) == want
+        assert theta(phi, tree_elem(t), check_order=True) == want
+
+
+def cancelling_pair(b, a, other):
+    """x, y whose grafts meet on the ladder b -a- b -a- b with opposite signs.
+
+    Attaching leaf(b) at the top of ladder(b, a, b) and ladder(b, a, b)
+    onto leaf(b) give the same tree when the map fixes (a, b); the
+    coefficients 1 * 1 and 2 * (-1/2) then cancel.
+    """
+    lad = ladder((b, a), (b,))
+    x = LinComb.of(leaf(b)) + LinComb.of(lad, 2) + LinComb.of(node(other, [(a, leaf(b))]), Fraction(-1, 3))
+    y = LinComb.of(lad) + LinComb.of(leaf(b), Fraction(-1, 2)) + LinComb.of(leaf(other), 3)
+    return x, y, ladder((b, a), (b, a), (b,))
+
+
+def graft_cases():
+    table = from_table(
+        E,
+        V,
+        {
+            (a1, b1): [(1, a1, b1), (Fraction(2, 3), a2, b2)],
+            (a1, b2): [(-1, a2, b1)],
+            (a2, b1): [(Fraction(1, 2), a1, b2), (1, a2, b1)],
+        },
+    )
+    d1 = phi_lambda(SpdeConfig(1, (Fraction(1, 2), Fraction(-2, 3))))
+    return [
+        (table, [a1, a2], [b1, b2]),
+        (d1, [mi(1, 0), mi(0, 1)], [mi(1, 1), mi(0, 2)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_graft_phi_matches_lc_sum_fold(case):
+    phi, elabels, vlabels = graft_cases()[case]
+    a, (b, other) = elabels[0], vlabels
+    x, y, meet = cancelling_pair(b, a, other)
+    got = graft_phi(phi, x, a, y)
+    assert got == oracle_graft_phi(phi, x, a, y)
+    # The meeting tree cancels in the sum though each side produces it.
+    assert got.coeff(meet) == 0
+    assert graft_phi(phi, LinComb.of(leaf(b)), a, LinComb.of(ladder((b, a), (b,)))).coeff(meet) != 0
+    # Random multi-term combinations with small rational coefficients.
+    rng = random.Random(34 + case)
+    pool = trees_up_to(3, elabels, vlabels)
+    for _ in range(15):
+        x = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
+        y = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
+        assert graft_phi(phi, x, a, y) == oracle_graft_phi(phi, x, a, y)
+
+
+def test_graft_free_matches_lc_sum_fold():
+    x, y, meet = cancelling_pair(b1, a1, b2)
+    got = graft_free(x, a1, y)
+    assert got == oracle_graft_free(x, a1, y)
+    assert got.coeff(meet) == 0
+    rng = random.Random(36)
+    pool = trees_up_to(3, [a1, a2], [b1, b2])
+    for _ in range(15):
+        x = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
+        y = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
+        assert graft_free(x, a1, y) == oracle_graft_free(x, a1, y)
