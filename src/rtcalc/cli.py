@@ -498,8 +498,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except RecursionError:
         print(
-            "rtcalc: error: nesting depth limit exceeded: the input nests deeper than "
-            f"the recursion limit ({sys.getrecursionlimit()} frames) allows",
+            f"rtcalc: error: recursion limit ({sys.getrecursionlimit()} frames) exceeded; "
+            "the nesting depth of the input may be too great",
             file=sys.stderr,
         )
         return 2

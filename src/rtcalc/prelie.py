@@ -34,9 +34,9 @@ exactly the planted single vertices.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import prod
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb
@@ -113,19 +113,34 @@ def _collect_labels(t: DecoratedTree, edges: Set[Label], vertices: Set[Label]) -
         _collect_labels(c, edges, vertices)
 
 
-def _at_root(
-    phi: PhiMap, t: DecoratedTree, images: Sequence[TreeComb], sequence: Iterable[int]
+def _edge_image(
+    phi: PhiMap,
+    s: DecoratedTree,
+    memo: Dict[DecoratedTree, TreeComb],
+    rank: Optional[Dict[int, int]] = None,
+    ix: int = 0,
 ) -> TreeComb:
-    """The operator on ``t``, given the images of its child subtrees.
+    """The operator on the subtree ``s``, whose root has site index ``ix``.
 
     The root's child edges act on (edge label, root label) one at a time,
-    in the positions ``sequence`` lists, on local states (child edge
-    labels, (root label,)); each resulting local term is combined with one
-    term of every child image.
+    on local states (child edge labels, (root label,)); each resulting
+    local term is combined with one term of every child image.  Siblings
+    act in canonical order when ``rank`` is None, and the image of a
+    subtree then does not depend on where it sits, so ``memo`` holds it
+    for every distinct subtree seen.  Otherwise siblings act in the order
+    ``rank`` gives their site indices, and ``memo`` is not used.
     """
-    if not t.children:
-        return LinComb.of(t)
-    local = LinComb.of((tuple(e for e, _ in t.children), (t.label,)))
+    if not s.children:
+        return LinComb.of(s)
+    image = memo.get(s) if rank is None else None
+    if image is not None:
+        return image
+    kid_ix = list(accumulate((c.vertex_count for _, c in s.children), initial=ix + 1))
+    images = [_edge_image(phi, c, memo, rank, j) for (_, c), j in zip(s.children, kid_ix)]
+    sequence = range(len(images))
+    if rank is not None:
+        sequence = sorted(sequence, key=lambda i: rank[kid_ix[i]])
+    local = LinComb.of((tuple(e for e, _ in s.children), (s.label,)))
     for i in sequence:
         local = phi.apply_at(local, i, 0)
     kid_terms = [image._terms.items() for image in images]
@@ -133,20 +148,13 @@ def _at_root(
     def assemble(state) -> TreeComb:
         edges, (b,) = state
         return LinComb(
-            (node(b, zip(edges, (s for s, _ in combo))), prod(c for _, c in combo))
+            (node(b, zip(edges, (t for t, _ in combo))), prod(c for _, c in combo))
             for combo in iproduct(*kid_terms)
         )
 
-    return local.map_terms(assemble)
-
-
-def _theta_tree(phi: PhiMap, t: DecoratedTree, memo: Dict[DecoratedTree, TreeComb]) -> TreeComb:
-    """The operator on one tree, siblings in canonical order, by recursion
-    over its subtrees; ``memo`` holds the image of every subtree seen."""
-    image = memo.get(t)
-    if image is None:
-        images = [_theta_tree(phi, c, memo) for _, c in t.children]
-        image = memo[t] = _at_root(phi, t, images, range(len(images)))
+    image = local.map_terms(assemble)
+    if rank is None:
+        memo[s] = image
     return image
 
 
@@ -165,21 +173,10 @@ def apply_edge_maps(
     action with the images of its child subtrees.
     """
     if order is None:
-        return _theta_tree(phi, t, {})
+        return _edge_image(phi, t, {})
     if sorted(order) != list(range(1, t.vertex_count)):
         raise ValueError("order must list every edge of the tree exactly once")
-    rank = {v: i for i, v in enumerate(order)}
-
-    def image_at(s: DecoratedTree, ix: int) -> TreeComb:
-        kid_ix = []
-        j = ix + 1
-        for _, c in s.children:
-            kid_ix.append(j)
-            j += c.vertex_count
-        images = [image_at(c, j) for (_, c), j in zip(s.children, kid_ix)]
-        return _at_root(phi, s, images, sorted(range(len(kid_ix)), key=lambda i: rank[kid_ix[i]]))
-
-    return image_at(t, 0)
+    return _edge_image(phi, t, {}, {v: i for i, v in enumerate(order)})
 
 
 def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
@@ -201,7 +198,7 @@ def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
     ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key()), sorted(vertex_labels, key=lambda l: l.sort_key()))
 
     memo: Dict[DecoratedTree, TreeComb] = {}
-    out = x.map_terms(lambda t: _theta_tree(phi, t, memo))
+    out = x.map_terms(lambda t: _edge_image(phi, t, memo))
     if check_order:
         rev = x.map_terms(
             lambda t: apply_edge_maps(phi, t, order=tuple(range(t.vertex_count - 1, 0, -1)))

@@ -432,7 +432,7 @@ def test_theta_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
     assert out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1
-    assert "nesting depth" in err
+    assert "recursion limit" in err and "nesting depth" in err
 
 
 def test_theta_on_a_240_deep_ladder_still_succeeds(tmp_path):

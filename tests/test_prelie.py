@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -337,6 +337,19 @@ def test_edge_maps_match_state_expansion_for_a_noncompatible_table_map():
         order_sensitive += canonical != backwards
     # The map is far enough from compatible that order shows on some trees.
     assert order_sensitive > 0
+
+
+def test_equal_subtrees_follow_their_own_sibling_order():
+    # Two equal cherries under one root: an order may take the siblings of
+    # each differently, so the image of one cannot stand in for the other.
+    phi = random_table_map(31)
+    cherry = node(b1, [(a1, leaf(b1)), (a2, leaf(b2))])
+    assert oracle_apply_edge_maps(phi, cherry) != oracle_apply_edge_maps(phi, cherry, reversed_order(cherry))
+    t = node(b2, [(a1, cherry), (a1, cherry)])
+    assert tree_sites(t).parent[1:] == (0, 1, 1, 0, 4, 4)
+    for first, second, top in product(permutations((2, 3)), permutations((5, 6)), permutations((1, 4))):
+        order = first + second + top
+        assert apply_edge_maps(phi, t, order) == oracle_apply_edge_maps(phi, t, order)
 
 
 def test_check_order_raises_exactly_where_the_oracle_orders_differ():
