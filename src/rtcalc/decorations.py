@@ -15,9 +15,8 @@ as outputs of tensor-product constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iproduct
 from math import comb
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -25,28 +24,36 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 from .lincomb import Scalar, as_scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
-    """A multi-index in N^{d+1}; ``entries[j]`` counts the direction j."""
+    """A multi-index in N^{d+1}; ``entries[j]`` counts the direction j.
+
+    The hash, the sort key and the rendered text are computed once, at
+    construction.
+    """
 
     entries: Tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: Tuple = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(isinstance(e, int) and e >= 0 for e in self.entries):
-            raise ValueError(f"multi-index entries must be nonnegative ints: {self.entries}")
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.entries)
+        entries = self.entries
+        if not all(isinstance(e, int) and e >= 0 for e in entries):
+            raise ValueError(f"multi-index entries must be nonnegative ints: {entries}")
+        put = object.__setattr__
+        put(self, "_hash", hash(entries))
+        put(self, "_key", (1, entries))
+        put(self, "_text", "<" + ",".join(map(str, entries)) + ">")
 
     def __hash__(self) -> int:
         return self._hash
 
     def sort_key(self):
-        return (1, self.entries)
+        return self._key
 
     def render(self) -> str:
-        return "<" + ",".join(str(e) for e in self.entries) + ">"
+        return self._text
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -346,20 +346,22 @@ def delta_pairing() -> Pairing:
 
 
 def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Fraction:
-    """Bilinear extension of the forest pairing to combinations."""
+    """Bilinear extension of the forest pairing to combinations.
+
+    An exact sum, so the terms are visited in storage order, unsorted.
+    """
     total = Fraction(0)
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            if c1 and c2:
-                total += c1 * c2 * pairing.forests(f1, f2)
+    for f1, c1 in x._terms.items():
+        for f2, c2 in y._terms.items():
+            total += c1 * c2 * pairing.forests(f1, f2)
     return total
 
 
 def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Fraction:
-    """Pair two combinations of forest pairs factorwise."""
+    """Pair two combinations of forest pairs factorwise, in storage order."""
     total = Fraction(0)
-    for (f1, g1), c1 in x.items():
-        for (f2, g2), c2 in y.items():
+    for (f1, g1), c1 in x._terms.items():
+        for (f2, g2), c2 in y._terms.items():
             v1 = pairing.forests(f1, f2)
             if v1:
                 total += c1 * c2 * v1 * pairing.forests(g1, g2)

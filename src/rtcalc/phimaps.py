@@ -159,12 +159,15 @@ def tensor_map(
     """The decomposable map sending a (x) b to f(a) (x) g(b).
 
     Decomposable maps act through each slot independently, so they are
-    tree-compatible outright.
+    tree-compatible outright.  The pairs (a2, b2) of the image are distinct
+    and a product of two nonzero coefficients is nonzero, so the image is
+    built as it is, unsorted and unsummed.
     """
 
     def act(a: Label, b: Label) -> PairComb:
-        return LinComb(
-            [((a2, b2), ca * cb) for a2, ca in f(a).items() for b2, cb in g(b).items()]
+        gb = g(b)._terms.items()
+        return LinComb._raw(
+            {(a2, b2): ca * cb for a2, ca in f(a)._terms.items() for b2, cb in gb}
         )
 
     return PhiMap(edge_basis, vertex_basis, act, name=name, compat_by_construction=True)

@@ -28,22 +28,8 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: Optional[int] = None) -> Matrix:
-    m = n if m is None else m
-    return tuple((Fraction(0),) * m for _ in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = as_scalar(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -51,10 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("dimension mismatch in product")
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:

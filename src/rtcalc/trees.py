@@ -10,8 +10,18 @@ vertex.  A forest is a multiset of planted trees.
 Vertex addresses are paths: the tuple of child positions (in canonical
 order) leading down from the root.  An edge is addressed by the path of
 its upper endpoint, so the plant edge of a planted tree is the empty path.
-Surgery invalidates addresses: any operation that edits a tree re-sorts on
-the way out, so addresses always refer to the tree they were taken from.
+Surgery invalidates addresses, so an address refers only to the tree it
+was taken from.  Surgery keeps trees canonical without re-sorting them:
+grafting changes one child at each level on the path from the root to the
+target, so at each such level that child is taken out and its new version
+put back in by bisection against the siblings, which are already sorted;
+at the target the new edge goes in the same way.  Only :func:`node` sorts
+a whole family of children.
+
+The hash, ``sort_key``, ``vertex_count`` and ``shape`` of a tree are each
+computed on first use and then kept in a slot of that tree.  Subtrees are
+shared between trees, so a grafted tree recomputes them only along the
+path that changed.
 
 Operations that juggle many decorations at once (the deformed coproduct
 and product in :mod:`rtcalc.hopf`, the vertex actions in
@@ -22,58 +32,96 @@ result is folded back into canonical trees at the very end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product as iproduct
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .decorations import Label, render_label
-from .lincomb import term_key
+from .decorations import Label
 
 VertexId = Tuple[int, ...]
 ForestVertexId = Tuple[int, Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
 class DecoratedTree:
-    label: Label
-    children: Tuple[Tuple[Label, "DecoratedTree"], ...] = ()
+    """A vertex label and a tuple of (edge label, subtree) children.
 
-    @cached_property
+    Trees, planted trees and forests are immutable by convention, and keep
+    their keys in slots filled on first use.  The constructor takes the
+    children as given; :func:`node` is the canonical one.
+    """
+
+    __slots__ = ("label", "children", "_key", "_hash", "_count", "_shape")
+
+    def __init__(self, label: Label, children: Tuple[Tuple[Label, "DecoratedTree"], ...] = ()):
+        self.label = label
+        self.children = children
+        self._key = self._hash = self._count = self._shape = None
+
+    @property
     def sort_key(self):
-        return (
-            term_key(self.label),
-            tuple((term_key(e), c.sort_key) for e, c in self.children),
-        )
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.label, self.children))
+        key = self._key
+        if key is None:
+            key = self._key = (self.label.sort_key(), tuple(map(_child_key, self.children)))
+        return key
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.label, self.children))
+        return h
 
-    @cached_property
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.children == other.children
+
+    @property
     def vertex_count(self) -> int:
-        return 1 + sum(c.vertex_count for _, c in self.children)
+        n = self._count
+        if n is None:
+            n = self._count = 1 + sum([c.vertex_count for _, c in self.children])
+        return n
 
-    @cached_property
+    @property
     def shape(self):
         """The underlying unlabeled rooted tree, as a nested sorted tuple."""
-        return tuple(sorted(c.shape for _, c in self.children))
+        shape = self._shape
+        if shape is None:
+            shape = self._shape = tuple(sorted([c.shape for _, c in self.children]))
+        return shape
 
     def render(self) -> str:
-        inner = "".join(f" [{render_label(e)}]{c.render()}" for e, c in self.children)
-        return f"({render_label(self.label)}{inner})"
+        inner = "".join([f" [{e.render()}]{c.render()}" for e, c in self.children])
+        return f"({self.label.render()}{inner})"
 
     def __repr__(self) -> str:
         return f"DecoratedTree{self.render()}"
 
 
+def _child_key(child: Tuple[Label, DecoratedTree]):
+    return (child[0].sort_key(), child[1].sort_key)
+
+
 def node(label: Label, children: Iterable[Tuple[Label, DecoratedTree]] = ()) -> DecoratedTree:
-    """Canonical constructor: sorts the children multiset."""
-    kids = tuple(sorted(children, key=lambda ec: (term_key(ec[0]), ec[1].sort_key)))
+    """Canonical constructor: sorts the children multiset.
+
+    Each child's key is computed once, and the sort is stable, so equal
+    keys keep their input order.
+    """
+    kids = tuple(children)
+    if len(kids) > 1:
+        kids = tuple(sorted(kids, key=_child_key))
     return DecoratedTree(label, kids)
+
+
+def _insert_child(children: Tuple, child: Tuple[Label, DecoratedTree]) -> Tuple:
+    """Sorted ``children`` with ``child`` put in at its canonical place."""
+    i = bisect_right(children, _child_key(child), key=_child_key)
+    return children[:i] + (child,) + children[i:]
 
 
 def leaf(label: Label) -> DecoratedTree:
@@ -85,51 +133,79 @@ def canonicalize(tree: DecoratedTree) -> DecoratedTree:
     return node(tree.label, ((e, canonicalize(c)) for e, c in tree.children))
 
 
-@dataclass(frozen=True)
 class PlantedTree:
-    plant: Label
-    body: DecoratedTree
+    """A body tree hanging from an undecorated root through a plant edge."""
 
-    @cached_property
+    __slots__ = ("plant", "body", "_key", "_hash")
+
+    def __init__(self, plant: Label, body: DecoratedTree):
+        self.plant = plant
+        self.body = body
+        self._key = self._hash = None
+
+    @property
     def sort_key(self):
-        return (term_key(self.plant), self.body.sort_key)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.plant, self.body))
+        key = self._key
+        if key is None:
+            key = self._key = (self.plant.sort_key(), self.body.sort_key)
+        return key
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.plant, self.body))
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.plant == other.plant and self.body == other.body
 
     @property
     def vertex_count(self) -> int:
         return self.body.vertex_count
 
-    @cached_property
+    @property
     def shape(self):
         return self.body.shape
 
     def render(self) -> str:
-        return f"[{render_label(self.plant)}]{self.body.render()}"
+        return f"[{self.plant.render()}]{self.body.render()}"
 
     def __repr__(self) -> str:
         return f"PlantedTree{self.render()}"
 
 
-@dataclass(frozen=True)
 class Forest:
-    trees: Tuple[PlantedTree, ...] = ()
+    """A tuple of planted trees; :func:`forest` is the canonical constructor."""
 
-    @cached_property
+    __slots__ = ("trees", "_key", "_hash")
+
+    def __init__(self, trees: Tuple[PlantedTree, ...] = ()):
+        self.trees = trees
+        self._key = self._hash = None
+
+    @property
     def sort_key(self):
-        return tuple(t.sort_key for t in self.trees)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.trees)
+        key = self._key
+        if key is None:
+            key = self._key = tuple([t.sort_key for t in self.trees])
+        return key
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.trees)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.trees == other.trees
 
     @property
     def vertex_count(self) -> int:
@@ -203,16 +279,17 @@ def graft_at(
     """Attach ``x`` below the vertex ``target`` of ``y`` through a new edge.
 
     ``relabel``, when given, replaces the target vertex's decoration in the
-    same stroke.  The result is canonical; addresses into ``y`` do not
-    survive.
+    same stroke.  When ``x`` and ``y`` are canonical so is the result: on
+    the path to the target, each level puts its one changed child back in
+    at its sorted place.  Addresses into ``y`` do not survive.
     """
     if not target:
         lab = y.label if relabel is None else relabel
-        return node(lab, y.children + ((edge, x),))
+        return DecoratedTree(lab, _insert_child(y.children, (edge, x)))
     i = target[0]
     e, c = y.children[i]
     updated = graft_at(x, target[1:], c, edge, relabel)
-    return node(y.label, y.children[:i] + ((e, updated),) + y.children[i + 1 :])
+    return DecoratedTree(y.label, _insert_child(y.children[:i] + y.children[i + 1 :], (e, updated)))
 
 
 def split_root_edge(p: PlantedTree, edge: VertexId) -> Tuple[PlantedTree, PlantedTree]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,24 @@ def test_graft_deformed_golden(tmp_path, capsys):
         "(<0,0> [<1,0>](<1,0>) [<1,1>](<1,0>))"
         " + (<0,0> [<1,1>](<0,0> [<0,0>](<1,0>)))"
         " + (<0,0> [<1,1>](<1,0> [<1,0>](<1,0>)))\n"
+    )
+
+
+def test_graft_growth_golden(tmp_path, capsys):
+    # y_(k+1) = graft(x0, y_k), each output fed back in as the next y, as the
+    # graft-growth workload of perfbench grows its combinations.  Four steps
+    # give 1,350 trees of 10 vertices with up to five siblings at a vertex,
+    # so the digest pins the canonical order of many-sibling families.
+    phi = jfile(tmp_path, "phi.json", {"builder": "phi_lambda", "d": 1, "lambda": ["-2/3", "1/2"]})
+    x = tfile(tmp_path, "x.txt", "(<1,0> [<0,2>](<0,2>))")
+    y = x
+    for _ in range(4):
+        code, out, _ = run(capsys, "graft", "--phi", phi, "--a", "<1,1>", x, y)
+        assert code == 0
+        y = tfile(tmp_path, "y.txt", out.rstrip("\n"))
+    assert out.count(" + ") + out.count(" - ") + 1 == 1350
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c2f72333bd0c05d3d9957f750ad302dffc5f88f4494f77b3c4eca9fff20a5d96"
     )
 
 
@@ -425,8 +444,10 @@ def run_process(*argv):
 
 
 def test_theta_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
+    # One vertex per frame of the default recursion limit: hashing a tree
+    # takes at least one frame per level, so no ladder this deep fits.
     phi = jfile(tmp_path, "phi.json", PHI_D0)
-    t = tfile(tmp_path, "t.txt", ladder_text(400))
+    t = tfile(tmp_path, "t.txt", ladder_text(1000))
     code, out, err = run_process("theta", "--phi", phi, t)
     assert code == 2
     assert out == ""

@@ -96,9 +96,17 @@ def test_decomposable_maps_are_compatible():
         img = {l: LinComb([(m, rng.randint(-2, 2)) for m in labels]) for l in labels}
         return lambda l: img[l]
 
-    phi = tensor_map(E, V, rand_endo(list(E.labels())), rand_endo(list(V.labels())))
+    f, g = rand_endo(list(E.labels())), rand_endo(list(V.labels()))
+    phi = tensor_map(E, V, f, g)
     assert phi.compat_by_construction
     assert isinstance(check_compat(phi), Compatible)
+    # The image is built unsummed; it must equal the term-by-term sum.
+    for a in E.labels():
+        for b in V.labels():
+            image = phi(a, b)
+            want = LinComb([((a2, b2), ca * cb) for a2, ca in f(a).items() for b2, cb in g(b).items()])
+            assert image == want
+            assert all(image._terms.values())
 
 
 def test_direct_sum_blocks_and_compatibility():

@@ -140,6 +140,69 @@ def test_graft_at_root_and_deep():
     assert subtree_at(deep, (0, 0)) == x
 
 
+def graft_at_by_resorting(x, target, y, edge, relabel=None):
+    """The earlier graft_at, kept as the oracle: node() re-sorts every level
+    on the path to the target."""
+    if not target:
+        lab = y.label if relabel is None else relabel
+        return node(lab, y.children + ((edge, x),))
+    i = target[0]
+    e, c = y.children[i]
+    updated = graft_at_by_resorting(x, target[1:], c, edge, relabel)
+    return node(y.label, y.children[:i] + ((e, updated),) + y.children[i + 1 :])
+
+
+def reference_key(t):
+    """The canonical sort key, recomputed from scratch without the slots."""
+    return (t.label.sort_key(), tuple((e.sort_key(), reference_key(c)) for e, c in t.children))
+
+
+def assert_same_graft(x, target, y, edge, relabel):
+    got = graft_at(x, target, y, edge, relabel)
+    want = graft_at_by_resorting(x, target, y, edge, relabel)
+    assert got == want
+    assert [e for e, _ in got.children] == [e for e, _ in want.children]
+    assert hash(got) == hash(want) == hash((got.label, got.children))
+    assert got.sort_key == want.sort_key == reference_key(got)
+    assert got.vertex_count == want.vertex_count == y.vertex_count + x.vertex_count
+    assert canonicalize(got) == got
+
+
+def test_graft_at_matches_resorting_oracle_on_small_trees():
+    from rtcalc.verify import trees_up_to
+
+    elabels, vlabels = A[:2], B[:2]
+    ys = trees_up_to(4, elabels, vlabels)
+    xs = trees_up_to(2, elabels, vlabels)
+    assert (len(ys), len(xs)) == (438, 10)
+    for y in ys:
+        for target in vertex_ids(y):
+            for x in xs:
+                for edge in elabels:
+                    for relabel in (None, *vlabels):
+                        assert_same_graft(x, target, y, edge, relabel)
+
+
+small_labels = st.sampled_from(A[:2])
+
+
+@st.composite
+def wide_trees(draw, depth=2):
+    """Canonical trees whose wide sibling families repeat equal children."""
+    if depth == 0:
+        return leaf(draw(st.sampled_from(B[:2])))
+    pool = draw(st.lists(st.tuples(small_labels, wide_trees(depth=depth - 1)), min_size=1, max_size=3))
+    kids = draw(st.lists(st.sampled_from(pool), max_size=7))
+    return node(draw(st.sampled_from(B[:2])), kids)
+
+
+@given(wide_trees(), wide_trees(depth=1), small_labels, st.sampled_from([None, *B[:2]]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_graft_at_matches_resorting_oracle_on_wide_trees(y, x, edge, relabel, data):
+    target = data.draw(st.sampled_from(vertex_ids(y)))
+    assert_same_graft(x, target, y, edge, relabel)
+
+
 def test_split_root_edge_roundtrip():
     body = node(B[0], [(A[0], leaf(B[1])), (A[1], chain([B[2], B[3]], [A[2]]))])
     p = PlantedTree(A[4], body)
