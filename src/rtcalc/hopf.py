@@ -12,7 +12,10 @@ The deformed forest product grafts each tree of the left factor onto a
 chosen vertex of the right factor or leaves it alone, running the
 decoration map over each (grafted edge, target vertex) pair.  For a
 tree-compatible map this is associative and dual to the cut coproduct
-under the isomorphism pairing below.
+under the isomorphism pairing below.  ``go_triangle`` is the same sum
+with every tree grafted; both run on one scaffold, ``_graft_basis``.
+The forest edge-product operator ``theta_bar`` runs the tree recursion
+of :mod:`rtcalc.prelie` on each tree body.
 """
 
 from __future__ import annotations
@@ -20,18 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from math import comb, prod
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .decorations import Label, render_label
 from .lincomb import LinComb, lc_sum
 from .phimaps import PhiMap, ensure_usable
+from .prelie import apply_edge_maps
 from .trees import (
     EMPTY_FOREST,
     DecoratedTree,
     Forest,
     PlantedTree,
-    Sites,
     forest,
     forest_mul,
     forest_sites,
@@ -68,44 +71,39 @@ def _guard(phi: PhiMap, *forests: Forest) -> None:
     )
 
 
-State = Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]
-
-
 # ---------------------------------------------------------------------------
 # Deformed forest product
 
 
-def _star_basis(phi: PhiMap, F: Forest, G: Forest) -> ForestComb:
+def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb:
+    """Graft each tree of F onto a vertex of G, summed over assignments.
+
+    F's vertices follow G's in one sites view.  An assignment rewrites the
+    parent of each root of F to its target vertex, and the map acts on
+    (plant edge of that root, target).  With ``stay`` a tree of F may also
+    keep its plant edge and stay beside G.
+    """
     sg = forest_sites(G)
     sf = forest_sites(F)
     off = sg.size
-    parent_base = list(sg.parent) + [p + off if p >= 0 else -1 for p in sf.parent]
+    parent_base = sg.parent + tuple(p + off if p >= 0 else -1 for p in sf.parent)
     elabel = sg.elabel + sf.elabel
     vlabel = sg.vlabel + sf.vlabel
     f_roots = [r + off for r in sf.roots]
 
-    out = LinComb()
-    scaffold_cache: Dict[Tuple[int, ...], Sites] = {}
-    for gmap in iproduct(range(-1, sg.size), repeat=len(f_roots)):
+    def assignment(targets: Tuple[int, ...]) -> ForestComb:
         parent = list(parent_base)
         states = LinComb.of((elabel, vlabel))
-        for i, target in enumerate(gmap):
+        for root, target in zip(f_roots, targets):
             if target >= 0:
-                parent[f_roots[i]] = target
-                states = phi.apply_at(states, f_roots[i], target)
+                parent[root] = target
+                states = phi.apply_at(states, root, target)
                 if states.is_zero:
-                    break
-        if states.is_zero:
-            continue
-        key = tuple(parent)
-        scaffold = scaffold_cache.get(key)
-        if scaffold is None:
-            scaffold = Sites(key, elabel, vlabel)
-            scaffold_cache[key] = scaffold
-        out = out + states.map_terms(
-            lambda st, sc=scaffold: LinComb.of(rebuild_forest(sc, st))
-        )
-    return out
+                    return states
+        return states.map_terms(lambda st: LinComb.of(rebuild_forest(parent, st)))
+
+    choices = range(-1 if stay else 0, sg.size)
+    return lc_sum(assignment(gmap) for gmap in iproduct(choices, repeat=len(f_roots)))
 
 
 def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
@@ -120,7 +118,9 @@ def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
         for g, _ in y.items():
             _guard(phi, f, g)
     return lc_sum(
-        cx * cy * _star_basis(phi, fx, fy) for fx, cx in x.items() for fy, cy in y.items()
+        cx * cy * _graft_basis(phi, fx, fy, stay=True)
+        for fx, cx in x.items()
+        for fy, cy in y.items()
     )
 
 
@@ -132,33 +132,15 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
     planted trees.  With a one-tree forest on the left this coincides
     with the deformed grafting of planted elements.
     """
-    out = LinComb()
-    for pt, cp in p.items():
+
+    def grafted(F: Forest, pt: PlantedTree) -> LinComb:
         target = forest([pt])
-        for F, c in x.items():
-            _guard(phi, F, target)
-            sg = forest_sites(target)
-            sf = forest_sites(F)
-            off = sg.size
-            parent_base = list(sg.parent) + [q + off if q >= 0 else -1 for q in sf.parent]
-            elabel = sg.elabel + sf.elabel
-            vlabel = sg.vlabel + sf.vlabel
-            f_roots = [r + off for r in sf.roots]
-            for gmap in iproduct(range(sg.size), repeat=len(f_roots)):
-                parent = list(parent_base)
-                states = LinComb.of((elabel, vlabel))
-                for i, tgt in enumerate(gmap):
-                    parent[f_roots[i]] = tgt
-                    states = phi.apply_at(states, f_roots[i], tgt)
-                    if states.is_zero:
-                        break
-                if states.is_zero:
-                    continue
-                scaffold = Sites(tuple(parent), elabel, vlabel)
-                out = out + (c * cp) * states.map_terms(
-                    lambda st, sc=scaffold: LinComb.of(_only_tree(rebuild_forest(sc, st)))
-                )
-    return out
+        _guard(phi, F, target)
+        return _graft_basis(phi, F, target, stay=False).map_terms(
+            lambda f: LinComb.of(_only_tree(f))
+        )
+
+    return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.items() for F, c in x.items())
 
 
 def _only_tree(f: Forest) -> PlantedTree:
@@ -184,8 +166,8 @@ def deshuffle(x: ForestComb) -> PairComb:
                 groups[-1] = (t, groups[-1][1] + 1)
             else:
                 groups.append((t, 1))
-        out = LinComb()
-        for picks in iproduct(*[range(m + 1) for _, m in groups]):
+
+        def halves(picks: Tuple[int, ...]):
             weight = 1
             left: List[PlantedTree] = []
             right: List[PlantedTree] = []
@@ -193,8 +175,9 @@ def deshuffle(x: ForestComb) -> PairComb:
                 weight *= comb(m, k)
                 left.extend([t] * k)
                 right.extend([t] * (m - k))
-            out = out + LinComb.of((forest(left), forest(right)), weight)
-        return out
+            return (forest(left), forest(right)), weight
+
+        return LinComb(halves(picks) for picks in iproduct(*[range(m + 1) for _, m in groups]))
 
     return x.map_terms(split)
 
@@ -207,55 +190,52 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
     whichever side holds their tree's root, untouched.  The upper part
     lands in the left factor, replanted on the severed edges.
     """
-    out = LinComb()
-    for f, c in x.items():
+
+    def cuts(f: Forest) -> PairComb:
         _guard(phi, f)
         sites = forest_sites(f)
-        for part in upper_subsets(sites):
-            complement = frozenset(range(sites.size)) - part
+        everything = frozenset(range(sites.size))
+
+        def split(part: FrozenSet[int]) -> PairComb:
             states = LinComb.of(sites.initial_state())
             for v in sorted(part):
                 pr = sites.parent[v]
                 if pr >= 0 and pr not in part:
                     states = phi.apply_at(states, v, pr)
                     if states.is_zero:
-                        break
-            if states.is_zero:
-                continue
+                        return states
+            rest = everything - part
+            return states.map_terms(
+                lambda st: LinComb.of(
+                    (restrict_state(sites, st, part), restrict_state(sites, st, rest))
+                )
+            )
 
-            def finish(state: State) -> PairComb:
-                left = restrict_state(sites, state, part)
-                right = restrict_state(sites, state, complement)
-                return LinComb.of((left, right))
+        return lc_sum(split(part) for part in upper_subsets(sites))
 
-            out = out + c * states.map_terms(finish)
-    return out
-
-
-def bck_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
-    """Alias fitting the classical naming for the cut coproduct."""
-    return cut_coproduct(phi, x)
+    return lc_sum(c * cuts(f) for f, c in x.items())
 
 
 def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
     """Edge-product operator on forests.
 
-    Acts on each (edge, lower endpoint) pair inside tree bodies; plant
-    edges have no decorated lower endpoint and keep their labels.  An
-    algebra morphism by construction.
+    Runs :func:`rtcalc.prelie.apply_edge_maps` on the body of each tree
+    and multiplies the images; plant edges have no decorated lower
+    endpoint and keep their labels.  An algebra morphism by construction.
     """
-    out = LinComb()
-    for f, c in x.items():
+
+    def images(f: Forest) -> ForestComb:
         _guard(phi, f)
-        sites = forest_sites(f)
-        states = LinComb.of(sites.initial_state())
-        for v in range(sites.size):
-            if sites.parent[v] >= 0:
-                states = phi.apply_at(states, v, sites.parent[v])
-        out = out + c * states.map_terms(
-            lambda st: LinComb.of(rebuild_forest(sites, st))
+        bodies = [apply_edge_maps(phi, t.body)._terms.items() for t in f.trees]
+        return LinComb(
+            (
+                forest(PlantedTree(t.plant, body) for t, (body, _) in zip(f.trees, combo)),
+                prod(c for _, c in combo),
+            )
+            for combo in iproduct(*bodies)
         )
-    return out
+
+    return lc_sum(c * images(f) for f, c in x.items())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, Scalar, as_scalar
+from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
 from .prelie import graft_phi
 from .trees import PlantedTree, rebuild_tree, tree_sites
@@ -90,18 +90,10 @@ class PostLieBase:
         return self.triangle.get((p, q), LinComb())
 
     def bracket_lin(self, x: GenComb, y: GenComb) -> GenComb:
-        out = LinComb()
-        for p, c in x.items():
-            for q, c2 in y.items():
-                out = out + (c * c2) * self.bracket_of(p, q)
-        return out
+        return lc_sum((c * c2) * self.bracket_of(p, q) for p, c in x.items() for q, c2 in y.items())
 
     def triangle_lin(self, x: GenComb, y: GenComb) -> GenComb:
-        out = LinComb()
-        for p, c in x.items():
-            for q, c2 in y.items():
-                out = out + (c * c2) * self.triangle_of(p, q)
-        return out
+        return lc_sum((c * c2) * self.triangle_of(p, q) for p, c in x.items() for q, c2 in y.items())
 
     def _jacobi(self, x: Gen, y: Gen, z: Gen) -> GenComb:
         gx, gy, gz = (LinComb.of(g) for g in (x, y, z))
@@ -244,14 +236,11 @@ def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
     """Sum over vertices of t with the vertex action applied at that spot."""
     sites = tree_sites(t.body)
     elabels, vlabels = sites.initial_state()
-    out = LinComb()
-    for v in range(sites.size):
-        for nb, c in psi.vertex(p, vlabels[v]).items():
-            nv = vlabels[:v] + (nb,) + vlabels[v + 1 :]
-            out = out + LinComb.of(
-                PlantedTree(t.plant, rebuild_tree(sites, (elabels, nv))), c
-            )
-    return out
+    return LinComb(
+        (PlantedTree(t.plant, rebuild_tree(sites, (elabels, vlabels[:v] + (nb,) + vlabels[v + 1 :]))), c)
+        for v in range(sites.size)
+        for nb, c in psi.vertex(p, vlabels[v]).items()
+    )
 
 
 def ext_triangle(phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:

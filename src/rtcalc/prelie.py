@@ -24,7 +24,11 @@ itself is touched only by v's own child edges.  Hence the image of
 ``node(b, [(e_1, T_1), ..., (e_k, T_k)])`` is the local action of the
 map on (e_1, ..., e_k; b), the child edges taken in sibling order,
 combined with one term of the image of each T_i.  ``theta`` evaluates
-that bottom-up and computes each distinct subtree once per call.
+that bottom-up and computes each distinct subtree once per call.  With
+every sibling family reversed a subtree's image still does not depend on
+where it sits, so ``theta(check_order=True)`` reruns the same recursion
+that way.  The forest operator :func:`rtcalc.hopf.theta_bar` runs it on
+each tree body.
 
 The root-split coproduct at the bottom of the module cuts one root edge
 at a time off a planted tree; regrafting the pieces back at the root
@@ -34,9 +38,9 @@ exactly the planted single vertices.
 
 from __future__ import annotations
 
-from itertools import accumulate, product as iproduct
+from itertools import product as iproduct
 from math import prod
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Set, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb
@@ -114,36 +118,27 @@ def _collect_labels(t: DecoratedTree, edges: Set[Label], vertices: Set[Label]) -
 
 
 def _edge_image(
-    phi: PhiMap,
-    s: DecoratedTree,
-    memo: Dict[DecoratedTree, TreeComb],
-    rank: Optional[Dict[int, int]] = None,
-    ix: int = 0,
+    phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeComb], reverse: bool
 ) -> TreeComb:
-    """The operator on the subtree ``s``, whose root has site index ``ix``.
+    """The operator on the subtree ``s``, computed once per ``memo``.
 
     The root's child edges act on (edge label, root label) one at a time,
-    on local states (child edge labels, (root label,)); each resulting
-    local term is combined with one term of every child image.  Siblings
-    act in canonical order when ``rank`` is None, and the image of a
-    subtree then does not depend on where it sits, so ``memo`` holds it
-    for every distinct subtree seen.  Otherwise siblings act in the order
-    ``rank`` gives their site indices, and ``memo`` is not used.
+    on local states (child edge labels, (root label,)), in canonical
+    sibling order or, with ``reverse``, in the opposite order; each
+    resulting local term is combined with one term of every child image.
+    Either way a subtree's image does not depend on where it sits, so
+    ``memo`` holds it for every distinct subtree seen in one mode.
     """
     if not s.children:
         return LinComb.of(s)
-    image = memo.get(s) if rank is None else None
+    image = memo.get(s)
     if image is not None:
         return image
-    kid_ix = list(accumulate((c.vertex_count for _, c in s.children), initial=ix + 1))
-    images = [_edge_image(phi, c, memo, rank, j) for (_, c), j in zip(s.children, kid_ix)]
-    sequence = range(len(images))
-    if rank is not None:
-        sequence = sorted(sequence, key=lambda i: rank[kid_ix[i]])
+    kid_terms = [_edge_image(phi, c, memo, reverse)._terms.items() for _, c in s.children]
     local = LinComb.of((tuple(e for e, _ in s.children), (s.label,)))
-    for i in sequence:
+    k = len(kid_terms)
+    for i in range(k - 1, -1, -1) if reverse else range(k):
         local = phi.apply_at(local, i, 0)
-    kid_terms = [image._terms.items() for image in images]
 
     def assemble(state) -> TreeComb:
         edges, (b,) = state
@@ -152,31 +147,21 @@ def _edge_image(
             for combo in iproduct(*kid_terms)
         )
 
-    image = local.map_terms(assemble)
-    if rank is None:
-        memo[s] = image
+    image = memo[s] = local.map_terms(assemble)
     return image
 
 
-def apply_edge_maps(
-    phi: PhiMap, t: DecoratedTree, order: Optional[Sequence[int]] = None
-) -> TreeComb:
+def apply_edge_maps(phi: PhiMap, t: DecoratedTree, *, reverse_siblings: bool = False) -> TreeComb:
     """Run the map over every (edge, lower endpoint) pair of one tree.
 
-    ``order`` lists the edges, as the site indices of their upper
-    endpoints (depth-first preorder, root 0), in application sequence; the
-    canonical choice is increasing site index.  The edge into v acts only
-    on the decorations of that edge and of v's parent p, so edges with
-    different lower endpoints act on disjoint slots and commute: only the
-    order among siblings matters, and that is all ``order`` decides.  The
-    tree is therefore evaluated bottom-up, each vertex combining its local
-    action with the images of its child subtrees.
+    The edge into v acts only on the decorations of that edge and of v's
+    parent p, so edges with different lower endpoints act on disjoint
+    slots and commute: only the order among siblings matters.  Siblings
+    act in canonical order, or in the reverse of it with
+    ``reverse_siblings``.  The tree is evaluated bottom-up, each vertex
+    combining its local action with the images of its child subtrees.
     """
-    if order is None:
-        return _edge_image(phi, t, {})
-    if sorted(order) != list(range(1, t.vertex_count)):
-        raise ValueError("order must list every edge of the tree exactly once")
-    return _edge_image(phi, t, {}, {v: i for i, v in enumerate(order)})
+    return _edge_image(phi, t, {}, reverse_siblings)
 
 
 def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
@@ -188,8 +173,9 @@ def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
     subtrees T_i, which are computed once per call and shared across the
     terms of ``x``; see :func:`apply_edge_maps` for why only the order of
     siblings matters.  With ``check_order`` the evaluation is repeated
-    with every sibling family reversed and the two results are asserted
-    equal, which checks order-independence on the actual input.
+    with every sibling family reversed, under a memo of its own, and the
+    two results are asserted equal, which checks order-independence on
+    the actual input.
     """
     edge_labels: Set[Label] = set()
     vertex_labels: Set[Label] = set()
@@ -198,12 +184,10 @@ def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
     ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key()), sorted(vertex_labels, key=lambda l: l.sort_key()))
 
     memo: Dict[DecoratedTree, TreeComb] = {}
-    out = x.map_terms(lambda t: _edge_image(phi, t, memo))
+    out = x.map_terms(lambda t: _edge_image(phi, t, memo, False))
     if check_order:
-        rev = x.map_terms(
-            lambda t: apply_edge_maps(phi, t, order=tuple(range(t.vertex_count - 1, 0, -1)))
-        )
-        if rev != out:
+        reversed_memo: Dict[DecoratedTree, TreeComb] = {}
+        if x.map_terms(lambda t: _edge_image(phi, t, reversed_memo, True)) != out:
             raise IncompatiblePhi("edge order changed the result")
     return out
 
@@ -265,11 +249,7 @@ def planted_graft(phi: PhiMap, u: PlantedTree, w: PlantedTree) -> PlantedComb:
 def root_split(p: PlantedTree) -> LinComb:
     """Cut each root edge in turn: pairs (branch planted on the cut edge,
     remainder on the original plant edge)."""
-    out = LinComb()
-    for i in range(len(p.body.children)):
-        branch, rest = split_root_edge(p, (i,))
-        out = out + LinComb.of((branch, rest))
-    return out
+    return LinComb((split_root_edge(p, (i,)), 1) for i in range(len(p.body.children)))
 
 
 def nap_coproduct(x: PlantedComb) -> LinComb:
@@ -294,8 +274,6 @@ def nap_eigen_defect(x: PlantedComb) -> PlantedComb:
     Zero on every planted tree; stated per basis tree since the scaling
     weight depends on the tree.
     """
-    out = LinComb()
-    for p, c in x.items():
-        alpha = len(p.body.children)
-        out = out + c * (root_regraft(root_split(p)) - LinComb.of(p, alpha))
-    return out
+    return x.map_terms(
+        lambda p: root_regraft(root_split(p)) - LinComb.of(p, len(p.body.children))
+    )

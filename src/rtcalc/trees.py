@@ -23,11 +23,14 @@ computed on first use and then kept in a slot of that tree.  Subtrees are
 shared between trees, so a grafted tree recomputes them only along the
 path that changed.
 
-Operations that juggle many decorations at once (the deformed coproduct
-and product in :mod:`rtcalc.hopf`, the vertex actions in
-:mod:`rtcalc.postlie`) work on a flattened "sites" view: vertices get fixed
-integer indices, the shape is frozen, and only the label arrays move.  The
-result is folded back into canonical trees at the very end.
+Operations that move many decorations of a forest at once work on a
+flattened "sites" view: vertices get fixed integer indices, the shape is
+described by a parent array, and only the label arrays move.  The cut
+coproduct and the grafting scaffold of the deformed product in
+:mod:`rtcalc.hopf` use it, the scaffold by rewriting the parent array, as
+do the vertex actions in :mod:`rtcalc.postlie`.  The result is folded back
+into canonical trees at the very end.  The edge-product operator does not
+need it: it recurses over subtrees (:mod:`rtcalc.prelie`).
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product as iproduct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .decorations import Label
 
@@ -348,9 +350,6 @@ class Sites:
     def initial_state(self) -> Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]:
         return (self.elabel, self.vlabel)
 
-    def index_of(self, vid: ForestVertexId) -> int:
-        return self.vid.index(vid)
-
 
 State = Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]
 
@@ -410,17 +409,17 @@ def rebuild_tree(sites: Sites, state: State) -> DecoratedTree:
     return _build_subtree(sites, state, root, None)
 
 
-def rebuild_forest(sites: Sites, state: State, parent: Optional[Sequence[int]] = None) -> Forest:
-    """Fold a sites view back into a canonical forest.
+def rebuild_forest(parent: Sequence[int], state: State) -> Forest:
+    """Fold label arrays over a parent array back into a canonical forest.
 
-    ``parent`` optionally overrides the stored parent array (same length),
-    which is how grafting engines describe their reattachments.
+    ``parent`` reads as in :class:`Sites`: -1 marks a root, planted on its
+    incoming edge.  Grafting describes its reattachments by rewriting the
+    parent array of a sites view.
     """
-    par = tuple(parent) if parent is not None else sites.parent
     elabels, vlabels = state
-    kids: List[List[int]] = [[] for _ in par]
+    kids: List[List[int]] = [[] for _ in parent]
     roots = []
-    for v, p in enumerate(par):
+    for v, p in enumerate(parent):
         if p < 0:
             roots.append(v)
         else:
@@ -481,124 +480,3 @@ def restrict(f: Forest, part: FrozenSet[ForestVertexId]) -> Forest:
     lookup = {vid: ix for ix, vid in enumerate(sites.vid)}
     keep = frozenset(lookup[vid] for vid in part)
     return restrict_state(sites, sites.initial_state(), keep)
-
-
-# ---------------------------------------------------------------------------
-# Grafting maps and forest-level grafting
-
-
-def grafting_maps(f: Forest, g: Forest) -> List[Tuple[Optional[ForestVertexId], ...]]:
-    """Every assignment of each tree of ``f`` to a vertex of ``g`` or to None.
-
-    Returned as tuples indexed like ``f.trees``; there are
-    (vertex_count(g) + 1)^len(f.trees) of them.
-    """
-    targets: List[Optional[ForestVertexId]] = [None]
-    targets.extend(forest_vertex_ids(g))
-    return list(iproduct(targets, repeat=len(f.trees)))
-
-
-def _combined_sites(
-    f: Forest, g: Forest
-) -> Tuple[Sites, Sites, Tuple[int, ...], Tuple[Optional[Label], ...], Tuple[Label, ...], Dict[ForestVertexId, int], Tuple[int, ...]]:
-    """Shared scaffolding for grafting ``f`` over ``g``.
-
-    g's vertices keep indices 0..|g|-1; f's are shifted up by |g|.  Returns
-    the two sites, the combined parent/label arrays, the index of each g
-    vertex address, and the shifted index of each f component root.
-    """
-    sg = forest_sites(g)
-    sf = forest_sites(f)
-    off = sg.size
-    parent = tuple(sg.parent) + tuple(p + off if p >= 0 else -1 for p in sf.parent)
-    elabel = sg.elabel + sf.elabel
-    vlabel = sg.vlabel + sf.vlabel
-    g_index = {vid: ix for ix, vid in enumerate(sg.vid)}
-    f_roots = tuple(r + off for r in sf.roots)
-    return sf, sg, parent, elabel, vlabel, g_index, f_roots
-
-
-def graft_forest(
-    f: Forest, g: Forest, gmap: Sequence[Optional[ForestVertexId]]
-) -> Forest:
-    """Attach each tree of ``f`` at its assigned vertex of ``g`` (None: leave planted)."""
-    if len(gmap) != len(f.trees):
-        raise ValueError("one target per tree of the grafted forest")
-    _, _, parent, elabel, vlabel, g_index, f_roots = _combined_sites(f, g)
-    par = list(parent)
-    for i, target in enumerate(gmap):
-        if target is not None:
-            par[f_roots[i]] = g_index[target]
-    scaffold = Sites(tuple(par), elabel, vlabel)
-    return rebuild_forest(scaffold, (elabel, vlabel))
-
-
-# ---------------------------------------------------------------------------
-# Isomorphisms of underlying planted forests
-
-
-def _tree_isos(t1: DecoratedTree, t2: DecoratedTree) -> List[Dict[VertexId, VertexId]]:
-    """All shape isomorphisms between two trees, decorations ignored."""
-    if t1.shape != t2.shape:
-        return []
-    n1 = len(t1.children)
-    idx2 = list(range(len(t2.children)))
-    out: List[Dict[VertexId, VertexId]] = []
-    child_shapes1 = [c.shape for _, c in t1.children]
-    child_shapes2 = [c.shape for _, c in t2.children]
-    for perm in permutations(idx2, n1):
-        if any(child_shapes1[i] != child_shapes2[j] for i, j in enumerate(perm)):
-            continue
-        parts: List[List[Dict[VertexId, VertexId]]] = []
-        ok = True
-        for i, j in enumerate(perm):
-            sub = _tree_isos(t1.children[i][1], t2.children[j][1])
-            if not sub:
-                ok = False
-                break
-            parts.append(sub)
-        if not ok:
-            continue
-        for combo in iproduct(*parts):
-            iso: Dict[VertexId, VertexId] = {(): ()}
-            for i, j in enumerate(perm):
-                for p, q in combo[i].items():
-                    iso[(i,) + p] = (perm[i],) + q
-            out.append(iso)
-    return out
-
-
-def isomorphisms(f1: Forest, f2: Forest) -> List[Dict[ForestVertexId, ForestVertexId]]:
-    """All isomorphisms of the underlying undecorated planted forests.
-
-    An isomorphism matches components bijectively and maps vertices
-    shape-preservingly inside each; planting, sources and targets are
-    preserved by construction.  Edges follow vertices (each vertex owns
-    its incoming edge, the plant edge included).
-    """
-    if len(f1.trees) != len(f2.trees):
-        return []
-    k = len(f1.trees)
-    out: List[Dict[ForestVertexId, ForestVertexId]] = []
-    shapes1 = [t.shape for t in f1.trees]
-    shapes2 = [t.shape for t in f2.trees]
-    for perm in permutations(range(k)):
-        if any(shapes1[i] != shapes2[perm[i]] for i in range(k)):
-            continue
-        parts = []
-        ok = True
-        for i in range(k):
-            sub = _tree_isos(f1.trees[i].body, f2.trees[perm[i]].body)
-            if not sub:
-                ok = False
-                break
-            parts.append(sub)
-        if not ok:
-            continue
-        for combo in iproduct(*parts):
-            iso: Dict[ForestVertexId, ForestVertexId] = {}
-            for i in range(k):
-                for p, q in combo[i].items():
-                    iso[(i, p)] = (perm[i], q)
-            out.append(iso)
-    return out

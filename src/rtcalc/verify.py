@@ -249,10 +249,6 @@ def _mi_pairs(d: int, bound: int) -> List[Tuple[MultiIndex, MultiIndex]]:
     return [(a, b) for a in labels for b in labels]
 
 
-def _apply_pair(phi, comb: LinComb) -> LinComb:
-    return comb.map_terms(lambda pair: phi(*pair))
-
-
 def _ones(d: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(1) for _ in range(d + 1))
 
@@ -309,9 +305,9 @@ def _check_semigroup(scale: Scale) -> str:
             f_sum = phi_lambda(SpdeConfig(d, tuple(x + y for x, y in zip(lam, mu))))
             f_inv = phi_lambda(SpdeConfig(d, tuple(-x for x in lam)))
             for a, b in grid:
-                if _apply_pair(f_lam, f_mu(a, b)) != f_sum(a, b):
+                if f_lam.apply(f_mu(a, b)) != f_sum(a, b):
                     raise Defect(f"composition broke at d={d}, ({a.render()},{b.render()})")
-                if _apply_pair(f_inv, f_lam(a, b)) != LinComb.of((a, b)):
+                if f_inv.apply(f_lam(a, b)) != LinComb.of((a, b)):
                     raise Defect(f"inverse broke at d={d}, ({a.render()},{b.render()})")
                 pairs_checked += 1
     return f"composition and inverse hold on {pairs_checked} label pairs"
@@ -348,7 +344,7 @@ def _check_exp_cross(scale: Scale) -> str:
     for a, b in _mi_pairs(1, scale.entry_bound):
         power = LinComb.of((a, b))
         for n in range(1, scale.power_order + 1):
-            power = _apply_pair(dmap, power)
+            power = dmap.apply(power)
             if power != _power_reference(cfg, a, b, n):
                 raise Defect(f"power {n} mismatch at ({a.render()},{b.render()})")
             powers_checked += 1

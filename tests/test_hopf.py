@@ -1,14 +1,17 @@
+import dataclasses
 import random
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 
+from forest_oracles import graft_forest, grafting_maps, isomorphisms
 from rtcalc.decorations import symbols
 from rtcalc.hopf import (
     UNIT,
     AdjointnessViolated,
     Pairing,
-    bck_coproduct,
     check_adjoint,
     counit,
     cut_coproduct,
@@ -24,7 +27,9 @@ from rtcalc.hopf import (
 )
 from rtcalc.lincomb import LinComb, lc_sum
 from rtcalc.phimaps import (
+    Refuted,
     build_JD,
+    check_compat,
     from_blocks,
     from_table,
     identity_map,
@@ -37,8 +42,10 @@ from rtcalc.trees import (
     PlantedTree,
     forest,
     forest_mul,
+    forest_sites,
     leaf,
     node,
+    rebuild_forest,
 )
 
 E = symbols("E", ["a1", "a2", "a3", "a4"])
@@ -391,11 +398,6 @@ def test_cut_coassociative_and_multiplicative():
     assert lhs == rhs
 
 
-def test_bck_alias():
-    x = forest_elem(planted(a1, leaf(b1)))
-    assert bck_coproduct(ID, x) == cut_coproduct(ID, x)
-
-
 # ---------------------------------------------------------------------------
 # theta_bar
 
@@ -561,3 +563,159 @@ def test_bucketed_pairing_defects_match_the_unbucketed_loops():
     want = oracle_pairing_defects(phi, phi, pairing, pool, pool)
     assert len(want) > 0
     assert [(d.identity, d.inputs, d.lhs, d.rhs) for d in got] == want
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the replaced implementations
+#
+# The oracles below are the earlier implementations: the scaffold that the
+# product and ``go_triangle`` each built for themselves, and ``theta_bar``
+# expanding label-array states edge by edge across the whole forest.
+
+E2 = symbols("E", ["a1", "a2"])
+V2 = symbols("V", ["b1", "b2"])
+
+
+def oracle_star_basis(phi, F, G):
+    sg = forest_sites(G)
+    sf = forest_sites(F)
+    off = sg.size
+    parent_base = list(sg.parent) + [p + off if p >= 0 else -1 for p in sf.parent]
+    elabel = sg.elabel + sf.elabel
+    vlabel = sg.vlabel + sf.vlabel
+    f_roots = [r + off for r in sf.roots]
+    out = LinComb()
+    for gmap in product(range(-1, sg.size), repeat=len(f_roots)):
+        parent = list(parent_base)
+        states = LinComb.of((elabel, vlabel))
+        for i, target in enumerate(gmap):
+            if target >= 0:
+                parent[f_roots[i]] = target
+                states = phi.apply_at(states, f_roots[i], target)
+        out = out + states.map_terms(lambda st, par=parent: LinComb.of(rebuild_forest(par, st)))
+    return out
+
+
+def oracle_go_triangle(phi, x, p):
+    out = LinComb()
+    for pt, cp in p.items():
+        target = forest([pt])
+        for F, c in x.items():
+            sg = forest_sites(target)
+            sf = forest_sites(F)
+            off = sg.size
+            parent_base = list(sg.parent) + [q + off if q >= 0 else -1 for q in sf.parent]
+            elabel = sg.elabel + sf.elabel
+            vlabel = sg.vlabel + sf.vlabel
+            f_roots = [r + off for r in sf.roots]
+            for gmap in product(range(sg.size), repeat=len(f_roots)):
+                parent = list(parent_base)
+                states = LinComb.of((elabel, vlabel))
+                for i, tgt in enumerate(gmap):
+                    parent[f_roots[i]] = tgt
+                    states = phi.apply_at(states, f_roots[i], tgt)
+                out = out + (c * cp) * states.map_terms(
+                    lambda st, par=parent: LinComb.of(rebuild_forest(par, st).trees[0])
+                )
+    return out
+
+
+def oracle_theta_bar(phi, x):
+    out = LinComb()
+    for f, c in x.items():
+        sites = forest_sites(f)
+        states = LinComb.of(sites.initial_state())
+        for v in range(sites.size):
+            if sites.parent[v] >= 0:
+                states = phi.apply_at(states, v, sites.parent[v])
+        out = out + c * states.map_terms(lambda st: LinComb.of(rebuild_forest(sites.parent, st)))
+    return out
+
+
+def refuted_table_map(seed):
+    """A seeded table map on the 2x2 symbol bases, refuted by the checker but
+    flagged compatible, so that the guards let it through and the order in
+    which each operator applies it shows in the result."""
+    rng = random.Random(seed)
+    table = {}
+    for a, b in product(E2.labels(), V2.labels()):
+        table[(a, b)] = [
+            (Fraction(rng.randint(-2, 2), rng.randint(1, 3)), a2, b2)
+            for a2, b2 in product(E2.labels(), V2.labels())
+            if rng.random() < 0.6
+        ]
+    phi = from_table(E2, V2, table)
+    assert isinstance(check_compat(phi), Refuted)
+    return dataclasses.replace(phi, compat_by_construction=True)
+
+
+def differential_maps():
+    j_form = from_blocks(build_JD([[1, 2], [0, 3]], [[1, 0], [4, 1]], "J"), E2, V2)
+    return [refuted_table_map(41), j_form]
+
+
+@pytest.mark.parametrize("which", range(2))
+def test_theta_bar_matches_forest_state_expansion(which):
+    phi = differential_maps()[which]
+    pool = all_forests(3, E2.labels(), V2.labels())
+    assert len(pool) == 219
+    for f in pool:
+        assert theta_bar(phi, LinComb.of(f)) == oracle_theta_bar(phi, LinComb.of(f))
+    x = LinComb((f, Fraction(k % 5 - 2, 1 + k % 3)) for k, f in enumerate(pool[::11]))
+    assert theta_bar(phi, x) == oracle_theta_bar(phi, x)
+
+
+@pytest.mark.parametrize("which", range(2))
+def test_star_product_and_go_triangle_match_their_own_scaffolds(which):
+    phi = differential_maps()[which]
+    pool = all_forests(2, E2.labels(), V2.labels())
+    assert len(pool) ** 2 == 961
+    for f in pool:
+        for g in pool:
+            assert star_product(phi, LinComb.of(f), LinComb.of(g)) == oracle_star_basis(phi, f, g)
+    targets = all_planted(2, E2.labels(), V2.labels())
+    assert len(pool) * len(targets) == 620
+    for f in pool:
+        for pt in targets:
+            x, p = LinComb.of(f), LinComb.of(pt)
+            assert go_triangle(phi, x, p) == oracle_go_triangle(phi, x, p)
+
+
+def test_star_product_under_the_identity_sums_the_grafting_maps():
+    phi = identity_map(E2, V2)
+    pool = all_forests(2, E2.labels(), V2.labels())
+    for f in pool:
+        for g in pool:
+            want = lc_sum(LinComb.of(graft_forest(f, g, m)) for m in grafting_maps(f, g))
+            assert star_product(phi, LinComb.of(f), LinComb.of(g)) == want
+
+
+def skewed_base(seed):
+    """A seeded base pairing with no symmetry, zero on some label pairs."""
+    rng = random.Random(seed)
+    pairs = list(product(E2.labels(), V2.labels()))
+    table = {(p, q): Fraction(rng.randint(-1, 3), rng.randint(1, 3)) for p in pairs for q in pairs}
+    return lambda a2, b2, a, b: table[((a2, b2), (a, b))]
+
+
+@pytest.mark.parametrize("pairing", [delta_pairing(), Pairing(skewed_base(43), name="skewed")], ids=["delta", "skewed"])
+def test_pairing_is_the_sum_over_isomorphisms(pairing):
+    pool = all_forests(3, E2.labels(), V2.labels())
+    decorations = {}
+    for f in pool:
+        s = forest_sites(f)
+        decorations[f] = dict(zip(s.vid, zip(s.elabel, s.vlabel)))
+    nonzero = 0
+    for f1 in pool:
+        d1 = decorations[f1]
+        for f2 in pool:
+            d2 = decorations[f2]
+            want = sum(
+                (prod(pairing.base(*d1[v], *d2[w]) for v, w in iso.items()) for iso in isomorphisms(f1, f2)),
+                Fraction(0),
+            )
+            assert pairing.forests(f1, f2) == want
+            nonzero += want != 0
+    # The delta pairing is nonzero on the diagonal only; the skewed base
+    # also pairs forests with different labels.
+    assert nonzero >= len(pool)
