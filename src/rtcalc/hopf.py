@@ -5,8 +5,8 @@ deshuffle coproduct splits the multiset of trees with multinomial
 multiplicities and makes planted trees primitive.  The cut coproduct sums
 over upper parts of the vertex set: the upper part keeps the vertices
 whose children all stay with them, every severed edge runs the decoration
-map against its lower endpoint before the two restrictions are taken, and
-the cut edges replant the upper components.
+map against its lower endpoint, and the severed edges replant the upper
+components.
 
 The deformed forest product grafts each tree of the left factor onto a
 chosen vertex of the right factor or leaves it alone, running the
@@ -16,6 +16,14 @@ under the isomorphism pairing below.  ``go_triangle`` is the same sum
 with every tree grafted; both run on one scaffold, ``_graft_basis``.
 The forest edge-product operator ``theta_bar`` runs the tree recursion
 of :mod:`rtcalc.prelie` on each tree body.
+
+All three are local in the sense :mod:`rtcalc.prelie` explains for the
+edge-product operator: the map acts only on an edge and its lower
+endpoint, so operations at different vertices touch disjoint label slots,
+and the edges meeting at one vertex act one after another through
+:meth:`rtcalc.phimaps.PhiMap.act_at_vertex`.  Each operator therefore
+works on canonical trees directly, rebuilding only the vertices it
+touches.
 """
 
 from __future__ import annotations
@@ -24,23 +32,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, prod
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .decorations import Label, render_label
-from .lincomb import LinComb, lc_sum
+from .lincomb import ONE, ZERO, LinComb, lc_sum
 from .phimaps import PhiMap, ensure_usable
-from .prelie import apply_edge_maps
+from .prelie import _collect_labels, apply_edge_maps
 from .trees import (
     EMPTY_FOREST,
     DecoratedTree,
     Forest,
     PlantedTree,
+    VertexId,
     forest,
     forest_mul,
-    forest_sites,
-    rebuild_forest,
-    restrict_state,
-    upper_subsets,
+    label_at,
+    node,
+    vertex_ids,
 )
 
 ForestComb = LinComb  # combinations of Forest
@@ -53,17 +61,13 @@ def forest_elem(f: Forest) -> ForestComb:
     return LinComb.of(f)
 
 
-def _forest_labels(f: Forest) -> Tuple[Tuple[Label, ...], Tuple[Label, ...]]:
-    s = forest_sites(f)
-    return tuple(e for e in s.elabel if e is not None), s.vlabel
-
-
 def _guard(phi: PhiMap, *forests: Forest) -> None:
-    edge_labels, vertex_labels = set(), set()
+    edge_labels: Set[Label] = set()
+    vertex_labels: Set[Label] = set()
     for f in forests:
-        es, vs = _forest_labels(f)
-        edge_labels.update(es)
-        vertex_labels.update(vs)
+        for t in f.trees:
+            edge_labels.add(t.plant)
+            _collect_labels(t.body, edge_labels, vertex_labels)
     ensure_usable(
         phi,
         sorted(edge_labels, key=lambda l: l.sort_key()),
@@ -75,35 +79,66 @@ def _guard(phi: PhiMap, *forests: Forest) -> None:
 # Deformed forest product
 
 
+def _regrow(t: DecoratedTree, path: VertexId, changes: Dict, through: Set[VertexId]) -> DecoratedTree:
+    """``t``, found at ``path``, with each change at or below it applied.
+
+    ``changes`` maps a vertex address to its new (label, extra children);
+    ``through`` holds every address on a path down to a change, and only
+    those vertices are rebuilt.
+    """
+    kids = tuple(
+        (e, _regrow(c, path + (i,), changes, through)) if path + (i,) in through else (e, c)
+        for i, (e, c) in enumerate(t.children)
+    )
+    label, extra = changes.get(path, (t.label, ()))
+    return node(label, kids + extra)
+
+
 def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb:
     """Graft each tree of F onto a vertex of G, summed over assignments.
 
-    F's vertices follow G's in one sites view.  An assignment rewrites the
-    parent of each root of F to its target vertex, and the map acts on
-    (plant edge of that root, target).  With ``stay`` a tree of F may also
-    keep its plant edge and stay beside G.
+    An assignment sends each tree of F to a vertex of G or, with ``stay``,
+    also leaves it planted beside G.  At each target v the map runs over
+    (plant edge, label of v) for the trees sent there, in F's canonical
+    order; trees sent to different vertices act on disjoint slots.  Only
+    the vertices on the paths down to the targets are rebuilt, and every
+    tree of G with no target in it is kept as it is.
     """
-    sg = forest_sites(G)
-    sf = forest_sites(F)
-    off = sg.size
-    parent_base = sg.parent + tuple(p + off if p >= 0 else -1 for p in sf.parent)
-    elabel = sg.elabel + sf.elabel
-    vlabel = sg.vlabel + sf.vlabel
-    f_roots = [r + off for r in sf.roots]
-
-    def assignment(targets: Tuple[int, ...]) -> ForestComb:
-        parent = list(parent_base)
-        states = LinComb.of((elabel, vlabel))
-        for root, target in zip(f_roots, targets):
-            if target >= 0:
-                parent[root] = target
-                states = phi.apply_at(states, root, target)
-                if states.is_zero:
-                    return states
-        return states.map_terms(lambda st: LinComb.of(rebuild_forest(parent, st)))
-
-    choices = range(-1 if stay else 0, sg.size)
-    return lc_sum(assignment(gmap) for gmap in iproduct(choices, repeat=len(f_roots)))
+    vertices = [
+        (k, path, label_at(t.body, path), [path[:i] for i in range(len(path) + 1)])
+        for k, t in enumerate(G.trees)
+        for path in vertex_ids(t.body)
+    ]
+    out: Dict[Forest, Fraction] = {}
+    for targets in iproduct(range(-1 if stay else 0, len(vertices)), repeat=len(F.trees)):
+        staying: List[PlantedTree] = []
+        groups: Dict[int, List[PlantedTree]] = {}
+        for t, v in zip(F.trees, targets):
+            if v < 0:
+                staying.append(t)
+            else:
+                groups.setdefault(v, []).append(t)
+        through: Dict[int, Set[VertexId]] = {}
+        grafts = []
+        for v, trees in groups.items():
+            k, path, label, prefixes = vertices[v]
+            through.setdefault(k, set()).update(prefixes)
+            terms = phi.act_at_vertex(tuple(t.plant for t in trees), label)._terms.items()
+            grafts.append((k, path, [t.body for t in trees], terms))
+        kept = [t for k, t in enumerate(G.trees) if k not in through] + staying
+        for combo in iproduct(*[terms for _, _, _, terms in grafts]):
+            changes: Dict[int, Dict] = {k: {} for k in through}
+            coeff = ONE
+            for (k, path, bodies, _), ((edges, b), c) in zip(grafts, combo):
+                changes[k][path] = (b, tuple(zip(edges, bodies)))
+                coeff = coeff * c
+            grown = [
+                PlantedTree(G.trees[k].plant, _regrow(G.trees[k].body, (), changes[k], through[k]))
+                for k in through
+            ]
+            f = forest(kept + grown)
+            out[f] = out.get(f, ZERO) + coeff
+    return LinComb._raw({f: c for f, c in out.items() if c})
 
 
 def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
@@ -119,8 +154,8 @@ def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
             _guard(phi, f, g)
     return lc_sum(
         cx * cy * _graft_basis(phi, fx, fy, stay=True)
-        for fx, cx in x.items()
-        for fy, cy in y.items()
+        for fx, cx in x._terms.items()
+        for fy, cy in y._terms.items()
     )
 
 
@@ -136,16 +171,9 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
     def grafted(F: Forest, pt: PlantedTree) -> LinComb:
         target = forest([pt])
         _guard(phi, F, target)
-        return _graft_basis(phi, F, target, stay=False).map_terms(
-            lambda f: LinComb.of(_only_tree(f))
-        )
+        return _graft_basis(phi, F, target, stay=False).map_terms(lambda f: LinComb.of(f.trees[0]))
 
     return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.items() for F, c in x.items())
-
-
-def _only_tree(f: Forest) -> PlantedTree:
-    (t,) = f.trees
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -182,36 +210,63 @@ def deshuffle(x: ForestComb) -> PairComb:
     return x.map_terms(split)
 
 
+def _cuts_below(phi: PhiMap, t: DecoratedTree) -> Dict[Tuple[Tuple[PlantedTree, ...], DecoratedTree], Fraction]:
+    """The cuts of ``t`` that keep its root below, as a map
+    (upper planted trees, lower tree) -> coefficient.
+
+    Each child is either severed, the whole child going up replanted on
+    its edge, or kept, the recursion continuing inside it.  For each
+    choice of severed children their edges run the map against the
+    root's label once, in canonical sibling order.
+    """
+    if not t.children:
+        return {((), t): ONE}
+    below = [list(_cuts_below(phi, c).items()) for _, c in t.children]
+    out: Dict = {}
+    for keep in iproduct((False, True), repeat=len(t.children)):
+        severed = [i for i, k in enumerate(keep) if not k]
+        kept = [i for i, k in enumerate(keep) if k]
+        local = phi.act_at_vertex(tuple(t.children[i][0] for i in severed), t.label)._terms.items()
+        for combo in iproduct(*[below[i] for i in kept]):
+            above = tuple(u for (ups, _), _ in combo for u in ups)
+            kids = [(t.children[i][0], lower) for i, ((_, lower), _) in zip(kept, combo)]
+            coeff = prod((c for _, c in combo), start=ONE)
+            for (images, b), c in local:
+                ups = tuple(PlantedTree(a, t.children[i][1]) for a, i in zip(images, severed)) + above
+                key = (ups, node(b, kids))
+                out[key] = out.get(key, ZERO) + coeff * c
+    return {key: c for key, c in out.items() if c}
+
+
 def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
     """Sum over upper parts, the map running over every severed edge.
 
-    A severed edge has its lower endpoint outside the part and its upper
-    endpoint inside; plant edges (no decorated lower endpoint) move to
-    whichever side holds their tree's root, untouched.  The upper part
-    lands in the left factor, replanted on the severed edges.
+    By the root recursion of Connes and Kreimer: each planted tree either
+    goes up whole, untouched, or keeps its root below, and then at each
+    vertex below every child is either severed or kept (``_cuts_below``).
+    A severed edge runs the map against its lower endpoint; plant edges
+    have no decorated lower endpoint and move with their tree, untouched.
+    The upper part lands in the left factor, replanted on the severed
+    edges.
     """
 
     def cuts(f: Forest) -> PairComb:
         _guard(phi, f)
-        sites = forest_sites(f)
-        everything = frozenset(range(sites.size))
-
-        def split(part: FrozenSet[int]) -> PairComb:
-            states = LinComb.of(sites.initial_state())
-            for v in sorted(part):
-                pr = sites.parent[v]
-                if pr >= 0 and pr not in part:
-                    states = phi.apply_at(states, v, pr)
-                    if states.is_zero:
-                        return states
-            rest = everything - part
-            return states.map_terms(
-                lambda st: LinComb.of(
-                    (restrict_state(sites, st, part), restrict_state(sites, st, rest))
-                )
+        options = [
+            [((p,), (), ONE)]
+            + [(ups, (PlantedTree(p.plant, lower),), c) for (ups, lower), c in _cuts_below(phi, p.body).items()]
+            for p in f.trees
+        ]
+        return LinComb(
+            (
+                (
+                    forest([u for ups, _, _ in combo for u in ups]),
+                    forest([w for _, lows, _ in combo for w in lows]),
+                ),
+                prod(c for _, _, c in combo),
             )
-
-        return lc_sum(split(part) for part in upper_subsets(sites))
+            for combo in iproduct(*options)
+        )
 
     return lc_sum(c * cuts(f) for f, c in x.items())
 
@@ -270,10 +325,10 @@ class Pairing:
 
     def _planted(self, e1: Label, t1: DecoratedTree, e2: Label, t2: DecoratedTree) -> Fraction:
         if t1.shape != t2.shape:
-            return Fraction(0)
+            return ZERO
         head = self.base(e1, t1.label, e2, t2.label)
         if not head:
-            return Fraction(0)
+            return ZERO
         k = len(t1.children)
         if k == 0:
             return head
@@ -286,9 +341,9 @@ class Pairing:
 
     def forests(self, f1: Forest, f2: Forest) -> Fraction:
         if len(f1.trees) != len(f2.trees) or f1.vertex_count != f2.vertex_count:
-            return Fraction(0)
+            return ZERO
         if not f1.trees:
-            return Fraction(1)
+            return ONE
         grid = [[self._tree(t1, t2) for t2 in f2.trees] for t1 in f1.trees]
         return _permanent(grid)
 
@@ -296,9 +351,11 @@ class Pairing:
 def _permanent(grid: List[List[Fraction]]) -> Fraction:
     n = len(grid)
     if n == 0:
-        return Fraction(1)
+        return ONE
+    if n == 1:
+        return grid[0][0]
     cols = list(range(n))
-    total = Fraction(0)
+    total = ZERO
 
     def rec(row: int, used: int, acc: Fraction):
         nonlocal total
@@ -312,7 +369,7 @@ def _permanent(grid: List[List[Fraction]]) -> Fraction:
             if v:
                 rec(row + 1, used | 1 << c, acc * v)
 
-    rec(0, 0, Fraction(1))
+    rec(0, 0, ONE)
     return total
 
 
@@ -320,7 +377,7 @@ def delta_pairing() -> Pairing:
     """Basis-delta pairing: matching labels pair to 1."""
 
     def base(aprime, bprime, a, b):
-        return Fraction(1) if (aprime == a and bprime == b) else Fraction(0)
+        return ONE if (aprime == a and bprime == b) else ZERO
 
     return Pairing(base, name="delta")
 
@@ -330,16 +387,18 @@ def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Fraction:
 
     An exact sum, so the terms are visited in storage order, unsorted.
     """
-    total = Fraction(0)
+    total = ZERO
     for f1, c1 in x._terms.items():
         for f2, c2 in y._terms.items():
-            total += c1 * c2 * pairing.forests(f1, f2)
+            v = pairing.forests(f1, f2)
+            if v:
+                total += c1 * c2 * v
     return total
 
 
 def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Fraction:
     """Pair two combinations of forest pairs factorwise, in storage order."""
-    total = Fraction(0)
+    total = ZERO
     for (f1, g1), c1 in x._terms.items():
         for (f2, g2), c2 in y._terms.items():
             v1 = pairing.forests(f1, f2)

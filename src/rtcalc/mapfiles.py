@@ -63,6 +63,20 @@ def _req(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _int(obj: dict, key: str, where: str, default: Optional[int] = None) -> int:
+    x = _req(obj, key, where) if default is None else obj.get(key, default)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise MapFileError(f"{where}: {key!r} must be an integer, not {x!r}")
+    return x
+
+
+def _rows(x, key: str, where: str) -> list:
+    """``x`` checked to be a nonempty list of nonempty lists of one length."""
+    if not (isinstance(x, list) and x and all(isinstance(r, list) and r for r in x) and len({len(r) for r in x}) == 1):
+        raise MapFileError(f"{where}: {key!r} must be a nonempty list of nonempty rows of equal length")
+    return x
+
+
 def _rat(x, where: str) -> Fraction:
     try:
         return as_scalar(x)
@@ -78,9 +92,9 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
     if kind == "symbols":
         return SymbolBasis(str(_req(obj, "id", where)), tuple(_req(obj, "names", where)))
     if kind == "multiindex":
-        return MultiIndexBasis(int(_req(obj, "d", where)))
+        return MultiIndexBasis(_int(obj, "d", where))
     if kind == "multiindex_noise":
-        return MultiIndexNoiseBasis(int(_req(obj, "d", where)), noise)
+        return MultiIndexNoiseBasis(_int(obj, "d", where), noise)
     if kind == "noise_only":
         return NoiseOnlyBasis(noise)
     raise MapFileError(f"{where}: unknown basis kind {kind!r}")
@@ -93,15 +107,12 @@ def _label(src, basis: DecorationBasis, side: str, where: str):
         raise MapFileError(f"{where}: {e}")
 
 
-def _matrix(rows, where: str):
-    try:
-        return mat([[_rat(x, where) for x in row] for row in rows])
-    except (TypeError, ValueError) as e:
-        raise MapFileError(f"{where}: bad matrix ({e})")
+def _matrix(rows, key: str, where: str):
+    return mat([[_rat(x, where) for x in row] for row in _rows(rows, key, where)])
 
 
 def _spde_config(obj: dict, where: str, noise: bool) -> SpdeConfig:
-    d = int(_req(obj, "d", where))
+    d = _int(obj, "d", where)
     lam = obj.get("lambda")
     if lam is None:
         lam = [1] * (d + 1)
@@ -114,16 +125,18 @@ def _spde_config(obj: dict, where: str, noise: bool) -> SpdeConfig:
 def _block_grid(obj: dict, where: str) -> BlockMatrix:
     if "jd" in obj:
         jd = obj["jd"]
-        A = _matrix(_req(jd, "A", where), where)
-        B = _matrix(_req(jd, "B", where), where)
+        if not isinstance(jd, dict):
+            raise MapFileError(f"{where}: 'jd' must be an object with keys A, B and form")
+        A = _matrix(_req(jd, "A", where), "jd.A", where)
+        B = _matrix(_req(jd, "B", where), "jd.B", where)
         form = _req(jd, "form", where)
         try:
             return build_JD(A, B, form)
         except ValueError as e:
             raise MapFileError(f"{where}: {e}")
-    rows = _req(obj, "blocks", where)
+    rows = _rows(_req(obj, "blocks", where), "blocks", where)
     try:
-        return block_matrix([[_matrix(blk, where) for blk in row] for row in rows])
+        return block_matrix([[_matrix(blk, "blocks", where) for blk in row] for row in rows])
     except ValueError as e:
         raise MapFileError(f"{where}: {e}")
 
@@ -178,7 +191,7 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
             return phi_lambda(cfg)
         if builder == "partial_lambda":
             return partial_lambda(cfg)
-        return phi_lambda_via_exp(cfg, max_iter=int(obj.get("max_iter", 64)))
+        return phi_lambda_via_exp(cfg, max_iter=_int(obj, "max_iter", where, 64))
 
     if builder == "noise_extend":
         return noise_extend(_spde_config(obj, where, noise=True))
@@ -199,8 +212,8 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
         V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
         if not (E.is_finite and V.is_finite):
             raise MapFileError(f"{where}: tensor wants finite bases")
-        f = _matrix(_req(obj, "f", where), where)
-        g = _matrix(_req(obj, "g", where), where)
+        f = _matrix(_req(obj, "f", where), "f", where)
+        g = _matrix(_req(obj, "g", where), "g", where)
         return tensor_map(E, V, _matrix_action(f, E.labels(), where), _matrix_action(g, V.labels(), where))
 
     if builder == "direct_sum":
@@ -223,7 +236,7 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
 
     if builder == "exp":
         inner = build_phi(_req(obj, "of", where), f"{where}.of")
-        return exp_series(inner, max_iter=int(obj.get("max_iter", 64)))
+        return exp_series(inner, max_iter=_int(obj, "max_iter", where, 64))
 
     if builder == "polynomial":
         inner = build_phi(_req(obj, "of", where), f"{where}.of")

@@ -31,7 +31,7 @@ from .decorations import (
     render_label,
     union_bases,
 )
-from .lincomb import LinComb, Scalar, as_scalar
+from .lincomb import ZERO, LinComb, Scalar, as_scalar
 from .ratmat import (
     Matrix,
     commute,
@@ -74,27 +74,26 @@ class PhiMap:
         """Linear extension to combinations of (edge, vertex) pairs."""
         return pairs.map_terms(lambda ab: self(*ab))
 
-    def apply_at(self, states: LinComb, e_ix: int, v_ix: int) -> LinComb:
-        """Act on one (edge, vertex) slot pair of label-array states.
+    def act_at_vertex(self, edges: Tuple[Label, ...], b: Label) -> LinComb:
+        """Run the map over (edges[0], b), (edges[1], b), ... in that order.
 
-        ``states`` combines pairs (edge labels, vertex labels) of tuples;
-        the map acts on the edge label at ``e_ix`` together with the vertex
-        label at ``v_ix`` and leaves every other slot alone.
+        This is the local step of every tree operator: several edges that
+        share their lower endpoint, decorated ``b``, each act on their own
+        label and on ``b``, so each sees the vertex label the earlier ones
+        left.  Returns a combination of states (new edge labels, new b),
+        built up one edge at a time from the image of the first.
         """
-
-        def step(state):
-            elabels, vlabels = state
-            return LinComb._raw(
-                {
-                    (
-                        elabels[:e_ix] + (a2,) + elabels[e_ix + 1 :],
-                        vlabels[:v_ix] + (b2,) + vlabels[v_ix + 1 :],
-                    ): c
-                    for (a2, b2), c in self(elabels[e_ix], vlabels[v_ix])._terms.items()
-                }
-            )
-
-        return states.map_terms(step)
+        if not edges:
+            return LinComb.of(((), b))
+        states = {((a2,), b2): c for (a2, b2), c in self(edges[0], b)._terms.items()}
+        for a in edges[1:]:
+            grown: Dict[Tuple, Fraction] = {}
+            for (images, bb), c in states.items():
+                for (a2, b2), c2 in self(a, bb)._terms.items():
+                    state = (images + (a2,), b2)
+                    grown[state] = grown.get(state, ZERO) + c * c2
+            states = {state: c for state, c in grown.items() if c}
+        return LinComb._raw(states)
 
     def __repr__(self) -> str:
         return f"PhiMap({self.name})"
@@ -275,7 +274,7 @@ def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
     return Compatible() if finite else VerifiedUpToBound(bound)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _finite_verdict(phi: PhiMap) -> Verdict:
     return check_compat(phi)
 

@@ -27,7 +27,7 @@ from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
 from .prelie import graft_phi
-from .trees import PlantedTree, rebuild_tree, tree_sites
+from .trees import PlantedTree, label_at, relabel_at, vertex_ids
 
 Gen = str
 GenComb = LinComb  # over generator names
@@ -234,12 +234,11 @@ def ext_gen(name: Gen, c: Scalar = 1) -> ExtElem:
 
 def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
     """Sum over vertices of t with the vertex action applied at that spot."""
-    sites = tree_sites(t.body)
-    elabels, vlabels = sites.initial_state()
+    body = t.body
     return LinComb(
-        (PlantedTree(t.plant, rebuild_tree(sites, (elabels, vlabels[:v] + (nb,) + vlabels[v + 1 :]))), c)
-        for v in range(sites.size)
-        for nb, c in psi.vertex(p, vlabels[v]).items()
+        (PlantedTree(t.plant, relabel_at(body, v, nb)), c)
+        for v in vertex_ids(body)
+        for nb, c in psi.vertex(p, label_at(body, v)).items()
     )
 
 

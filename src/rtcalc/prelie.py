@@ -122,12 +122,12 @@ def _edge_image(
 ) -> TreeComb:
     """The operator on the subtree ``s``, computed once per ``memo``.
 
-    The root's child edges act on (edge label, root label) one at a time,
-    on local states (child edge labels, (root label,)), in canonical
-    sibling order or, with ``reverse``, in the opposite order; each
-    resulting local term is combined with one term of every child image.
-    Either way a subtree's image does not depend on where it sits, so
-    ``memo`` holds it for every distinct subtree seen in one mode.
+    The root's child edges act on (edge label, root label) one at a time
+    through :meth:`PhiMap.act_at_vertex`, in canonical sibling order or,
+    with ``reverse``, in the opposite order; each resulting local term is
+    combined with one term of every child image.  Either way a subtree's
+    image does not depend on where it sits, so ``memo`` holds it for every
+    distinct subtree seen in one mode.
     """
     if not s.children:
         return LinComb.of(s)
@@ -135,13 +135,13 @@ def _edge_image(
     if image is not None:
         return image
     kid_terms = [_edge_image(phi, c, memo, reverse)._terms.items() for _, c in s.children]
-    local = LinComb.of((tuple(e for e, _ in s.children), (s.label,)))
-    k = len(kid_terms)
-    for i in range(k - 1, -1, -1) if reverse else range(k):
-        local = phi.apply_at(local, i, 0)
+    edges = tuple(e for e, _ in s.children)
+    local = phi.act_at_vertex(edges[::-1] if reverse else edges, s.label)
 
     def assemble(state) -> TreeComb:
-        edges, (b,) = state
+        edges, b = state
+        if reverse:
+            edges = edges[::-1]
         return LinComb(
             (node(b, zip(edges, (t for t, _ in combo))), prod(c for _, c in combo))
             for combo in iproduct(*kid_terms)

@@ -11,39 +11,34 @@ Vertex addresses are paths: the tuple of child positions (in canonical
 order) leading down from the root.  An edge is addressed by the path of
 its upper endpoint, so the plant edge of a planted tree is the empty path.
 Surgery invalidates addresses, so an address refers only to the tree it
-was taken from.  Surgery keeps trees canonical without re-sorting them:
-grafting changes one child at each level on the path from the root to the
-target, so at each such level that child is taken out and its new version
-put back in by bisection against the siblings, which are already sorted;
-at the target the new edge goes in the same way.  Only :func:`node` sorts
-a whole family of children.
+was taken from.  Surgery at one vertex keeps trees canonical without
+re-sorting them: grafting or relabelling changes one child at each level
+on the path from the root to the target, so at each such level that child
+is taken out and its new version put back in by bisection against the
+siblings, which are already sorted; at the target a new edge goes in the
+same way.  Only :func:`node` sorts a whole family of children.
 
-The hash, ``sort_key``, ``vertex_count`` and ``shape`` of a tree are each
-computed on first use and then kept in a slot of that tree.  Subtrees are
-shared between trees, so a grafted tree recomputes them only along the
-path that changed.
+The hash, ``sort_key``, ``vertex_count`` and ``shape`` of a tree (and the
+first three of a forest) are each computed on first use and then kept in
+a slot.  Subtrees are shared between trees, so a grafted tree recomputes
+them only along the path that changed.
 
-Operations that move many decorations of a forest at once work on a
-flattened "sites" view: vertices get fixed integer indices, the shape is
-described by a parent array, and only the label arrays move.  The cut
-coproduct and the grafting scaffold of the deformed product in
-:mod:`rtcalc.hopf` use it, the scaffold by rewriting the parent array, as
-do the vertex actions in :mod:`rtcalc.postlie`.  The result is folded back
-into canonical trees at the very end.  The edge-product operator does not
-need it: it recurses over subtrees (:mod:`rtcalc.prelie`).
+Operators that act on many decorations at once (the cut coproduct and the
+grafting of whole forests in :mod:`rtcalc.hopf`, the edge-product operator
+in :mod:`rtcalc.prelie`, the vertex actions in :mod:`rtcalc.postlie`)
+recurse over these canonical trees directly: they build the vertices they
+change with :func:`node` or by the bisection above, and share the subtrees
+they leave alone with their input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .decorations import Label
 
 VertexId = Tuple[int, ...]
-ForestVertexId = Tuple[int, Tuple[int, ...]]
 
 
 class DecoratedTree:
@@ -183,11 +178,11 @@ class PlantedTree:
 class Forest:
     """A tuple of planted trees; :func:`forest` is the canonical constructor."""
 
-    __slots__ = ("trees", "_key", "_hash")
+    __slots__ = ("trees", "_key", "_hash", "_count")
 
     def __init__(self, trees: Tuple[PlantedTree, ...] = ()):
         self.trees = trees
-        self._key = self._hash = None
+        self._key = self._hash = self._count = None
 
     @property
     def sort_key(self):
@@ -211,7 +206,10 @@ class Forest:
 
     @property
     def vertex_count(self) -> int:
-        return sum(t.vertex_count for t in self.trees)
+        n = self._count
+        if n is None:
+            n = self._count = sum([t.body.vertex_count for t in self.trees])
+        return n
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -267,8 +265,21 @@ def edge_label_at(tree: DecoratedTree, path: VertexId) -> Label:
     return parent.children[path[-1]][0]
 
 
-def forest_vertex_ids(f: Forest) -> List[ForestVertexId]:
-    return [(ci, p) for ci, t in enumerate(f.trees) for p in vertex_ids(t.body)]
+def _rebuild_path(
+    y: DecoratedTree, target: VertexId, at_target: Callable[[DecoratedTree], DecoratedTree]
+) -> DecoratedTree:
+    """``y`` with the subtree at ``target`` replaced by ``at_target`` of it.
+
+    When ``y`` and the replacement are canonical so is the result: each
+    level on the path puts its one changed child back in at its sorted
+    place among the siblings, which are already sorted.
+    """
+    if not target:
+        return at_target(y)
+    i = target[0]
+    e, c = y.children[i]
+    updated = _rebuild_path(c, target[1:], at_target)
+    return DecoratedTree(y.label, _insert_child(y.children[:i] + y.children[i + 1 :], (e, updated)))
 
 
 def graft_at(
@@ -281,17 +292,20 @@ def graft_at(
     """Attach ``x`` below the vertex ``target`` of ``y`` through a new edge.
 
     ``relabel``, when given, replaces the target vertex's decoration in the
-    same stroke.  When ``x`` and ``y`` are canonical so is the result: on
-    the path to the target, each level puts its one changed child back in
-    at its sorted place.  Addresses into ``y`` do not survive.
+    same stroke.  When ``x`` and ``y`` are canonical so is the result, and
+    the new edge goes in at its sorted place.  Addresses into ``y`` do not
+    survive.
     """
-    if not target:
-        lab = y.label if relabel is None else relabel
-        return DecoratedTree(lab, _insert_child(y.children, (edge, x)))
-    i = target[0]
-    e, c = y.children[i]
-    updated = graft_at(x, target[1:], c, edge, relabel)
-    return DecoratedTree(y.label, _insert_child(y.children[:i] + y.children[i + 1 :], (e, updated)))
+
+    def attach(s: DecoratedTree) -> DecoratedTree:
+        return DecoratedTree(s.label if relabel is None else relabel, _insert_child(s.children, (edge, x)))
+
+    return _rebuild_path(y, target, attach)
+
+
+def relabel_at(y: DecoratedTree, target: VertexId, label: Label) -> DecoratedTree:
+    """``y`` with the vertex ``target`` decorated ``label``, kept canonical."""
+    return _rebuild_path(y, target, lambda s: DecoratedTree(label, s.children))
 
 
 def split_root_edge(p: PlantedTree, edge: VertexId) -> Tuple[PlantedTree, PlantedTree]:
@@ -309,174 +323,3 @@ def split_root_edge(p: PlantedTree, edge: VertexId) -> Tuple[PlantedTree, Plante
     elab, branch = p.body.children[i]
     rest = node(p.body.label, p.body.children[:i] + p.body.children[i + 1 :])
     return PlantedTree(elab, branch), PlantedTree(p.plant, rest)
-
-
-# ---------------------------------------------------------------------------
-# Sites: a flattened, index-stable view of a forest (or a bare tree)
-
-
-@dataclass(frozen=True)
-class Sites:
-    """Fixed shape plus initial decorations, vertices indexed 0..n-1.
-
-    ``parent[v]`` is -1 when the edge into v comes from an undecorated
-    root (a plant edge), or when v is the root of a bare tree, in which
-    case ``elabel[v]`` is None.  Everywhere else ``elabel[v]`` decorates
-    the edge whose upper endpoint is v, so edges are indexed by their
-    upper endpoint.
-    """
-
-    parent: Tuple[int, ...]
-    elabel: Tuple[Optional[Label], ...]
-    vlabel: Tuple[Label, ...]
-    vid: Tuple[ForestVertexId, ...] = ()
-
-    @cached_property
-    def children(self) -> Tuple[Tuple[int, ...], ...]:
-        kids: List[List[int]] = [[] for _ in self.parent]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                kids[p].append(v)
-        return tuple(tuple(k) for k in kids)
-
-    @cached_property
-    def roots(self) -> Tuple[int, ...]:
-        return tuple(v for v, p in enumerate(self.parent) if p < 0)
-
-    @property
-    def size(self) -> int:
-        return len(self.parent)
-
-    def initial_state(self) -> Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]:
-        return (self.elabel, self.vlabel)
-
-
-State = Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]
-
-
-def _explode_tree(
-    t: DecoratedTree,
-    comp: int,
-    path: VertexId,
-    parent_ix: int,
-    elab: Optional[Label],
-    parent_arr: List[int],
-    elabels: List[Optional[Label]],
-    vlabels: List[Label],
-    vids: List[ForestVertexId],
-) -> None:
-    ix = len(parent_arr)
-    parent_arr.append(parent_ix)
-    elabels.append(elab)
-    vlabels.append(t.label)
-    vids.append((comp, path))
-    for i, (e, c) in enumerate(t.children):
-        _explode_tree(c, comp, path + (i,), ix, e, parent_arr, elabels, vlabels, vids)
-
-
-def forest_sites(f: Forest) -> Sites:
-    parent: List[int] = []
-    elabels: List[Optional[Label]] = []
-    vlabels: List[Label] = []
-    vids: List[ForestVertexId] = []
-    for ci, t in enumerate(f.trees):
-        _explode_tree(t.body, ci, (), -1, t.plant, parent, elabels, vlabels, vids)
-    return Sites(tuple(parent), tuple(elabels), tuple(vlabels), tuple(vids))
-
-
-def tree_sites(t: DecoratedTree) -> Sites:
-    parent: List[int] = []
-    elabels: List[Optional[Label]] = []
-    vlabels: List[Label] = []
-    vids: List[ForestVertexId] = []
-    _explode_tree(t, 0, (), -1, None, parent, elabels, vlabels, vids)
-    return Sites(tuple(parent), tuple(elabels), tuple(vlabels), tuple(vids))
-
-
-def _build_subtree(sites: Sites, state: State, v: int, keep: Optional[FrozenSet[int]]) -> DecoratedTree:
-    elabels, vlabels = state
-    kids = []
-    for c in sites.children[v]:
-        if keep is not None and c not in keep:
-            continue
-        kids.append((elabels[c], _build_subtree(sites, state, c, keep)))
-    return node(vlabels[v], kids)
-
-
-def rebuild_tree(sites: Sites, state: State) -> DecoratedTree:
-    """Fold a single-component bare-tree sites view back into a tree."""
-    (root,) = sites.roots
-    return _build_subtree(sites, state, root, None)
-
-
-def rebuild_forest(parent: Sequence[int], state: State) -> Forest:
-    """Fold label arrays over a parent array back into a canonical forest.
-
-    ``parent`` reads as in :class:`Sites`: -1 marks a root, planted on its
-    incoming edge.  Grafting describes its reattachments by rewriting the
-    parent array of a sites view.
-    """
-    elabels, vlabels = state
-    kids: List[List[int]] = [[] for _ in parent]
-    roots = []
-    for v, p in enumerate(parent):
-        if p < 0:
-            roots.append(v)
-        else:
-            kids[p].append(v)
-
-    def build(v: int) -> DecoratedTree:
-        return node(vlabels[v], ((elabels[c], build(c)) for c in kids[v]))
-
-    return forest(PlantedTree(elabels[r], build(r)) for r in roots)
-
-
-def restrict_state(sites: Sites, state: State, keep: FrozenSet[int]) -> Forest:
-    """The sub-forest on ``keep``: kept vertices, edges with upper end kept.
-
-    A kept vertex whose parent is dropped (or was already a plant) roots a
-    new component planted on its incoming edge, decoration included.
-    """
-    elabels, _ = state
-    comps = []
-    for v in sorted(keep):
-        if sites.parent[v] < 0 or sites.parent[v] not in keep:
-            comps.append(PlantedTree(elabels[v], _build_subtree(sites, state, v, keep)))
-    return forest(comps)
-
-
-def upper_subsets(sites: Sites) -> List[FrozenSet[int]]:
-    """All vertex subsets closed under passing from a vertex to its children."""
-
-    def below(v: int) -> FrozenSet[int]:
-        out = {v}
-        for c in sites.children[v]:
-            out |= below(c)
-        return frozenset(out)
-
-    def ups(v: int) -> List[FrozenSet[int]]:
-        # Either v is in (then its whole subtree is), or the part splits
-        # into independent choices over the child subtrees.
-        combos: List[FrozenSet[int]] = [frozenset()]
-        for c in sites.children[v]:
-            combos = [s | t for s in combos for t in ups(c)]
-        return combos + [below(v)]
-
-    parts: List[FrozenSet[int]] = [frozenset()]
-    for r in sites.roots:
-        parts = [s | t for s in parts for t in ups(r)]
-    return parts
-
-
-def upper_parts(f: Forest) -> List[FrozenSet[ForestVertexId]]:
-    """All upper parts of a forest, as sets of vertex addresses."""
-    sites = forest_sites(f)
-    return [frozenset(sites.vid[v] for v in part) for part in upper_subsets(sites)]
-
-
-def restrict(f: Forest, part: FrozenSet[ForestVertexId]) -> Forest:
-    """The planted sub-forest of ``f`` induced by a vertex subset."""
-    sites = forest_sites(f)
-    lookup = {vid: ix for ix, vid in enumerate(sites.vid)}
-    keep = frozenset(lookup[vid] for vid in part)
-    return restrict_state(sites, sites.initial_state(), keep)

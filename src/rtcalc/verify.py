@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
@@ -156,36 +157,28 @@ def _compositions(n: int) -> Iterable[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-_TREE_CACHE: Dict[Tuple, Tuple[DecoratedTree, ...]] = {}
-
-
 def trees_exact(k: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> Tuple[DecoratedTree, ...]:
     """All decorated trees with exactly k vertices over the given labels."""
-    key = (k, tuple(elabels), tuple(vlabels))
-    hit = _TREE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _trees_exact(k, tuple(elabels), tuple(vlabels))
+
+
+@lru_cache(maxsize=256)
+def _trees_exact(k: int, elabels: Tuple[Label, ...], vlabels: Tuple[Label, ...]) -> Tuple[DecoratedTree, ...]:
     if k <= 0:
-        out: Tuple[DecoratedTree, ...] = ()
-    elif k == 1:
-        out = tuple(leaf(v) for v in vlabels)
-    else:
-        seen: Set[DecoratedTree] = set()
-        acc: List[DecoratedTree] = []
-        for root in vlabels:
-            for split in _compositions(k - 1):
-                pools = [
-                    [(e, t) for e in elabels for t in trees_exact(part, elabels, vlabels)]
-                    for part in split
-                ]
-                for combo in iproduct(*pools):
-                    t = node(root, combo)
-                    if t not in seen:
-                        seen.add(t)
-                        acc.append(t)
-        out = tuple(sorted(acc, key=lambda t: t.sort_key))
-    _TREE_CACHE[key] = out
-    return out
+        return ()
+    if k == 1:
+        return tuple(leaf(v) for v in vlabels)
+    seen: Set[DecoratedTree] = set()
+    acc: List[DecoratedTree] = []
+    for root in vlabels:
+        for split in _compositions(k - 1):
+            pools = [[(e, t) for e in elabels for t in _trees_exact(part, elabels, vlabels)] for part in split]
+            for combo in iproduct(*pools):
+                t = node(root, combo)
+                if t not in seen:
+                    seen.add(t)
+                    acc.append(t)
+    return tuple(sorted(acc, key=lambda t: t.sort_key))
 
 
 def trees_up_to(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> List[DecoratedTree]:

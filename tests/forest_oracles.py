@@ -1,5 +1,17 @@
 """Brute-force forest oracles for the tests.
 
+The "sites" view flattens a forest: vertices get fixed integer indices in
+depth-first preorder, the shape is a parent array, and only the label
+arrays move.  The package used to run its forest operators on it; they now
+recurse over canonical trees, and the implementations they replaced live
+here as oracles on top of the same view:
+
+- ``graft_basis``: grafting by rewriting the parent array, one assignment
+  at a time, the map acting over whole label-array states;
+- ``cut_coproduct``: the sum over upper vertex subsets, each severed edge
+  acting in site order, both sides rebuilt by restriction;
+- ``vertex_action_on_tree``: relabelling one site of the label array.
+
 ``grafting_maps`` and ``graft_forest`` graft one assignment at a time with
 the identity map, and ``isomorphisms`` lists every isomorphism of the
 underlying planted forests.  The package computes the same sums directly:
@@ -9,20 +21,291 @@ permanent over children.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from rtcalc.decorations import Label
+from rtcalc.lincomb import LinComb, lc_sum
 from rtcalc.trees import (
     DecoratedTree,
     Forest,
-    ForestVertexId,
-    Sites,
+    PlantedTree,
     VertexId,
-    forest_sites,
-    forest_vertex_ids,
-    rebuild_forest,
+    forest,
+    node,
+    vertex_ids,
 )
+
+ForestVertexId = Tuple[int, Tuple[int, ...]]
+
+
+def forest_vertex_ids(f: Forest) -> List[ForestVertexId]:
+    return [(ci, p) for ci, t in enumerate(f.trees) for p in vertex_ids(t.body)]
+
+
+# ---------------------------------------------------------------------------
+# Sites: a flattened, index-stable view of a forest (or a bare tree)
+
+
+@dataclass(frozen=True)
+class Sites:
+    """Fixed shape plus initial decorations, vertices indexed 0..n-1.
+
+    ``parent[v]`` is -1 when the edge into v comes from an undecorated
+    root (a plant edge), or when v is the root of a bare tree, in which
+    case ``elabel[v]`` is None.  Everywhere else ``elabel[v]`` decorates
+    the edge whose upper endpoint is v, so edges are indexed by their
+    upper endpoint.
+    """
+
+    parent: Tuple[int, ...]
+    elabel: Tuple[Optional[Label], ...]
+    vlabel: Tuple[Label, ...]
+    vid: Tuple[ForestVertexId, ...] = ()
+
+    @cached_property
+    def children(self) -> Tuple[Tuple[int, ...], ...]:
+        kids: List[List[int]] = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if p >= 0:
+                kids[p].append(v)
+        return tuple(tuple(k) for k in kids)
+
+    @cached_property
+    def roots(self) -> Tuple[int, ...]:
+        return tuple(v for v, p in enumerate(self.parent) if p < 0)
+
+    @property
+    def size(self) -> int:
+        return len(self.parent)
+
+    def initial_state(self) -> Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]:
+        return (self.elabel, self.vlabel)
+
+
+State = Tuple[Tuple[Optional[Label], ...], Tuple[Label, ...]]
+
+
+def _explode_tree(
+    t: DecoratedTree,
+    comp: int,
+    path: VertexId,
+    parent_ix: int,
+    elab: Optional[Label],
+    parent_arr: List[int],
+    elabels: List[Optional[Label]],
+    vlabels: List[Label],
+    vids: List[ForestVertexId],
+) -> None:
+    ix = len(parent_arr)
+    parent_arr.append(parent_ix)
+    elabels.append(elab)
+    vlabels.append(t.label)
+    vids.append((comp, path))
+    for i, (e, c) in enumerate(t.children):
+        _explode_tree(c, comp, path + (i,), ix, e, parent_arr, elabels, vlabels, vids)
+
+
+def forest_sites(f: Forest) -> Sites:
+    parent: List[int] = []
+    elabels: List[Optional[Label]] = []
+    vlabels: List[Label] = []
+    vids: List[ForestVertexId] = []
+    for ci, t in enumerate(f.trees):
+        _explode_tree(t.body, ci, (), -1, t.plant, parent, elabels, vlabels, vids)
+    return Sites(tuple(parent), tuple(elabels), tuple(vlabels), tuple(vids))
+
+
+def tree_sites(t: DecoratedTree) -> Sites:
+    parent: List[int] = []
+    elabels: List[Optional[Label]] = []
+    vlabels: List[Label] = []
+    vids: List[ForestVertexId] = []
+    _explode_tree(t, 0, (), -1, None, parent, elabels, vlabels, vids)
+    return Sites(tuple(parent), tuple(elabels), tuple(vlabels), tuple(vids))
+
+
+def _build_subtree(sites: Sites, state: State, v: int, keep: Optional[FrozenSet[int]]) -> DecoratedTree:
+    elabels, vlabels = state
+    kids = []
+    for c in sites.children[v]:
+        if keep is not None and c not in keep:
+            continue
+        kids.append((elabels[c], _build_subtree(sites, state, c, keep)))
+    return node(vlabels[v], kids)
+
+
+def rebuild_tree(sites: Sites, state: State) -> DecoratedTree:
+    """Fold a single-component bare-tree sites view back into a tree."""
+    (root,) = sites.roots
+    return _build_subtree(sites, state, root, None)
+
+
+def rebuild_forest(parent: Sequence[int], state: State) -> Forest:
+    """Fold label arrays over a parent array back into a canonical forest.
+
+    ``parent`` reads as in :class:`Sites`: -1 marks a root, planted on its
+    incoming edge.  Grafting describes its reattachments by rewriting the
+    parent array of a sites view.
+    """
+    elabels, vlabels = state
+    kids: List[List[int]] = [[] for _ in parent]
+    roots = []
+    for v, p in enumerate(parent):
+        if p < 0:
+            roots.append(v)
+        else:
+            kids[p].append(v)
+
+    def build(v: int) -> DecoratedTree:
+        return node(vlabels[v], ((elabels[c], build(c)) for c in kids[v]))
+
+    return forest(PlantedTree(elabels[r], build(r)) for r in roots)
+
+
+def restrict_state(sites: Sites, state: State, keep: FrozenSet[int]) -> Forest:
+    """The sub-forest on ``keep``: kept vertices, edges with upper end kept.
+
+    A kept vertex whose parent is dropped (or was already a plant) roots a
+    new component planted on its incoming edge, decoration included.
+    """
+    elabels, _ = state
+    comps = []
+    for v in sorted(keep):
+        if sites.parent[v] < 0 or sites.parent[v] not in keep:
+            comps.append(PlantedTree(elabels[v], _build_subtree(sites, state, v, keep)))
+    return forest(comps)
+
+
+def upper_subsets(sites: Sites) -> List[FrozenSet[int]]:
+    """All vertex subsets closed under passing from a vertex to its children."""
+
+    def below(v: int) -> FrozenSet[int]:
+        out = {v}
+        for c in sites.children[v]:
+            out |= below(c)
+        return frozenset(out)
+
+    def ups(v: int) -> List[FrozenSet[int]]:
+        # Either v is in (then its whole subtree is), or the part splits
+        # into independent choices over the child subtrees.
+        combos: List[FrozenSet[int]] = [frozenset()]
+        for c in sites.children[v]:
+            combos = [s | t for s in combos for t in ups(c)]
+        return combos + [below(v)]
+
+    parts: List[FrozenSet[int]] = [frozenset()]
+    for r in sites.roots:
+        parts = [s | t for s in parts for t in ups(r)]
+    return parts
+
+
+def upper_parts(f: Forest) -> List[FrozenSet[ForestVertexId]]:
+    """All upper parts of a forest, as sets of vertex addresses."""
+    sites = forest_sites(f)
+    return [frozenset(sites.vid[v] for v in part) for part in upper_subsets(sites)]
+
+
+def restrict(f: Forest, part: FrozenSet[ForestVertexId]) -> Forest:
+    """The planted sub-forest of ``f`` induced by a vertex subset."""
+    sites = forest_sites(f)
+    lookup = {vid: ix for ix, vid in enumerate(sites.vid)}
+    keep = frozenset(lookup[vid] for vid in part)
+    return restrict_state(sites, sites.initial_state(), keep)
+
+
+def apply_at(phi, states: LinComb, e_ix: int, v_ix: int) -> LinComb:
+    """Act on one (edge, vertex) slot pair of label-array states.
+
+    ``states`` combines pairs (edge labels, vertex labels) of tuples; the
+    map acts on the edge label at ``e_ix`` together with the vertex label
+    at ``v_ix`` and leaves every other slot alone.
+    """
+
+    def step(state):
+        elabels, vlabels = state
+        return LinComb(
+            (
+                (
+                    elabels[:e_ix] + (a2,) + elabels[e_ix + 1 :],
+                    vlabels[:v_ix] + (b2,) + vlabels[v_ix + 1 :],
+                ),
+                c,
+            )
+            for (a2, b2), c in phi(elabels[e_ix], vlabels[v_ix]).items()
+        )
+
+    return states.map_terms(step)
+
+
+# ---------------------------------------------------------------------------
+# The forest operators on the sites view
+
+
+def graft_basis(phi, F: Forest, G: Forest, *, stay: bool) -> LinComb:
+    """Graft each tree of F onto a vertex of G, summed over assignments.
+
+    F's vertices follow G's in one sites view.  An assignment rewrites the
+    parent of each root of F to its target vertex, and the map acts on
+    (plant edge of that root, target), roots taken in F's order.  With
+    ``stay`` a tree of F may also keep its plant edge and stay beside G.
+    """
+    sg = forest_sites(G)
+    sf = forest_sites(F)
+    off = sg.size
+    parent_base = sg.parent + tuple(p + off if p >= 0 else -1 for p in sf.parent)
+    elabel = sg.elabel + sf.elabel
+    vlabel = sg.vlabel + sf.vlabel
+    f_roots = [r + off for r in sf.roots]
+
+    def assignment(targets: Tuple[int, ...]) -> LinComb:
+        parent = list(parent_base)
+        states = LinComb.of((elabel, vlabel))
+        for root, target in zip(f_roots, targets):
+            if target >= 0:
+                parent[root] = target
+                states = apply_at(phi, states, root, target)
+        return states.map_terms(lambda st: LinComb.of(rebuild_forest(parent, st)))
+
+    choices = range(-1 if stay else 0, sg.size)
+    return lc_sum(assignment(gmap) for gmap in iproduct(choices, repeat=len(f_roots)))
+
+
+def cut_coproduct(phi, x: LinComb) -> LinComb:
+    """Sum over upper vertex subsets, the map running over every severed
+    edge in site order; both sides are restrictions of the acted state."""
+
+    def cuts(f: Forest) -> LinComb:
+        sites = forest_sites(f)
+        everything = frozenset(range(sites.size))
+
+        def split(part: FrozenSet[int]) -> LinComb:
+            states = LinComb.of(sites.initial_state())
+            for v in sorted(part):
+                pr = sites.parent[v]
+                if pr >= 0 and pr not in part:
+                    states = apply_at(phi, states, v, pr)
+            rest = everything - part
+            return states.map_terms(
+                lambda st: LinComb.of((restrict_state(sites, st, part), restrict_state(sites, st, rest)))
+            )
+
+        return lc_sum(split(part) for part in upper_subsets(sites))
+
+    return lc_sum(c * cuts(f) for f, c in x.items())
+
+
+def vertex_action_on_tree(psi, p, t: PlantedTree) -> LinComb:
+    """Sum over sites of t with the vertex action applied at that site."""
+    sites = tree_sites(t.body)
+    elabels, vlabels = sites.initial_state()
+    return LinComb(
+        (PlantedTree(t.plant, rebuild_tree(sites, (elabels, vlabels[:v] + (nb,) + vlabels[v + 1 :]))), c)
+        for v in range(sites.size)
+        for nb, c in psi.vertex(p, vlabels[v]).items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,35 @@ def test_parse_error_carries_position(tmp_path, capsys):
     assert "2:1" in err
 
 
+@pytest.mark.parametrize(
+    "phi, key",
+    [
+        ({"builder": "blocks", "blocks": 5}, "'blocks'"),
+        ({"builder": "blocks", "blocks": [[5]]}, "'blocks'"),
+        ({"builder": "blocks", "blocks": [[[[1, 0], [0, 1]]], [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]]}, "'blocks'"),
+        ({"builder": "blocks", "blocks": [[[[1, 0], [0]]]]}, "'blocks'"),
+        ({"builder": "blocks", "jd": {"A": [[1], 2], "B": [[1]], "form": "J"}}, "'jd.A'"),
+        ({"builder": "blocks", "jd": [1, 2]}, "'jd'"),
+        ({"builder": "phi_lambda", "d": 1.5}, "'d'"),
+        ({"builder": "phi_lambda", "d": "one"}, "'d'"),
+        ({"builder": "phi_lambda", "d": [1]}, "'d'"),
+    ],
+    ids=[
+        "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
+        "jd-ragged", "jd-list", "d-float", "d-string", "d-list",
+    ],
+)
+def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
+    path = jfile(tmp_path, "phi.json", phi)
+    t = tfile(tmp_path, "t.txt", "(<0>)")
+    code, out, err = run(capsys, "theta", "--phi", path, t)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("rtcalc: error:")
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_missing_required_flag_exits_2(tmp_path, capsys):
     t = tfile(tmp_path, "t.txt", "(<1,0>)")
     with pytest.raises(SystemExit) as exc:

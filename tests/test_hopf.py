@@ -6,7 +6,16 @@ from math import prod
 
 import pytest
 
-from forest_oracles import graft_forest, grafting_maps, isomorphisms
+from forest_oracles import (
+    apply_at,
+    cut_coproduct as oracle_cut_coproduct,
+    forest_sites,
+    graft_basis,
+    graft_forest,
+    grafting_maps,
+    isomorphisms,
+    rebuild_forest,
+)
 from rtcalc.decorations import symbols
 from rtcalc.hopf import (
     UNIT,
@@ -42,10 +51,8 @@ from rtcalc.trees import (
     PlantedTree,
     forest,
     forest_mul,
-    forest_sites,
     leaf,
     node,
-    rebuild_forest,
 )
 
 E = symbols("E", ["a1", "a2", "a3", "a4"])
@@ -568,56 +575,22 @@ def test_bucketed_pairing_defects_match_the_unbucketed_loops():
 # ---------------------------------------------------------------------------
 # Differential tests against the replaced implementations
 #
-# The oracles below are the earlier implementations: the scaffold that the
-# product and ``go_triangle`` each built for themselves, and ``theta_bar``
-# expanding label-array states edge by edge across the whole forest.
+# The oracles are the earlier implementations on the flattened sites view
+# (``forest_oracles``): the grafting scaffold of the product and
+# ``go_triangle`` rewriting parent arrays, the cut coproduct summed over
+# upper vertex subsets, and ``theta_bar`` expanding label-array states edge
+# by edge across the whole forest.
 
 E2 = symbols("E", ["a1", "a2"])
 V2 = symbols("V", ["b1", "b2"])
 
 
-def oracle_star_basis(phi, F, G):
-    sg = forest_sites(G)
-    sf = forest_sites(F)
-    off = sg.size
-    parent_base = list(sg.parent) + [p + off if p >= 0 else -1 for p in sf.parent]
-    elabel = sg.elabel + sf.elabel
-    vlabel = sg.vlabel + sf.vlabel
-    f_roots = [r + off for r in sf.roots]
-    out = LinComb()
-    for gmap in product(range(-1, sg.size), repeat=len(f_roots)):
-        parent = list(parent_base)
-        states = LinComb.of((elabel, vlabel))
-        for i, target in enumerate(gmap):
-            if target >= 0:
-                parent[f_roots[i]] = target
-                states = phi.apply_at(states, f_roots[i], target)
-        out = out + states.map_terms(lambda st, par=parent: LinComb.of(rebuild_forest(par, st)))
-    return out
-
-
 def oracle_go_triangle(phi, x, p):
-    out = LinComb()
-    for pt, cp in p.items():
-        target = forest([pt])
-        for F, c in x.items():
-            sg = forest_sites(target)
-            sf = forest_sites(F)
-            off = sg.size
-            parent_base = list(sg.parent) + [q + off if q >= 0 else -1 for q in sf.parent]
-            elabel = sg.elabel + sf.elabel
-            vlabel = sg.vlabel + sf.vlabel
-            f_roots = [r + off for r in sf.roots]
-            for gmap in product(range(sg.size), repeat=len(f_roots)):
-                parent = list(parent_base)
-                states = LinComb.of((elabel, vlabel))
-                for i, tgt in enumerate(gmap):
-                    parent[f_roots[i]] = tgt
-                    states = phi.apply_at(states, f_roots[i], tgt)
-                out = out + (c * cp) * states.map_terms(
-                    lambda st, par=parent: LinComb.of(rebuild_forest(par, st).trees[0])
-                )
-    return out
+    return lc_sum(
+        (c * cp) * graft_basis(phi, F, forest([pt]), stay=False).map_terms(lambda f: LinComb.of(f.trees[0]))
+        for pt, cp in p.items()
+        for F, c in x.items()
+    )
 
 
 def oracle_theta_bar(phi, x):
@@ -627,7 +600,7 @@ def oracle_theta_bar(phi, x):
         states = LinComb.of(sites.initial_state())
         for v in range(sites.size):
             if sites.parent[v] >= 0:
-                states = phi.apply_at(states, v, sites.parent[v])
+                states = apply_at(phi, states, v, sites.parent[v])
         out = out + c * states.map_terms(lambda st: LinComb.of(rebuild_forest(sites.parent, st)))
     return out
 
@@ -665,6 +638,17 @@ def test_theta_bar_matches_forest_state_expansion(which):
     assert theta_bar(phi, x) == oracle_theta_bar(phi, x)
 
 
+def repeated_tree_forests():
+    """Forests in which a planted tree of up to two vertices appears twice,
+    alone or beside another tree, and forests of three equal single
+    vertices."""
+    trees = all_planted(2, E2.labels(), V2.labels())
+    out = [forest([p, p]) for p in trees]
+    out += [forest([p, p, q]) for p, q in zip(trees, trees[1:] + trees[:1])]
+    out += [forest([p, p, p]) for p in trees if p.vertex_count == 1]
+    return out
+
+
 @pytest.mark.parametrize("which", range(2))
 def test_star_product_and_go_triangle_match_their_own_scaffolds(which):
     phi = differential_maps()[which]
@@ -672,13 +656,55 @@ def test_star_product_and_go_triangle_match_their_own_scaffolds(which):
     assert len(pool) ** 2 == 961
     for f in pool:
         for g in pool:
-            assert star_product(phi, LinComb.of(f), LinComb.of(g)) == oracle_star_basis(phi, f, g)
+            assert star_product(phi, LinComb.of(f), LinComb.of(g)) == graft_basis(phi, f, g, stay=True)
     targets = all_planted(2, E2.labels(), V2.labels())
     assert len(pool) * len(targets) == 620
     for f in pool:
         for pt in targets:
             x, p = LinComb.of(f), LinComb.of(pt)
             assert go_triangle(phi, x, p) == oracle_go_triangle(phi, x, p)
+    # Equal trees of F that share a target act on its label one after the
+    # other, so their order shows under a refuted map.
+    repeated = repeated_tree_forests()
+    assert len(repeated) == 44
+    right = [g for g in pool if g.vertex_count <= 1] + [g for g in pool if g.vertex_count == 2][::9]
+    for f in repeated:
+        for g in right:
+            assert star_product(phi, LinComb.of(f), LinComb.of(g)) == graft_basis(phi, f, g, stay=True)
+        for pt in targets[::3]:
+            x, p = LinComb.of(f), LinComb.of(pt)
+            assert go_triangle(phi, x, p) == oracle_go_triangle(phi, x, p)
+
+
+def forests_of_four(seed, per_shape):
+    """A seeded sample of ``per_shape`` forests for each shape of forest
+    with four vertices, labels drawn from the 2x2 bases."""
+    rng = random.Random(seed)
+    by_shape = {}
+    for p in all_planted(4, E2.labels(), V2.labels()):
+        by_shape.setdefault((p.vertex_count, p.shape), []).append(p)
+    shapes = sorted(by_shape)
+    forest_shapes = [
+        combo
+        for k in range(1, 5)
+        for combo in combinations_with_replacement(shapes, k)
+        if sum(n for n, _ in combo) == 4
+    ]
+    assert len(forest_shapes) == 9
+    return [
+        forest([rng.choice(by_shape[s]) for s in combo]) for combo in forest_shapes for _ in range(per_shape)
+    ]
+
+
+@pytest.mark.parametrize("which", range(2))
+def test_cut_coproduct_matches_the_upper_subset_sum(which):
+    phi = differential_maps()[which]
+    pool = all_forests(3, E2.labels(), V2.labels()) + forests_of_four(47, 60)
+    assert len(pool) == 219 + 540
+    for f in pool:
+        assert cut_coproduct(phi, LinComb.of(f)) == oracle_cut_coproduct(phi, LinComb.of(f))
+    x = LinComb((f, Fraction(k % 5 - 2, 1 + k % 3)) for k, f in enumerate(pool[::13]))
+    assert cut_coproduct(phi, x) == oracle_cut_coproduct(phi, x)
 
 
 def test_star_product_under_the_identity_sums_the_grafting_maps():

@@ -37,6 +37,7 @@ from rtcalc.phimaps import (
     transpose_map,
     zero_map,
 )
+from rtcalc.phimaps import _finite_verdict
 from rtcalc.ratmat import det, identity, inv2, mat, mat_mul
 
 E = symbols("E", ["a1", "a2"])
@@ -323,3 +324,12 @@ def test_assemble_convention():
     full = assemble(M)
     assert full[0][2] == 5  # block (0,1), entry (0,0)
     assert full[3][3] == 9
+
+
+def test_finite_verdict_cache_stays_at_its_bound():
+    bound = _finite_verdict.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 10):
+        phi = from_table(E, V, {(a1, b1): [(k + 1, a1, b1)]}, name=f"scaled {k}")
+        ensure_usable(phi, E.labels(), V.labels())
+    assert _finite_verdict.cache_info().currsize == bound

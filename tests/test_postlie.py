@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from forest_oracles import vertex_action_on_tree
 from rtcalc.decorations import symbols
 from rtcalc.lincomb import LinComb
 from rtcalc.phimaps import identity_map, tensor_map
 from rtcalc.postlie import (
     PsiPair,
+    _vertex_action_on_tree,
     ext_bracket,
     ext_gen,
     ext_planted,
@@ -18,6 +21,7 @@ from rtcalc.postlie import (
     trivial_postlie,
 )
 from rtcalc.trees import PlantedTree, leaf, node
+from rtcalc.verify import planted_up_to
 
 E = symbols("E", ["a1", "a2", "a3"])
 V = symbols("V", ["b1", "b2", "b3"])
@@ -315,3 +319,26 @@ def test_planted_triples_reduce_to_pre_lie():
     assert d.jacobi.is_zero
     assert d.derivation.is_zero
     assert d.associator.is_zero
+
+
+def seeded_vertex_psi(seed):
+    """A seeded vertex action on V with fractional, zero and multi-term
+    images, different for each of two generators."""
+    rng = random.Random(seed)
+    vtab = {
+        (p, b): LinComb((b2, Fraction(rng.randint(-2, 2), rng.randint(1, 3))) for b2 in V.labels() if rng.random() < 0.6)
+        for p in ("p", "q")
+        for b in V.labels()
+    }
+    return PsiPair(edge=lambda p, a: LinComb(), vertex=lambda p, b: vtab[(p, b)])
+
+
+@pytest.mark.parametrize("psi", [vertex_bump_psi(), seeded_vertex_psi(53)], ids=["bump", "seeded"])
+def test_vertex_action_matches_the_sites_relabelling(psi):
+    # Relabelling one vertex re-sorts its siblings and every level above,
+    # so trees with equal-shaped siblings are the ones that test this.
+    pool = planted_up_to(4, E.labels()[:2], V.labels())
+    assert len(pool) == 4068
+    for p in ("p", "q"):
+        for t in pool:
+            assert _vertex_action_on_tree(psi, p, t) == vertex_action_on_tree(psi, p, t)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from forest_oracles import rebuild_tree, tree_sites
 from rtcalc.decorations import Sym, mi, symbols
 from rtcalc.lincomb import LinComb, lc_sum
 from rtcalc.phimaps import (
@@ -40,8 +41,6 @@ from rtcalc.trees import (
     label_at,
     leaf,
     node,
-    rebuild_tree,
-    tree_sites,
     vertex_ids,
 )
 from rtcalc.verify import trees_up_to

@@ -3,7 +3,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forest_oracles import graft_forest, grafting_maps, isomorphisms
+from forest_oracles import (
+    forest_sites,
+    forest_vertex_ids,
+    graft_forest,
+    grafting_maps,
+    isomorphisms,
+    rebuild_forest,
+    restrict,
+    tree_sites,
+    upper_parts,
+    upper_subsets,
+)
 from rtcalc.decorations import Sym, mi, symbols
 from rtcalc.trees import (
     EMPTY_FOREST,
@@ -14,18 +25,12 @@ from rtcalc.trees import (
     edge_label_at,
     forest,
     forest_mul,
-    forest_sites,
-    forest_vertex_ids,
     graft_at,
     label_at,
     leaf,
     node,
-    restrict,
     split_root_edge,
     subtree_at,
-    tree_sites,
-    upper_parts,
-    upper_subsets,
     vertex_ids,
 )
 
@@ -224,8 +229,6 @@ def test_sites_roundtrip_forest():
     s = forest_sites(f)
     assert s.size == 3
     assert s.parent.count(-1) == 2
-    from rtcalc.trees import rebuild_forest
-
     assert rebuild_forest(s.parent, s.initial_state()) == f
 
 
