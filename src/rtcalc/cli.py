@@ -7,8 +7,9 @@ byte-deterministic: combinations print in term order with reduced
 rationals, and ``--format structured`` swaps the text for JSON carrying
 the same data.  Exit status: 0 on success (all residuals zero), 1 when
 a computation surfaces a refutation or a nonzero residual, 2 on usage,
-parse, or validation errors, and on input nested too deeply for the
-interpreter's recursion limit.
+parse, or validation errors, on input nested too deeply for the
+interpreter's recursion limit, and on any other exception, which is
+reported in one line as an internal error.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _emit(args, text: str, data) -> None:
 
 
 def _comb_terms(comb: LinComb, show: Callable) -> list:
-    return [[str(c), *show(t)] for t, c in comb.items()]
+    return [[str(c), *show(t)] for t, c in comb.sorted_items()]
 
 
 def _span(basis: DecorationBasis, bound: Optional[int], what: str) -> Sequence:
@@ -277,9 +278,7 @@ def _cmd_spde_demo(args) -> int:
     lines.append(
         f"phi({render_label(a)} (x) {render_label(b)}) = " + phi(a, b).render(_render_pair)
     )
-    back = LinComb()
-    for (na, nb), c in phi(a, b).items():
-        back = back + phi_lambda(SpdeConfig(d, cfg.negated().lam))(na, nb).scale(c)
+    back = phi_lambda(SpdeConfig(d, cfg.negated().lam)).apply(phi(a, b))
     lines.append(
         "inverse check: phi^(-lambda) applied to that image = " + back.render(_render_pair)
     )
@@ -502,6 +501,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "the nesting depth of the input may be too great",
             file=sys.stderr,
         )
+        return 2
+    except Exception as e:  # noqa: BLE001 - exit 1 is reserved for refutations
+        message = " ".join(str(e).splitlines())
+        print(f"rtcalc: internal error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2
 
 

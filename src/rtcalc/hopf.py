@@ -36,8 +36,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .decorations import Label, render_label
 from .lincomb import ONE, ZERO, LinComb, lc_sum
-from .phimaps import PhiMap, ensure_usable
-from .prelie import _collect_labels, apply_edge_maps
+from .phimaps import PhiMap
+from .prelie import _ensure_usable_on, apply_edge_maps
 from .trees import (
     EMPTY_FOREST,
     DecoratedTree,
@@ -62,17 +62,8 @@ def forest_elem(f: Forest) -> ForestComb:
 
 
 def _guard(phi: PhiMap, *forests: Forest) -> None:
-    edge_labels: Set[Label] = set()
-    vertex_labels: Set[Label] = set()
-    for f in forests:
-        for t in f.trees:
-            edge_labels.add(t.plant)
-            _collect_labels(t.body, edge_labels, vertex_labels)
-    ensure_usable(
-        phi,
-        sorted(edge_labels, key=lambda l: l.sort_key()),
-        sorted(vertex_labels, key=lambda l: l.sort_key()),
-    )
+    trees = [t for f in forests for t in f.trees]
+    _ensure_usable_on(phi, [t.body for t in trees], [t.plant for t in trees])
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +100,7 @@ def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb
         for k, t in enumerate(G.trees)
         for path in vertex_ids(t.body)
     ]
-    out: Dict[Forest, Fraction] = {}
+    pairs = []
     for targets in iproduct(range(-1 if stay else 0, len(vertices)), repeat=len(F.trees)):
         staying: List[PlantedTree] = []
         groups: Dict[int, List[PlantedTree]] = {}
@@ -123,7 +114,7 @@ def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb
         for v, trees in groups.items():
             k, path, label, prefixes = vertices[v]
             through.setdefault(k, set()).update(prefixes)
-            terms = phi.act_at_vertex(tuple(t.plant for t in trees), label)._terms.items()
+            terms = phi.act_at_vertex(tuple(t.plant for t in trees), label).items()
             grafts.append((k, path, [t.body for t in trees], terms))
         kept = [t for k, t in enumerate(G.trees) if k not in through] + staying
         for combo in iproduct(*[terms for _, _, _, terms in grafts]):
@@ -136,9 +127,8 @@ def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb
                 PlantedTree(G.trees[k].plant, _regrow(G.trees[k].body, (), changes[k], through[k]))
                 for k in through
             ]
-            f = forest(kept + grown)
-            out[f] = out.get(f, ZERO) + coeff
-    return LinComb._raw({f: c for f, c in out.items() if c})
+            pairs.append((forest(kept + grown), coeff))
+    return LinComb(pairs)
 
 
 def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
@@ -149,13 +139,13 @@ def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
     empty forest is the unit.  Refuses maps refuted on the labels in
     sight, since the result would depend on internal application order.
     """
-    for f, _ in x.items():
-        for g, _ in y.items():
+    for f, _ in x.sorted_items():
+        for g, _ in y.sorted_items():
             _guard(phi, f, g)
     return lc_sum(
         cx * cy * _graft_basis(phi, fx, fy, stay=True)
-        for fx, cx in x._terms.items()
-        for fy, cy in y._terms.items()
+        for fx, cx in x.items()
+        for fy, cy in y.items()
     )
 
 
@@ -173,7 +163,7 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
         _guard(phi, F, target)
         return _graft_basis(phi, F, target, stay=False).map_terms(lambda f: LinComb.of(f.trees[0]))
 
-    return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.items() for F, c in x.items())
+    return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.sorted_items() for F, c in x.sorted_items())
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +200,9 @@ def deshuffle(x: ForestComb) -> PairComb:
     return x.map_terms(split)
 
 
-def _cuts_below(phi: PhiMap, t: DecoratedTree) -> Dict[Tuple[Tuple[PlantedTree, ...], DecoratedTree], Fraction]:
-    """The cuts of ``t`` that keep its root below, as a map
-    (upper planted trees, lower tree) -> coefficient.
+def _cuts_below(phi: PhiMap, t: DecoratedTree) -> LinComb:
+    """The cuts of ``t`` that keep its root below, as a combination of
+    pairs (upper planted trees, lower tree).
 
     Each child is either severed, the whole child going up replanted on
     its edge, or kept, the recursion continuing inside it.  For each
@@ -220,22 +210,21 @@ def _cuts_below(phi: PhiMap, t: DecoratedTree) -> Dict[Tuple[Tuple[PlantedTree, 
     root's label once, in canonical sibling order.
     """
     if not t.children:
-        return {((), t): ONE}
-    below = [list(_cuts_below(phi, c).items()) for _, c in t.children]
-    out: Dict = {}
+        return LinComb.of(((), t))
+    below = [_cuts_below(phi, c).items() for _, c in t.children]
+    pairs = []
     for keep in iproduct((False, True), repeat=len(t.children)):
         severed = [i for i, k in enumerate(keep) if not k]
         kept = [i for i, k in enumerate(keep) if k]
-        local = phi.act_at_vertex(tuple(t.children[i][0] for i in severed), t.label)._terms.items()
+        local = phi.act_at_vertex(tuple(t.children[i][0] for i in severed), t.label).items()
         for combo in iproduct(*[below[i] for i in kept]):
             above = tuple(u for (ups, _), _ in combo for u in ups)
             kids = [(t.children[i][0], lower) for i, ((_, lower), _) in zip(kept, combo)]
             coeff = prod((c for _, c in combo), start=ONE)
             for (images, b), c in local:
                 ups = tuple(PlantedTree(a, t.children[i][1]) for a, i in zip(images, severed)) + above
-                key = (ups, node(b, kids))
-                out[key] = out.get(key, ZERO) + coeff * c
-    return {key: c for key, c in out.items() if c}
+                pairs.append(((ups, node(b, kids)), coeff * c))
+    return LinComb(pairs)
 
 
 def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
@@ -268,7 +257,7 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
             for combo in iproduct(*options)
         )
 
-    return lc_sum(c * cuts(f) for f, c in x.items())
+    return lc_sum(c * cuts(f) for f, c in x.sorted_items())
 
 
 def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
@@ -281,7 +270,7 @@ def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
 
     def images(f: Forest) -> ForestComb:
         _guard(phi, f)
-        bodies = [apply_edge_maps(phi, t.body)._terms.items() for t in f.trees]
+        bodies = [apply_edge_maps(phi, t.body).items() for t in f.trees]
         return LinComb(
             (
                 forest(PlantedTree(t.plant, body) for t, (body, _) in zip(f.trees, combo)),
@@ -290,7 +279,7 @@ def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
             for combo in iproduct(*bodies)
         )
 
-    return lc_sum(c * images(f) for f, c in x.items())
+    return lc_sum(c * images(f) for f, c in x.sorted_items())
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +377,8 @@ def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Fraction:
     An exact sum, so the terms are visited in storage order, unsorted.
     """
     total = ZERO
-    for f1, c1 in x._terms.items():
-        for f2, c2 in y._terms.items():
+    for f1, c1 in x.items():
+        for f2, c2 in y.items():
             v = pairing.forests(f1, f2)
             if v:
                 total += c1 * c2 * v
@@ -399,8 +388,8 @@ def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Fraction:
 def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Fraction:
     """Pair two combinations of forest pairs factorwise, in storage order."""
     total = ZERO
-    for (f1, g1), c1 in x._terms.items():
-        for (f2, g2), c2 in y._terms.items():
+    for (f1, g1), c1 in x.items():
+        for (f2, g2), c2 in y.items():
             v1 = pairing.forests(f1, f2)
             if v1:
                 total += c1 * c2 * v1 * pairing.forests(g1, g2)

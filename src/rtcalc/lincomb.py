@@ -8,6 +8,17 @@ anything hashable that either is naturally orderable (ints, strings) or
 exposes a ``sort_key`` attribute/method; tuples of such terms are ordered
 componentwise.  All operations return new objects.
 
+Every sum is accumulated by one loop, :func:`_add_terms`, which adds
+(term, coefficient) pairs into a dict and drops the terms that cancel:
+``LinComb(pairs)``, :func:`lc_sum`, ``+`` and ``-`` all run it, so a sum
+of many parts costs one pass over their terms, not a copy per part.
+
+:meth:`LinComb.items` is the unordered view of the stored terms; exact
+sums do not depend on the order they are visited in.  Canonical term
+order is applied only at output, by :meth:`LinComb.sorted_items`, which
+:meth:`LinComb.render` uses and which callers use where the first term
+visited picks an error message or a witness.
+
 :meth:`LinComb.map_terms`, the inner loop of every operator, sums its
 products as plain integer numerator/denominator pairs over a common
 denominator and reduces each surviving coefficient to a ``Fraction`` once
@@ -19,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Tuple
 
 Scalar = Fraction
 
@@ -51,35 +62,39 @@ def term_key(term):
     return key() if callable(key) else key
 
 
+def _add_terms(terms: Dict[Hashable, Fraction], pairs: Iterable[Tuple[Hashable, Scalar]]) -> Dict[Hashable, Fraction]:
+    """Add each (term, coefficient) pair into ``terms``; drop what sums to zero.
+
+    The one summing loop of the package.  Coefficients that are not
+    already ``Fraction`` values go through :func:`as_scalar`.
+    """
+    for term, c in pairs:
+        if type(c) is not Fraction:
+            c = as_scalar(c)
+        prev = terms.get(term)
+        if prev is not None:
+            c = prev + c
+            if not c:
+                del terms[term]
+                continue
+        elif not c:
+            continue
+        terms[term] = c
+    return terms
+
+
 class LinComb:
     """A finite linear combination of basis terms with rational coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, items: Iterable[Tuple[Hashable, Scalar]] = ()):
-        terms: Dict[Hashable, Fraction] = {}
-        for term, coeff in items:
-            c = as_scalar(coeff)
-            if not c:
-                continue
-            prev = terms.get(term)
-            if prev is None:
-                terms[term] = c
-                continue
-            acc = prev + c
-            if acc:
-                terms[term] = acc
-            else:
-                del terms[term]
-        self._terms = terms
+        self._terms = _add_terms({}, items)
 
     @classmethod
-    def of(cls, term, coeff: Scalar | int | str = 1) -> "LinComb":
-        return cls([(term, as_scalar(coeff))])
-
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
+    def of(cls, term, coeff: Scalar | int | str = ONE) -> "LinComb":
+        c = as_scalar(coeff)
+        return cls._raw({term: c} if c else {})
 
     @classmethod
     def _raw(cls, terms: Dict[Hashable, Fraction]) -> "LinComb":
@@ -91,11 +106,12 @@ class LinComb:
         return self._terms.get(term, ZERO)
 
     def items(self):
-        """Pairs ``(term, coeff)`` in canonical term order."""
-        return sorted(self._terms.items(), key=lambda tc: term_key(tc[0]))
+        """Pairs ``(term, coeff)`` in storage order, which is not canonical."""
+        return self._terms.items()
 
-    def support(self):
-        return [term for term, _ in self.items()]
+    def sorted_items(self):
+        """Pairs ``(term, coeff)`` in canonical term order, for output."""
+        return sorted(self._terms.items(), key=lambda tc: term_key(tc[0]))
 
     @property
     def is_zero(self) -> bool:
@@ -107,41 +123,20 @@ class LinComb:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator:
-        return iter(self.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinComb):
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        terms = dict(self._terms)
-        for term, c in other._terms.items():
-            acc = terms.get(term, ZERO) + c
-            if acc:
-                terms[term] = acc
-            else:
-                terms.pop(term, None)
-        return LinComb._raw(terms)
+        return lc_sum((self, other))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        terms = dict(self._terms)
-        for term, c in other._terms.items():
-            acc = terms.get(term, ZERO) - c
-            if acc:
-                terms[term] = acc
-            else:
-                terms.pop(term, None)
-        return LinComb._raw(terms)
+        return lc_sum((self, -other))
 
     def __neg__(self) -> "LinComb":
         return LinComb._raw({t: -c for t, c in self._terms.items()})
@@ -195,7 +190,7 @@ class LinComb:
         if not self._terms:
             return "0"
         pieces = []
-        for i, (term, c) in enumerate(self.items()):
+        for i, (term, c) in enumerate(self.sorted_items()):
             mag = abs(c)
             body = render_term(term) if mag == 1 else f"{mag}*{render_term(term)}"
             if i == 0:
@@ -212,14 +207,5 @@ def lc_sum(parts: Iterable[LinComb]) -> LinComb:
     """The sum of the parts, accumulated in one dict."""
     terms: Dict[Hashable, Fraction] = {}
     for p in parts:
-        for term, c in p._terms.items():
-            prev = terms.get(term)
-            if prev is None:
-                terms[term] = c
-                continue
-            acc = prev + c
-            if acc:
-                terms[term] = acc
-            else:
-                del terms[term]
+        _add_terms(terms, p._terms.items())
     return LinComb._raw(terms)

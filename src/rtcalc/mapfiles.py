@@ -70,6 +70,12 @@ def _int(obj: dict, key: str, where: str, default: Optional[int] = None) -> int:
     return x
 
 
+def _list(x, key: str, where: str) -> list:
+    if not isinstance(x, list):
+        raise MapFileError(f"{where}: {key!r} must be a list, not {x!r}")
+    return x
+
+
 def _rows(x, key: str, where: str) -> list:
     """``x`` checked to be a nonempty list of nonempty lists of one length."""
     if not (isinstance(x, list) and x and all(isinstance(r, list) and r for r in x) and len({len(r) for r in x}) == 1):
@@ -90,7 +96,10 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
         raise MapFileError(f"{where}: expected a basis object")
     kind = _req(obj, "kind", where)
     if kind == "symbols":
-        return SymbolBasis(str(_req(obj, "id", where)), tuple(_req(obj, "names", where)))
+        names = _list(_req(obj, "names", where), "names", where)
+        if not all(isinstance(n, str) for n in names):
+            raise MapFileError(f"{where}: 'names' must be a list of strings, not {names!r}")
+        return SymbolBasis(str(_req(obj, "id", where)), tuple(names))
     if kind == "multiindex":
         return MultiIndexBasis(_int(obj, "d", where))
     if kind == "multiindex_noise":
@@ -114,8 +123,7 @@ def _matrix(rows, key: str, where: str):
 def _spde_config(obj: dict, where: str, noise: bool) -> SpdeConfig:
     d = _int(obj, "d", where)
     lam = obj.get("lambda")
-    if lam is None:
-        lam = [1] * (d + 1)
+    lam = [1] * (d + 1) if lam is None else _list(lam, "lambda", where)
     try:
         return SpdeConfig(d, tuple(_rat(c, where) for c in lam), noise=noise)
     except ValueError as e:
@@ -172,16 +180,20 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
         E = _basis(_req(obj, "edge_basis", where), "edge", where)
         V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
         table: Dict[Tuple, list] = {}
-        for k, entry in enumerate(_req(obj, "entries", where)):
+        for k, entry in enumerate(_list(_req(obj, "entries", where), "entries", where)):
             spot = f"{where}: entries[{k}]"
+            if not isinstance(entry, dict):
+                raise MapFileError(f"{spot}: each of 'entries' must be an object with 'on' and 'terms'")
             on = _req(entry, "on", spot)
-            if len(on) != 2:
+            if not isinstance(on, list) or len(on) != 2:
                 raise MapFileError(f"{spot}: 'on' wants [edge, vertex]")
             key = (_label(on[0], E, "edge", spot), _label(on[1], V, "vertex", spot))
-            terms = [
-                (_rat(c, spot), _label(a, E, "edge", spot), _label(b, V, "vertex", spot))
-                for c, a, b in _req(entry, "terms", spot)
-            ]
+            terms = []
+            for t in _list(_req(entry, "terms", spot), "terms", spot):
+                if not isinstance(t, list) or len(t) != 3:
+                    raise MapFileError(f"{spot}: each of 'terms' must be [coefficient, edge, vertex], not {t!r}")
+                c, a, b = t
+                terms.append((_rat(c, spot), _label(a, E, "edge", spot), _label(b, V, "vertex", spot)))
             table.setdefault(key, []).extend(terms)
         return from_table(E, V, table)
 

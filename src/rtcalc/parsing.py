@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .decorations import STAR, DecorationBasis, Label, MultiIndex
-from .lincomb import LinComb
+from .lincomb import LinComb, lc_sum
 from .trees import DecoratedTree, Forest, PlantedTree, forest, node
 
 
@@ -173,17 +173,17 @@ class _Parser:
     # -- combinations
 
     def comb(self, item_parser: Callable[[], object], empty_item: Optional[object]) -> LinComb:
-        out = LinComb()
+        parts = []
         sign = 1
         tok = self.peek()
         if tok.kind == "punct" and tok.text in "+-":
             self.take()
             sign = 1 if tok.text == "+" else -1
         while True:
-            out = out + self.term(item_parser, empty_item).scale(sign)
+            parts.append(self.term(item_parser, empty_item).scale(sign))
             tok = self.peek()
             if tok.kind == "end":
-                return out
+                return lc_sum(parts)
             if tok.kind == "punct" and tok.text in "+-":
                 self.take()
                 sign = 1 if tok.text == "+" else -1
@@ -241,10 +241,11 @@ def parse_forest_comb(src: str, edge_basis: DecorationBasis, vertex_basis: Decor
 def parse_ext_elem(src: str, edge_basis: DecorationBasis, vertex_basis: DecorationBasis,
                    gen_names: Tuple[str, ...]):
     """Parse an extension element: terms are planted trees or generator names."""
-    from .postlie import ExtElem, ext_gen, ext_planted
+    from .postlie import ExtElem
 
     p = _Parser(src, edge_basis, vertex_basis)
-    out = ExtElem.zero()
+    planted: List[Tuple[PlantedTree, Fraction]] = []
+    gens: List[Tuple[str, Fraction]] = []
     sign = 1
     tok = p.peek()
     if tok.kind == "punct" and tok.text in "+-":
@@ -268,15 +269,15 @@ def parse_ext_elem(src: str, edge_basis: DecorationBasis, vertex_basis: Decorati
                 p.take()
                 if tok.text not in gen_names:
                     raise ParseError(tok.line, tok.col, f"unknown generator {tok.text!r}")
-                out = out + ext_gen(tok.text, coeff)
+                gens.append((tok.text, coeff))
             elif tok.text == "[":
-                out = out + ext_planted(p.planted()).scale(coeff)
+                planted.append((p.planted(), coeff))
             else:
                 p.fail(tok, "expected a generator name or a planted tree")
             tok = p.peek()
         if tok.kind == "end":
             p.done()
-            return out
+            return ExtElem(LinComb(planted), LinComb(gens))
         if tok.kind == "punct" and tok.text in "+-":
             p.take()
             sign = 1 if tok.text == "+" else -1

@@ -31,7 +31,7 @@ from .decorations import (
     render_label,
     union_bases,
 )
-from .lincomb import ZERO, LinComb, Scalar, as_scalar
+from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .ratmat import (
     Matrix,
     commute,
@@ -85,15 +85,16 @@ class PhiMap:
         """
         if not edges:
             return LinComb.of(((), b))
-        states = {((a2,), b2): c for (a2, b2), c in self(edges[0], b)._terms.items()}
+        states = LinComb._raw({((a2,), b2): c for (a2, b2), c in self(edges[0], b).items()})
         for a in edges[1:]:
-            grown: Dict[Tuple, Fraction] = {}
-            for (images, bb), c in states.items():
-                for (a2, b2), c2 in self(a, bb)._terms.items():
-                    state = (images + (a2,), b2)
-                    grown[state] = grown.get(state, ZERO) + c * c2
-            states = {state: c for state, c in grown.items() if c}
-        return LinComb._raw(states)
+            states = LinComb(
+                [
+                    ((images + (a2,), b2), c * c2)
+                    for (images, bb), c in states.items()
+                    for (a2, b2), c2 in self(a, bb).items()
+                ]
+            )
+        return states
 
     def __repr__(self) -> str:
         return f"PhiMap({self.name})"
@@ -134,7 +135,7 @@ def from_table(
         if not edge_basis.contains(a) or not vertex_basis.contains(b):
             raise ValueError(f"table input ({render_label(a)},{render_label(b)}) outside the bases")
         comb = out if isinstance(out, LinComb) else LinComb([((a2, b2), as_scalar(c)) for c, a2, b2 in out])
-        for (a2, b2), _ in comb.items():
+        for (a2, b2), _ in comb.sorted_items():
             if not edge_basis.contains(a2) or not vertex_basis.contains(b2):
                 raise ValueError(
                     f"table output ({render_label(a2)},{render_label(b2)}) outside the bases"
@@ -164,10 +165,8 @@ def tensor_map(
     """
 
     def act(a: Label, b: Label) -> PairComb:
-        gb = g(b)._terms.items()
-        return LinComb._raw(
-            {(a2, b2): ca * cb for a2, ca in f(a)._terms.items() for b2, cb in gb}
-        )
+        gb = g(b).items()
+        return LinComb._raw({(a2, b2): ca * cb for a2, ca in f(a).items() for b2, cb in gb})
 
     return PhiMap(edge_basis, vertex_basis, act, name=name, compat_by_construction=True)
 
@@ -265,12 +264,9 @@ def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
             raise ValueError("an explicit bound is required on an infinite basis")
         edge_labels = phi.edge_basis.labels_up_to(bound)
         vertex_labels = phi.vertex_basis.labels_up_to(bound)
-    for a in edge_labels:
-        for a2 in edge_labels:
-            for b in vertex_labels:
-                lhs, rhs = _sides(phi, a, a2, b)
-                if lhs != rhs:
-                    return Refuted((a, a2, b), lhs, rhs)
+    bad = refuted_on(phi, edge_labels, vertex_labels)
+    if bad is not None:
+        return bad
     return Compatible() if finite else VerifiedUpToBound(bound)
 
 
@@ -384,13 +380,10 @@ def polynomial(phi: PhiMap, coeffs: Sequence, name: Optional[str] = None) -> Phi
     cs = [as_scalar(c) for c in coeffs]
 
     def act(a: Label, b: Label) -> PairComb:
-        acc = LinComb()
-        cur = LinComb.of((a, b))
-        for k, c in enumerate(cs):
-            acc = acc + cur.scale(c)
-            if k + 1 < len(cs):
-                cur = phi.apply(cur)
-        return acc
+        powers = [LinComb.of((a, b))]
+        for _ in cs[1:]:
+            powers.append(phi.apply(powers[-1]))
+        return lc_sum(p.scale(c) for p, c in zip(powers, cs))
 
     return PhiMap(
         phi.edge_basis,
@@ -410,7 +403,7 @@ def exp_series(phi: PhiMap, max_iter: int = 64, name: Optional[str] = None) -> P
     """
 
     def act(a: Label, b: Label) -> PairComb:
-        acc = LinComb()
+        terms = []
         cur = LinComb.of((a, b))
         k = 0
         while cur:
@@ -418,10 +411,10 @@ def exp_series(phi: PhiMap, max_iter: int = 64, name: Optional[str] = None) -> P
                 raise NonNilpotentError(
                     f"series for ({render_label(a)},{render_label(b)}) still alive after {max_iter} terms"
                 )
-            acc = acc + cur.scale(Fraction(1, factorial(k)))
+            terms.append(cur.scale(Fraction(1, factorial(k))))
             cur = phi.apply(cur)
             k += 1
-        return acc
+        return lc_sum(terms)
 
     return PhiMap(
         phi.edge_basis,

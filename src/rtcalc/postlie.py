@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
-from .prelie import graft_phi
+from .prelie import planted_graft
 from .trees import PlantedTree, label_at, relabel_at, vertex_ids
 
 Gen = str
@@ -39,7 +39,7 @@ def _as_gencomb(entries, names: Tuple[str, ...]) -> GenComb:
         out = entries
     else:
         out = LinComb([(g, as_scalar(c)) for c, g in entries])
-    for g, _ in out.items():
+    for g, _ in out.sorted_items():
         if g not in names:
             raise ValueError(f"unknown generator {g!r}")
     return out
@@ -187,10 +187,6 @@ class ExtElem:
     planted: PlantedComb
     gens: GenComb
 
-    @staticmethod
-    def zero() -> "ExtElem":
-        return ExtElem(LinComb(), LinComb())
-
     @property
     def is_zero(self) -> bool:
         return self.planted.is_zero and self.gens.is_zero
@@ -244,38 +240,33 @@ def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
 
 def ext_triangle(phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:
     """The triangle product of the extension, case by case."""
-    planted_out = LinComb()
-    for p1, c1 in u.planted.items():
-        for p2, c2 in w.planted.items():
-            bodies = graft_phi(phi, LinComb.of(p1.body), p1.plant, LinComb.of(p2.body))
-            planted_out = planted_out + (c1 * c2) * bodies.map_terms(
-                lambda b, plant=p2.plant: LinComb.of(PlantedTree(plant, b))
-            )
-    for g, c in u.gens.items():
-        for p2, c2 in w.planted.items():
-            planted_out = planted_out + (c * c2) * _vertex_action_on_tree(psi, g, p2)
+    parts = [
+        (c1 * c2) * planted_graft(phi, p1, p2) for p1, c1 in u.planted.items() for p2, c2 in w.planted.items()
+    ]
+    parts += [
+        (c * c2) * _vertex_action_on_tree(psi, g, p2) for g, c in u.gens.items() for p2, c2 in w.planted.items()
+    ]
     # planted ⊳ generator contributes nothing.
     gen_out = P.triangle_lin(u.gens, w.gens)
-    return ExtElem(planted_out, gen_out)
+    return ExtElem(lc_sum(parts), gen_out)
 
 
 def ext_bracket(P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:
     """The bracket of the extension: antisymmetric, zero between planted parts."""
-    planted_out = LinComb()
-    for p1, c1 in u.planted.items():
-        for g, c2 in w.gens.items():
-            for na, c3 in psi.edge(g, p1.plant).items():
-                planted_out = planted_out + LinComb.of(
-                    PlantedTree(na, p1.body), c1 * c2 * c3
-                )
-    for g, c1 in u.gens.items():
-        for p2, c2 in w.planted.items():
-            for na, c3 in psi.edge(g, p2.plant).items():
-                planted_out = planted_out - LinComb.of(
-                    PlantedTree(na, p2.body), c1 * c2 * c3
-                )
+    terms = [
+        (PlantedTree(na, p1.body), c1 * c2 * c3)
+        for p1, c1 in u.planted.items()
+        for g, c2 in w.gens.items()
+        for na, c3 in psi.edge(g, p1.plant).items()
+    ]
+    terms += [
+        (PlantedTree(na, p2.body), -c1 * c2 * c3)
+        for g, c1 in u.gens.items()
+        for p2, c2 in w.planted.items()
+        for na, c3 in psi.edge(g, p2.plant).items()
+    ]
     gen_out = P.bracket_lin(u.gens, w.gens)
-    return ExtElem(planted_out, gen_out)
+    return ExtElem(LinComb(terms), gen_out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +300,26 @@ def psi_compat_defects(
         for q in P.names:
             br = P.bracket_of(p, q)
             tr_pq = P.triangle_of(p, q)
-            tr_qp = P.triangle_of(q, p)
+            tr_skew = P.triangle_of(q, p) - tr_pq
             for a in edge_labels:
-                lhs = LinComb()
-                for g, c in br.items():
-                    lhs = lhs + c * psi.edge(g, a)
+                lhs = br.map_terms(lambda g: psi.edge(g, a))
                 rhs = psi.edge_lin(q, psi.edge(p, a)) - psi.edge_lin(p, psi.edge(q, a))
                 if lhs != rhs:
                     defects.append(
                         PsiDefect("edge-action-bracket", (p, q), a, lhs - rhs)
                     )
-                tr_apply = LinComb()
-                for g, c in tr_pq.items():
-                    tr_apply = tr_apply + c * psi.edge(g, a)
+                tr_apply = tr_pq.map_terms(lambda g: psi.edge(g, a))
                 if not tr_apply.is_zero:
                     defects.append(
                         PsiDefect("edge-action-triangle", (p, q), a, tr_apply)
                     )
             for b in vertex_labels:
-                lhs = LinComb()
-                for g, c in br.items():
-                    lhs = lhs + c * psi.vertex(g, b)
-                rhs = psi.vertex_lin(p, psi.vertex(q, b)) - psi.vertex_lin(
-                    q, psi.vertex(p, b)
+                lhs = br.map_terms(lambda g: psi.vertex(g, b))
+                rhs = (
+                    psi.vertex_lin(p, psi.vertex(q, b))
+                    - psi.vertex_lin(q, psi.vertex(p, b))
+                    + tr_skew.map_terms(lambda g: psi.vertex(g, b))
                 )
-                for g, c in tr_pq.items():
-                    rhs = rhs - c * psi.vertex(g, b)
-                for g, c in tr_qp.items():
-                    rhs = rhs + c * psi.vertex(g, b)
                 if lhs != rhs:
                     defects.append(
                         PsiDefect("vertex-action-bracket", (p, q), b, lhs - rhs)
@@ -344,15 +327,14 @@ def psi_compat_defects(
     for p in P.names:
         for a in edge_labels:
             for b in vertex_labels:
-                lhs = LinComb()
-                for na, c in psi.edge(p, a).items():
-                    lhs = lhs + c * phi(na, b)
-                rhs = LinComb()
-                for nb, c in psi.vertex(p, b).items():
-                    rhs = rhs + c * phi(a, nb)
-                for (na, nb), c in phi(a, b).items():
-                    for nb2, c2 in psi.vertex(p, nb).items():
-                        rhs = rhs - LinComb.of((na, nb2), c * c2)
+                lhs = psi.edge(p, a).map_terms(lambda na: phi(na, b))
+                rhs = psi.vertex(p, b).map_terms(lambda nb: phi(a, nb)) - LinComb(
+                    [
+                        ((na, nb2), c * c2)
+                        for (na, nb), c in phi(a, b).items()
+                        for nb2, c2 in psi.vertex(p, nb).items()
+                    ]
+                )
                 if lhs != rhs:
                     defects.append(
                         PsiDefect("map-intertwining", (p,), (a, b), lhs - rhs)

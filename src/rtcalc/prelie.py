@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 from math import prod
-from typing import Callable, Dict, Set, Tuple
+from typing import Callable, Dict, Iterable, Set, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb
@@ -71,7 +71,7 @@ def single_vertex(label: Label) -> TreeComb:
 def _pairs(x: TreeComb, y: TreeComb) -> LinComb:
     """The combination of pairs (tx, ty) with coefficient cx * cy."""
     return LinComb._raw(
-        {(tx, ty): cx * cy for tx, cx in x._terms.items() for ty, cy in y._terms.items()}
+        {(tx, ty): cx * cy for tx, cx in x.items() for ty, cy in y.items()}
     )
 
 
@@ -85,7 +85,7 @@ def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
     if not x:
         return LinComb()
     targets = {
-        ty: [(v, phi(a, label_at(ty, v))) for v in vertex_ids(ty)] for ty in y._terms
+        ty: [(v, phi(a, label_at(ty, v))) for v in vertex_ids(ty)] for ty, _ in y.items()
     }
 
     def per_pair(pair: Tuple[DecoratedTree, DecoratedTree]) -> TreeComb:
@@ -93,7 +93,7 @@ def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
         return LinComb(
             (graft_at(tx, v, ty, a2, relabel=b2), c)
             for v, image in targets[ty]
-            for (a2, b2), c in image._terms.items()
+            for (a2, b2), c in image.items()
         )
 
     return _pairs(x, y).map_terms(per_pair)
@@ -101,7 +101,7 @@ def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
 
 def graft_free(x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
     """Undeformed grafting: attach below every vertex, edge decorated ``a``."""
-    targets = {ty: vertex_ids(ty) for ty in y._terms}
+    targets = {ty: vertex_ids(ty) for ty, _ in y.items()}
 
     def per_pair(pair: Tuple[DecoratedTree, DecoratedTree]) -> TreeComb:
         tx, ty = pair
@@ -115,6 +115,20 @@ def _collect_labels(t: DecoratedTree, edges: Set[Label], vertices: Set[Label]) -
     for e, c in t.children:
         edges.add(e)
         _collect_labels(c, edges, vertices)
+
+
+def _ensure_usable_on(phi: PhiMap, trees: Iterable[DecoratedTree], plants: Iterable[Label] = ()) -> None:
+    """Refuse ``phi`` if it is refuted on the labels of ``trees`` and the
+    edge labels ``plants``.
+
+    The labels go to :func:`rtcalc.phimaps.ensure_usable` in canonical
+    order, so the triple a refusal names does not depend on set order.
+    """
+    edge_labels: Set[Label] = set(plants)
+    vertex_labels: Set[Label] = set()
+    for t in trees:
+        _collect_labels(t, edge_labels, vertex_labels)
+    ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key()), sorted(vertex_labels, key=lambda l: l.sort_key()))
 
 
 def _edge_image(
@@ -134,7 +148,7 @@ def _edge_image(
     image = memo.get(s)
     if image is not None:
         return image
-    kid_terms = [_edge_image(phi, c, memo, reverse)._terms.items() for _, c in s.children]
+    kid_terms = [_edge_image(phi, c, memo, reverse).items() for _, c in s.children]
     edges = tuple(e for e, _ in s.children)
     local = phi.act_at_vertex(edges[::-1] if reverse else edges, s.label)
 
@@ -177,11 +191,7 @@ def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
     two results are asserted equal, which checks order-independence on
     the actual input.
     """
-    edge_labels: Set[Label] = set()
-    vertex_labels: Set[Label] = set()
-    for t in x._terms:
-        _collect_labels(t, edge_labels, vertex_labels)
-    ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key()), sorted(vertex_labels, key=lambda l: l.sort_key()))
+    _ensure_usable_on(phi, (t for t, _ in x.items()))
 
     memo: Dict[DecoratedTree, TreeComb] = {}
     out = x.map_terms(lambda t: _edge_image(phi, t, memo, False))

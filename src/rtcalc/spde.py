@@ -32,7 +32,7 @@ from .decorations import (
     lambda_pow,
     mi_unit,
 )
-from .lincomb import LinComb, Scalar, as_scalar
+from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap, direct_sum, exp_series, zero_map
 from .postlie import PostLieBase, PsiPair, trivial_postlie
 from .prelie import planted_graft
@@ -80,10 +80,7 @@ def partial_lambda(cfg: SpdeConfig) -> PhiMap:
     basis = MultiIndexBasis(cfg.d)
 
     def act(a: Label, b: Label) -> LinComb:
-        out = LinComb()
-        for j, c in enumerate(cfg.lam):
-            out = out + partial_j(j, a, b).scale(c)
-        return out
+        return lc_sum(partial_j(j, a, b).scale(c) for j, c in enumerate(cfg.lam))
 
     return PhiMap(basis, basis, act, name="partial_lambda", compat_by_construction=True)
 
@@ -266,7 +263,7 @@ def xi_generation_probe(
     phi_inv = noise_extend(cfg.negated())
     trees: List[PlantedTree] = []
     for elem in targets:
-        support = [elem] if isinstance(elem, PlantedTree) else list(elem.support())
+        support = [elem] if isinstance(elem, PlantedTree) else [p for p, _ in elem.sorted_items()]
         for p in support:
             if not xi_admissible(p, cfg):
                 raise ValueError(f"target {p.render()} is not admissible")
@@ -290,17 +287,17 @@ def _probe(cfg: SpdeConfig, phi: PhiMap, phi_inv: PhiMap, p: PlantedTree, verifi
     edge_label, first = p.body.children[0]
     rest_children = p.body.children[1:]
     correction = phi_inv(edge_label, p.body.label)
-    total = LinComb()
-    for (new_edge, new_root), coeff in correction.items():
+    parts = []
+    for (new_edge, new_root), coeff in correction.sorted_items():
         left = PlantedTree(new_edge, first)
         right = PlantedTree(p.plant, node(new_root, rest_children))
         _probe(cfg, phi, phi_inv, left, verified)
         _probe(cfg, phi, phi_inv, right, verified)
-        total = total + planted_graft(phi, left, right).scale(coeff)
-    residual = total - LinComb.of(p)
+        parts.append(planted_graft(phi, left, right).scale(coeff))
+    residual = lc_sum(parts) - LinComb.of(p)
     if residual.coeff(p) != 0:
         raise NotReached(residual, f"target {p.render()} not met with coefficient 1")
-    for q, _ in residual.items():
+    for q, _ in residual.sorted_items():
         if not xi_admissible(q, cfg):
             raise NotReached(residual, f"residual term {q.render()} left the subalgebra")
         if len(q.body.children) >= len(p.body.children):

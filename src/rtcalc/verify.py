@@ -308,15 +308,12 @@ def _check_semigroup(scale: Scale) -> str:
 
 def _power_reference(cfg: SpdeConfig, a: MultiIndex, b: MultiIndex, n: int) -> LinComb:
     cap = a.min_with(b)
-    total = LinComb()
+    terms = []
     for entries in iproduct(*(range(e + 1) for e in cap.entries)):
         l = MultiIndex(entries)
-        if l.degree != n:
-            continue
-        coeff = factorial(n) * lambda_pow(cfg.lam, l) * b.binom(l)
-        if coeff:
-            total = total + LinComb.of((a.sub(l), b.sub(l)), coeff)
-    return total
+        if l.degree == n:
+            terms.append(((a.sub(l), b.sub(l)), factorial(n) * lambda_pow(cfg.lam, l) * b.binom(l)))
+    return LinComb(terms)
 
 
 def _check_exp_cross(scale: Scale) -> str:
@@ -381,15 +378,13 @@ def _star_phi(rng: random.Random):
 
 
 def _tensor_star(phi, star_cache, dx: LinComb, dy: LinComb) -> LinComb:
-    out = LinComb()
+    terms = []
     for (f1, g1), c1 in dx.items():
         for (f2, g2), c2 in dy.items():
             left = _cached_star(phi, star_cache, f1, f2)
             right = _cached_star(phi, star_cache, g1, g2)
-            for fa, ca in left.items():
-                for fb, cb in right.items():
-                    out = out + LinComb.of((fa, fb), c1 * c2 * ca * cb)
-    return out
+            terms.extend(((fa, fb), c1 * c2 * ca * cb) for fa, ca in left.items() for fb, cb in right.items())
+    return LinComb(terms)
 
 
 def _cached_star(phi, cache, f: Forest, g: Forest) -> LinComb:
@@ -445,13 +440,16 @@ def _check_cut_coproduct(scale: Scale) -> str:
     coassoc = mult = 0
     for f in fs:
         dx = cut_coproduct(phi, forest_elem(f))
-        left = LinComb()
-        right = LinComb()
-        for (g, h), c in dx.items():
-            for (g1, g2), c1 in cut_coproduct(phi, forest_elem(g)).items():
-                left = left + LinComb.of((g1, g2, h), c * c1)
-            for (h1, h2), c2 in cut_coproduct(phi, forest_elem(h)).items():
-                right = right + LinComb.of((g, h1, h2), c * c2)
+        left = LinComb(
+            ((g1, g2, h), c * c1)
+            for (g, h), c in dx.items()
+            for (g1, g2), c1 in cut_coproduct(phi, forest_elem(g)).items()
+        )
+        right = LinComb(
+            ((g, h1, h2), c * c2)
+            for (g, h), c in dx.items()
+            for (h1, h2), c2 in cut_coproduct(phi, forest_elem(h)).items()
+        )
         if left != right:
             raise Defect(f"coassociativity broke on {f.render()}")
         coassoc += 1
@@ -460,10 +458,12 @@ def _check_cut_coproduct(scale: Scale) -> str:
             if f.vertex_count + g.vertex_count > scale.star_vertices:
                 continue
             lhs = cut_coproduct(phi, forest_elem(forest_mul(f, g)))
-            rhs = LinComb()
-            for (f1, f2), c1 in cut_coproduct(phi, forest_elem(f)).items():
-                for (g1, g2), c2 in cut_coproduct(phi, forest_elem(g)).items():
-                    rhs = rhs + LinComb.of((forest_mul(f1, g1), forest_mul(f2, g2)), c1 * c2)
+            dg = cut_coproduct(phi, forest_elem(g))
+            rhs = LinComb(
+                ((forest_mul(f1, g1), forest_mul(f2, g2)), c1 * c2)
+                for (f1, f2), c1 in cut_coproduct(phi, forest_elem(f)).items()
+                for (g1, g2), c2 in dg.items()
+            )
             if lhs != rhs:
                 raise Defect(f"multiplicativity broke on ({f.render()}, {g.render()})")
             mult += 1
@@ -536,7 +536,7 @@ def _check_admissible_closure(scale: Scale) -> str:
     products = 0
     for u in pool:
         for w in pool:
-            for q, _ in planted_graft(phi, u, w).items():
+            for q, _ in planted_graft(phi, u, w).sorted_items():
                 if not xi_admissible(q, cfg):
                     raise Defect(f"{u.render()} times {w.render()} left the subalgebra at {q.render()}")
             products += 1

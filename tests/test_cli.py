@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rtcalc
+from rtcalc import cli
 from rtcalc.cli import main
 
 PHI_D1 = {"builder": "phi_lambda", "d": 1, "lambda": ["1", "1"]}
@@ -432,10 +433,23 @@ def test_parse_error_carries_position(tmp_path, capsys):
         ({"builder": "phi_lambda", "d": 1.5}, "'d'"),
         ({"builder": "phi_lambda", "d": "one"}, "'d'"),
         ({"builder": "phi_lambda", "d": [1]}, "'d'"),
+        ({"builder": "phi_lambda", "d": 0, "lambda": 5}, "'lambda'"),
+        (
+            {
+                "builder": "identity",
+                "edge_basis": {"kind": "symbols", "id": "a", "names": 5},
+                "vertex_basis": {"kind": "symbols", "id": "b", "names": ["b1"]},
+            },
+            "'names'",
+        ),
+        ({"builder": "table", **SYM_BASES, "entries": 5}, "'entries'"),
+        ({"builder": "table", **SYM_BASES, "entries": [5]}, "'entries'"),
+        ({"builder": "table", **SYM_BASES, "entries": [{"on": ["a1", "b1"], "terms": [[1, "a1"]]}]}, "'terms'"),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
         "jd-ragged", "jd-list", "d-float", "d-string", "d-list",
+        "lambda-int", "names-int", "entries-int", "entries-item-int", "terms-short",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
@@ -447,6 +461,19 @@ def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
     assert err.count("\n") == 1 and err.startswith("rtcalc: error:")
     assert key in err
     assert "Traceback" not in err
+
+
+def test_internal_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(phi, x):
+        raise TypeError("bad\nstate")
+
+    monkeypatch.setattr(cli, "theta", broken)
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    t = tfile(tmp_path, "t.txt", "(<0>)")
+    code, out, err = run(capsys, "theta", "--phi", phi, t)
+    assert code == 2
+    assert out == ""
+    assert err == "rtcalc: internal error: TypeError: bad state\n"
 
 
 def test_missing_required_flag_exits_2(tmp_path, capsys):

@@ -34,11 +34,13 @@ from rtcalc.hopf import (
     star_product,
     theta_bar,
 )
-from rtcalc.lincomb import LinComb, lc_sum
+from rtcalc.lincomb import LinComb, lc_sum, term_key
 from rtcalc.phimaps import (
+    IncompatiblePhi,
     Refuted,
     build_JD,
     check_compat,
+    direct_sum,
     from_blocks,
     from_table,
     identity_map,
@@ -46,6 +48,7 @@ from rtcalc.phimaps import (
     transpose_map,
 )
 from rtcalc.prelie import graft_phi
+from rtcalc.spde import SpdeConfig, phi_lambda
 from rtcalc.trees import (
     EMPTY_FOREST,
     PlantedTree,
@@ -745,3 +748,39 @@ def test_pairing_is_the_sum_over_isomorphisms(pairing):
     # The delta pairing is nonzero on the diagonal only; the skewed base
     # also pairs forests with different labels.
     assert nonzero >= len(pool)
+
+
+def test_refusals_name_the_canonically_first_term():
+    # A map refuted on (e1, e1, v1) and on (e2, e2, v2), joined to phi_lambda
+    # so that the basis is infinite and each refusal scans only the labels
+    # in sight.  The refusal must come from the canonically first forest,
+    # whatever order the combination was built in.
+    Es, Vs = symbols("e", ["e1", "e2"]), symbols("v", ["v1", "v2"])
+    (e1, e2), (v1, v2) = Es.labels(), Vs.labels()
+    table = {
+        (e1, v1): [(-1, e1, v2), (-1, e2, v1)],
+        (e1, v2): [(1, e1, v1), (-1, e1, v2), (2, e2, v1), (-1, e2, v2)],
+        (e2, v1): [(-1, e1, v2), (2, e2, v2)],
+        (e2, v2): [(1, e1, v1), (-1, e1, v2)],
+    }
+    phi = direct_sum(phi_lambda(SpdeConfig(0, (1,))), from_table(Es, Vs, table), 1, 1)
+    f1 = forest([PlantedTree(e1, node(v1, [(e1, leaf(v1))]))])
+    f2 = forest([PlantedTree(e2, node(v2, [(e2, leaf(v2))]))])
+    first = min((f1, f2), key=term_key)
+    operations = [
+        lambda x: star_product(phi, x, UNIT),
+        lambda x: go_triangle(phi, x, LinComb.of(PlantedTree(e1, leaf(v2)))),
+        lambda x: cut_coproduct(phi, x),
+        lambda x: theta_bar(phi, x),
+    ]
+
+    def refusal(op, x):
+        with pytest.raises(IncompatiblePhi) as exc:
+            op(x)
+        return str(exc.value)
+
+    for op in operations:
+        alone = {f: refusal(op, LinComb.of(f)) for f in (f1, f2)}
+        assert alone[f1] != alone[f2]
+        for order in ((f1, f2), (f2, f1)):
+            assert refusal(op, LinComb((f, 1) for f in order)) == alone[first]

@@ -93,7 +93,7 @@ def test_lc_sum_drops_cancelled_terms():
     x = LinComb([("a", Fraction(1, 2)), ("b", 3)])
     y = LinComb([("c", -1)])
     assert lc_sum([x, -x, y]) == y
-    assert lc_sum([x, -x, y])._terms == {"c": -1}
+    assert dict(lc_sum([x, -x, y]).items()) == {"c": -1}
     # A term that cancels and then comes back.
     assert lc_sum([x, -x, x, y]) == x + y
     assert lc_sum([]).is_zero
@@ -102,8 +102,8 @@ def test_lc_sum_drops_cancelled_terms():
 def map_terms_by_fraction_fold(x, fn):
     """The plain ``Fraction`` fold that ``map_terms`` replaced, kept as its oracle."""
     acc = {}
-    for term, c in x._terms.items():
-        for image, weight in fn(term)._terms.items():
+    for term, c in x.items():
+        for image, weight in fn(term).items():
             total = acc.get(image, Fraction(0)) + c * weight
             if total:
                 acc[image] = total
@@ -129,6 +129,54 @@ images = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), mixed_rationals), 
 def test_map_terms_matches_fraction_fold(x, table):
     fn = lambda t: table.get(t, LinComb())
     got = x.map_terms(fn)
-    assert got._terms == map_terms_by_fraction_fold(x, fn)
-    for c in got._terms.values():
+    assert dict(got.items()) == map_terms_by_fraction_fold(x, fn)
+    for _, c in got.items():
         assert type(c) is Fraction and c != 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def fraction_fold(pairs):
+    """The plain ``Fraction`` fold that the summing loop replaced, kept as its oracle."""
+    acc = {}
+    for term, c in pairs:
+        total = acc.get(term, Fraction(0)) + Fraction(c)
+        if total:
+            acc[term] = total
+        else:
+            acc.pop(term, None)
+    return acc
+
+
+def negated(pairs):
+    return [(term, -Fraction(c)) for term, c in pairs]
+
+
+scalars = st.one_of(st.integers(-6, 6), rationals, rationals.map(str))
+pair_lists = st.lists(st.tuples(terms, scalars), max_size=10)
+
+
+@example([("u", 1), ("u", "-1/2"), ("v", Fraction(2, 3))], [("u", "1/2")], 2, [])
+@given(pair_lists, pair_lists, st.integers(0, 10), st.lists(pair_lists, max_size=4))
+def test_summing_matches_fraction_fold(p, q, k, parts):
+    # Sums that cancel to zero: p against all of its negation, and against a prefix of it.
+    for pairs in (p, q, p + negated(p), p + negated(p[:k]), q + p + negated(q)):
+        got = LinComb(pairs)
+        assert dict(got.items()) == fraction_fold(pairs)
+        assert all(type(c) is Fraction for _, c in got.items())
+    x, y = LinComb(p), LinComb(q)
+    assert dict((x + y).items()) == fraction_fold(p + q)
+    assert dict((x - y).items()) == fraction_fold(p + negated(q))
+    assert (x - x).is_zero
+    everything = parts + [p, negated(p)]
+    total = lc_sum(LinComb(ps) for ps in everything)
+    assert dict(total.items()) == fraction_fold([tc for ps in everything for tc in ps])
+
+
+@given(pair_lists, st.randoms(use_true_random=False))
+def test_output_order_does_not_depend_on_insertion_order(pairs, rnd):
+    shuffled = list(pairs)
+    rnd.shuffle(shuffled)
+    x, y = LinComb(pairs), LinComb(shuffled)
+    assert x == y
+    assert x.sorted_items() == y.sorted_items()
+    assert x.render() == y.render()
+    assert [t for t, _ in x.sorted_items()] == sorted(t for t, _ in x.items())
