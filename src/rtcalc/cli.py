@@ -23,8 +23,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .decorations import DecorationBasis, render_label
 from .hopf import cut_coproduct, delta_pairing, deshuffle, pair_forests, star_product
 from .lincomb import LinComb
-from .mapfiles import MapFileError, load_blockmatrix, load_phi, load_postlie, load_psi
-from .parsing import ParseError, parse_ext_elem, parse_forest_comb, parse_label, parse_tree_comb
+from .mapfiles import load_blockmatrix, load_phi, load_postlie, load_psi
+from .parsing import parse_ext_elem, parse_forest_comb, parse_label, parse_tree_comb
 from .phimaps import (
     AlreadyJD,
     IncompatiblePhi,
@@ -483,18 +483,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"rtcalc: error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, MapFileError, NonNilpotentError, OSError) as e:
+    except (UsageError, NonNilpotentError, OSError, ValueError) as e:
+        # ParseError and MapFileError are ValueErrors.
         print(f"rtcalc: error: {e}", file=sys.stderr)
         return 2
     except IncompatiblePhi as e:
         print(f"rtcalc: incompatible map: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"rtcalc: error: {e}", file=sys.stderr)
-        return 2
     except RecursionError:
         print(
             f"rtcalc: error: recursion limit ({sys.getrecursionlimit()} frames) exceeded; "

@@ -353,24 +353,39 @@ class ProductBasis(DecorationBasis):
         )
 
 
+def _summands(b: DecorationBasis) -> Tuple[DecorationBasis, ...]:
+    """The basis split into parts of one kind each."""
+    if isinstance(b, UnionBasis):
+        return _summands(b.left) + _summands(b.right)
+    if isinstance(b, MultiIndexNoiseBasis):
+        return (MultiIndexBasis(b.d), NoiseOnlyBasis(b.noise))
+    return (b,)
+
+
 def bases_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
-    """Best-effort structural disjointness check for a direct sum."""
-    if isinstance(b1, SymbolBasis) and isinstance(b2, SymbolBasis):
+    """Structural disjointness check for a direct sum.
+
+    Unions and noise-extended multi-index bases are split into their
+    parts, which must be pairwise disjoint.  Parts of different kinds never
+    share a label; two product bases are disjoint when their left factors
+    or their right factors are.  A pair the check cannot decide counts as
+    overlapping.
+    """
+    return all(_parts_disjoint(x, y) for x in _summands(b1) for y in _summands(b2))
+
+
+def _parts_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
+    if type(b1) is not type(b2):
+        return True
+    if isinstance(b1, SymbolBasis):
         return b1.basis_id != b2.basis_id or not set(b1.names) & set(b2.names)
-    if isinstance(b1, MultiIndexBasis) and isinstance(b2, MultiIndexBasis):
+    if isinstance(b1, MultiIndexBasis):
         return b1.d != b2.d
-    if isinstance(b1, NoiseOnlyBasis) and isinstance(b2, NoiseOnlyBasis):
+    if isinstance(b1, NoiseOnlyBasis):
         return b1.noise != b2.noise
-    if isinstance(b1, (MultiIndexBasis, MultiIndexNoiseBasis)) and isinstance(
-        b2, (MultiIndexBasis, MultiIndexNoiseBasis)
-    ):
-        return b1.d != b2.d
-    if isinstance(b1, MultiIndexNoiseBasis) and isinstance(b2, NoiseOnlyBasis):
-        return b1.noise != b2.noise
-    if isinstance(b1, NoiseOnlyBasis) and isinstance(b2, MultiIndexNoiseBasis):
-        return b1.noise != b2.noise
-    # Mixed kinds never share a label.
-    return True
+    if isinstance(b1, ProductBasis):
+        return bases_disjoint(b1.left, b2.left) or bases_disjoint(b1.right, b2.right)
+    return False
 
 
 def union_bases(b1: DecorationBasis, b2: DecorationBasis) -> DecorationBasis:

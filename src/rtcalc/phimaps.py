@@ -12,13 +12,21 @@ compatibility (direct sums, composition, polynomials, exponentials,
 tensor products, transposes) and the bridge to block-matrix form for
 finite bases, including the joint upper-triangular/diagonal normal form
 on a two-dimensional vertex space.
+
+Caching policy.  Labels and images are immutable, so every map memoises
+its own results, and the memo lives and dies with the map: ``__call__``
+keeps each image in a dict on the map, looked up before the basis checks
+and the action run, and a map on finite bases keeps its
+:func:`check_compat` verdict, which :func:`ensure_usable` reads.  A label
+outside the basis raises on every call and is never stored.  Deriving a
+map with ``dataclasses.replace`` starts empty memos.  No cache in this
+module is global or keyed by a map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -62,13 +70,19 @@ class PhiMap:
     action: Callable[[Label, Label], PairComb]
     name: str = "phi"
     compat_by_construction: bool = False
+    _images: Dict[Tuple[Label, Label], PairComb] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _verdict: Optional[Verdict] = field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, a: Label, b: Label) -> PairComb:
-        if not self.edge_basis.contains(a):
-            raise ValueError(f"edge label {render_label(a)} outside the declared basis")
-        if not self.vertex_basis.contains(b):
-            raise ValueError(f"vertex label {render_label(b)} outside the declared basis")
-        return self.action(a, b)
+        key = (a, b)
+        image = self._images.get(key)
+        if image is None:
+            if not self.edge_basis.contains(a):
+                raise ValueError(f"edge label {render_label(a)} outside the declared basis")
+            if not self.vertex_basis.contains(b):
+                raise ValueError(f"vertex label {render_label(b)} outside the declared basis")
+            image = self._images[key] = self.action(a, b)
+        return image
 
     def apply(self, pairs: PairComb) -> PairComb:
         """Linear extension to combinations of (edge, vertex) pairs."""
@@ -251,28 +265,20 @@ def mixed_commutation_defect(
 def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
     """Decide tree-compatibility on finite bases; verify up to a bound otherwise.
 
-    On infinite (multi-index) bases the verdict is never ``Compatible``:
-    the scan covers all labels with entries <= ``bound`` (noise labels
-    included) and reports ``VerifiedUpToBound``.
+    On finite bases the verdict is computed once and kept on the map, and
+    ``bound`` is ignored.  On infinite (multi-index) bases the verdict is
+    never ``Compatible``: the scan covers all labels with entries <=
+    ``bound`` (noise labels included) and reports ``VerifiedUpToBound``.
     """
-    finite = phi.edge_basis.is_finite and phi.vertex_basis.is_finite
-    if finite:
-        edge_labels = phi.edge_basis.labels()
-        vertex_labels = phi.vertex_basis.labels()
-    else:
-        if bound is None:
-            raise ValueError("an explicit bound is required on an infinite basis")
-        edge_labels = phi.edge_basis.labels_up_to(bound)
-        vertex_labels = phi.vertex_basis.labels_up_to(bound)
-    bad = refuted_on(phi, edge_labels, vertex_labels)
-    if bad is not None:
-        return bad
-    return Compatible() if finite else VerifiedUpToBound(bound)
-
-
-@lru_cache(maxsize=64)
-def _finite_verdict(phi: PhiMap) -> Verdict:
-    return check_compat(phi)
+    if phi.edge_basis.is_finite and phi.vertex_basis.is_finite:
+        if phi._verdict is None:
+            bad = refuted_on(phi, phi.edge_basis.labels(), phi.vertex_basis.labels())
+            object.__setattr__(phi, "_verdict", bad or Compatible())
+        return phi._verdict
+    if bound is None:
+        raise ValueError("an explicit bound is required on an infinite basis")
+    bad = refuted_on(phi, phi.edge_basis.labels_up_to(bound), phi.vertex_basis.labels_up_to(bound))
+    return bad or VerifiedUpToBound(bound)
 
 
 def refuted_on(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequence[Label]):
@@ -290,13 +296,13 @@ def ensure_usable(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequ
     """Refuse maps whose refutation is visible from the labels at hand.
 
     Maps flagged compatible-by-construction pass immediately.  On finite
-    bases the full (cached) verdict decides; otherwise the scan runs over
-    the labels actually occurring in the element being processed.
+    bases the full verdict, kept on the map, decides; otherwise the scan
+    runs over the labels actually occurring in the element being processed.
     """
     if phi.compat_by_construction:
         return
     if phi.edge_basis.is_finite and phi.vertex_basis.is_finite:
-        verdict = _finite_verdict(phi)
+        verdict = check_compat(phi)
         if isinstance(verdict, Refuted):
             raise IncompatiblePhi(str(verdict))
         return

@@ -72,13 +72,17 @@ class PostLieBase:
         for x in self.names:
             for y in self.names:
                 for z in self.names:
-                    if not self._jacobi(x, y, z).is_zero:
+                    gx, gy, gz = (LinComb.of(g) for g in (x, y, z))
+                    jacobi, derivation, associator = _axiom_residuals(
+                        self.bracket_lin, self.triangle_lin, gx, gy, gz
+                    )
+                    if not jacobi.is_zero:
                         raise ValueError(f"bracket fails Jacobi on ({x}, {y}, {z})")
-                    if not self._derivation(x, y, z).is_zero:
+                    if not derivation.is_zero:
                         raise ValueError(
                             f"triangle is not a bracket derivation on ({x}, {y}, {z})"
                         )
-                    if not self._associator(x, y, z).is_zero:
+                    if not associator.is_zero:
                         raise ValueError(
                             f"bracket does not match the triangle associator on ({x}, {y}, {z})"
                         )
@@ -95,31 +99,16 @@ class PostLieBase:
     def triangle_lin(self, x: GenComb, y: GenComb) -> GenComb:
         return lc_sum((c * c2) * self.triangle_of(p, q) for p, c in x.items() for q, c2 in y.items())
 
-    def _jacobi(self, x: Gen, y: Gen, z: Gen) -> GenComb:
-        gx, gy, gz = (LinComb.of(g) for g in (x, y, z))
-        return (
-            self.bracket_lin(self.bracket_lin(gx, gy), gz)
-            + self.bracket_lin(self.bracket_lin(gy, gz), gx)
-            + self.bracket_lin(self.bracket_lin(gz, gx), gy)
-        )
 
-    def _derivation(self, x: Gen, y: Gen, z: Gen) -> GenComb:
-        gx, gy, gz = (LinComb.of(g) for g in (x, y, z))
-        return (
-            self.triangle_lin(gx, self.bracket_lin(gy, gz))
-            - self.bracket_lin(self.triangle_lin(gx, gy), gz)
-            - self.bracket_lin(gy, self.triangle_lin(gx, gz))
-        )
-
-    def _associator(self, x: Gen, y: Gen, z: Gen) -> GenComb:
-        gx, gy, gz = (LinComb.of(g) for g in (x, y, z))
-        return (
-            self.triangle_lin(self.bracket_lin(gx, gy), gz)
-            - self.triangle_lin(gx, self.triangle_lin(gy, gz))
-            + self.triangle_lin(self.triangle_lin(gx, gy), gz)
-            + self.triangle_lin(gy, self.triangle_lin(gx, gz))
-            - self.triangle_lin(self.triangle_lin(gy, gx), gz)
-        )
+def _axiom_residuals(bracket, triangle, x, y, z):
+    """The Jacobi, derivation and associator residuals of the post-Lie
+    axioms at (x, y, z), for any bracket and triangle product on elements
+    that add and subtract."""
+    b, t = bracket, triangle
+    jacobi = b(b(x, y), z) + b(b(y, z), x) + b(b(z, x), y)
+    derivation = t(x, b(y, z)) - b(t(x, y), z) - b(y, t(x, z))
+    associator = t(b(x, y), z) - t(x, t(y, z)) + t(t(x, y), z) + t(y, t(x, z)) - t(t(y, x), z)
+    return jacobi, derivation, associator
 
 
 def postlie_base(
@@ -361,16 +350,12 @@ def postlie_axiom_defects(
     phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, v: ExtElem, w: ExtElem
 ) -> AxiomDefects:
     """The three axiom residuals of the extension at (u, v, w)."""
-
-    def b(x, y):
-        return ext_bracket(P, psi, x, y)
-
-    def t(x, y):
-        return ext_triangle(phi, P, psi, x, y)
-
-    jacobi = b(b(u, v), w) + b(b(v, w), u) + b(b(w, u), v)
-    derivation = t(u, b(v, w)) - b(t(u, v), w) - b(v, t(u, w))
-    associator = (
-        t(b(u, v), w) - t(u, t(v, w)) + t(t(u, v), w) + t(v, t(u, w)) - t(t(v, u), w)
+    return AxiomDefects(
+        *_axiom_residuals(
+            lambda x, y: ext_bracket(P, psi, x, y),
+            lambda x, y: ext_triangle(phi, P, psi, x, y),
+            u,
+            v,
+            w,
+        )
     )
-    return AxiomDefects(jacobi, derivation, associator)

@@ -39,14 +39,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def commute(a: Matrix, b: Matrix) -> bool:
     return mat_mul(a, b) == mat_mul(b, a)
 

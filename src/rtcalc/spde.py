@@ -85,21 +85,6 @@ def partial_lambda(cfg: SpdeConfig) -> PhiMap:
     return PhiMap(basis, basis, act, name="partial_lambda", compat_by_construction=True)
 
 
-def _memoized(act):
-    """Per-map image cache; sound because labels and images are immutable."""
-    cache: dict = {}
-
-    def wrapped(a: Label, b: Label) -> LinComb:
-        key = (a, b)
-        hit = cache.get(key)
-        if hit is None:
-            hit = act(a, b)
-            cache[key] = hit
-        return hit
-
-    return wrapped
-
-
 _interned: dict = {}
 
 
@@ -145,7 +130,7 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
                 terms[(lower(ae, low), lower(be, low))] = coeff
         return LinComb._raw(terms)
 
-    return PhiMap(basis, basis, _memoized(act), name="phi_lambda", compat_by_construction=True)
+    return PhiMap(basis, basis, act, name="phi_lambda", compat_by_construction=True)
 
 
 def phi_lambda_via_exp(cfg: SpdeConfig, max_iter: int = 64) -> PhiMap:
@@ -167,8 +152,7 @@ def noise_extend(cfg: SpdeConfig) -> PhiMap:
     if not cfg.noise:
         raise ValueError("noise_extend needs a config with noise=True")
     block = zero_map(NoiseOnlyBasis(XI), NoiseOnlyBasis(STAR))
-    combined = direct_sum(phi_lambda(cfg), block, 0, 1, name="noise_extend")
-    return replace(combined, action=_memoized(combined.action))
+    return direct_sum(phi_lambda(cfg), block, 0, 1, name="noise_extend")
 
 
 def spde_phi(cfg: SpdeConfig) -> PhiMap:
@@ -185,21 +169,20 @@ def spde_psi(cfg: SpdeConfig) -> Tuple[PostLieBase, PsiPair]:
     every coefficient equals 1; the actions themselves do not depend on
     the coefficients.
     """
-    names = tuple(f"X_{i}" for i in range(cfg.d + 1))
-    direction = {name: i for i, name in enumerate(names)}
+    unit = {f"X_{i}": mi_unit(i, cfg.d) for i in range(cfg.d + 1)}
 
     def edge(gen: str, a: Label) -> LinComb:
         if a is XI:
             return LinComb()
-        lowered = a.sub(mi_unit(direction[gen], cfg.d))
+        lowered = a.sub(unit[gen])
         return LinComb() if lowered is None else LinComb.of(lowered)
 
     def vertex(gen: str, b: Label) -> LinComb:
         if b is STAR:
             return LinComb()
-        return LinComb.of(b.add(mi_unit(direction[gen], cfg.d)))
+        return LinComb.of(b.add(unit[gen]))
 
-    return trivial_postlie(names), PsiPair(edge, vertex)
+    return trivial_postlie(tuple(unit)), PsiPair(edge, vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from rtcalc.decorations import (
     MultiIndexNoiseBasis,
     NoiseOnlyBasis,
     Pr,
+    ProductBasis,
     Sym,
     SymbolBasis,
     UnionBasis,
@@ -23,7 +24,8 @@ from rtcalc.decorations import (
     symbols,
     union_bases,
 )
-from rtcalc.lincomb import term_key
+from rtcalc.lincomb import LinComb, term_key
+from rtcalc.phimaps import direct_sum, identity_map, tensor_product
 
 small_mi = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3).map(
     lambda es: MultiIndex(tuple(es))
@@ -156,3 +158,31 @@ def test_disjointness_guard():
     assert bases_disjoint(MultiIndexBasis(1), MultiIndexBasis(2))
     with pytest.raises(ValueError):
         union_bases(symbols("E", ["a"]), symbols("E", ["a", "b"]))
+    A, B, C = symbols("A", ["a"]), symbols("B", ["b"]), symbols("C", ["c"])
+    AB = UnionBasis(A, B)
+    assert not bases_disjoint(AB, A) and not bases_disjoint(B, AB)
+    assert not bases_disjoint(AB, UnionBasis(C, B))
+    assert bases_disjoint(AB, C) and bases_disjoint(C, AB)
+    assert not bases_disjoint(ProductBasis(A, B), ProductBasis(A, B))
+    assert bases_disjoint(ProductBasis(A, B), ProductBasis(C, B))
+    assert bases_disjoint(ProductBasis(A, B), ProductBasis(A, C))
+    assert bases_disjoint(ProductBasis(A, B), A)
+    # Both noise-extended bases hold XI, whatever their lengths.
+    assert not bases_disjoint(MultiIndexNoiseBasis(0, XI), MultiIndexNoiseBasis(1, XI))
+    assert not bases_disjoint(MultiIndexNoiseBasis(1, XI), NoiseOnlyBasis(XI))
+    assert bases_disjoint(MultiIndexNoiseBasis(0, XI), MultiIndexNoiseBasis(1, STAR))
+    assert not bases_disjoint(MultiIndexNoiseBasis(1, STAR), MultiIndexBasis(1))
+
+
+def test_direct_sum_refuses_overlapping_summands():
+    E, V = symbols("E", ["a"]), symbols("V", ["b"])
+    E2, V2 = symbols("E2", ["a"]), symbols("V2", ["b"])
+    p, q = identity_map(E, V), identity_map(E2, V2)
+    with pytest.raises(ValueError, match="disjoint"):
+        direct_sum(direct_sum(p, q, 1, 1), p, 1, 1)
+    t = tensor_product(p, p)
+    with pytest.raises(ValueError, match="disjoint"):
+        direct_sum(t, t, 1, 1)
+    s = direct_sum(direct_sum(p, q, 1, 1), tensor_product(p, q), 1, 1)
+    ab = (Pr(*E.labels(), *E2.labels()), Pr(*V.labels(), *V2.labels()))
+    assert s(*ab) == LinComb.of(ab)

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from rtcalc.phimaps import (
     NeedsAlgebraicExtension,
     NonNilpotentError,
     NotCompatible,
+    PhiMap,
     Refuted,
     assemble,
     block_matrix,
@@ -37,7 +41,7 @@ from rtcalc.phimaps import (
     transpose_map,
     zero_map,
 )
-from rtcalc.phimaps import _finite_verdict
+import rtcalc.phimaps as phimaps
 from rtcalc.ratmat import det, identity, inv2, mat, mat_mul
 
 E = symbols("E", ["a1", "a2"])
@@ -326,10 +330,80 @@ def test_assemble_convention():
     assert full[3][3] == 9
 
 
-def test_finite_verdict_cache_stays_at_its_bound():
-    bound = _finite_verdict.cache_info().maxsize
-    assert bound is not None
-    for k in range(bound + 10):
-        phi = from_table(E, V, {(a1, b1): [(k + 1, a1, b1)]}, name=f"scaled {k}")
-        ensure_usable(phi, E.labels(), V.labels())
-    assert _finite_verdict.cache_info().currsize == bound
+# --- caching policy ---------------------------------------------------------
+
+
+def counting(action):
+    calls = {}
+
+    def counted(a, b):
+        calls[(a, b)] = calls.get((a, b), 0) + 1
+        return action(a, b)
+
+    return counted, calls
+
+
+def test_table_map_runs_its_action_once_per_pair():
+    phi = from_table(E, V, {(a1, b1): [(2, a2, b2), (1, a1, b1)], (a2, b2): [(3, a1, b2)]})
+    counted, calls = counting(phi.action)
+    phi = dataclasses.replace(phi, action=counted)
+    first = {(a, b): phi(a, b) for a in E.labels() for b in V.labels()}
+    for _ in range(3):
+        for (a, b), image in first.items():
+            assert phi(a, b) is image
+    assert calls == {ab: 1 for ab in first}
+    assert first[(a1, b1)] == pair(a2, b2, 2) + pair(a1, b1)
+
+
+def test_replace_starts_an_empty_memo():
+    phi = from_table(E, V, {(a1, b1): [(1, a2, b2)]})
+    phi(a1, b1)
+    counted, calls = counting(phi.action)
+    fresh = dataclasses.replace(phi, action=counted)
+    assert fresh(a1, b1) == phi(a1, b1)
+    assert calls == {(a1, b1): 1}
+
+
+def test_label_outside_the_basis_raises_every_time_and_is_not_stored():
+    counted, calls = counting(identity_map(E, V).action)
+    phi = PhiMap(E, V, counted)
+    stray = Sym("E", "a3")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="edge label a3"):
+            phi(stray, b1)
+        with pytest.raises(ValueError, match="vertex label a1"):
+            phi(a1, a1)
+    assert calls == {}
+    assert phi(a1, b1) == pair(a1, b1)
+    assert calls == {(a1, b1): 1}
+
+
+def test_finite_verdict_is_computed_once(monkeypatch):
+    scans = []
+    real = phimaps.refuted_on
+
+    def counted(*args):
+        scans.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(phimaps, "refuted_on", counted)
+    bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
+    for _ in range(3):
+        with pytest.raises(IncompatiblePhi):
+            ensure_usable(bad, E.labels(), V.labels())
+    assert isinstance(check_compat(bad), Refuted)
+    assert len(scans) == 1
+    good = from_table(E, V, {(a1, b1): [(2, a1, b1)]})
+    assert isinstance(check_compat(good), Compatible)
+    ensure_usable(good, E.labels(), V.labels())
+    assert len(scans) == 2
+
+
+def test_guarded_map_is_freed_when_dropped():
+    phi = from_table(E, V, {(a1, b1): [(3, a1, b1)]}, name="dropped")
+    ensure_usable(phi, E.labels(), V.labels())
+    phi(a1, b1)
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None

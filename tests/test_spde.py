@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -18,6 +19,7 @@ from rtcalc.postlie import (
     psi_compat_defects,
 )
 from rtcalc.prelie import graft_phi, theta, tree_elem
+import rtcalc.spde as spde
 from rtcalc.spde import (
     SpdeConfig,
     noise_extend,
@@ -206,6 +208,33 @@ def test_noise_extension_restricts_to_closed_form():
         assert extended(a, b) == plain(a, b)
     assert extended.compat_by_construction
     assert isinstance(check_compat(extended, bound=2), VerifiedUpToBound)
+
+
+def test_noise_extension_runs_each_action_once_per_pair(monkeypatch):
+    calls = {}
+
+    def counting_phi_lambda(cfg):
+        inner = phi_lambda(cfg)
+
+        def counted(a, b):
+            calls[(a, b)] = calls.get((a, b), 0) + 1
+            return inner.action(a, b)
+
+        return dataclasses.replace(inner, action=counted)
+
+    monkeypatch.setattr(spde, "phi_lambda", counting_phi_lambda)
+    ph = noise_extend(SpdeConfig(1, (1, 2), noise=True))
+    pairs = pairs_up_to(1, 2) + [(XI, mi(1, 1)), (mi(1, 0), STAR), (XI, STAR)]
+    first = {ab: ph(*ab) for ab in pairs}
+    for _ in range(3):
+        for ab, image in first.items():
+            assert ph(*ab) is image
+    assert calls == {ab: 1 for ab in pairs_up_to(1, 2)}
+    plain = phi_lambda(SpdeConfig(1, (1, 2)))
+    assert all(first[ab] == plain(*ab) for ab in pairs_up_to(1, 2))
+    with pytest.raises(ValueError, match="edge label"):
+        ph(STAR, mi(0, 0))
+    assert (STAR, mi(0, 0)) not in calls
 
 
 def test_noise_extension_requires_the_flag():
