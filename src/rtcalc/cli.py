@@ -185,13 +185,13 @@ def _cmd_pair(args) -> int:
 
 def _cmd_postlie_check(args) -> int:
     phi = load_phi(args.phi)
-    bundle = load_psi(args.psi)
-    base = load_postlie(args.postlie) if args.postlie else bundle.base
+    base, psi = load_psi(args.psi)
+    base = load_postlie(args.postlie) if args.postlie else base
     elems = [
         parse_ext_elem(_read(path), phi.edge_basis, phi.vertex_basis, base.names)
         for path in (args.u, args.v, args.w)
     ]
-    defects = postlie_axiom_defects(phi, base, bundle.psi, *elems)
+    defects = postlie_axiom_defects(phi, base, psi, *elems)
     rows = [
         ("jacobi", defects.jacobi),
         ("derivation", defects.derivation),
@@ -206,11 +206,11 @@ def _cmd_postlie_check(args) -> int:
 
 def _cmd_psi_check(args) -> int:
     phi = load_phi(args.phi)
-    bundle = load_psi(args.psi)
-    base = load_postlie(args.postlie) if args.postlie else bundle.base
+    base, psi = load_psi(args.psi)
+    base = load_postlie(args.postlie) if args.postlie else base
     edge_labels = _span(phi.edge_basis, args.bound, "edge")
     vertex_labels = _span(phi.vertex_basis, args.bound, "vertex")
-    defects = psi_compat_defects(phi, base, bundle.psi, edge_labels, vertex_labels)
+    defects = psi_compat_defects(phi, base, psi, edge_labels, vertex_labels)
     if not defects:
         text = f"no defects on {len(edge_labels)} edge label(s) x {len(vertex_labels)} vertex label(s)"
     else:

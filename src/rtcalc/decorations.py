@@ -11,6 +11,10 @@ Every label has a ``sort_key`` giving a total order across kinds: symbols
 first (by basis id, then name), then multi-indices lexicographically, then
 STAR and XI above every multi-index.  Product labels (``Pr``) appear only
 as outputs of tensor-product constructions.
+
+A noise-extended basis is the direct-sum basis ``union_bases(
+MultiIndexBasis(d), NoiseOnlyBasis(noise))``; the multi-indices come first
+in either argument order.
 """
 
 from __future__ import annotations
@@ -256,31 +260,6 @@ class MultiIndexBasis(DecorationBasis):
 
 
 @dataclass(frozen=True)
-class MultiIndexNoiseBasis(DecorationBasis):
-    """Multi-indices extended by one noise label (XI on edges, STAR on vertices)."""
-
-    d: int
-    noise: Noise
-
-    is_finite = False
-
-    def contains(self, label: Label) -> bool:
-        if label == self.noise:
-            return True
-        return isinstance(label, MultiIndex) and len(label) == self.d + 1
-
-    def labels_up_to(self, bound: int) -> Tuple[Label, ...]:
-        rng = range(bound + 1)
-        mis = tuple(MultiIndex(t) for t in iproduct(rng, repeat=self.d + 1))
-        return mis + (self.noise,)
-
-    def resolve_name(self, name: str) -> Optional[Label]:
-        if self.noise is XI and name == "Xi":
-            return XI
-        return None
-
-
-@dataclass(frozen=True)
 class NoiseOnlyBasis(DecorationBasis):
     """The one-dimensional span of a single noise label."""
 
@@ -321,14 +300,6 @@ class UnionBasis(DecorationBasis):
     def resolve_name(self, name: str) -> Optional[Label]:
         return self.left.resolve_name(name) or self.right.resolve_name(name)
 
-    def side(self, label: Label) -> int:
-        """1 or 2 according to which summand the label belongs to."""
-        if self.left.contains(label):
-            return 1
-        if self.right.contains(label):
-            return 2
-        raise ValueError(f"label {render_label(label)} not in the union basis")
-
 
 @dataclass(frozen=True)
 class ProductBasis(DecorationBasis):
@@ -357,19 +328,16 @@ def _summands(b: DecorationBasis) -> Tuple[DecorationBasis, ...]:
     """The basis split into parts of one kind each."""
     if isinstance(b, UnionBasis):
         return _summands(b.left) + _summands(b.right)
-    if isinstance(b, MultiIndexNoiseBasis):
-        return (MultiIndexBasis(b.d), NoiseOnlyBasis(b.noise))
     return (b,)
 
 
 def bases_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
     """Structural disjointness check for a direct sum.
 
-    Unions and noise-extended multi-index bases are split into their
-    parts, which must be pairwise disjoint.  Parts of different kinds never
-    share a label; two product bases are disjoint when their left factors
-    or their right factors are.  A pair the check cannot decide counts as
-    overlapping.
+    Unions are split into their parts, which must be pairwise disjoint.
+    Parts of different kinds never share a label; two product bases are
+    disjoint when their left factors or their right factors are.  A pair
+    the check cannot decide counts as overlapping.
     """
     return all(_parts_disjoint(x, y) for x in _summands(b1) for y in _summands(b2))
 
@@ -388,12 +356,15 @@ def _parts_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
     return False
 
 
-def union_bases(b1: DecorationBasis, b2: DecorationBasis) -> DecorationBasis:
-    """The basis of a direct sum; fuses multi-indices with a noise line."""
+def union_bases(b1: DecorationBasis, b2: DecorationBasis) -> UnionBasis:
+    """The basis of a direct sum.
+
+    A noise line given before a multi-index basis is put after it, so the
+    noise-extended basis is one value whichever order the summands come
+    in, and its noise label is last in ``labels_up_to``.
+    """
     if not bases_disjoint(b1, b2):
         raise ValueError("direct sum needs disjoint bases")
-    if isinstance(b1, MultiIndexBasis) and isinstance(b2, NoiseOnlyBasis):
-        return MultiIndexNoiseBasis(b1.d, b2.noise)
     if isinstance(b1, NoiseOnlyBasis) and isinstance(b2, MultiIndexBasis):
-        return MultiIndexNoiseBasis(b2.d, b1.noise)
+        b1, b2 = b2, b1
     return UnionBasis(b1, b2)

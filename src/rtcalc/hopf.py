@@ -300,9 +300,6 @@ class Pairing:
     name: str = "pairing"
     _memo: Dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
-    def on_pairs(self, aprime: Label, bprime: Label, a: Label, b: Label) -> Fraction:
-        return self.base(aprime, bprime, a, b)
-
     def _tree(self, p1: PlantedTree, p2: PlantedTree) -> Fraction:
         key = (p1, p2)
         hit = self._memo.get(key)
@@ -432,11 +429,11 @@ def check_adjoint(
             for a in edges:
                 for b in verts:
                     lhs = sum(
-                        (c * pairing.on_pairs(na, nb, a, b) for (na, nb), c in img2.items()),
+                        (c * pairing.base(na, nb, a, b) for (na, nb), c in img2.items()),
                         Fraction(0),
                     )
                     rhs = sum(
-                        (c * pairing.on_pairs(a2, b2, na, nb) for (na, nb), c in phi(a, b).items()),
+                        (c * pairing.base(a2, b2, na, nb) for (na, nb), c in phi(a, b).items()),
                         Fraction(0),
                     )
                     if lhs != rhs:

@@ -4,7 +4,10 @@ A map file is one JSON object selected by its ``builder`` field.  Bases
 are denoted by objects like ``{"kind": "symbols", "id": "a", "names":
 ["a1", "a2"]}`` or ``{"kind": "multiindex", "d": 1}``; the noise label
 of ``multiindex_noise`` and ``noise_only`` bases is chosen by the slot
-they appear in (edge slots get Xi, vertex slots get *).  Rationals are
+they appear in (edge slots get Xi, vertex slots get *).  A
+``multiindex_noise`` basis is the direct-sum basis ``union_bases(
+MultiIndexBasis(d), NoiseOnlyBasis(noise))``, the basis ``noise_extend``
+acts on; its noise label comes after the multi-indices.  Rationals are
 JSON integers or strings like ``"1/2"``; labels are strings in the same
 syntax the expression parser accepts.  Builders that take another map
 (``compose``, ``exp``, ...) nest the description inline.
@@ -16,18 +19,18 @@ compatibility argument made outside the checker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .decorations import (
     STAR,
     XI,
     DecorationBasis,
     MultiIndexBasis,
-    MultiIndexNoiseBasis,
     NoiseOnlyBasis,
     SymbolBasis,
+    union_bases,
 )
 from .lincomb import LinComb, as_scalar
 from .parsing import ParseError, parse_label
@@ -48,7 +51,7 @@ from .phimaps import (
     transpose_map,
     zero_map,
 )
-from .postlie import PostLieBase, PsiPair, postlie_base, psi_from_tables, trivial_postlie
+from .postlie import PostLieBase, PsiPair, postlie_base, psi_from_tables
 from .ratmat import mat
 from .spde import SpdeConfig, noise_extend, partial_lambda, phi_lambda, phi_lambda_via_exp, spde_psi
 
@@ -83,6 +86,30 @@ def _rows(x, key: str, where: str) -> list:
     return x
 
 
+def _entries(x, key: str, where: str, on: Tuple[str, str], term: Tuple[str, ...]) -> Iterator[Tuple[str, list, list]]:
+    """The ``{"on": [p, q], "terms": [...]}`` objects of the list ``x`` under ``key``, checked.
+
+    Yields (position, on, terms) per entry; ``on`` is a pair and every term
+    is a list of ``len(term)`` items, named by ``term`` in error messages.
+    """
+    for k, entry in enumerate(_list(x, key, where)):
+        spot = f"{where}: {key}[{k}]"
+        if not isinstance(entry, dict):
+            raise MapFileError(f"{spot}: each of {key!r} must be an object with 'on' and 'terms'")
+        pair = _req(entry, "on", spot)
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MapFileError(f"{spot}: 'on' wants [{', '.join(on)}], not {pair!r}")
+        terms = _list(_req(entry, "terms", spot), "terms", spot)
+        for t in terms:
+            if not isinstance(t, list) or len(t) != len(term):
+                raise MapFileError(f"{spot}: each of 'terms' must be [{', '.join(term)}], not {t!r}")
+        yield spot, pair, terms
+
+
+def _generators(obj: dict, where: str) -> Tuple[str, ...]:
+    return tuple(str(n) for n in _list(_req(obj, "generators", where), "generators", where))
+
+
 def _rat(x, where: str) -> Fraction:
     try:
         return as_scalar(x)
@@ -103,7 +130,7 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
     if kind == "multiindex":
         return MultiIndexBasis(_int(obj, "d", where))
     if kind == "multiindex_noise":
-        return MultiIndexNoiseBasis(_int(obj, "d", where), noise)
+        return union_bases(MultiIndexBasis(_int(obj, "d", where)), NoiseOnlyBasis(noise))
     if kind == "noise_only":
         return NoiseOnlyBasis(noise)
     raise MapFileError(f"{where}: unknown basis kind {kind!r}")
@@ -179,22 +206,15 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
     if builder == "table":
         E = _basis(_req(obj, "edge_basis", where), "edge", where)
         V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
+        entries = _entries(
+            _req(obj, "entries", where), "entries", where, ("edge", "vertex"), ("coefficient", "edge", "vertex")
+        )
         table: Dict[Tuple, list] = {}
-        for k, entry in enumerate(_list(_req(obj, "entries", where), "entries", where)):
-            spot = f"{where}: entries[{k}]"
-            if not isinstance(entry, dict):
-                raise MapFileError(f"{spot}: each of 'entries' must be an object with 'on' and 'terms'")
-            on = _req(entry, "on", spot)
-            if not isinstance(on, list) or len(on) != 2:
-                raise MapFileError(f"{spot}: 'on' wants [edge, vertex]")
-            key = (_label(on[0], E, "edge", spot), _label(on[1], V, "vertex", spot))
-            terms = []
-            for t in _list(_req(entry, "terms", spot), "terms", spot):
-                if not isinstance(t, list) or len(t) != 3:
-                    raise MapFileError(f"{spot}: each of 'terms' must be [coefficient, edge, vertex], not {t!r}")
-                c, a, b = t
-                terms.append((_rat(c, spot), _label(a, E, "edge", spot), _label(b, V, "vertex", spot)))
-            table.setdefault(key, []).extend(terms)
+        for spot, (a, b), terms in entries:
+            key = (_label(a, E, "edge", spot), _label(b, V, "vertex", spot))
+            table.setdefault(key, []).extend(
+                (_rat(c, spot), _label(a2, E, "edge", spot), _label(b2, V, "vertex", spot)) for c, a2, b2 in terms
+            )
         return from_table(E, V, table)
 
     if builder in ("phi_lambda", "partial_lambda", "phi_lambda_exp"):
@@ -276,55 +296,34 @@ def _matrix_action(m, labels, where: str):
     return act
 
 
-@dataclass(frozen=True)
-class PsiBundle:
-    """Generator actions plus the bases their labels live in."""
-
-    base: PostLieBase
-    psi: PsiPair
-    edge_basis: DecorationBasis
-    vertex_basis: DecorationBasis
-
-
-def build_psi(obj: dict, where: str = "psi") -> PsiBundle:
+def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair]:
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected an action object")
     builder = _req(obj, "builder", where)
 
     if builder == "spde_psi":
-        noise = bool(obj.get("noise", False))
-        cfg = _spde_config(obj, where, noise=noise)
-        base, psi = spde_psi(cfg)
-        if noise:
-            E: DecorationBasis = MultiIndexNoiseBasis(cfg.d, XI)
-            V: DecorationBasis = MultiIndexNoiseBasis(cfg.d, STAR)
-        else:
-            E = MultiIndexBasis(cfg.d)
-            V = MultiIndexBasis(cfg.d)
-        return PsiBundle(base, psi, E, V)
+        noise = obj.get("noise", False)
+        if not isinstance(noise, bool):
+            raise MapFileError(f"{where}: 'noise' must be true or false, not {noise!r}")
+        return spde_psi(_spde_config(obj, where, noise=noise))
 
     if builder == "psi_tables":
-        names = tuple(str(n) for n in _req(obj, "generators", where))
+        names = _generators(obj, where)
         E = _basis(_req(obj, "edge_basis", where), "edge", where)
         V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
 
-        def side(key: str, basis: DecorationBasis, kind: str):
+        def side(key: str, basis: DecorationBasis):
             out = {}
-            for k, entry in enumerate(obj.get(key, [])):
-                spot = f"{where}: {key}[{k}]"
-                gen, lab = _req(entry, "on", spot)
+            entries = _entries(obj.get(key, []), key, where, ("generator", "label"), ("coefficient", "label"))
+            for spot, (gen, lab), terms in entries:
                 if gen not in names:
                     raise MapFileError(f"{spot}: unknown generator {gen!r}")
-                terms = [
-                    (_rat(c, spot), _label(l, basis, kind, spot))
-                    for c, l in _req(entry, "terms", spot)
-                ]
-                out[(str(gen), _label(lab, basis, kind, spot))] = terms
+                label = _label(lab, basis, key, spot)
+                out[(gen, label)] = [(_rat(c, spot), _label(l, basis, key, spot)) for c, l in terms]
             return out
 
-        psi = psi_from_tables(side("edge", E, "edge"), side("vertex", V, "vertex"))
-        base = build_postlie(obj, where) if ("bracket" in obj or "triangle" in obj) else trivial_postlie(names)
-        return PsiBundle(base, psi, E, V)
+        psi = psi_from_tables(side("edge", E), side("vertex", V))
+        return build_postlie(obj, where), psi
 
     raise MapFileError(f"{where}: unknown builder {builder!r}")
 
@@ -332,26 +331,17 @@ def build_psi(obj: dict, where: str = "psi") -> PsiBundle:
 def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected a generator-algebra object")
-    names = tuple(str(n) for n in _req(obj, "generators", where))
+    names = _generators(obj, where)
 
     def consts(key: str):
-        out = {}
-        for k, entry in enumerate(obj.get(key, [])):
-            spot = f"{where}: {key}[{k}]"
-            p, q = _req(entry, "on", spot)
-            out[(str(p), str(q))] = [(_rat(c, spot), str(r)) for c, r in _req(entry, "terms", spot)]
-        return out
+        entries = _entries(obj.get(key, []), key, where, ("generator", "generator"), ("coefficient", "generator"))
+        return {(str(p), str(q)): [(_rat(c, spot), str(r)) for c, r in terms] for spot, (p, q), terms in entries}
 
+    bracket, triangle = consts("bracket"), consts("triangle")
     try:
-        return postlie_base(names, consts("bracket"), consts("triangle"))
+        return postlie_base(names, bracket, triangle)
     except ValueError as e:
         raise MapFileError(f"{where}: {e}")
-
-
-def load_blockgrid(obj: dict, where: str = "map") -> BlockMatrix:
-    if _req(obj, "builder", where) != "blocks":
-        raise MapFileError(f"{where}: expected a 'blocks' map")
-    return _block_grid(obj, where)
 
 
 def _load(path: str) -> dict:
@@ -368,7 +358,7 @@ def load_phi(path: str) -> PhiMap:
     return build_phi(_load(path), path)
 
 
-def load_psi(path: str) -> PsiBundle:
+def load_psi(path: str) -> Tuple[PostLieBase, PsiPair]:
     return build_psi(_load(path), path)
 
 
@@ -377,4 +367,7 @@ def load_postlie(path: str) -> PostLieBase:
 
 
 def load_blockmatrix(path: str) -> BlockMatrix:
-    return load_blockgrid(_load(path), path)
+    obj = _load(path)
+    if not isinstance(obj, dict) or obj.get("builder") != "blocks":
+        raise MapFileError(f"{path}: expected a 'blocks' map")
+    return _block_grid(obj, path)

@@ -13,9 +13,10 @@ combination gives back the original:
 Labels are symbol names, multi-index literals like ``<1,2>``, the noise
 edge name ``Xi``, or the noise vertex ``*``; each is validated against
 the basis for its slot.  Whitespace is insignificant everywhere except
-inside tokens.  A bare rational denotes that multiple of the empty
-forest, which only forest-shaped expressions accept (``0`` is fine
-anywhere).  Errors carry line and column of the offending token.
+inside tokens.  A rational followed by ``+``, ``-`` or the end is bare:
+it denotes that multiple of the empty forest, which only forest-shaped
+expressions accept (``0`` is fine anywhere).  Errors carry line and
+column of the offending token.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "punct" and nxt.text == "*":
                 self.take()
-            elif nxt.text not in ("(", "["):
+            elif nxt.kind == "end" or (nxt.kind == "punct" and nxt.text in "+-"):
                 if coeff == 0:
                     return LinComb()
                 if empty_item is None:
@@ -244,45 +245,23 @@ def parse_ext_elem(src: str, edge_basis: DecorationBasis, vertex_basis: Decorati
     from .postlie import ExtElem
 
     p = _Parser(src, edge_basis, vertex_basis)
-    planted: List[Tuple[PlantedTree, Fraction]] = []
-    gens: List[Tuple[str, Fraction]] = []
-    sign = 1
-    tok = p.peek()
-    if tok.kind == "punct" and tok.text in "+-":
-        p.take()
-        sign = 1 if tok.text == "+" else -1
-    while True:
-        coeff = Fraction(sign)
+
+    def item():
         tok = p.peek()
-        if tok.kind == "number":
+        if tok.kind == "name":
             p.take()
-            coeff *= Fraction(tok.text)
-            nxt = p.peek()
-            if nxt.kind == "punct" and nxt.text == "*":
-                p.take()
-            elif coeff == 0 and nxt.text != "[" and nxt.kind != "name":
-                tok = nxt
-                coeff = None  # zero term with no item
-        if coeff is not None:
-            tok = p.peek()
-            if tok.kind == "name":
-                p.take()
-                if tok.text not in gen_names:
-                    raise ParseError(tok.line, tok.col, f"unknown generator {tok.text!r}")
-                gens.append((tok.text, coeff))
-            elif tok.text == "[":
-                planted.append((p.planted(), coeff))
-            else:
-                p.fail(tok, "expected a generator name or a planted tree")
-            tok = p.peek()
-        if tok.kind == "end":
-            p.done()
-            return ExtElem(LinComb(planted), LinComb(gens))
-        if tok.kind == "punct" and tok.text in "+-":
-            p.take()
-            sign = 1 if tok.text == "+" else -1
-            continue
-        p.fail(tok, "expected '+', '-', or end of input")
+            if tok.text not in gen_names:
+                raise ParseError(tok.line, tok.col, f"unknown generator {tok.text!r}")
+            return tok.text
+        if tok.text != "[":
+            p.fail(tok, "expected a generator name or a planted tree")
+        return p.planted()
+
+    out = p.comb(item, None)
+    p.done()
+    planted = [(t, c) for t, c in out.items() if isinstance(t, PlantedTree)]
+    gens = [(t, c) for t, c in out.items() if isinstance(t, str)]
+    return ExtElem(LinComb(planted), LinComb(gens))
 
 
 def render_comb(x: LinComb) -> str:

@@ -501,9 +501,6 @@ class BlockMatrix:
                 if len(blk) != self.n or any(len(r) != self.n for r in blk):
                     raise ValueError("every block must be n x n")
 
-    def block(self, i: int, j: int) -> Matrix:
-        return self.blocks[i][j]
-
 
 def block_matrix(blocks: Sequence[Sequence[Sequence[Sequence]]]) -> BlockMatrix:
     grid = tuple(tuple(mat(blk) for blk in row) for row in blocks)

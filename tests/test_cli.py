@@ -387,6 +387,14 @@ def test_classify_m2_irrational_eigenvalues(tmp_path, capsys):
     assert out.startswith("NeedsAlgebraicExtension:")
 
 
+@pytest.mark.parametrize("grid", [5, [], PHI_D0])
+def test_classify_m2_wants_a_blocks_object(tmp_path, capsys, grid):
+    code, out, err = run(capsys, "classify-m2", "--phi", jfile(tmp_path, "grid.json", grid))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rtcalc: error:") and "expected a 'blocks' map" in err
+
+
 def test_verify_suite_small(capsys):
     code, out, _ = run(capsys, "verify-suite", "--level", "small")
     assert code == 0
@@ -460,6 +468,45 @@ def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("rtcalc: error:")
     assert key in err
+    assert "Traceback" not in err
+
+
+PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
+
+
+@pytest.mark.parametrize(
+    "psi, postlie, key",
+    [
+        ({**PSI_SYM, "generators": 5}, None, "'generators'"),
+        ({**PSI_SYM, "edge": 7}, None, "'edge'"),
+        ({**PSI_SYM, "vertex": [5]}, None, "vertex[0]: each of 'vertex'"),
+        ({**PSI_SYM, "edge": [{"on": "g", "terms": []}]}, None, "edge[0]: 'on'"),
+        ({**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1]]}]}, None, "edge[0]: each of 'terms'"),
+        ({**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": 3}]}, None, "edge[0]: 'terms'"),
+        ({**PSI_SYM, "bracket": [{"on": ["g"], "terms": [[1, "g"]]}]}, None, "bracket[0]: 'on'"),
+        ({**PSI_SYM, "triangle": [{"on": ["g", "g"], "terms": [["1/2"]]}]}, None, "triangle[0]: each of 'terms'"),
+        (PSI_SYM, {"generators": "g"}, "'generators'"),
+        (PSI_SYM, {"generators": ["g"], "bracket": [{"on": ["g", "g", "g"], "terms": []}]}, "bracket[0]: 'on'"),
+        ({"builder": "spde_psi", "d": 0, "noise": "no"}, None, "'noise'"),
+    ],
+    ids=[
+        "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
+        "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
+        "noise-string",
+    ],
+)
+def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, postlie, key):
+    path = jfile(tmp_path, "psi.json", psi)
+    argv = ["psi-check", "--phi", jfile(tmp_path, "phi.json", IDENTITY_SYM), "--psi", path]
+    if postlie is not None:
+        path = jfile(tmp_path, "postlie.json", postlie)
+        argv += ["--postlie", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("rtcalc: error:")
+    assert key in err
+    assert err.count(path) == 1
     assert "Traceback" not in err
 
 

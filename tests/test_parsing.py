@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtcalc.decorations import STAR, XI, MultiIndexBasis, MultiIndexNoiseBasis, Sym, mi, symbols
+from rtcalc.decorations import STAR, XI, MultiIndexBasis, NoiseOnlyBasis, Sym, mi, symbols, union_bases
 from rtcalc.lincomb import LinComb
 from rtcalc.parsing import (
     ParseError,
@@ -20,8 +20,8 @@ from rtcalc.trees import EMPTY_FOREST, PlantedTree, forest, leaf, node
 E_SYM = symbols("a", ("a1", "a2"))
 V_SYM = symbols("b", ("b1", "b2"))
 MI1 = MultiIndexBasis(1)
-E_NOISE = MultiIndexNoiseBasis(1, XI)
-V_NOISE = MultiIndexNoiseBasis(1, STAR)
+E_NOISE = union_bases(MultiIndexBasis(1), NoiseOnlyBasis(XI))
+V_NOISE = union_bases(MultiIndexBasis(1), NoiseOnlyBasis(STAR))
 
 
 def a(i):
@@ -216,6 +216,11 @@ def test_parse_ext_elem_mixes_generators_and_planted_trees():
     got = parse_ext_elem("X_0 - 2*[<1>](<0>)", MultiIndexBasis(0), MultiIndexBasis(0), ("X_0",))
     assert got.gens == LinComb.of("X_0")
     assert got.planted == LinComb.of(PlantedTree(mi(1), leaf(mi(0))), -2)
+    got = parse_ext_elem("2 X_0", MultiIndexBasis(0), MultiIndexBasis(0), ("X_0",))
+    assert got.gens == LinComb.of("X_0", 2) and got.planted.is_zero
+    got = parse_ext_elem("-[<1>](<0>) + 0", MultiIndexBasis(0), MultiIndexBasis(0), ("X_0",))
+    assert got.gens.is_zero
+    assert got.planted == LinComb.of(PlantedTree(mi(1), leaf(mi(0))), -1)
 
 
 def test_parse_ext_elem_zero_and_errors():

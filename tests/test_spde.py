@@ -6,9 +6,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtcalc.decorations import STAR, XI, MultiIndex, lambda_pow, mi, mi_unit
+from rtcalc.decorations import STAR, XI, MultiIndex, NoiseOnlyBasis, lambda_pow, mi, mi_unit
 from rtcalc.lincomb import LinComb
-from rtcalc.phimaps import VerifiedUpToBound, check_compat
+from rtcalc.mapfiles import build_phi
+from rtcalc.phimaps import VerifiedUpToBound, check_compat, compose, direct_sum, zero_map
 from rtcalc.postlie import (
     PsiPair,
     ext_bracket,
@@ -208,6 +209,31 @@ def test_noise_extension_restricts_to_closed_form():
         assert extended(a, b) == plain(a, b)
     assert extended.compat_by_construction
     assert isinstance(check_compat(extended, bound=2), VerifiedUpToBound)
+
+
+def test_noise_extension_acts_on_the_map_file_noise_bases():
+    extended = noise_extend(SpdeConfig(1, (1, 2), noise=True))
+    basis = {"kind": "multiindex_noise", "d": 1}
+    from_file = build_phi({"builder": "zero", "edge_basis": basis, "vertex_basis": basis})
+    assert from_file.edge_basis == extended.edge_basis
+    assert from_file.vertex_basis == extended.vertex_basis
+
+
+def test_noise_block_first_is_the_same_extension():
+    cfg = SpdeConfig(1, (1, 2), noise=True)
+    extended = noise_extend(cfg)
+    flipped = direct_sum(zero_map(NoiseOnlyBasis(XI), NoiseOnlyBasis(STAR)), phi_lambda(cfg), 1, 0)
+    assert flipped.edge_basis == extended.edge_basis
+    assert flipped.vertex_basis == extended.vertex_basis
+    twice = compose(extended, flipped)
+    doubled = noise_extend(SpdeConfig(1, (2, 4), noise=True))
+    edges = extended.edge_basis.labels_up_to(2)
+    verts = extended.vertex_basis.labels_up_to(2)
+    assert edges[-1] == XI and verts[-1] == STAR
+    for a in edges:
+        for b in verts:
+            assert flipped(a, b) == extended(a, b)
+            assert twice(a, b) == doubled(a, b)
 
 
 def test_noise_extension_runs_each_action_once_per_pair(monkeypatch):
