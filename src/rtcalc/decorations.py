@@ -20,10 +20,9 @@ in either argument order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .lincomb import Scalar, as_scalar
 
@@ -129,25 +128,47 @@ def mi_unit(j: int, d: int) -> MultiIndex:
     return MultiIndex(tuple(1 if i == j else 0 for i in range(d + 1)))
 
 
-def lambda_pow(lams: Sequence[Scalar], l: MultiIndex) -> Fraction:
+def lambda_pow(lams: Sequence[Scalar], l: MultiIndex) -> Scalar:
     """The monomial lambda^l with the 0^0 = 1 convention."""
     if len(lams) != len(l):
         raise ValueError("coefficient vector and multi-index lengths differ")
-    out = Fraction(1)
+    out = 1
     for lam, e in zip(lams, l.entries):
         out *= as_scalar(lam) ** e
-    return out
+    return as_scalar(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sym:
-    """A named basis symbol; ``basis_id`` keeps distinct bases disjoint."""
+    """A named basis symbol; ``basis_id`` keeps distinct bases disjoint.
+
+    The hash and the sort key are computed once, at construction.  A
+    :class:`SymbolBasis` builds each of its symbols once, so equal symbols
+    are mostly the same object, and equality tests identity first.
+    """
 
     basis_id: str
     name: str
+    _hash: int = field(init=False, repr=False)
+    _key: Tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        put = object.__setattr__
+        put(self, "_hash", hash((self.basis_id, self.name)))
+        put(self, "_key", (0, self.basis_id, self.name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Sym:
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name and self.basis_id == other.basis_id
 
     def sort_key(self):
-        return (0, self.basis_id, self.name)
+        return self._key
 
     def render(self) -> str:
         return self.name
@@ -220,25 +241,30 @@ class DecorationBasis:
 
 @dataclass(frozen=True)
 class SymbolBasis(DecorationBasis):
+    """A finite basis of named symbols, each built once, at construction."""
+
     basis_id: str
     names: Tuple[str, ...]
+    _labels: Tuple[Sym, ...] = field(init=False, repr=False, compare=False)
+    _by_name: Dict[str, Sym] = field(init=False, repr=False, compare=False)
 
     is_finite = True
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate names in basis {self.basis_id}")
+        labels = tuple(Sym(self.basis_id, n) for n in self.names)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_by_name", {s.name: s for s in labels})
 
     def contains(self, label: Label) -> bool:
-        return isinstance(label, Sym) and label.basis_id == self.basis_id and label.name in self.names
+        return isinstance(label, Sym) and self._by_name.get(label.name) == label
 
     def labels(self) -> Tuple[Label, ...]:
-        return tuple(Sym(self.basis_id, n) for n in self.names)
+        return self._labels
 
     def resolve_name(self, name: str) -> Optional[Label]:
-        if name in self.names:
-            return Sym(self.basis_id, name)
-        return None
+        return self._by_name.get(name)
 
 
 def symbols(basis_id: str, names: Iterable[str]) -> SymbolBasis:

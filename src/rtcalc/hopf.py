@@ -29,13 +29,12 @@ touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, prod
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .decorations import Label, render_label
-from .lincomb import ONE, ZERO, LinComb, lc_sum
+from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
 from .prelie import _ensure_usable_on, apply_edge_maps
 from .trees import (
@@ -119,7 +118,7 @@ def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb
         kept = [t for k, t in enumerate(G.trees) if k not in through] + staying
         for combo in iproduct(*[terms for _, _, _, terms in grafts]):
             changes: Dict[int, Dict] = {k: {} for k in through}
-            coeff = ONE
+            coeff = 1
             for (k, path, bodies, _), ((edges, b), c) in zip(grafts, combo):
                 changes[k][path] = (b, tuple(zip(edges, bodies)))
                 coeff = coeff * c
@@ -220,7 +219,7 @@ def _cuts_below(phi: PhiMap, t: DecoratedTree) -> LinComb:
         for combo in iproduct(*[below[i] for i in kept]):
             above = tuple(u for (ups, _), _ in combo for u in ups)
             kids = [(t.children[i][0], lower) for i, ((_, lower), _) in zip(kept, combo)]
-            coeff = prod((c for _, c in combo), start=ONE)
+            coeff = prod(c for _, c in combo)
             for (images, b), c in local:
                 ups = tuple(PlantedTree(a, t.children[i][1]) for a, i in zip(images, severed)) + above
                 pairs.append(((ups, node(b, kids)), coeff * c))
@@ -242,7 +241,7 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
     def cuts(f: Forest) -> PairComb:
         _guard(phi, f)
         options = [
-            [((p,), (), ONE)]
+            [((p,), (), 1)]
             + [(ups, (PlantedTree(p.plant, lower),), c) for (ups, lower), c in _cuts_below(phi, p.body).items()]
             for p in f.trees
         ]
@@ -296,11 +295,11 @@ class Pairing:
     (incoming edge, vertex) pairs; no symmetry normalization is applied.
     """
 
-    base: Callable[[Label, Label, Label, Label], Fraction]
+    base: Callable[[Label, Label, Label, Label], Scalar]
     name: str = "pairing"
     _memo: Dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
-    def _tree(self, p1: PlantedTree, p2: PlantedTree) -> Fraction:
+    def _tree(self, p1: PlantedTree, p2: PlantedTree) -> Scalar:
         key = (p1, p2)
         hit = self._memo.get(key)
         if hit is not None:
@@ -309,12 +308,12 @@ class Pairing:
         self._memo[key] = val
         return val
 
-    def _planted(self, e1: Label, t1: DecoratedTree, e2: Label, t2: DecoratedTree) -> Fraction:
+    def _planted(self, e1: Label, t1: DecoratedTree, e2: Label, t2: DecoratedTree) -> Scalar:
         if t1.shape != t2.shape:
-            return ZERO
+            return 0
         head = self.base(e1, t1.label, e2, t2.label)
         if not head:
-            return ZERO
+            return 0
         k = len(t1.children)
         if k == 0:
             return head
@@ -325,25 +324,25 @@ class Pairing:
         ]
         return head * _permanent(grid)
 
-    def forests(self, f1: Forest, f2: Forest) -> Fraction:
+    def forests(self, f1: Forest, f2: Forest) -> Scalar:
         if len(f1.trees) != len(f2.trees) or f1.vertex_count != f2.vertex_count:
-            return ZERO
+            return 0
         if not f1.trees:
-            return ONE
+            return 1
         grid = [[self._tree(t1, t2) for t2 in f2.trees] for t1 in f1.trees]
-        return _permanent(grid)
+        return as_scalar(_permanent(grid))
 
 
-def _permanent(grid: List[List[Fraction]]) -> Fraction:
+def _permanent(grid: List[List[Scalar]]) -> Scalar:
     n = len(grid)
     if n == 0:
-        return ONE
+        return 1
     if n == 1:
         return grid[0][0]
     cols = list(range(n))
-    total = ZERO
+    total = 0
 
-    def rec(row: int, used: int, acc: Fraction):
+    def rec(row: int, used: int, acc: Scalar):
         nonlocal total
         if row == n:
             total += acc
@@ -355,7 +354,7 @@ def _permanent(grid: List[List[Fraction]]) -> Fraction:
             if v:
                 rec(row + 1, used | 1 << c, acc * v)
 
-    rec(0, 0, ONE)
+    rec(0, 0, 1)
     return total
 
 
@@ -363,41 +362,41 @@ def delta_pairing() -> Pairing:
     """Basis-delta pairing: matching labels pair to 1."""
 
     def base(aprime, bprime, a, b):
-        return ONE if (aprime == a and bprime == b) else ZERO
+        return 1 if (aprime == a and bprime == b) else 0
 
     return Pairing(base, name="delta")
 
 
-def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Fraction:
+def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Scalar:
     """Bilinear extension of the forest pairing to combinations.
 
     An exact sum, so the terms are visited in storage order, unsorted.
     """
-    total = ZERO
+    total = 0
     for f1, c1 in x.items():
         for f2, c2 in y.items():
             v = pairing.forests(f1, f2)
             if v:
                 total += c1 * c2 * v
-    return total
+    return as_scalar(total)
 
 
-def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Fraction:
+def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Scalar:
     """Pair two combinations of forest pairs factorwise, in storage order."""
-    total = ZERO
+    total = 0
     for (f1, g1), c1 in x.items():
         for (f2, g2), c2 in y.items():
             v1 = pairing.forests(f1, f2)
             if v1:
                 total += c1 * c2 * v1 * pairing.forests(g1, g2)
-    return total
+    return as_scalar(total)
 
 
 class AdjointnessViolated(Exception):
     """The two maps fail to be adjoint for the base pairing."""
 
 
-def counit(x: ForestComb) -> Fraction:
+def counit(x: ForestComb) -> Scalar:
     return x.coeff(EMPTY_FOREST)
 
 
@@ -405,8 +404,8 @@ def counit(x: ForestComb) -> Fraction:
 class PairingDefect:
     identity: str
     inputs: Tuple
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Scalar
+    rhs: Scalar
 
 
 def check_adjoint(
@@ -430,11 +429,11 @@ def check_adjoint(
                 for b in verts:
                     lhs = sum(
                         (c * pairing.base(na, nb, a, b) for (na, nb), c in img2.items()),
-                        Fraction(0),
+                        0,
                     )
                     rhs = sum(
                         (c * pairing.base(a2, b2, na, nb) for (na, nb), c in phi(a, b).items()),
-                        Fraction(0),
+                        0,
                     )
                     if lhs != rhs:
                         raise AdjointnessViolated(

@@ -1,8 +1,14 @@
 """Exact scalars and finite formal linear combinations.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``),
-which already keeps numerator/denominator in lowest terms with a positive
-denominator.  A :class:`LinComb` is a finite map from basis terms to
+Coefficients are exact rationals, stored as an ``int`` until a denominator
+appears and as a ``fractions.Fraction`` (lowest terms, positive
+denominator) only when the reduced denominator is greater than 1.  Every
+coefficient a :class:`LinComb` stores passes through :func:`as_scalar` or
+:func:`_norm`, which enforce that, so ``bool`` and ``float`` never get in.
+Integer arithmetic stays on the C fast path; ``str``, ``==`` and ``hash``
+agree between ``3`` and ``Fraction(3)``, so output does not depend on the
+representation.  Quotients go through :func:`exact_div`, since ``int /
+int`` is a float.  A :class:`LinComb` is a finite map from basis terms to
 nonzero coefficients; the zero combination is the empty map.  Terms can be
 anything hashable that either is naturally orderable (ints, strings) or
 exposes a ``sort_key`` attribute/method; tuples of such terms are ordered
@@ -21,30 +27,42 @@ visited picks an error message or a witness.
 
 :meth:`LinComb.map_terms`, the inner loop of every operator, sums its
 products as plain integer numerator/denominator pairs over a common
-denominator and reduces each surviving coefficient to a ``Fraction`` once
-at the end, so its results are the same reduced ``Fraction`` values that
-term-by-term ``Fraction`` arithmetic gives.
+denominator and reduces each surviving coefficient once at the end, so
+its results equal what term-by-term ``Fraction`` arithmetic gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Tuple, Union
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Scalar = Union[int, Fraction]
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce an int, string like ``"3/2"``, or Fraction to a Fraction."""
-    if isinstance(value, Fraction):
+def _norm(c: Scalar) -> Scalar:
+    """A ``Fraction`` as an ``int`` when its denominator is 1; an ``int`` as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def as_scalar(value) -> Scalar:
+    """Coerce an int, string like ``"3/2"``, or Fraction to a stored scalar.
+
+    The result is an ``int`` when the value is integral and a ``Fraction``
+    otherwise; ``bool`` and ``float`` are refused.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return _norm(value)
+    if isinstance(value, str):
+        return _norm(Fraction(value))
     raise TypeError(f"not an exact scalar: {value!r}")
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient ``a / b``, an ``int`` when it is integral."""
+    return _norm(Fraction(a, b))
 
 
 def term_key(term):
@@ -62,14 +80,15 @@ def term_key(term):
     return key() if callable(key) else key
 
 
-def _add_terms(terms: Dict[Hashable, Fraction], pairs: Iterable[Tuple[Hashable, Scalar]]) -> Dict[Hashable, Fraction]:
+def _add_terms(terms: Dict[Hashable, Scalar], pairs: Iterable[Tuple[Hashable, Scalar]]) -> Dict[Hashable, Scalar]:
     """Add each (term, coefficient) pair into ``terms``; drop what sums to zero.
 
     The one summing loop of the package.  Coefficients that are not
-    already ``Fraction`` values go through :func:`as_scalar`.
+    already ``int`` values go through :func:`as_scalar`, and a sum that is
+    not an ``int`` through :func:`_norm`.
     """
     for term, c in pairs:
-        if type(c) is not Fraction:
+        if type(c) is not int:
             c = as_scalar(c)
         prev = terms.get(term)
         if prev is not None:
@@ -77,6 +96,8 @@ def _add_terms(terms: Dict[Hashable, Fraction], pairs: Iterable[Tuple[Hashable, 
             if not c:
                 del terms[term]
                 continue
+            if type(c) is not int:
+                c = _norm(c)
         elif not c:
             continue
         terms[term] = c
@@ -92,18 +113,20 @@ class LinComb:
         self._terms = _add_terms({}, items)
 
     @classmethod
-    def of(cls, term, coeff: Scalar | int | str = ONE) -> "LinComb":
+    def of(cls, term, coeff: Scalar | str = 1) -> "LinComb":
         c = as_scalar(coeff)
         return cls._raw({term: c} if c else {})
 
     @classmethod
-    def _raw(cls, terms: Dict[Hashable, Fraction]) -> "LinComb":
+    def _raw(cls, terms: Dict[Hashable, Scalar]) -> "LinComb":
+        """Wrap ``terms`` as they are: nonzero coefficients, each an ``int``
+        or a ``Fraction`` with denominator > 1."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
 
-    def coeff(self, term) -> Fraction:
-        return self._terms.get(term, ZERO)
+    def coeff(self, term) -> Scalar:
+        return self._terms.get(term, 0)
 
     def items(self):
         """Pairs ``(term, coeff)`` in storage order, which is not canonical."""
@@ -136,7 +159,9 @@ class LinComb:
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        return lc_sum((self, -other))
+        terms = dict(self._terms)
+        _add_terms(terms, ((t, -c) for t, c in other._terms.items()))
+        return LinComb._raw(terms)
 
     def __neg__(self) -> "LinComb":
         return LinComb._raw({t: -c for t, c in self._terms.items()})
@@ -145,7 +170,7 @@ class LinComb:
         c = as_scalar(coeff)
         if not c:
             return LinComb()
-        return LinComb._raw({t: c * v for t, v in self._terms.items()})
+        return LinComb._raw({t: _norm(c * v) for t, v in self._terms.items()})
 
     def __mul__(self, coeff) -> "LinComb":
         return self.scale(coeff)
@@ -159,8 +184,9 @@ class LinComb:
         ``[numerator, denominator]`` whose denominator is the lcm of the
         product denominators seen so far, so no gcd is taken per product.
         Images that sum to zero are dropped, and each other one gets a
-        single ``Fraction`` in lowest terms, equal to what summing the
-        products as ``Fraction`` values gives.
+        single coefficient in lowest terms, equal to what summing the
+        products as ``Fraction`` values gives: an ``int`` when the
+        denominator reduces to 1.
         """
         acc: Dict[Hashable, list] = {}
         for term, c in self._terms.items():
@@ -178,7 +204,9 @@ class LinComb:
                     m = lcm(sd, d)
                     slot[0] = slot[0] * (m // sd) + n * (m // d)
                     slot[1] = m
-        return LinComb._raw({image: Fraction(n, d) for image, (n, d) in acc.items() if n})
+        return LinComb._raw(
+            {image: n // d if n % d == 0 else Fraction(n, d) for image, (n, d) in acc.items() if n}
+        )
 
     def render(self, render_term: Callable[[Hashable], str] = str) -> str:
         """Canonical textual form, ``0`` for the empty combination.
@@ -205,7 +233,7 @@ class LinComb:
 
 def lc_sum(parts: Iterable[LinComb]) -> LinComb:
     """The sum of the parts, accumulated in one dict."""
-    terms: Dict[Hashable, Fraction] = {}
+    terms: Dict[Hashable, Scalar] = {}
     for p in parts:
         _add_terms(terms, p._terms.items())
     return LinComb._raw(terms)

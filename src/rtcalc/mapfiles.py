@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
 from .decorations import (
@@ -32,7 +31,7 @@ from .decorations import (
     SymbolBasis,
     union_bases,
 )
-from .lincomb import LinComb, as_scalar
+from .lincomb import LinComb, Scalar, as_scalar
 from .parsing import ParseError, parse_label
 from .phimaps import (
     BlockMatrix,
@@ -110,7 +109,7 @@ def _generators(obj: dict, where: str) -> Tuple[str, ...]:
     return tuple(str(n) for n in _list(_req(obj, "generators", where), "generators", where))
 
 
-def _rat(x, where: str) -> Fraction:
+def _rat(x, where: str) -> Scalar:
     try:
         return as_scalar(x)
     except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -272,7 +271,7 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
 
     if builder == "polynomial":
         inner = build_phi(_req(obj, "of", where), f"{where}.of")
-        return polynomial(inner, [_rat(c, where) for c in _req(obj, "coeffs", where)])
+        return polynomial(inner, [_rat(c, where) for c in _list(_req(obj, "coeffs", where), "coeffs", where)])
 
     if builder == "transpose":
         inner = build_phi(_req(obj, "of", where), f"{where}.of")

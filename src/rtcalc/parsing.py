@@ -22,11 +22,10 @@ column of the offending token.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .decorations import STAR, DecorationBasis, Label, MultiIndex
-from .lincomb import LinComb, lc_sum
+from .lincomb import LinComb, as_scalar, lc_sum
 from .trees import DecoratedTree, Forest, PlantedTree, forest, node
 
 
@@ -193,10 +192,10 @@ class _Parser:
 
     def term(self, item_parser: Callable[[], object], empty_item: Optional[object]) -> LinComb:
         tok = self.peek()
-        coeff = Fraction(1)
+        coeff = 1
         if tok.kind == "number":
             self.take()
-            coeff = Fraction(tok.text)
+            coeff = as_scalar(tok.text)
             nxt = self.peek()
             if nxt.kind == "punct" and nxt.text == "*":
                 self.take()

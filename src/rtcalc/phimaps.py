@@ -39,7 +39,7 @@ from .decorations import (
     render_label,
     union_bases,
 )
-from .lincomb import LinComb, Scalar, as_scalar, lc_sum
+from .lincomb import LinComb, Scalar, as_scalar, exact_div, lc_sum
 from .ratmat import (
     Matrix,
     commute,
@@ -180,7 +180,7 @@ def tensor_map(
 
     def act(a: Label, b: Label) -> PairComb:
         gb = g(b).items()
-        return LinComb._raw({(a2, b2): ca * cb for a2, ca in f(a).items() for b2, cb in gb})
+        return LinComb._raw({(a2, b2): as_scalar(ca * cb) for a2, ca in f(a).items() for b2, cb in gb})
 
     return PhiMap(edge_basis, vertex_basis, act, name=name, compat_by_construction=True)
 
@@ -461,7 +461,7 @@ def transpose_map(phi: PhiMap, name: Optional[str] = None) -> PhiMap:
     """The adjoint with respect to the basis pairing; finite bases only."""
     if not (phi.edge_basis.is_finite and phi.vertex_basis.is_finite):
         raise ValueError("transpose needs finite bases")
-    cols: Dict[Tuple[Label, Label], List[Tuple[Tuple[Label, Label], Fraction]]] = {}
+    cols: Dict[Tuple[Label, Label], List[Tuple[Tuple[Label, Label], Scalar]]] = {}
     for a in phi.edge_basis.labels():
         for b in phi.vertex_basis.labels():
             for (a2, b2), c in phi(a, b).items():
@@ -546,7 +546,7 @@ def to_blocks(phi: PhiMap) -> BlockMatrix:
         raise ValueError("block form needs finite symbol bases")
     es, vs = phi.edge_basis.labels(), phi.vertex_basis.labels()
     m, n = len(es), len(vs)
-    grid = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(m)] for _ in range(m)]
+    grid = [[[[0] * n for _ in range(n)] for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for l in range(n):
             for (a2, b2), c in phi(es[j], vs[l]).items():
@@ -667,7 +667,7 @@ def classify_m2(M: BlockMatrix) -> ClassifyResult:
         return NotCompatible(bad)
     flat = [(i, j) for i in range(M.m) for j in range(M.m)]
     if all(_is_scalar(M.blocks[i][j]) for i, j in flat):
-        return _read_cells(M, lambda blk: (blk[0][0], Fraction(0)), "J", identity(2))
+        return _read_cells(M, lambda blk: (blk[0][0], 0), "J", identity(2))
     if all(_is_dcell(M.blocks[i][j]) for i, j in flat):
         return _read_cells(M, lambda blk: (blk[0][0], blk[1][1]), "D", identity(2))
     if all(_is_jcell(M.blocks[i][j]) for i, j in flat):
@@ -683,25 +683,25 @@ def classify_m2(M: BlockMatrix) -> ClassifyResult:
         return NeedsAlgebraicExtension(pivot)
 
     if s != 0:
-        l1, l2 = (tr + s) / 2, (tr - s) / 2
+        l1, l2 = exact_div(tr + s, 2), exact_div(tr - s, 2)
 
         def eigvec(l):
             if q != 0:
                 return (q, l - p)
             if r != 0:
                 return (l - t, r)
-            return (Fraction(1), Fraction(0)) if l == p else (Fraction(0), Fraction(1))
+            return (1, 0) if l == p else (0, 1)
 
         v1, v2 = eigvec(l1), eigvec(l2)
         P = mat([[v1[0], v2[0]], [v1[1], v2[1]]])
         form, check, reader = "D", _is_dcell, lambda c: (c[0][0], c[1][1])
     else:
-        lam = tr / 2
+        lam = exact_div(tr, 2)
         N = mat_sub(blk, mat([[lam, 0], [0, lam]]))
-        w = (Fraction(1), Fraction(0))
+        w = (1, 0)
         Nw = (N[0][0], N[1][0])
         if Nw == (0, 0):
-            w = (Fraction(0), Fraction(1))
+            w = (0, 1)
             Nw = (N[0][1], N[1][1])
         P = mat([[Nw[0], w[0]], [Nw[1], w[1]]])
         form, check, reader = "J", _is_jcell, lambda c: (c[0][0], c[0][1])

@@ -43,7 +43,7 @@ from math import prod
 from typing import Callable, Dict, Iterable, Set, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb
+from .lincomb import LinComb, as_scalar
 from .phimaps import IncompatiblePhi, PhiMap, ensure_usable, identity_map
 from .trees import (
     DecoratedTree,
@@ -71,7 +71,7 @@ def single_vertex(label: Label) -> TreeComb:
 def _pairs(x: TreeComb, y: TreeComb) -> LinComb:
     """The combination of pairs (tx, ty) with coefficient cx * cy."""
     return LinComb._raw(
-        {(tx, ty): cx * cy for tx, cx in x.items() for ty, cy in y.items()}
+        {(tx, ty): as_scalar(cx * cy) for tx, cx in x.items() for ty, cy in y.items()}
     )
 
 

@@ -2,19 +2,19 @@
 
 Only what the block-matrix bridge and the verification suites need:
 products, determinants, 2x2 inverses, and a nullspace via row reduction.
-Sizes stay single digit, so plain Gaussian elimination on Fractions is
-plenty.
+Sizes stay single digit, so plain Gaussian elimination is plenty.  Entries
+are scalars in the sense of :mod:`rtcalc.lincomb`, ints until a
+denominator appears, and every quotient is taken by ``exact_div``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
-from .lincomb import as_scalar
+from .lincomb import Scalar, as_scalar, exact_div
 
-Matrix = Tuple[Tuple[Fraction, ...], ...]
+Matrix = Tuple[Tuple[Scalar, ...], ...]
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -25,46 +25,46 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(as_scalar(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in product")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(as_scalar(sum(x * y for x, y in zip(row, col))) for col in bt) for row in a)
 
 
 def commute(a: Matrix, b: Matrix) -> bool:
     return mat_mul(a, b) == mat_mul(b, a)
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
+def det(a: Matrix) -> Scalar:
+    """Determinant by exact Gaussian elimination with partial pivoting."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")
-    rows: List[List[Fraction]] = [list(r) for r in a]
-    out = Fraction(1)
+    rows: List[List[Scalar]] = [list(r) for r in a]
+    out = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             out = -out
         out *= rows[col][col]
-        inv = 1 / rows[col][col]
+        inv = exact_div(1, rows[col][col])
         for r in range(col + 1, n):
             if rows[r][col]:
                 f = rows[r][col] * inv
                 for c in range(col, n):
                     rows[r][c] -= f * rows[col][c]
-    return out
+    return as_scalar(out)
 
 
 def inv2(a: Matrix) -> Matrix:
@@ -73,12 +73,12 @@ def inv2(a: Matrix) -> Matrix:
     d = p * s - q * r
     if d == 0:
         raise ValueError("singular matrix")
-    return mat([[s / d, -q / d], [-r / d, p / d]])
+    return mat([[exact_div(s, d), exact_div(-q, d)], [exact_div(-r, d), exact_div(p, d)]])
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form together with the pivot column indices."""
-    rows: List[List[Fraction]] = [list(r) for r in a]
+    rows: List[List[Scalar]] = [list(r) for r in a]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
@@ -90,7 +90,7 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
+        inv = exact_div(1, rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
@@ -98,30 +98,30 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in rows), pivots
+    return mat(rows), pivots
 
 
-def nullspace(a: Matrix) -> List[Tuple[Fraction, ...]]:
+def nullspace(a: Matrix) -> List[Tuple[Scalar, ...]]:
     """A basis of the kernel (columns as coordinate vectors)."""
     red, pivots = rref(a)
     ncols = len(a[0]) if a else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
+        vec = [0] * ncols
+        vec[fcol] = 1
         for r, pcol in enumerate(pivots):
             vec[pcol] = -red[r][fcol]
         basis.append(tuple(vec))
     return basis
 
 
-def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
+def sqrt_fraction(x: Scalar) -> Optional[Scalar]:
     """The exact square root of a rational, or None when it is irrational."""
     if x < 0:
         return None
     n, d = x.numerator, x.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+        return exact_div(rn, rd)
     return None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .decorations import (
     STAR,
@@ -124,7 +124,7 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
                 if weight is None:
                     weight = lambda_pow(cfg.lam, MultiIndex(low))
                     monomials[low] = weight
-                coeff = weight * b.binom(_intern_mi(low))
+                coeff = as_scalar(weight * b.binom(_intern_mi(low)))
                 coeffs[key] = coeff
             if coeff:
                 terms[(lower(ae, low), lower(be, low))] = coeff
@@ -168,19 +168,27 @@ def spde_psi(cfg: SpdeConfig) -> Tuple[PostLieBase, PsiPair]:
     pair meets the compatibility conditions for the closed-form map when
     every coefficient equals 1; the actions themselves do not depend on
     the coefficients.
+
+    Both actions memoise their images in one dict, keyed by (action,
+    generator, label), which lives and dies with the returned pair.
     """
     unit = {f"X_{i}": mi_unit(i, cfg.d) for i in range(cfg.d + 1)}
+    images: Dict[Tuple[str, str, Label], LinComb] = {}
 
     def edge(gen: str, a: Label) -> LinComb:
-        if a is XI:
-            return LinComb()
-        lowered = a.sub(unit[gen])
-        return LinComb() if lowered is None else LinComb.of(lowered)
+        key = ("edge", gen, a)
+        image = images.get(key)
+        if image is None:
+            lowered = None if a is XI else a.sub(unit[gen])
+            image = images[key] = LinComb() if lowered is None else LinComb.of(lowered)
+        return image
 
     def vertex(gen: str, b: Label) -> LinComb:
-        if b is STAR:
-            return LinComb()
-        return LinComb.of(b.add(unit[gen]))
+        key = ("vertex", gen, b)
+        image = images.get(key)
+        if image is None:
+            image = images[key] = LinComb() if b is STAR else LinComb.of(b.add(unit[gen]))
+        return image
 
     return trivial_postlie(tuple(unit)), PsiPair(edge, vertex)
 

@@ -24,7 +24,6 @@ from .decorations import (
     MultiIndex,
     lambda_pow,
     mi,
-    mi_zero,
     symbols,
 )
 from .hopf import (

@@ -453,11 +453,14 @@ def test_parse_error_carries_position(tmp_path, capsys):
         ({"builder": "table", **SYM_BASES, "entries": 5}, "'entries'"),
         ({"builder": "table", **SYM_BASES, "entries": [5]}, "'entries'"),
         ({"builder": "table", **SYM_BASES, "entries": [{"on": ["a1", "b1"], "terms": [[1, "a1"]]}]}, "'terms'"),
+        ({"builder": "polynomial", "of": {"builder": "phi_lambda", "d": 0}, "coeffs": 5}, "'coeffs'"),
+        ({"builder": "polynomial", "of": {"builder": "phi_lambda", "d": 0}, "coeffs": [1, True]}, "bad rational True"),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
         "jd-ragged", "jd-list", "d-float", "d-string", "d-list",
         "lambda-int", "names-int", "entries-int", "entries-item-int", "terms-short",
+        "coeffs-int", "coeffs-bool",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
