@@ -45,9 +45,7 @@ from .trees import (
     VertexId,
     forest,
     forest_mul,
-    label_at,
     node,
-    vertex_ids,
 )
 
 ForestComb = LinComb  # combinations of Forest
@@ -84,6 +82,15 @@ def _regrow(t: DecoratedTree, path: VertexId, changes: Dict, through: Set[Vertex
     return node(label, kids + extra)
 
 
+def _vertices(t: DecoratedTree, path: VertexId = ()) -> List[Tuple[VertexId, Label]]:
+    """(address, label) of every vertex of ``t``, in depth-first preorder;
+    an address is the tuple of child positions down from the root."""
+    out = [(path, t.label)]
+    for i, (_, c) in enumerate(t.children):
+        out.extend(_vertices(c, path + (i,)))
+    return out
+
+
 def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb:
     """Graft each tree of F onto a vertex of G, summed over assignments.
 
@@ -95,9 +102,9 @@ def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb
     tree of G with no target in it is kept as it is.
     """
     vertices = [
-        (k, path, label_at(t.body, path), [path[:i] for i in range(len(path) + 1)])
+        (k, path, label, [path[:i] for i in range(len(path) + 1)])
         for k, t in enumerate(G.trees)
-        for path in vertex_ids(t.body)
+        for path, label in _vertices(t.body)
     ]
     pairs = []
     for targets in iproduct(range(-1 if stay else 0, len(vertices)), repeat=len(F.trees)):

@@ -16,6 +16,10 @@ post-Lie exactly when the actions satisfy four finite conditions tying
 them to P and to the decoration map; ``psi_compat_defects`` measures
 those, and ``postlie_axiom_defects`` measures the three post-Lie axioms
 directly on elements of the extension.
+
+The generator ⊳ planted case is a sum over the vertices of the body, so it
+runs :func:`rtcalc.trees.vertex_sum` with "relabel the root by the vertex
+action" as its local step, the same recursion that grafting uses.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
 from .prelie import planted_graft
-from .trees import PlantedTree, label_at, relabel_at, vertex_ids
+from .trees import DecoratedTree, PlantedTree, vertex_sum
 
 Gen = str
 GenComb = LinComb  # over generator names
@@ -218,13 +222,13 @@ def ext_gen(name: Gen, c: Scalar = 1) -> ExtElem:
 
 
 def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
-    """Sum over vertices of t with the vertex action applied at that spot."""
-    body = t.body
-    return LinComb(
-        (PlantedTree(t.plant, relabel_at(body, v, nb)), c)
-        for v in vertex_ids(body)
-        for nb, c in psi.vertex(p, label_at(body, v)).items()
-    )
+    """Sum over vertices of t with the vertex action applied at that spot,
+    through :func:`rtcalc.trees.vertex_sum` with a memo for this call."""
+
+    def local(s: DecoratedTree):
+        return [(DecoratedTree(nb, s.children), c) for nb, c in psi.vertex(p, s.label).items()]
+
+    return LinComb((PlantedTree(t.plant, g), c) for g, c in vertex_sum(t.body, local, {}))
 
 
 def ext_triangle(phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:

@@ -2,11 +2,16 @@
 
 ``graft_free`` sums, over the vertices of the right tree, the attachment
 of the left tree through a new edge with the given decoration.  The
-deformed variant ``graft_phi`` runs a decoration map over the fresh
-(edge, target vertex) pair at each attachment; the free product is the
-special case of the identity map.  The family of deformed products
-satisfies the mutual pre-Lie relation exactly when the map is
-tree-compatible, which is what ``multiple_prelie_defect`` measures.
+deformed variant ``graft_phi`` runs a decoration map over the fresh (edge,
+target vertex) pair at each attachment; the free product is the special
+case of the identity map.  Both are one recursion,
+:func:`rtcalc.trees.vertex_sum`, with the attachment at the root of a
+subtree as its local step: the map acts on (new edge, decoration of v)
+only, so what a graft at v gives does not depend on where v sits, and the
+grafts into one subtree are computed once per term of the left factor.
+The family of deformed products satisfies the mutual pre-Lie relation
+exactly when the map is tree-compatible, which is what
+``multiple_prelie_defect`` measures.
 
 ``theta`` applies the decoration map once across every (edge, lower
 endpoint) pair of a tree.  For tree-compatible maps the edge order is
@@ -38,22 +43,22 @@ exactly the planted single vertices.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Dict, Iterable, Set, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, as_scalar
+from .lincomb import LinComb
 from .phimaps import IncompatiblePhi, PhiMap, ensure_usable, identity_map
 from .trees import (
     DecoratedTree,
     PlantedTree,
-    graft_at,
-    label_at,
+    insert_child,
     leaf,
     node,
     split_root_edge,
-    vertex_ids,
+    vertex_sum,
 )
 
 TreeComb = LinComb  # combinations of DecoratedTree
@@ -68,11 +73,21 @@ def single_vertex(label: Label) -> TreeComb:
     return LinComb.of(leaf(label))
 
 
-def _pairs(x: TreeComb, y: TreeComb) -> LinComb:
-    """The combination of pairs (tx, ty) with coefficient cx * cy."""
-    return LinComb._raw(
-        {(tx, ty): as_scalar(cx * cy) for tx, cx in x.items() for ty, cy in y.items()}
-    )
+def _graft_sum(x: TreeComb, y: TreeComb, attach: Callable) -> TreeComb:
+    """The sum over terms tx of ``x``, terms ty of ``y`` and vertices v of
+    ty of ``attach(tx, s)``, the terms that graft tx at the root of the
+    subtree s of ty hanging from v.
+
+    Each term of ``x`` runs :func:`rtcalc.trees.vertex_sum` with a memo of
+    its own, shared by the terms of ``y`` and dropped with that term.
+    """
+
+    def per_term(tx: DecoratedTree) -> TreeComb:
+        memo: Dict = {}
+        local = partial(attach, tx)
+        return y.map_terms(lambda ty: LinComb(vertex_sum(ty, local, memo)))
+
+    return x.map_terms(per_term)
 
 
 def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
@@ -80,34 +95,22 @@ def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
 
     Every term of ``x`` is attached below every vertex v of every term of
     ``y``; the map acts on the pair (new edge decoration, decoration of
-    v).  Well defined for any linear map, compatible or not.
+    v): each term c (a2, b2) of its image attaches through an edge
+    decorated a2 and redecorates v as b2, with coefficient c.  Well
+    defined for any linear map, compatible or not.
     """
-    if not x:
-        return LinComb()
-    targets = {
-        ty: [(v, phi(a, label_at(ty, v))) for v in vertex_ids(ty)] for ty, _ in y.items()
-    }
 
-    def per_pair(pair: Tuple[DecoratedTree, DecoratedTree]) -> TreeComb:
-        tx, ty = pair
-        return LinComb(
-            (graft_at(tx, v, ty, a2, relabel=b2), c)
-            for v, image in targets[ty]
-            for (a2, b2), c in image.items()
-        )
+    def attach(tx: DecoratedTree, s: DecoratedTree):
+        kids = s.children
+        return [(DecoratedTree(b2, insert_child(kids, (a2, tx))), c) for (a2, b2), c in phi(a, s.label).items()]
 
-    return _pairs(x, y).map_terms(per_pair)
+    return _graft_sum(x, y, attach)
 
 
 def graft_free(x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
-    """Undeformed grafting: attach below every vertex, edge decorated ``a``."""
-    targets = {ty: vertex_ids(ty) for ty, _ in y.items()}
-
-    def per_pair(pair: Tuple[DecoratedTree, DecoratedTree]) -> TreeComb:
-        tx, ty = pair
-        return LinComb((graft_at(tx, v, ty, a), 1) for v in targets[ty])
-
-    return _pairs(x, y).map_terms(per_pair)
+    """Undeformed grafting: attach below every vertex, edge decorated ``a``,
+    keeping the vertex's decoration."""
+    return _graft_sum(x, y, lambda tx, s: ((DecoratedTree(s.label, insert_child(s.children, (a, tx))), 1),))
 
 
 def _collect_labels(t: DecoratedTree, edges: Set[Label], vertices: Set[Label]) -> None:

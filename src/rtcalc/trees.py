@@ -1,4 +1,4 @@
-"""Decorated rooted trees, planted trees, forests, and their surgery.
+"""Decorated rooted trees, planted trees, forests, and sums over vertices.
 
 A tree carries one label on every vertex and one on every edge.  Children
 are an unordered multiset; the canonical representative keeps them sorted
@@ -7,34 +7,40 @@ with labeled isomorphism.  A planted tree hangs its body from an extra
 undecorated root through a decorated plant edge; that extra root is not a
 vertex.  A forest is a multiset of planted trees.
 
-Vertex addresses are paths: the tuple of child positions (in canonical
-order) leading down from the root.  An edge is addressed by the path of
-its upper endpoint, so the plant edge of a planted tree is the empty path.
-Surgery invalidates addresses, so an address refers only to the tree it
-was taken from.  Surgery at one vertex keeps trees canonical without
-re-sorting them: grafting or relabelling changes one child at each level
-on the path from the root to the target, so at each such level that child
-is taken out and its new version put back in by bisection against the
-siblings, which are already sorted; at the target a new edge goes in the
-same way.  Only :func:`node` sorts a whole family of children.
+A sum over the vertices of a tree, of some change made at each vertex, is
+:func:`vertex_sum`: the change at the root, plus, for each child, the
+child's own sum put back in its place.  A changed child goes back in by
+bisection against its siblings, which are already sorted, so the result
+stays canonical without re-sorting; only :func:`node` sorts a whole family
+of children.  A run of m equal children is summed once and counted m
+times, since changing any one of them gives the same tree.  The sum of a
+subtree does not depend on where the subtree sits, so a memo passed in by
+the caller keeps each distinct subtree's sum for as long as the change
+stays the same: one term of the left factor in one grafting call, one
+whole call of the vertex action.  The recursion is a module-level function
+that takes the memo as an argument.  A nested function that called itself
+would refer to itself through its closure, and that cycle would keep the
+memo alive until the garbage collector ran; as it is, the memo is freed by
+reference counting when the call returns.
 
 The hash, ``sort_key``, ``vertex_count`` and ``shape`` of a tree (and the
 first three of a forest) are each computed on first use and then kept in
 a slot.  Subtrees are shared between trees, so a grafted tree recomputes
 them only along the path that changed.
 
-Operators that act on many decorations at once (the cut coproduct and the
-grafting of whole forests in :mod:`rtcalc.hopf`, the edge-product operator
-in :mod:`rtcalc.prelie`, the vertex actions in :mod:`rtcalc.postlie`)
-recurse over these canonical trees directly: they build the vertices they
-change with :func:`node` or by the bisection above, and share the subtrees
-they leave alone with their input.
+Every operator recurses over these canonical trees directly: grafting in
+:mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
+through :func:`vertex_sum`; the edge-product operator in
+:mod:`rtcalc.prelie`, and the cut coproduct and the grafting of whole
+forests in :mod:`rtcalc.hopf`, through recursions of their own.  They
+build the vertices they change with :func:`node` or by the bisection
+above, and share the subtrees they leave alone with their input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 from .decorations import Label
 
@@ -115,7 +121,7 @@ def node(label: Label, children: Iterable[Tuple[Label, DecoratedTree]] = ()) -> 
     return DecoratedTree(label, kids)
 
 
-def _insert_child(children: Tuple, child: Tuple[Label, DecoratedTree]) -> Tuple:
+def insert_child(children: Tuple, child: Tuple[Label, DecoratedTree]) -> Tuple:
     """Sorted ``children`` with ``child`` put in at its canonical place."""
     i = bisect_right(children, _child_key(child), key=_child_key)
     return children[:i] + (child,) + children[i:]
@@ -236,76 +242,41 @@ def forest_mul(f: Forest, g: Forest) -> Forest:
 
 
 # ---------------------------------------------------------------------------
-# Vertex addressing on canonical trees
+# Sums over the vertices of a tree, and cuts at the root
 
 
-def vertex_ids(tree: DecoratedTree) -> List[VertexId]:
-    """All vertex paths in depth-first preorder."""
-    out: List[VertexId] = [()]
-    for i, (_, c) in enumerate(tree.children):
-        out.extend((i,) + p for p in vertex_ids(c))
-    return out
+def vertex_sum(s: DecoratedTree, local: Callable[[DecoratedTree], Iterable], memo: Dict) -> Tuple:
+    """The sum, over the vertices v of ``s``, of a local change made at v.
 
-
-def subtree_at(tree: DecoratedTree, path: VertexId) -> DecoratedTree:
-    for i in path:
-        tree = tree.children[i][1]
-    return tree
-
-
-def label_at(tree: DecoratedTree, path: VertexId) -> Label:
-    return subtree_at(tree, path).label
-
-
-def edge_label_at(tree: DecoratedTree, path: VertexId) -> Label:
-    """The label of the edge whose upper endpoint is ``path`` (nonempty)."""
-    if not path:
-        raise ValueError("the root of a bare tree has no incoming edge")
-    parent = subtree_at(tree, path[:-1])
-    return parent.children[path[-1]][0]
-
-
-def _rebuild_path(
-    y: DecoratedTree, target: VertexId, at_target: Callable[[DecoratedTree], DecoratedTree]
-) -> DecoratedTree:
-    """``y`` with the subtree at ``target`` replaced by ``at_target`` of it.
-
-    When ``y`` and the replacement are canonical so is the result: each
-    level on the path puts its one changed child back in at its sorted
-    place among the siblings, which are already sorted.
+    ``local(t)`` gives the (tree, coefficient) pairs that change the root
+    of the subtree ``t``; they must be canonical and depend on ``t`` only.
+    The result, a tuple of such pairs, is ``local(s)`` followed, for each
+    child, by the child's own sum put back in its place.  A run of m equal
+    children contributes one child's sum with every coefficient times m,
+    and each new child goes in by bisection against the siblings, which
+    stay sorted.  ``memo`` holds the sum of every distinct subtree seen,
+    so it must be scoped to one ``local``.
     """
-    if not target:
-        return at_target(y)
-    i = target[0]
-    e, c = y.children[i]
-    updated = _rebuild_path(c, target[1:], at_target)
-    return DecoratedTree(y.label, _insert_child(y.children[:i] + y.children[i + 1 :], (e, updated)))
-
-
-def graft_at(
-    x: DecoratedTree,
-    target: VertexId,
-    y: DecoratedTree,
-    edge: Label,
-    relabel: Optional[Label] = None,
-) -> DecoratedTree:
-    """Attach ``x`` below the vertex ``target`` of ``y`` through a new edge.
-
-    ``relabel``, when given, replaces the target vertex's decoration in the
-    same stroke.  When ``x`` and ``y`` are canonical so is the result, and
-    the new edge goes in at its sorted place.  Addresses into ``y`` do not
-    survive.
-    """
-
-    def attach(s: DecoratedTree) -> DecoratedTree:
-        return DecoratedTree(s.label if relabel is None else relabel, _insert_child(s.children, (edge, x)))
-
-    return _rebuild_path(y, target, attach)
-
-
-def relabel_at(y: DecoratedTree, target: VertexId, label: Label) -> DecoratedTree:
-    """``y`` with the vertex ``target`` decorated ``label``, kept canonical."""
-    return _rebuild_path(y, target, lambda s: DecoratedTree(label, s.children))
+    image = memo.get(s)
+    if image is not None:
+        return image
+    terms = list(local(s))
+    kids = s.children
+    label = s.label
+    i, n = 0, len(kids)
+    while i < n:
+        child = kids[i]
+        j = i + 1
+        while j < n and kids[j] == child:
+            j += 1
+        e = child[0]
+        rest = kids[:i] + kids[i + 1 :]
+        m = j - i
+        for g, k in vertex_sum(child[1], local, memo):
+            terms.append((DecoratedTree(label, insert_child(rest, (e, g))), k * m if m > 1 else k))
+        i = j
+    image = memo[s] = tuple(terms)
+    return image
 
 
 def split_root_edge(p: PlantedTree, edge: VertexId) -> Tuple[PlantedTree, PlantedTree]:

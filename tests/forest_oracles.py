@@ -17,6 +17,12 @@ the identity map, and ``isomorphisms`` lists every isomorphism of the
 underlying planted forests.  The package computes the same sums directly:
 the deformed product over all assignments at once, the pairing as a
 permanent over children.
+
+The path-address surgery that grafting and the post-Lie vertex action
+used before :func:`rtcalc.trees.vertex_sum` is kept here too: a vertex is
+addressed by the tuple of child positions leading down from the root, and
+``graft_at`` and ``relabel_at`` rebuild the path from the root to one
+address, putting the changed child back in by bisection at each level.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product as iproduct
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from rtcalc.decorations import Label
 from rtcalc.lincomb import LinComb, lc_sum
@@ -34,11 +40,115 @@ from rtcalc.trees import (
     PlantedTree,
     VertexId,
     forest,
+    insert_child,
     node,
-    vertex_ids,
 )
 
 ForestVertexId = Tuple[int, Tuple[int, ...]]
+
+
+# ---------------------------------------------------------------------------
+# Vertex addresses and surgery at one address
+
+
+def vertex_ids(tree: DecoratedTree) -> List[VertexId]:
+    """All vertex paths in depth-first preorder."""
+    out: List[VertexId] = [()]
+    for i, (_, c) in enumerate(tree.children):
+        out.extend((i,) + p for p in vertex_ids(c))
+    return out
+
+
+def subtree_at(tree: DecoratedTree, path: VertexId) -> DecoratedTree:
+    for i in path:
+        tree = tree.children[i][1]
+    return tree
+
+
+def label_at(tree: DecoratedTree, path: VertexId) -> Label:
+    return subtree_at(tree, path).label
+
+
+def edge_label_at(tree: DecoratedTree, path: VertexId) -> Label:
+    """The label of the edge whose upper endpoint is ``path`` (nonempty)."""
+    if not path:
+        raise ValueError("the root of a bare tree has no incoming edge")
+    parent = subtree_at(tree, path[:-1])
+    return parent.children[path[-1]][0]
+
+
+def _rebuild_path(
+    y: DecoratedTree, target: VertexId, at_target: Callable[[DecoratedTree], DecoratedTree]
+) -> DecoratedTree:
+    """``y`` with the subtree at ``target`` replaced by ``at_target`` of it.
+
+    When ``y`` and the replacement are canonical so is the result: each
+    level on the path puts its one changed child back in at its sorted
+    place among the siblings, which are already sorted.
+    """
+    if not target:
+        return at_target(y)
+    i = target[0]
+    e, c = y.children[i]
+    updated = _rebuild_path(c, target[1:], at_target)
+    return DecoratedTree(y.label, insert_child(y.children[:i] + y.children[i + 1 :], (e, updated)))
+
+
+def graft_at(
+    x: DecoratedTree,
+    target: VertexId,
+    y: DecoratedTree,
+    edge: Label,
+    relabel: Optional[Label] = None,
+) -> DecoratedTree:
+    """Attach ``x`` below the vertex ``target`` of ``y`` through a new edge.
+
+    ``relabel``, when given, replaces the target vertex's decoration in the
+    same stroke.  When ``x`` and ``y`` are canonical so is the result, and
+    the new edge goes in at its sorted place.
+    """
+
+    def attach(s: DecoratedTree) -> DecoratedTree:
+        return DecoratedTree(s.label if relabel is None else relabel, insert_child(s.children, (edge, x)))
+
+    return _rebuild_path(y, target, attach)
+
+
+def relabel_at(y: DecoratedTree, target: VertexId, label: Label) -> DecoratedTree:
+    """``y`` with the vertex ``target`` decorated ``label``, kept canonical."""
+    return _rebuild_path(y, target, lambda s: DecoratedTree(label, s.children))
+
+
+def graft_phi_by_address(phi, x: LinComb, a: Label, y: LinComb) -> LinComb:
+    """``rtcalc.prelie.graft_phi`` one (term pair, vertex, image term) at a time."""
+
+    def per_pair(tx, ty):
+        return LinComb(
+            (graft_at(tx, v, ty, a2, relabel=b2), c)
+            for v in vertex_ids(ty)
+            for (a2, b2), c in phi(a, label_at(ty, v)).items()
+        )
+
+    return lc_sum(cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items())
+
+
+def graft_free_by_address(x: LinComb, a: Label, y: LinComb) -> LinComb:
+    """``rtcalc.prelie.graft_free`` one (term pair, vertex) at a time."""
+
+    def per_pair(tx, ty):
+        return LinComb((graft_at(tx, v, ty, a), 1) for v in vertex_ids(ty))
+
+    return lc_sum(cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items())
+
+
+def vertex_action_by_address(psi, p, t: PlantedTree) -> LinComb:
+    """The post-Lie vertex action on ``t``, one vertex address at a time."""
+    body = t.body
+    return LinComb(
+        (PlantedTree(t.plant, relabel_at(body, v, nb)), c)
+        for v in vertex_ids(body)
+        for nb, c in psi.vertex(p, label_at(body, v)).items()
+    )
 
 
 def forest_vertex_ids(f: Forest) -> List[ForestVertexId]:

@@ -538,11 +538,14 @@ def ladder_text(depth):
     return "(<0>" + " [<0>](<0>" * (depth - 1) + ")" * depth
 
 
-def run_process(*argv):
+def run_process(*argv, hash_seed=None):
     """Run the CLI in a fresh interpreter, so the stack starts as it does
-    from the shell rather than under the test runner's frames."""
+    from the shell rather than under the test runner's frames; with
+    ``hash_seed``, under that ``PYTHONHASHSEED``."""
     src = str(Path(rtcalc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     done = subprocess.run(
         [sys.executable, "-m", "rtcalc.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )
@@ -580,3 +583,90 @@ def test_output_is_deterministic(tmp_path, capsys):
     _, first, _ = run(capsys, "star", "--phi", phi, f1, f2)
     _, second, _ = run(capsys, "star", "--phi", phi, f1, f2)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Recorded outputs of the grafting and post-Lie commands
+#
+# cli_goldens.json holds the stdout, stderr and exit code of each case below
+# in both formats, and the SHA-256 of ``graft`` on a 240-deep ladder, as the
+# path-address implementation of grafting and of the post-Lie vertex action
+# printed them (commit cc5f058).  The inputs have multi-term operands,
+# fractional coefficients, equal siblings and, for ``a2``, a refuted table
+# map, so every branch of the vertex sum shows in the bytes.
+
+GOLDENS = json.loads((Path(__file__).resolve().parent / "cli_goldens.json").read_text())
+
+GRAFT_INPUTS = {
+    "phi_frac.json": {"builder": "phi_lambda", "d": 1, "lambda": ["-2/3", "1/2"]},
+    "phi_table.json": BAD_TABLE,
+    "phi_d0.json": PHI_D0,
+    "phi_d0_two.json": PHI_D0_TWO,
+    "psi_d0.json": PSI_D0,
+    "psi_d0_two.json": PSI_D0_TWO,
+    "x.txt": "(<1,0> [<0,2>](<0,2>)) - 1/2*(<0,1>)",
+    "y.txt": (
+        "(<0,0> [<1,1>](<1,0>) [<1,1>](<1,0>))"
+        " + 2/3*(<1,0> [<0,1>](<1,0>) [<0,1>](<1,0> [<1,1>](<1,0>) [<1,1>](<1,0>)))"
+    ),
+    "xs.txt": "(b1) + 2*(b2 [a1](b1))",
+    "ys.txt": "(b2 [a1](b1) [a1](b1)) - 3/2*(b1 [a2](b2 [a1](b1) [a1](b1)) [a2](b1))",
+    "u.txt": "X_0 + 2*[<1>](<0>)",
+    "v.txt": "X_0 - 1/2*[<2>](<1> [<1>](<0>) [<1>](<0>))",
+    "w.txt": "[<2>](<1> [<1>](<0>) [<0>](<2>))",
+}
+
+GRAFT_CASES = {
+    "graft-lambda": ("graft", "--phi", "phi_frac.json", "--a", "<1,1>", "x.txt", "y.txt"),
+    "graft-table": ("graft", "--phi", "phi_table.json", "--a", "a2", "xs.txt", "ys.txt"),
+    "graft-free-lambda": ("graft-free", "--phi", "phi_frac.json", "--a", "<1,1>", "x.txt", "y.txt"),
+    "graft-free-table": ("graft-free", "--phi", "phi_table.json", "--a", "a2", "xs.txt", "ys.txt"),
+    "psi-check-clean": ("psi-check", "--psi", "psi_d0.json", "--phi", "phi_d0.json", "--bound", "2"),
+    "psi-check-defects": ("psi-check", "--psi", "psi_d0_two.json", "--phi", "phi_d0_two.json", "--bound", "2"),
+    "postlie-check-zero": ("postlie-check", "--phi", "phi_d0.json", "--psi", "psi_d0.json", "u.txt", "v.txt", "w.txt"),
+    "postlie-check-residual": (
+        "postlie-check", "--phi", "phi_d0_two.json", "--psi", "psi_d0_two.json", "u.txt", "v.txt", "w.txt",
+    ),
+}
+
+
+def graft_case_argv(tmp_path, case, fmt):
+    """The argv of ``case`` with its input files written under ``tmp_path``."""
+    for name, content in GRAFT_INPUTS.items():
+        if name.endswith(".json"):
+            jfile(tmp_path, name, content)
+        else:
+            tfile(tmp_path, name, content)
+    argv = [str(tmp_path / arg) if arg in GRAFT_INPUTS else arg for arg in GRAFT_CASES[case]]
+    return argv + ["--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("case", sorted(GRAFT_CASES))
+def test_grafting_commands_match_the_recorded_bytes(tmp_path, case, fmt):
+    want = GOLDENS["cases"][case][fmt]
+    argv = graft_case_argv(tmp_path, case, fmt)
+    for seed in (0, 1):
+        code, out, err = run_process(*argv, hash_seed=seed)
+        assert {"code": code, "stdout": out, "stderr": err} == want, (case, fmt, seed)
+
+
+def test_graft_on_a_240_deep_ladder_gives_the_recorded_bytes(tmp_path):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    x = tfile(tmp_path, "x.txt", "(<0>)")
+    y = tfile(tmp_path, "y.txt", ladder_text(240))
+    code, out, err = run_process("graft", "--phi", phi, "--a", "<0>", x, y)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["ladder_240_sha256"]
+
+
+def test_graft_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    x = tfile(tmp_path, "x.txt", "(<0>)")
+    y = tfile(tmp_path, "y.txt", ladder_text(1000))
+    code, out, err = run_process("graft", "--phi", phi, "--a", "<0>", x, y)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert "recursion limit" in err and "nesting depth" in err

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from forest_oracles import vertex_action_on_tree
+from forest_oracles import vertex_action_by_address, vertex_action_on_tree
 from rtcalc.decorations import symbols
 from rtcalc.lincomb import LinComb
 from rtcalc.phimaps import identity_map, tensor_map
@@ -342,3 +342,14 @@ def test_vertex_action_matches_the_sites_relabelling(psi):
     for p in ("p", "q"):
         for t in pool:
             assert _vertex_action_on_tree(psi, p, t) == vertex_action_on_tree(psi, p, t)
+
+
+@pytest.mark.parametrize("psi", [vertex_bump_psi(), seeded_vertex_psi(59)], ids=["bump", "seeded"])
+def test_vertex_action_matches_relabelling_one_address_at_a_time(psi):
+    # Bodies with up to four vertices and plants from a2, a3, so the pool
+    # differs from the one above; runs of equal siblings take the
+    # multiplicity path of the vertex sum.
+    pool = planted_up_to(4, E.labels()[1:], V.labels())
+    for p in ("p", "q"):
+        for t in pool:
+            assert _vertex_action_on_tree(psi, p, t) == vertex_action_by_address(psi, p, t)

@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from forest_oracles import rebuild_tree, tree_sites
+from forest_oracles import graft_free_by_address, graft_phi_by_address, rebuild_tree, tree_sites
 from rtcalc.decorations import Sym, mi, symbols
 from rtcalc.lincomb import LinComb, lc_sum
 from rtcalc.phimaps import (
@@ -17,6 +18,7 @@ from rtcalc.phimaps import (
     from_blocks,
     from_table,
     identity_map,
+    mark_compatible,
     tensor_map,
 )
 from rtcalc.prelie import (
@@ -34,14 +36,13 @@ from rtcalc.prelie import (
     tree_elem,
 )
 from rtcalc.spde import SpdeConfig, phi_lambda
+from rtcalc.postlie import PsiPair, _vertex_action_on_tree
 from rtcalc.trees import (
     DecoratedTree,
     PlantedTree,
-    graft_at,
-    label_at,
     leaf,
     node,
-    vertex_ids,
+    vertex_sum,
 )
 from rtcalc.verify import trees_up_to
 
@@ -283,24 +284,6 @@ def oracle_apply_edge_maps(phi, t, order=None):
     return states.map_terms(lambda state: LinComb.of(rebuild_tree(sites, state)))
 
 
-def oracle_graft_phi(phi, x, a, y):
-    def per_pair(tx, ty):
-        out = LinComb()
-        for v in vertex_ids(ty):
-            for (a2, b2), c in phi(a, label_at(ty, v)).items():
-                out = out + LinComb.of(graft_at(tx, v, ty, a2, relabel=b2), c)
-        return out
-
-    return lc_sum(cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items())
-
-
-def oracle_graft_free(x, a, y):
-    def per_pair(tx, ty):
-        return lc_sum(LinComb.of(graft_at(tx, v, ty, a)) for v in vertex_ids(ty))
-
-    return lc_sum(cx * cy * per_pair(tx, ty) for tx, cx in x.items() for ty, cy in y.items())
-
-
 def reversed_order(t):
     return tuple(range(t.vertex_count - 1, 0, -1))
 
@@ -429,7 +412,7 @@ def test_graft_phi_matches_lc_sum_fold(case):
     a, (b, other) = elabels[0], vlabels
     x, y, meet = cancelling_pair(b, a, other)
     got = graft_phi(phi, x, a, y)
-    assert got == oracle_graft_phi(phi, x, a, y)
+    assert got == graft_phi_by_address(phi, x, a, y)
     # The meeting tree cancels in the sum though each side produces it.
     assert got.coeff(meet) == 0
     assert graft_phi(phi, LinComb.of(leaf(b)), a, LinComb.of(ladder((b, a), (b,)))).coeff(meet) != 0
@@ -439,17 +422,127 @@ def test_graft_phi_matches_lc_sum_fold(case):
     for _ in range(15):
         x = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
         y = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
-        assert graft_phi(phi, x, a, y) == oracle_graft_phi(phi, x, a, y)
+        assert graft_phi(phi, x, a, y) == graft_phi_by_address(phi, x, a, y)
 
 
 def test_graft_free_matches_lc_sum_fold():
     x, y, meet = cancelling_pair(b1, a1, b2)
     got = graft_free(x, a1, y)
-    assert got == oracle_graft_free(x, a1, y)
+    assert got == graft_free_by_address(x, a1, y)
     assert got.coeff(meet) == 0
     rng = random.Random(36)
     pool = trees_up_to(3, [a1, a2], [b1, b2])
     for _ in range(15):
         x = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
         y = LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(4))
-        assert graft_free(x, a1, y) == oracle_graft_free(x, a1, y)
+        assert graft_free(x, a1, y) == graft_free_by_address(x, a1, y)
+
+
+# ---------------------------------------------------------------------------
+# The vertex-sum recursion against grafting one vertex address at a time
+
+
+def vertex_sum_maps():
+    """A seeded table map that the checker refutes, flagged compatible
+    anyway, and a phi_lambda map with fractional coefficients."""
+    table = random_table_map(41)
+    assert isinstance(check_compat(table), Refuted)
+    d1 = phi_lambda(SpdeConfig(1, (Fraction(1, 2), Fraction(-2, 3))))
+    return {
+        "table": (mark_compatible(table), [a1, a2], [b1, b2]),
+        "phi_lambda": (d1, [mi(1, 0), mi(0, 1)], [mi(1, 1), mi(0, 2)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["table", "phi_lambda"])
+def test_grafting_matches_the_address_oracle_on_all_small_pairs(case):
+    phi, elabels, vlabels = vertex_sum_maps()[case]
+    xs = trees_up_to(2, elabels, vlabels)
+    ys = trees_up_to(4, elabels, vlabels)
+    assert (len(xs), len(ys)) == (10, 438)
+    for i, tx in enumerate(xs):
+        x = LinComb.of(tx)
+        a = elabels[i % 2]
+        for ty in ys:
+            y = LinComb.of(ty)
+            assert graft_phi(phi, x, a, y) == graft_phi_by_address(phi, x, a, y)
+            assert graft_free(x, a, y) == graft_free_by_address(x, a, y)
+
+
+def wide_tree(rng, elabels, vlabels, depth):
+    """A canonical tree whose sibling families repeat equal children and
+    reuse subtrees drawn from a small pool."""
+    if depth == 0:
+        return leaf(rng.choice(vlabels))
+    pool = [(rng.choice(elabels), wide_tree(rng, elabels, vlabels, depth - 1)) for _ in range(2)]
+    kids = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+    return node(rng.choice(vlabels), kids)
+
+
+@pytest.mark.parametrize("case", ["table", "phi_lambda"])
+def test_grafting_matches_the_address_oracle_on_multi_term_combinations(case):
+    # The terms of y share subtrees, so the memo serves several terms, and
+    # their sibling families repeat equal children, so runs of equal
+    # children take the multiplicity path.
+    phi, elabels, vlabels = vertex_sum_maps()[case]
+    rng = random.Random(f"vertex-sum:{case}")
+    small = trees_up_to(2, elabels, vlabels)
+    for _ in range(12):
+        shared = wide_tree(rng, elabels, vlabels, 2)
+        ys = [shared, node(rng.choice(vlabels), [(rng.choice(elabels), shared)] * 2)]
+        ys += [wide_tree(rng, elabels, vlabels, 2) for _ in range(3)]
+        y = LinComb((t, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for t in ys)
+        x = LinComb((rng.choice(small), Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(3))
+        for a in elabels:
+            assert graft_phi(phi, x, a, y) == graft_phi_by_address(phi, x, a, y)
+            assert graft_free(x, a, y) == graft_free_by_address(x, a, y)
+
+
+def test_vertex_sum_visits_each_distinct_subtree_once_and_counts_equal_siblings():
+    cherry = node(b2, [(a1, leaf(b2))] * 2)
+    y1 = node(b1, [(a1, leaf(b2))] * 3 + [(a2, cherry)])
+    y2 = node(b2, [(a2, node(b2, [(a1, leaf(b2))] * 2))])
+    seen = []
+
+    def local(s):
+        seen.append(s)
+        return [(DecoratedTree(b1, s.children), 1)]
+
+    memo = {}
+    first = vertex_sum(y1, local, memo)
+    second = vertex_sum(y2, local, memo)
+    # leaf(b2), cherry, y1 and y2: y2's child equals the cherry inside y1.
+    assert len(seen) == len(set(seen)) == 4
+    assert set(seen) == {leaf(b2), cherry, y1, y2}
+    # The three equal leaves under y1's root give one term, counted three
+    # times; the cherry's two leaves give one term counted twice.
+    relabelled_leaf = node(b1, [(a1, leaf(b2))] * 2 + [(a1, leaf(b1)), (a2, cherry)])
+    assert (relabelled_leaf, 3) in first
+    assert len(first) == 1 + 1 + (1 + 1)
+    assert len(second) == 1 + 1 + 1
+    assert vertex_sum(y2, local, memo) is second
+
+
+def test_grafting_and_the_vertex_action_leave_no_cyclic_garbage():
+    # The memo of each call is a local passed down the recursion, so it
+    # and every image in it are freed by reference counting at return.
+    phi, elabels, vlabels = vertex_sum_maps()["phi_lambda"]
+    ys = trees_up_to(3, elabels, vlabels)
+    x = LinComb.of(ys[4])
+    y = LinComb((t, i + 1) for i, t in enumerate(ys))
+    psi = PsiPair(edge=lambda p, e: LinComb(), vertex=lambda p, b: LinComb([(b, 2), (vlabels[0], Fraction(1, 3))]))
+    planted = PlantedTree(elabels[0], ys[-1])
+    calls = [
+        lambda: graft_phi(phi, x, elabels[0], y),
+        lambda: graft_free(x, elabels[1], y),
+        lambda: _vertex_action_on_tree(psi, "p", planted),
+    ]
+    for call in calls:
+        call()  # fill the map's own image cache first
+        gc.collect()
+        gc.disable()
+        try:
+            assert call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

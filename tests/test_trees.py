@@ -4,16 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forest_oracles import (
+    edge_label_at,
     forest_sites,
     forest_vertex_ids,
+    graft_at,
     graft_forest,
     grafting_maps,
     isomorphisms,
+    label_at,
     rebuild_forest,
     restrict,
+    subtree_at,
     tree_sites,
     upper_parts,
     upper_subsets,
+    vertex_ids,
 )
 from rtcalc.decorations import Sym, mi, symbols
 from rtcalc.trees import (
@@ -22,16 +27,11 @@ from rtcalc.trees import (
     Forest,
     PlantedTree,
     canonicalize,
-    edge_label_at,
     forest,
     forest_mul,
-    graft_at,
-    label_at,
     leaf,
     node,
     split_root_edge,
-    subtree_at,
-    vertex_ids,
 )
 
 A = [Sym("E", f"a{i}") for i in range(1, 6)]
