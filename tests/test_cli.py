@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -586,24 +589,40 @@ def test_output_is_deterministic(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Recorded outputs of the grafting and post-Lie commands
+# Recorded outputs
 #
-# cli_goldens.json holds the stdout, stderr and exit code of each case below
-# in both formats, and the SHA-256 of ``graft`` on a 240-deep ladder, as the
+# cli_goldens.json holds the stdout, stderr and exit code of each case in
+# GOLDEN_CASES, and the SHA-256 of ``graft`` on a 240-deep ladder.  The
+# grafting and post-Lie cases (GRAFT_CASES) were recorded from the
 # path-address implementation of grafting and of the post-Lie vertex action
-# printed them (commit cc5f058).  The inputs have multi-term operands,
-# fractional coefficients, equal siblings and, for ``a2``, a refuted table
-# map, so every branch of the vertex sum shows in the bytes.
+# (commit cc5f058); their inputs have multi-term operands, fractional
+# coefficients, equal siblings and, for ``a2``, a refuted table map, so every
+# branch of the vertex sum shows in the bytes.  The other cases were recorded
+# from the subcommand handlers as each was written out by hand (commit
+# 5a61031): every subcommand in both formats, every verdict of check-compat
+# and classify-m2, spde-demo at d = 0, 1, 2 with and without noise, a
+# refusal, a parse error, a missing flag, and every --help text.
+# ``python tests/record_cli_goldens.py`` (with ``src`` on PYTHONPATH)
+# records them again.
 
 GOLDENS = json.loads((Path(__file__).resolve().parent / "cli_goldens.json").read_text())
 
-GRAFT_INPUTS = {
+GOLDEN_INPUTS = {
     "phi_frac.json": {"builder": "phi_lambda", "d": 1, "lambda": ["-2/3", "1/2"]},
+    "phi_d1.json": PHI_D1,
     "phi_table.json": BAD_TABLE,
+    "phi_identity.json": IDENTITY_SYM,
     "phi_d0.json": PHI_D0,
     "phi_d0_two.json": PHI_D0_TWO,
     "psi_d0.json": PSI_D0,
     "psi_d0_two.json": PSI_D0_TWO,
+    "grid_jd.json": {"builder": "blocks", "jd": {"A": [[0, 1], [0, 0]], "B": [[0, "1/2"], [0, 0]], "form": "J"}},
+    "grid_diag.json": {"builder": "blocks", "blocks": [[[[1, 1], [0, 2]]]]},
+    "grid_noncommuting.json": {
+        "builder": "blocks",
+        "blocks": [[[[0, 1], [0, 0]], [[1, 0], [0, 1]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+    },
+    "grid_irrational.json": {"builder": "blocks", "blocks": [[[[0, 1], [2, 0]]]]},
     "x.txt": "(<1,0> [<0,2>](<0,2>)) - 1/2*(<0,1>)",
     "y.txt": (
         "(<0,0> [<1,1>](<1,0>) [<1,1>](<1,0>))"
@@ -614,6 +633,10 @@ GRAFT_INPUTS = {
     "u.txt": "X_0 + 2*[<1>](<0>)",
     "v.txt": "X_0 - 1/2*[<2>](<1> [<1>](<0>) [<1>](<0>))",
     "w.txt": "[<2>](<1> [<1>](<0>) [<0>](<2>))",
+    "f1.txt": "[<1,1>](<2,0> [<0,1>](<1,0>)) - 3/2*[<1,0>](<0,1>) [<0,1>](<1,0>)",
+    "f2.txt": "[<0,1>](<1,0> [<1,0>](<0,0>)) + 1/3*[<1,1>](<0,1>)",
+    "fs.txt": "[a1](b2 [a2](b1)) [a2](b1)",
+    "broken.txt": "(<1,0> [<0,0>]",
 }
 
 GRAFT_CASES = {
@@ -629,23 +652,96 @@ GRAFT_CASES = {
     ),
 }
 
+SUBCOMMANDS = (
+    "apply-phi", "check-compat", "graft", "graft-free", "theta", "star", "coprod", "deshuffle",
+    "pair", "postlie-check", "psi-check", "spde-demo", "classify-m2", "verify-suite",
+)
 
-def graft_case_argv(tmp_path, case, fmt):
-    """The argv of ``case`` with its input files written under ``tmp_path``."""
-    for name, content in GRAFT_INPUTS.items():
+# Cases whose output argparse writes: one form each, run without --format.
+ARGPARSE_CASES = {
+    "help": ("--help",),
+    **{f"help-{name}": (name, "--help") for name in SUBCOMMANDS},
+    "missing-flag": ("theta", "x.txt"),
+}
+
+GOLDEN_CASES = {
+    **GRAFT_CASES,
+    "apply-phi": ("apply-phi", "--phi", "phi_frac.json", "--a", "<1,1>", "--b", "<2,1>"),
+    "check-compat-compatible": ("check-compat", "--phi", "phi_identity.json"),
+    "check-compat-refuted": ("check-compat", "--phi", "phi_table.json"),
+    "check-compat-bounded": ("check-compat", "--phi", "phi_frac.json", "--bound", "2"),
+    "theta": ("theta", "--phi", "phi_frac.json", "y.txt"),
+    "star": ("star", "--phi", "phi_frac.json", "f1.txt", "f2.txt"),
+    "coprod": ("coprod", "--phi", "phi_frac.json", "f1.txt"),
+    "deshuffle": ("deshuffle", "--phi", "phi_frac.json", "f1.txt"),
+    "pair": ("pair", "--phi", "phi_frac.json", "f1.txt", "f1.txt"),
+    "pair-phi2": ("pair", "--phi", "phi_d1.json", "--phi2", "phi_frac.json", "f2.txt", "f2.txt"),
+    "classify-m2-jd": ("classify-m2", "--phi", "grid_jd.json"),
+    "classify-m2-diagonal": ("classify-m2", "--phi", "grid_diag.json"),
+    "classify-m2-noncommuting": ("classify-m2", "--phi", "grid_noncommuting.json"),
+    "classify-m2-irrational": ("classify-m2", "--phi", "grid_irrational.json"),
+    **{
+        f"spde-demo-d{d}{'-noise' if noise else ''}": ("spde-demo", "--d", str(d), *(("--noise",) if noise else ()))
+        for d in (0, 1, 2)
+        for noise in (False, True)
+    },
+    "spde-demo-lambda": ("spde-demo", "--d", "1", "--lambda", "1,-1/2"),
+    "refused": ("theta", "--phi", "phi_table.json", "ys.txt"),
+    "parse-error": ("theta", "--phi", "phi_frac.json", "broken.txt"),
+    **ARGPARSE_CASES,
+}
+
+
+def golden_forms(case):
+    return ("text",) if case in ARGPARSE_CASES else ("text", "structured")
+
+
+def write_golden_inputs(directory):
+    for name, content in GOLDEN_INPUTS.items():
         if name.endswith(".json"):
-            jfile(tmp_path, name, content)
+            jfile(directory, name, content)
         else:
-            tfile(tmp_path, name, content)
-    argv = [str(tmp_path / arg) if arg in GRAFT_INPUTS else arg for arg in GRAFT_CASES[case]]
-    return argv + ["--format", fmt]
+            tfile(directory, name, content)
+
+
+def golden_argv(case, fmt):
+    """The argv of ``case`` in form ``fmt``, naming its input files relative to their directory."""
+    argv = list(GOLDEN_CASES[case])
+    return argv if case in ARGPARSE_CASES else argv + ["--format", fmt]
+
+
+def run_in(directory, argv):
+    """``rtcalc argv`` run in this process from ``directory``, with help text wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+    finally:
+        os.chdir(home)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize(
+    "case, fmt", [(case, fmt) for case in sorted(GOLDEN_CASES) for fmt in golden_forms(case)]
+)
+def test_cli_matches_the_recorded_bytes(tmp_path, case, fmt):
+    if case in ARGPARSE_CASES and GOLDENS["argparse_python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip("argparse lays out usage and help differently in other Python versions")
+    write_golden_inputs(tmp_path)
+    assert run_in(tmp_path, golden_argv(case, fmt)) == GOLDENS["cases"][case][fmt]
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("case", sorted(GRAFT_CASES))
 def test_grafting_commands_match_the_recorded_bytes(tmp_path, case, fmt):
     want = GOLDENS["cases"][case][fmt]
-    argv = graft_case_argv(tmp_path, case, fmt)
+    write_golden_inputs(tmp_path)
+    argv = [str(tmp_path / arg) if arg in GOLDEN_INPUTS else arg for arg in golden_argv(case, fmt)]
     for seed in (0, 1):
         code, out, err = run_process(*argv, hash_seed=seed)
         assert {"code": code, "stdout": out, "stderr": err} == want, (case, fmt, seed)
