@@ -10,6 +10,13 @@ a computation surfaces a refutation or a nonzero residual, 2 on usage,
 parse, or validation errors, on input nested too deeply for the
 interpreter's recursion limit, and on any other exception, which is
 reported in one line as an internal error.
+
+A subcommand is one row of :data:`SUBCOMMANDS` (its name, its help line,
+the names of its flags in :data:`FLAGS`, the names of its operand files,
+and its handler) plus the handler itself.  A handler whose result is a
+combination prints it through :func:`_comb_out`, given the rendered
+factors of one term: text joins them with `` (x) ``, structured output
+has one ``[coefficient, *factors]`` row per term.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .decorations import DecorationBasis, render_label
+from .decorations import DecorationBasis
 from .hopf import cut_coproduct, delta_pairing, deshuffle, pair_forests, star_product
 from .lincomb import LinComb
 from .mapfiles import load_blockmatrix, load_phi, load_postlie, load_psi
@@ -56,8 +63,42 @@ def _emit(args, text: str, data) -> None:
         print(text)
 
 
-def _comb_terms(comb: LinComb, show: Callable) -> list:
-    return [[str(c), *show(t)] for t, c in comb.sorted_items()]
+def _single(t) -> List[str]:
+    """The factors of a tree or forest term: the term itself."""
+    return [t.render()]
+
+
+def _pair(t) -> List[str]:
+    """The factors of a term that is a pair of labels or of forests."""
+    return [t[0].render(), t[1].render()]
+
+
+def _render_pair(t) -> str:
+    return " (x) ".join(_pair(t))
+
+
+def _comb_out(args, comb: LinComb, parts: Callable[..., List[str]]) -> int:
+    _emit(
+        args,
+        comb.render(lambda t: " (x) ".join(parts(t))),
+        {"terms": [[str(c), *parts(t)] for t, c in comb.sorted_items()]},
+    )
+    return 0
+
+
+def _operands(args, parse: Optional[Callable] = None):
+    """The map of ``--phi``, the ``--a`` edge label if the subcommand takes
+    one, and its operand files parsed by ``parse`` over the map's bases,
+    read in that order."""
+    phi = load_phi(args.phi)
+    a = parse_label(args.a, phi.edge_basis, "edge") if "a" in args else None
+    return phi, a, [parse(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis) for f in args.files]
+
+
+def _load_psi(args):
+    """The generator algebra and actions of ``--psi``, the algebra replaced by ``--postlie`` if given."""
+    base, psi = load_psi(args.psi)
+    return (load_postlie(args.postlie) if args.postlie else base), psi
 
 
 def _span(basis: DecorationBasis, bound: Optional[int], what: str) -> Sequence:
@@ -66,14 +107,6 @@ def _span(basis: DecorationBasis, bound: Optional[int], what: str) -> Sequence:
     if bound is None:
         raise UsageError(f"the {what} basis is infinite; pass an explicit --bound")
     return basis.labels_up_to(bound)
-
-
-def _render_pair(t: Tuple) -> str:
-    return f"{render_label(t[0])} (x) {render_label(t[1])}"
-
-
-def _render_tensor(t: Tuple) -> str:
-    return f"{t[0].render()} (x) {t[1].render()}"
 
 
 def _matrix_text(m) -> str:
@@ -88,16 +121,9 @@ def _matrix_data(m) -> list:
 
 
 def _cmd_apply_phi(args) -> int:
-    phi = load_phi(args.phi)
-    a = parse_label(args.a, phi.edge_basis, "edge")
+    phi, a, _ = _operands(args)
     b = parse_label(args.b, phi.vertex_basis, "vertex")
-    img = phi(a, b)
-    _emit(
-        args,
-        img.render(_render_pair),
-        {"terms": _comb_terms(img, lambda t: [render_label(t[0]), render_label(t[1])])},
-    )
-    return 0
+    return _comb_out(args, phi(a, b), _pair)
 
 
 def _cmd_check_compat(args) -> int:
@@ -108,69 +134,41 @@ def _cmd_check_compat(args) -> int:
     verdict = check_compat(phi, bound=args.bound)
     data = {"verdict": type(verdict).__name__}
     if isinstance(verdict, Refuted):
-        data["witness"] = [render_label(l) for l in verdict.witness]
+        data["witness"] = [l.render() for l in verdict.witness]
     elif hasattr(verdict, "bound"):
         data["bound"] = verdict.bound
     _emit(args, str(verdict), data)
     return 1 if isinstance(verdict, Refuted) else 0
 
 
-def _comb_out(args, out: LinComb) -> int:
-    _emit(args, out.render(lambda t: t.render()), {"terms": _comb_terms(out, lambda t: [t.render()])})
-    return 0
-
-
 def _cmd_graft(args) -> int:
-    phi = load_phi(args.phi)
-    a = parse_label(args.a, phi.edge_basis, "edge")
-    x = parse_tree_comb(_read(args.x), phi.edge_basis, phi.vertex_basis)
-    y = parse_tree_comb(_read(args.y), phi.edge_basis, phi.vertex_basis)
-    return _comb_out(args, graft_phi(phi, x, a, y))
+    phi, a, (x, y) = _operands(args, parse_tree_comb)
+    return _comb_out(args, graft_phi(phi, x, a, y), _single)
 
 
 def _cmd_graft_free(args) -> int:
-    phi = load_phi(args.phi)
-    a = parse_label(args.a, phi.edge_basis, "edge")
-    x = parse_tree_comb(_read(args.x), phi.edge_basis, phi.vertex_basis)
-    y = parse_tree_comb(_read(args.y), phi.edge_basis, phi.vertex_basis)
-    return _comb_out(args, graft_free(x, a, y))
+    _, a, (x, y) = _operands(args, parse_tree_comb)
+    return _comb_out(args, graft_free(x, a, y), _single)
 
 
 def _cmd_theta(args) -> int:
-    phi = load_phi(args.phi)
-    x = parse_tree_comb(_read(args.x), phi.edge_basis, phi.vertex_basis)
-    return _comb_out(args, theta(phi, x))
+    phi, _, (x,) = _operands(args, parse_tree_comb)
+    return _comb_out(args, theta(phi, x), _single)
 
 
 def _cmd_star(args) -> int:
-    phi = load_phi(args.phi)
-    x = parse_forest_comb(_read(args.x), phi.edge_basis, phi.vertex_basis)
-    y = parse_forest_comb(_read(args.y), phi.edge_basis, phi.vertex_basis)
-    return _comb_out(args, star_product(phi, x, y))
+    phi, _, (x, y) = _operands(args, parse_forest_comb)
+    return _comb_out(args, star_product(phi, x, y), _single)
 
 
 def _cmd_coprod(args) -> int:
-    phi = load_phi(args.phi)
-    x = parse_forest_comb(_read(args.x), phi.edge_basis, phi.vertex_basis)
-    out = cut_coproduct(phi, x)
-    _emit(
-        args,
-        out.render(_render_tensor),
-        {"terms": _comb_terms(out, lambda t: [t[0].render(), t[1].render()])},
-    )
-    return 0
+    phi, _, (x,) = _operands(args, parse_forest_comb)
+    return _comb_out(args, cut_coproduct(phi, x), _pair)
 
 
 def _cmd_deshuffle(args) -> int:
-    phi = load_phi(args.phi)
-    x = parse_forest_comb(_read(args.x), phi.edge_basis, phi.vertex_basis)
-    out = deshuffle(x)
-    _emit(
-        args,
-        out.render(_render_tensor),
-        {"terms": _comb_terms(out, lambda t: [t[0].render(), t[1].render()])},
-    )
-    return 0
+    _, _, (x,) = _operands(args, parse_forest_comb)
+    return _comb_out(args, deshuffle(x), _pair)
 
 
 def _cmd_pair(args) -> int:
@@ -185,63 +183,43 @@ def _cmd_pair(args) -> int:
 
 def _cmd_postlie_check(args) -> int:
     phi = load_phi(args.phi)
-    base, psi = load_psi(args.psi)
-    base = load_postlie(args.postlie) if args.postlie else base
+    base, psi = _load_psi(args)
     elems = [
-        parse_ext_elem(_read(path), phi.edge_basis, phi.vertex_basis, base.names)
-        for path in (args.u, args.v, args.w)
+        parse_ext_elem(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis, base.names) for f in args.files
     ]
     defects = postlie_axiom_defects(phi, base, psi, *elems)
-    rows = [
-        ("jacobi", defects.jacobi),
-        ("derivation", defects.derivation),
-        ("associator", defects.associator),
-    ]
-    text = "\n".join(f"{name}: {d.render()}" for name, d in rows)
-    data = {name: d.render() for name, d in rows}
-    data["all_zero"] = defects.all_zero
-    _emit(args, text, data)
+    data = {name: getattr(defects, name).render() for name in ("jacobi", "derivation", "associator")}
+    _emit(args, "\n".join(f"{name}: {d}" for name, d in data.items()), {**data, "all_zero": defects.all_zero})
     return 0 if defects.all_zero else 1
 
 
 def _cmd_psi_check(args) -> int:
     phi = load_phi(args.phi)
-    base, psi = load_psi(args.psi)
-    base = load_postlie(args.postlie) if args.postlie else base
+    base, psi = _load_psi(args)
     edge_labels = _span(phi.edge_basis, args.bound, "edge")
     vertex_labels = _span(phi.vertex_basis, args.bound, "vertex")
     defects = psi_compat_defects(phi, base, psi, edge_labels, vertex_labels)
-    if not defects:
-        text = f"no defects on {len(edge_labels)} edge label(s) x {len(vertex_labels)} vertex label(s)"
-    else:
-        text = "\n".join(
-            f"{d.condition} at gens=({', '.join(d.gens)}) label={_render_defect_term(d.label)}: "
-            + d.residual.render(_render_defect_term)
-            for d in defects
-        )
-    _emit(
-        args,
-        text,
+    rows = [
         {
-            "defects": [
-                {
-                    "condition": d.condition,
-                    "gens": list(d.gens),
-                    "label": _render_defect_term(d.label),
-                    "residual": d.residual.render(_render_defect_term),
-                }
-                for d in defects
-            ]
-        },
-    )
-    return 0 if not defects else 1
+            "condition": d.condition,
+            "gens": list(d.gens),
+            "label": _render_defect_term(d.label),
+            "residual": d.residual.render(_render_defect_term),
+        }
+        for d in defects
+    ]
+    text = "\n".join(
+        f"{r['condition']} at gens=({', '.join(r['gens'])}) label={r['label']}: {r['residual']}" for r in rows
+    ) or f"no defects on {len(edge_labels)} edge label(s) x {len(vertex_labels)} vertex label(s)"
+    _emit(args, text, {"defects": rows})
+    return 1 if rows else 0
 
 
 def _render_defect_term(t) -> str:
     """Defect slots hold either one label or an (edge, vertex) pair."""
     if isinstance(t, tuple):
         return _render_pair(t)
-    return render_label(t)
+    return t.render()
 
 
 def _parse_lambda(args, d: int) -> Tuple[Fraction, ...]:
@@ -275,9 +253,7 @@ def _cmd_spde_demo(args) -> int:
     a = e0.add(e0)
     b = a.add(e0 if d == 0 else mi_unit(d, d))
     phi = phi_lambda(SpdeConfig(d, lam))
-    lines.append(
-        f"phi({render_label(a)} (x) {render_label(b)}) = " + phi(a, b).render(_render_pair)
-    )
+    lines.append(f"phi({a.render()} (x) {b.render()}) = " + phi(a, b).render(_render_pair))
     back = phi_lambda(SpdeConfig(d, cfg.negated().lam)).apply(phi(a, b))
     lines.append(
         "inverse check: phi^(-lambda) applied to that image = " + back.render(_render_pair)
@@ -286,7 +262,7 @@ def _cmd_spde_demo(args) -> int:
     x = LinComb.of(leaf(a))
     y = LinComb.of(node(b, [(e0, leaf(zero))]))
     g = graft_phi(phi, x, e0, y)
-    lines.append(f"graft of {render_label(a)}-leaf onto a 2-chain along {render_label(e0)}:")
+    lines.append(f"graft of {a.render()}-leaf onto a 2-chain along {e0.render()}:")
     lines.append("  " + g.render(lambda t: t.render()))
 
     chain = node(a, [(e0, leaf(zero))])
@@ -296,18 +272,18 @@ def _cmd_spde_demo(args) -> int:
 
     base, psi = spde_psi(cfg)
     lines.append(
-        f"psi vertex action {base.names[0]} on {render_label(zero)} = "
-        + psi.vertex(base.names[0], zero).render(render_label)
+        f"psi vertex action {base.names[0]} on {zero.render()} = "
+        + psi.vertex(base.names[0], zero).render(lambda l: l.render())
     )
     lines.append(
-        f"psi edge action {base.names[0]} on {render_label(zero)} = "
-        + psi.edge(base.names[0], zero).render(render_label)
+        f"psi edge action {base.names[0]} on {zero.render()} = "
+        + psi.edge(base.names[0], zero).render(lambda l: l.render())
     )
 
     if args.noise:
         ext = noise_extend(cfg)
-        lines.append(f"extended phi on Xi (x) {render_label(b)} = " + ext(XI, b).render(_render_pair))
-        lines.append(f"extended phi on {render_label(a)} (x) * = " + ext(a, STAR).render(_render_pair))
+        lines.append(f"extended phi on Xi (x) {b.render()} = " + ext(XI, b).render(_render_pair))
+        lines.append(f"extended phi on {a.render()} (x) * = " + ext(a, STAR).render(_render_pair))
         noisy = node(b, [(e0, leaf(zero)), (XI, leaf(STAR))])
         g2 = graft_phi(ext, x, e0, LinComb.of(noisy))
         lines.append("graft onto a tree with a noise branch (no term lands on *):")
@@ -376,21 +352,54 @@ def _cmd_verify_suite(args) -> int:
 # -- parser assembly
 
 
-def _add_common(sp, *, phi=False, phi2=False, psi=False, postlie=False, a=False, b=False, bound=False):
-    if phi:
-        sp.add_argument("--phi", required=True, metavar="FILE", help="map description (JSON)")
-    if phi2:
-        sp.add_argument("--phi2", metavar="FILE", help="map for the primed side (default: --phi)")
-    if psi:
-        sp.add_argument("--psi", required=True, metavar="FILE", help="generator-action description (JSON)")
-    if postlie:
-        sp.add_argument("--postlie", metavar="FILE", help="generator algebra (default: the one in --psi)")
-    if a:
-        sp.add_argument("--a", required=True, metavar="LABEL", help="edge label")
-    if b:
-        sp.add_argument("--b", required=True, metavar="LABEL", help="vertex label")
-    if bound:
-        sp.add_argument("--bound", type=int, metavar="N", help="entry bound for infinite bases")
+FLAGS = {
+    "phi": dict(required=True, metavar="FILE", help="map description (JSON)"),
+    "phi2": dict(metavar="FILE", help="map for the primed side (default: --phi)"),
+    "psi": dict(required=True, metavar="FILE", help="generator-action description (JSON)"),
+    "postlie": dict(metavar="FILE", help="generator algebra (default: the one in --psi)"),
+    "a": dict(required=True, metavar="LABEL", help="edge label"),
+    "b": dict(required=True, metavar="LABEL", help="vertex label"),
+    "bound": dict(type=int, metavar="N", help="entry bound for infinite bases"),
+    "d": dict(type=int, required=True, metavar="N"),
+    "lambda": dict(dest="lam", metavar="CSV", help="d+1 rationals (default: all 1)"),
+    "noise": dict(action="store_true"),
+    "level": dict(choices=("small", "full"), default="small"),
+}
+
+# (name, help, flags, operand files, handler), in the order --help lists them.
+SUBCOMMANDS = (
+    ("apply-phi", "apply a map to one (edge, vertex) pair", ("phi", "a", "b"), (), _cmd_apply_phi),
+    ("check-compat", "tree-compatibility verdict for a map", ("phi", "bound"), (), _cmd_check_compat),
+    ("graft", "deformed grafting of two tree expressions", ("phi", "a"), ("x", "y"), _cmd_graft),
+    ("graft-free", "plain grafting (the map supplies bases only)", ("phi", "a"), ("x", "y"), _cmd_graft_free),
+    ("theta", "edge-product operator on a tree expression", ("phi",), ("x",), _cmd_theta),
+    ("star", "deformed Grossman-Larson product of forests", ("phi",), ("x", "y"), _cmd_star),
+    ("coprod", "deformed cut coproduct of a forest expression", ("phi",), ("x",), _cmd_coprod),
+    ("deshuffle", "deshuffle coproduct (the map supplies bases only)", ("phi",), ("x",), _cmd_deshuffle),
+    ("pair", "dual pairing of a primed and an unprimed forest", ("phi", "phi2"), ("xprime", "y"), _cmd_pair),
+    (
+        "postlie-check",
+        "axiom residuals on the extension, for three elements",
+        ("phi", "psi", "postlie"),
+        ("u", "v", "w"),
+        _cmd_postlie_check,
+    ),
+    (
+        "psi-check",
+        "compatibility residuals of generator actions against a map",
+        ("phi", "psi", "postlie", "bound"),
+        (),
+        _cmd_psi_check,
+    ),
+    ("spde-demo", "worked multi-index examples for a chosen dimension", ("d", "lambda", "noise"), (), _cmd_spde_demo),
+    ("classify-m2", "joint normal form of a 'blocks' map with 2-dim vertex side", ("phi",), (), _cmd_classify_m2),
+    ("verify-suite", "run the property battery", ("level",), (), _cmd_verify_suite),
+)
+
+
+def _add_common(sp, flags: Sequence[str]) -> None:
+    for name in flags:
+        sp.add_argument(f"--{name}", **FLAGS[name])
     sp.add_argument("--format", choices=("text", "structured"), default="text")
 
 
@@ -400,81 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations with decorated rooted trees and edge-vertex maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("apply-phi", help="apply a map to one (edge, vertex) pair")
-    _add_common(sp, phi=True, a=True, b=True)
-    sp.set_defaults(func=_cmd_apply_phi)
-
-    sp = sub.add_parser("check-compat", help="tree-compatibility verdict for a map")
-    _add_common(sp, phi=True, bound=True)
-    sp.set_defaults(func=_cmd_check_compat)
-
-    sp = sub.add_parser("graft", help="deformed grafting of two tree expressions")
-    _add_common(sp, phi=True, a=True)
-    sp.add_argument("x", metavar="X_FILE")
-    sp.add_argument("y", metavar="Y_FILE")
-    sp.set_defaults(func=_cmd_graft)
-
-    sp = sub.add_parser("graft-free", help="plain grafting (the map supplies bases only)")
-    _add_common(sp, phi=True, a=True)
-    sp.add_argument("x", metavar="X_FILE")
-    sp.add_argument("y", metavar="Y_FILE")
-    sp.set_defaults(func=_cmd_graft_free)
-
-    sp = sub.add_parser("theta", help="edge-product operator on a tree expression")
-    _add_common(sp, phi=True)
-    sp.add_argument("x", metavar="X_FILE")
-    sp.set_defaults(func=_cmd_theta)
-
-    sp = sub.add_parser("star", help="deformed Grossman-Larson product of forests")
-    _add_common(sp, phi=True)
-    sp.add_argument("x", metavar="X_FILE")
-    sp.add_argument("y", metavar="Y_FILE")
-    sp.set_defaults(func=_cmd_star)
-
-    sp = sub.add_parser("coprod", help="deformed cut coproduct of a forest expression")
-    _add_common(sp, phi=True)
-    sp.add_argument("x", metavar="X_FILE")
-    sp.set_defaults(func=_cmd_coprod)
-
-    sp = sub.add_parser("deshuffle", help="deshuffle coproduct (the map supplies bases only)")
-    _add_common(sp, phi=True)
-    sp.add_argument("x", metavar="X_FILE")
-    sp.set_defaults(func=_cmd_deshuffle)
-
-    sp = sub.add_parser("pair", help="dual pairing of a primed and an unprimed forest")
-    _add_common(sp, phi=True, phi2=True)
-    sp.add_argument("xprime", metavar="XPRIME_FILE")
-    sp.add_argument("y", metavar="Y_FILE")
-    sp.set_defaults(func=_cmd_pair)
-
-    sp = sub.add_parser("postlie-check", help="axiom residuals on the extension, for three elements")
-    _add_common(sp, phi=True, psi=True, postlie=True)
-    sp.add_argument("u", metavar="U_FILE")
-    sp.add_argument("v", metavar="V_FILE")
-    sp.add_argument("w", metavar="W_FILE")
-    sp.set_defaults(func=_cmd_postlie_check)
-
-    sp = sub.add_parser("psi-check", help="compatibility residuals of generator actions against a map")
-    _add_common(sp, phi=True, psi=True, postlie=True, bound=True)
-    sp.set_defaults(func=_cmd_psi_check)
-
-    sp = sub.add_parser("spde-demo", help="worked multi-index examples for a chosen dimension")
-    sp.add_argument("--d", type=int, required=True, metavar="N")
-    sp.add_argument("--lambda", dest="lam", metavar="CSV", help="d+1 rationals (default: all 1)")
-    sp.add_argument("--noise", action="store_true")
-    sp.add_argument("--format", choices=("text", "structured"), default="text")
-    sp.set_defaults(func=_cmd_spde_demo)
-
-    sp = sub.add_parser("classify-m2", help="joint normal form of a 'blocks' map with 2-dim vertex side")
-    _add_common(sp, phi=True)
-    sp.set_defaults(func=_cmd_classify_m2)
-
-    sp = sub.add_parser("verify-suite", help="run the property battery")
-    sp.add_argument("--level", choices=("small", "full"), default="small")
-    sp.add_argument("--format", choices=("text", "structured"), default="text")
-    sp.set_defaults(func=_cmd_verify_suite)
-
+    for name, summary, flags, files, handler in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=summary)
+        _add_common(sp, flags)
+        for f in files:
+            sp.add_argument(f, metavar=f"{f.upper()}_FILE")
+        sp.set_defaults(func=handler, files=files)
     return parser
 
 

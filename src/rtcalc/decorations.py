@@ -205,14 +205,10 @@ class Pr:
         return (4, term_key(self.left), term_key(self.right))
 
     def render(self) -> str:
-        return f"({render_label(self.left)},{render_label(self.right)})"
+        return f"({self.left.render()},{self.right.render()})"
 
 
 Label = Union[Sym, MultiIndex, Noise, Pr]
-
-
-def render_label(label: Label) -> str:
-    return label.render()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from itertools import product as iproduct
 from math import comb, prod
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .decorations import Label, render_label
+from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
 from .prelie import _ensure_usable_on, apply_edge_maps
@@ -444,7 +444,7 @@ def check_adjoint(
                     )
                     if lhs != rhs:
                         raise AdjointnessViolated(
-                            f"on ({render_label(a2)},{render_label(b2)}) vs ({render_label(a)},{render_label(b)}): {lhs} != {rhs}"
+                            f"on ({a2.render()},{b2.render()}) vs ({a.render()},{b.render()}): {lhs} != {rhs}"
                         )
 
 

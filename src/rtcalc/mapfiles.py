@@ -14,11 +14,21 @@ syntax the expression parser accepts.  Builders that take another map
 
 Any map object may set ``"assert_compatible": true`` to record a
 compatibility argument made outside the checker.
+
+A malformed file raises :class:`MapFileError` (a ``ValueError``) whose
+message starts with its location once: the file path, extended by
+``.of``, ``.first`` and the like for a nested map, and by
+``: entries[k]`` for one entry of a list.  The checks in this module raise
+it with the location already in front.  The builders of the other modules
+raise plain ``ValueError``s, and :func:`_located` puts the location in
+front of those; it lets a ``MapFileError`` from a nested check through
+unchanged, so no location is printed twice.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -57,6 +67,18 @@ from .spde import SpdeConfig, noise_extend, partial_lambda, phi_lambda, phi_lamb
 
 class MapFileError(ValueError):
     pass
+
+
+@contextmanager
+def _located(where: str) -> Iterator[None]:
+    """Name ``where`` in front of a ``ValueError`` raised inside; a
+    ``MapFileError`` names its place already and goes through unchanged."""
+    try:
+        yield
+    except MapFileError:
+        raise
+    except ValueError as e:
+        raise MapFileError(f"{where}: {e}")
 
 
 def _req(obj: dict, key: str, where: str):
@@ -150,10 +172,8 @@ def _spde_config(obj: dict, where: str, noise: bool) -> SpdeConfig:
     d = _int(obj, "d", where)
     lam = obj.get("lambda")
     lam = [1] * (d + 1) if lam is None else _list(lam, "lambda", where)
-    try:
+    with _located(where):
         return SpdeConfig(d, tuple(_rat(c, where) for c in lam), noise=noise)
-    except ValueError as e:
-        raise MapFileError(f"{where}: {e}")
 
 
 def _block_grid(obj: dict, where: str) -> BlockMatrix:
@@ -164,15 +184,11 @@ def _block_grid(obj: dict, where: str) -> BlockMatrix:
         A = _matrix(_req(jd, "A", where), "jd.A", where)
         B = _matrix(_req(jd, "B", where), "jd.B", where)
         form = _req(jd, "form", where)
-        try:
+        with _located(where):
             return build_JD(A, B, form)
-        except ValueError as e:
-            raise MapFileError(f"{where}: {e}")
     rows = _rows(_req(obj, "blocks", where), "blocks", where)
-    try:
+    with _located(where):
         return block_matrix([[_matrix(blk, "blocks", where) for blk in row] for row in rows])
-    except ValueError as e:
-        raise MapFileError(f"{where}: {e}")
 
 
 def _symbol_basis_opt(obj: dict, key: str, side: str, where: str) -> Optional[SymbolBasis]:
@@ -229,14 +245,12 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
 
     if builder == "blocks":
         M = _block_grid(obj, where)
-        try:
+        with _located(where):
             return from_blocks(
                 M,
                 _symbol_basis_opt(obj, "edge_basis", "edge", where),
                 _symbol_basis_opt(obj, "vertex_basis", "vertex", where),
             )
-        except ValueError as e:
-            raise MapFileError(f"{where}: {e}")
 
     if builder == "tensor":
         E = _basis(_req(obj, "edge_basis", where), "edge", where)
@@ -252,18 +266,14 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
         second = build_phi(_req(obj, "second", where), f"{where}.second")
         lam = _rat(obj.get("lam", 0), where)
         mu = _rat(obj.get("mu", 0), where)
-        try:
+        with _located(where):
             return direct_sum(first, second, lam, mu)
-        except ValueError as e:
-            raise MapFileError(f"{where}: {e}")
 
     if builder == "compose":
         outer = build_phi(_req(obj, "outer", where), f"{where}.outer")
         inner = build_phi(_req(obj, "inner", where), f"{where}.inner")
-        try:
+        with _located(where):
             return compose(outer, inner)
-        except ValueError as e:
-            raise MapFileError(f"{where}: {e}")
 
     if builder == "exp":
         inner = build_phi(_req(obj, "of", where), f"{where}.of")
@@ -275,10 +285,8 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
 
     if builder == "transpose":
         inner = build_phi(_req(obj, "of", where), f"{where}.of")
-        try:
+        with _located(where):
             return transpose_map(inner)
-        except ValueError as e:
-            raise MapFileError(f"{where}: {e}")
 
     raise MapFileError(f"{where}: unknown builder {builder!r}")
 
@@ -337,10 +345,8 @@ def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
         return {(str(p), str(q)): [(_rat(c, spot), str(r)) for c, r in terms] for spot, (p, q), terms in entries}
 
     bracket, triangle = consts("bracket"), consts("triangle")
-    try:
+    with _located(where):
         return postlie_base(names, bracket, triangle)
-    except ValueError as e:
-        raise MapFileError(f"{where}: {e}")
 
 
 def _load(path: str) -> dict:

@@ -36,7 +36,6 @@ from .decorations import (
     Pr,
     ProductBasis,
     SymbolBasis,
-    render_label,
     union_bases,
 )
 from .lincomb import LinComb, Scalar, as_scalar, exact_div, lc_sum
@@ -78,9 +77,9 @@ class PhiMap:
         image = self._images.get(key)
         if image is None:
             if not self.edge_basis.contains(a):
-                raise ValueError(f"edge label {render_label(a)} outside the declared basis")
+                raise ValueError(f"edge label {a.render()} outside the declared basis")
             if not self.vertex_basis.contains(b):
-                raise ValueError(f"vertex label {render_label(b)} outside the declared basis")
+                raise ValueError(f"vertex label {b.render()} outside the declared basis")
             image = self._images[key] = self.action(a, b)
         return image
 
@@ -147,12 +146,12 @@ def from_table(
     compiled: Dict[Tuple[Label, Label], PairComb] = {}
     for (a, b), out in table.items():
         if not edge_basis.contains(a) or not vertex_basis.contains(b):
-            raise ValueError(f"table input ({render_label(a)},{render_label(b)}) outside the bases")
+            raise ValueError(f"table input ({a.render()},{b.render()}) outside the bases")
         comb = out if isinstance(out, LinComb) else LinComb([((a2, b2), as_scalar(c)) for c, a2, b2 in out])
         for (a2, b2), _ in comb.sorted_items():
             if not edge_basis.contains(a2) or not vertex_basis.contains(b2):
                 raise ValueError(
-                    f"table output ({render_label(a2)},{render_label(b2)}) outside the bases"
+                    f"table output ({a2.render()},{b2.render()}) outside the bases"
                 )
         compiled[(a, b)] = comb
     return PhiMap(
@@ -211,7 +210,7 @@ class Refuted:
 
     def __str__(self) -> str:
         a, a2, b = self.witness
-        return f"Refuted(a={render_label(a)}, a'={render_label(a2)}, b={render_label(b)})"
+        return f"Refuted(a={a.render()}, a'={a2.render()}, b={b.render()})"
 
 
 Verdict = Union[Compatible, VerifiedUpToBound, Refuted]
@@ -237,15 +236,15 @@ def _act13(phi: PhiMap, triples: LinComb) -> LinComb:
     return triples.map_terms(on_triple)
 
 
-def _sides(phi: PhiMap, a: Label, a2: Label, b: Label) -> Tuple[LinComb, LinComb]:
+def _sides(phi: PhiMap, psi: PhiMap, a: Label, a2: Label, b: Label) -> Tuple[LinComb, LinComb]:
+    """psi through (1,3) after phi through (2,3), and the other order, on one triple."""
     start = LinComb.of((a, a2, b))
-    return _act13(phi, _act23(phi, start)), _act23(phi, _act13(phi, start))
+    return _act13(psi, _act23(phi, start)), _act23(phi, _act13(psi, start))
 
 
 def phi13_phi23_defect(phi: PhiMap, a: Label, a2: Label, b: Label) -> LinComb:
     """The commutator of the two slot actions, evaluated on one triple."""
-    lhs, rhs = _sides(phi, a, a2, b)
-    return lhs - rhs
+    return mixed_commutation_defect(phi, phi, a, a2, b)
 
 
 def mixed_commutation_defect(
@@ -258,8 +257,8 @@ def mixed_commutation_defect(
     with the (phi o psi)-deformed one, and under which compositions and
     linear combinations of compatible maps stay compatible.
     """
-    start = LinComb.of((a, a2, b))
-    return _act13(psi, _act23(phi, start)) - _act23(phi, _act13(psi, start))
+    lhs, rhs = _sides(phi, psi, a, a2, b)
+    return lhs - rhs
 
 
 def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
@@ -286,7 +285,7 @@ def refuted_on(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequenc
     for a in edge_labels:
         for a2 in edge_labels:
             for b in vertex_labels:
-                lhs, rhs = _sides(phi, a, a2, b)
+                lhs, rhs = _sides(phi, phi, a, a2, b)
                 if lhs != rhs:
                     return Refuted((a, a2, b), lhs, rhs)
     return None
@@ -415,7 +414,7 @@ def exp_series(phi: PhiMap, max_iter: int = 64, name: Optional[str] = None) -> P
         while cur:
             if k > max_iter:
                 raise NonNilpotentError(
-                    f"series for ({render_label(a)},{render_label(b)}) still alive after {max_iter} terms"
+                    f"series for ({a.render()},{b.render()}) still alive after {max_iter} terms"
                 )
             terms.append(cur.scale(Fraction(1, factorial(k))))
             cur = phi.apply(cur)

@@ -23,10 +23,11 @@ would refer to itself through its closure, and that cycle would keep the
 memo alive until the garbage collector ran; as it is, the memo is freed by
 reference counting when the call returns.
 
-The hash, ``sort_key``, ``vertex_count`` and ``shape`` of a tree (and the
-first three of a forest) are each computed on first use and then kept in
-a slot.  Subtrees are shared between trees, so a grafted tree recomputes
-them only along the path that changed.
+The hash, ``sort_key``, ``vertex_count``, ``shape`` and rendered text of
+a tree (and the first three of a forest) are each computed on first use
+and then kept in a slot.  Subtrees are shared between trees, so a grafted
+tree recomputes them only along the path that changed, and printing a
+combination renders each distinct subtree once.
 
 Every operator recurses over these canonical trees directly: grafting in
 :mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
@@ -55,12 +56,12 @@ class DecoratedTree:
     children as given; :func:`node` is the canonical one.
     """
 
-    __slots__ = ("label", "children", "_key", "_hash", "_count", "_shape")
+    __slots__ = ("label", "children", "_key", "_hash", "_count", "_shape", "_text")
 
     def __init__(self, label: Label, children: Tuple[Tuple[Label, "DecoratedTree"], ...] = ()):
         self.label = label
         self.children = children
-        self._key = self._hash = self._count = self._shape = None
+        self._key = self._hash = self._count = self._shape = self._text = None
 
     @property
     def sort_key(self):
@@ -98,8 +99,11 @@ class DecoratedTree:
         return shape
 
     def render(self) -> str:
-        inner = "".join([f" [{e.render()}]{c.render()}" for e, c in self.children])
-        return f"({self.label.render()}{inner})"
+        text = self._text
+        if text is None:
+            inner = "".join([f" [{e.render()}]{c.render()}" for e, c in self.children])
+            text = self._text = f"({self.label.render()}{inner})"
+        return text
 
     def __repr__(self) -> str:
         return f"DecoratedTree{self.render()}"

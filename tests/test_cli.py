@@ -445,6 +445,8 @@ def test_parse_error_carries_position(tmp_path, capsys):
         ({"builder": "phi_lambda", "d": "one"}, "'d'"),
         ({"builder": "phi_lambda", "d": [1]}, "'d'"),
         ({"builder": "phi_lambda", "d": 0, "lambda": 5}, "'lambda'"),
+        ({"builder": "phi_lambda", "d": 0, "lambda": ["1/0"]}, "bad rational '1/0'"),
+        ({"builder": "transpose", "of": {"builder": "phi_lambda", "d": 0, "lambda": ["1/0"]}}, ".of: bad rational"),
         (
             {
                 "builder": "identity",
@@ -462,7 +464,7 @@ def test_parse_error_carries_position(tmp_path, capsys):
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
         "jd-ragged", "jd-list", "d-float", "d-string", "d-list",
-        "lambda-int", "names-int", "entries-int", "entries-item-int", "terms-short",
+        "lambda-int", "lambda-zero-denominator", "transpose-lambda-zero-denominator", "names-int", "entries-int", "entries-item-int", "terms-short",
         "coeffs-int", "coeffs-bool",
     ],
 )
@@ -474,6 +476,7 @@ def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("rtcalc: error:")
     assert key in err
+    assert err.count(path) == 1
     assert "Traceback" not in err
 
 
