@@ -3,6 +3,7 @@
 Modules:
 
 * ``lincomb``     -- sparse rational linear combinations
+* ``intern``      -- weak intern tables: one object per distinct value
 * ``decorations`` -- edge and vertex label kinds and their bases
 * ``trees``       -- decorated trees, planted trees, forests
 * ``ratmat``      -- small exact-rational matrix helpers

@@ -352,6 +352,12 @@ def _cmd_verify_suite(args) -> int:
 # -- parser assembly
 
 
+def nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
+
+
 FLAGS = {
     "phi": dict(required=True, metavar="FILE", help="map description (JSON)"),
     "phi2": dict(metavar="FILE", help="map for the primed side (default: --phi)"),
@@ -359,7 +365,7 @@ FLAGS = {
     "postlie": dict(metavar="FILE", help="generator algebra (default: the one in --psi)"),
     "a": dict(required=True, metavar="LABEL", help="edge label"),
     "b": dict(required=True, metavar="LABEL", help="vertex label"),
-    "bound": dict(type=int, metavar="N", help="entry bound for infinite bases"),
+    "bound": dict(type=nonnegative_int, metavar="N", help="entry bound for infinite bases"),
     "d": dict(type=int, required=True, metavar="N"),
     "lambda": dict(dest="lam", metavar="CSV", help="d+1 rationals (default: all 1)"),
     "noise": dict(action="store_true"),

@@ -22,35 +22,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
+from .intern import Interned, store, table
 from .lincomb import Scalar, as_scalar
 
+_MULTI_INDICES, _SYMBOLS = table(), table()
 
-@dataclass(frozen=True, slots=True)
-class MultiIndex:
+
+class MultiIndex(Interned):
     """A multi-index in N^{d+1}; ``entries[j]`` counts the direction j.
 
-    The hash, the sort key and the rendered text are computed once, at
-    construction.
+    Interned: equal multi-indices are one object, whose sort key and
+    rendered text are computed once, when it is made.  The entries are
+    checked then too, so a value already in the table is not checked again.
     """
 
-    entries: Tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: Tuple = field(init=False, repr=False, compare=False)
-    _text: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "_key", "_text")
 
-    def __post_init__(self):
-        entries = self.entries
+    def __new__(cls, entries: Tuple[int, ...]):
+        ref = _MULTI_INDICES[0].get(entries)
+        if ref is not None and (m := ref()) is not None:
+            return m
         if not all(isinstance(e, int) and e >= 0 for e in entries):
             raise ValueError(f"multi-index entries must be nonnegative ints: {entries}")
-        put = object.__setattr__
-        put(self, "_hash", hash(entries))
-        put(self, "_key", (1, entries))
-        put(self, "_text", "<" + ",".join(map(str, entries)) + ">")
-
-    def __hash__(self) -> int:
-        return self._hash
+        m = object.__new__(cls)
+        m.entries = entries
+        m._key = (1, entries)
+        m._text = "<" + ",".join(map(str, entries)) + ">"
+        return store(_MULTI_INDICES, entries, m)
 
     def sort_key(self):
         return self._key
@@ -138,34 +138,28 @@ def lambda_pow(lams: Sequence[Scalar], l: MultiIndex) -> Scalar:
     return as_scalar(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Sym:
+class Sym(Interned):
     """A named basis symbol; ``basis_id`` keeps distinct bases disjoint.
 
-    The hash and the sort key are computed once, at construction.  A
-    :class:`SymbolBasis` builds each of its symbols once, so equal symbols
-    are mostly the same object, and equality tests identity first.
+    Interned, like :class:`MultiIndex`: equal symbols are one object, whose
+    sort key is computed once, when it is made.
     """
 
-    basis_id: str
-    name: str
-    _hash: int = field(init=False, repr=False)
-    _key: Tuple = field(init=False, repr=False)
+    __slots__ = ("basis_id", "name", "_key")
 
-    def __post_init__(self):
-        put = object.__setattr__
-        put(self, "_hash", hash((self.basis_id, self.name)))
-        put(self, "_key", (0, self.basis_id, self.name))
+    def __new__(cls, basis_id: str, name: str):
+        key = (basis_id, name)
+        ref = _SYMBOLS[0].get(key)
+        if ref is not None and (s := ref()) is not None:
+            return s
+        s = object.__new__(cls)
+        s.basis_id = basis_id
+        s.name = name
+        s._key = (0, basis_id, name)
+        return store(_SYMBOLS, key, s)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Sym:
-            return NotImplemented
-        return self._hash == other._hash and self.name == other.name and self.basis_id == other.basis_id
+    def __repr__(self) -> str:
+        return f"Sym(basis_id={self.basis_id!r}, name={self.name!r})"
 
     def sort_key(self):
         return self._key
@@ -208,7 +202,7 @@ class Pr:
         return f"({self.left.render()},{self.right.render()})"
 
 
-Label = Union[Sym, MultiIndex, Noise, Pr]
+Label = Sym | MultiIndex | Noise | Pr
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +231,27 @@ class DecorationBasis:
 
 @dataclass(frozen=True)
 class SymbolBasis(DecorationBasis):
-    """A finite basis of named symbols, each built once, at construction."""
+    """A finite basis of named symbols, which it keeps alive."""
 
     basis_id: str
     names: Tuple[str, ...]
     _labels: Tuple[Sym, ...] = field(init=False, repr=False, compare=False)
-    _by_name: Dict[str, Sym] = field(init=False, repr=False, compare=False)
 
     is_finite = True
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate names in basis {self.basis_id}")
-        labels = tuple(Sym(self.basis_id, n) for n in self.names)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_by_name", {s.name: s for s in labels})
+        object.__setattr__(self, "_labels", tuple(Sym(self.basis_id, n) for n in self.names))
 
     def contains(self, label: Label) -> bool:
-        return isinstance(label, Sym) and self._by_name.get(label.name) == label
+        return isinstance(label, Sym) and label.basis_id == self.basis_id and label.name in self.names
 
     def labels(self) -> Tuple[Label, ...]:
         return self._labels
 
     def resolve_name(self, name: str) -> Optional[Label]:
-        return self._by_name.get(name)
+        return Sym(self.basis_id, name) if name in self.names else None
 
 
 def symbols(basis_id: str, names: Iterable[str]) -> SymbolBasis:

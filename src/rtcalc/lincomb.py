@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Hashable, Iterable, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Tuple
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _norm(c: Scalar) -> Scalar:

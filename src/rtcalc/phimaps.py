@@ -20,7 +20,8 @@ and the action run, and a map on finite bases keeps its
 :func:`check_compat` verdict, which :func:`ensure_usable` reads.  A label
 outside the basis raises on every call and is never stored.  Deriving a
 map with ``dataclasses.replace`` starts empty memos.  No cache in this
-module is global or keyed by a map.
+module is global or keyed by a map.  The only global caches are the weak
+intern tables of :mod:`rtcalc.intern`: trees, forests and labels.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .decorations import (
     DecorationBasis,
@@ -133,7 +134,7 @@ def zero_map(edge_basis: DecorationBasis, vertex_basis: DecorationBasis) -> PhiM
     )
 
 
-TableEntry = Iterable[Tuple[Union[Scalar, int, str], Label, Label]]
+TableEntry = "Iterable[Tuple[Scalar | int | str, Label, Label]]"
 
 
 def from_table(
@@ -213,7 +214,7 @@ class Refuted:
         return f"Refuted(a={a.render()}, a'={a2.render()}, b={b.render()})"
 
 
-Verdict = Union[Compatible, VerifiedUpToBound, Refuted]
+Verdict = Compatible | VerifiedUpToBound | Refuted
 
 
 def _act23(phi: PhiMap, triples: LinComb) -> LinComb:
@@ -629,7 +630,7 @@ class NeedsAlgebraicExtension:
     block: Tuple[int, int]
 
 
-ClassifyResult = Union[AlreadyJD, NotCompatible, NeedsAlgebraicExtension]
+ClassifyResult = AlreadyJD | NotCompatible | NeedsAlgebraicExtension
 
 
 def _is_scalar(blk: Matrix) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from .decorations import (
     STAR,
@@ -85,17 +85,6 @@ def partial_lambda(cfg: SpdeConfig) -> PhiMap:
     return PhiMap(basis, basis, act, name="partial_lambda", compat_by_construction=True)
 
 
-_interned: dict = {}
-
-
-def _intern_mi(entries: Tuple[int, ...]) -> MultiIndex:
-    m = _interned.get(entries)
-    if m is None:
-        m = MultiIndex(entries)
-        _interned[entries] = m
-    return m
-
-
 def phi_lambda(cfg: SpdeConfig) -> PhiMap:
     """Closed form of exp(partial_lambda): a binomial sum over l <= min(a, b)."""
     basis = MultiIndexBasis(cfg.d)
@@ -107,7 +96,7 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
         key = (entries, low)
         m = lowered.get(key)
         if m is None:
-            m = _intern_mi(tuple(x - y for x, y in zip(entries, low)))
+            m = MultiIndex(tuple(x - y for x, y in zip(entries, low)))
             lowered[key] = m
         return m
 
@@ -124,7 +113,7 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
                 if weight is None:
                     weight = lambda_pow(cfg.lam, MultiIndex(low))
                     monomials[low] = weight
-                coeff = as_scalar(weight * b.binom(_intern_mi(low)))
+                coeff = as_scalar(weight * b.binom(MultiIndex(low)))
                 coeffs[key] = coeff
             if coeff:
                 terms[(lower(ae, low), lower(be, low))] = coeff
@@ -230,7 +219,7 @@ class NotReached(Exception):
         self.residual = residual
 
 
-PlantedElem = Union[PlantedTree, LinComb]
+PlantedElem = PlantedTree | LinComb
 
 
 def xi_generation_probe(

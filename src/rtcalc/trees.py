@@ -23,11 +23,15 @@ would refer to itself through its closure, and that cycle would keep the
 memo alive until the garbage collector ran; as it is, the memo is freed by
 reference counting when the call returns.
 
-The hash, ``sort_key``, ``vertex_count``, ``shape`` and rendered text of
-a tree (and the first three of a forest) are each computed on first use
-and then kept in a slot.  Subtrees are shared between trees, so a grafted
-tree recomputes them only along the path that changed, and printing a
-combination renders each distinct subtree once.
+Trees, planted trees and forests are interned (:mod:`rtcalc.intern`), so
+they hash and compare by identity.  A tree is looked up by vertex label,
+then by children tuple, whose entries are interned already, so no lookup
+hashes a subtree.  The raw constructor keeps the children as given, and an
+unsorted family is another value than the sorted one :func:`node` builds.
+The vertex count is set when a value is made; the ``sort_key``, ``shape``
+and text of a tree (and a forest's ``sort_key``) are kept in slots filled
+on first use.  Subtrees are shared, so a grafted tree recomputes them only
+along its changed path, and printing renders each distinct subtree once.
 
 Every operator recurses over these canonical trees directly: grafting in
 :mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
@@ -44,24 +48,37 @@ from bisect import bisect_right
 from typing import Callable, Dict, Iterable, Tuple
 
 from .decorations import Label
+from .intern import Interned, store, table
 
 VertexId = Tuple[int, ...]
+# Intern tables: trees by label, then children; planted trees by plant, then body.
+_TREES: Dict = {}
+_PLANTED: Dict = {}
+_FORESTS = table()
 
 
-class DecoratedTree:
+class DecoratedTree(Interned):
     """A vertex label and a tuple of (edge label, subtree) children.
 
-    Trees, planted trees and forests are immutable by convention, and keep
-    their keys in slots filled on first use.  The constructor takes the
-    children as given; :func:`node` is the canonical one.
+    Trees, planted trees and forests are immutable by convention, as each
+    is shared by every holder of an equal value, and keep their keys in
+    slots filled on first use.  The constructor takes the children as
+    given; :func:`node` is the canonical one.
     """
 
-    __slots__ = ("label", "children", "_key", "_hash", "_count", "_shape", "_text")
+    __slots__ = ("label", "children", "vertex_count", "_key", "_shape", "_text")
 
-    def __init__(self, label: Label, children: Tuple[Tuple[Label, "DecoratedTree"], ...] = ()):
-        self.label = label
-        self.children = children
-        self._key = self._hash = self._count = self._shape = self._text = None
+    def __new__(cls, label: Label, children: Tuple[Tuple[Label, "DecoratedTree"], ...] = ()):
+        entry = _TREES.get(label) or table(_TREES, label)
+        ref = entry[0].get(children)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        t = object.__new__(cls)
+        t.label = label
+        t.children = children
+        t.vertex_count = 1 + sum([c.vertex_count for _, c in children])
+        t._key = t._shape = t._text = None
+        return store(entry, children, t, _TREES, label)
 
     @property
     def sort_key(self):
@@ -69,26 +86,6 @@ class DecoratedTree:
         if key is None:
             key = self._key = (self.label.sort_key(), tuple(map(_child_key, self.children)))
         return key
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.label, self.children))
-        return h
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label and self.children == other.children
-
-    @property
-    def vertex_count(self) -> int:
-        n = self._count
-        if n is None:
-            n = self._count = 1 + sum([c.vertex_count for _, c in self.children])
-        return n
 
     @property
     def shape(self):
@@ -140,15 +137,22 @@ def canonicalize(tree: DecoratedTree) -> DecoratedTree:
     return node(tree.label, ((e, canonicalize(c)) for e, c in tree.children))
 
 
-class PlantedTree:
+class PlantedTree(Interned):
     """A body tree hanging from an undecorated root through a plant edge."""
 
-    __slots__ = ("plant", "body", "_key", "_hash")
+    __slots__ = ("plant", "body", "vertex_count", "_key")
 
-    def __init__(self, plant: Label, body: DecoratedTree):
-        self.plant = plant
-        self.body = body
-        self._key = self._hash = None
+    def __new__(cls, plant: Label, body: DecoratedTree):
+        entry = _PLANTED.get(plant) or table(_PLANTED, plant)
+        ref = entry[0].get(body)
+        if ref is not None and (p := ref()) is not None:
+            return p
+        p = object.__new__(cls)
+        p.plant = plant
+        p.body = body
+        p.vertex_count = body.vertex_count
+        p._key = None
+        return store(entry, body, p, _PLANTED, plant)
 
     @property
     def sort_key(self):
@@ -156,23 +160,6 @@ class PlantedTree:
         if key is None:
             key = self._key = (self.plant.sort_key(), self.body.sort_key)
         return key
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.plant, self.body))
-        return h
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.plant == other.plant and self.body == other.body
-
-    @property
-    def vertex_count(self) -> int:
-        return self.body.vertex_count
 
     @property
     def shape(self):
@@ -185,14 +172,20 @@ class PlantedTree:
         return f"PlantedTree{self.render()}"
 
 
-class Forest:
+class Forest(Interned):
     """A tuple of planted trees; :func:`forest` is the canonical constructor."""
 
-    __slots__ = ("trees", "_key", "_hash", "_count")
+    __slots__ = ("trees", "vertex_count", "_key")
 
-    def __init__(self, trees: Tuple[PlantedTree, ...] = ()):
-        self.trees = trees
-        self._key = self._hash = self._count = None
+    def __new__(cls, trees: Tuple[PlantedTree, ...] = ()):
+        ref = _FORESTS[0].get(trees)
+        if ref is not None and (f := ref()) is not None:
+            return f
+        f = object.__new__(cls)
+        f.trees = trees
+        f.vertex_count = sum([t.vertex_count for t in trees])
+        f._key = None
+        return store(_FORESTS, trees, f)
 
     @property
     def sort_key(self):
@@ -200,26 +193,6 @@ class Forest:
         if key is None:
             key = self._key = tuple([t.sort_key for t in self.trees])
         return key
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.trees)
-        return h
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.trees == other.trees
-
-    @property
-    def vertex_count(self) -> int:
-        n = self._count
-        if n is None:
-            n = self._count = sum([t.body.vertex_count for t in self.trees])
-        return n
 
     def __len__(self) -> int:
         return len(self.trees)

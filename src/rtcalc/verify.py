@@ -167,16 +167,11 @@ def _trees_exact(k: int, elabels: Tuple[Label, ...], vlabels: Tuple[Label, ...])
         return ()
     if k == 1:
         return tuple(leaf(v) for v in vlabels)
-    seen: Set[DecoratedTree] = set()
-    acc: List[DecoratedTree] = []
+    acc: Set[DecoratedTree] = set()
     for root in vlabels:
         for split in _compositions(k - 1):
             pools = [[(e, t) for e in elabels for t in _trees_exact(part, elabels, vlabels)] for part in split]
-            for combo in iproduct(*pools):
-                t = node(root, combo)
-                if t not in seen:
-                    seen.add(t)
-                    acc.append(t)
+            acc.update(node(root, combo) for combo in iproduct(*pools))
     return tuple(sorted(acc, key=lambda t: t.sort_key))
 
 
@@ -192,17 +187,11 @@ def forests_up_to(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) ->
     """All forests with at most n total vertices, the empty forest included."""
     pool = planted_up_to(n, elabels, vlabels)
     acc: Set[Forest] = {EMPTY_FOREST}
-    frontier: List[Forest] = [EMPTY_FOREST]
+    frontier = {EMPTY_FOREST}
     while frontier:
-        grown: List[Forest] = []
-        for f in frontier:
-            for p in pool:
-                if f.vertex_count + p.body.vertex_count <= n:
-                    g = forest(f.trees + (p,))
-                    if g not in acc:
-                        acc.add(g)
-                        grown.append(g)
-        frontier = grown
+        frontier = {forest(f.trees + (p,)) for f in frontier for p in pool if f.vertex_count + p.body.vertex_count <= n}
+        frontier -= acc
+        acc |= frontier
     return sorted(acc, key=lambda f: f.sort_key)
 
 

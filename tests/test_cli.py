@@ -109,6 +109,16 @@ def test_check_compat_infinite_basis_needs_bound(tmp_path, capsys):
     assert "--bound" in err
 
 
+def test_check_compat_refuses_a_negative_bound(tmp_path, capsys):
+    phi = jfile(tmp_path, "phi.json", PHI_D1)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-compat", "--phi", phi, "--bound", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --bound: must be nonnegative, got -1" in err
+
+
 # ---------------------------------------------------------------------------
 # Products and operators on tree files
 
@@ -235,6 +245,17 @@ def test_psi_check_clean_at_unit_coefficients(tmp_path, capsys):
     code, out, _ = run(capsys, "psi-check", "--psi", psi, "--phi", phi, "--bound", "2")
     assert code == 0
     assert "no defects" in out
+
+
+def test_psi_check_refuses_a_negative_bound(tmp_path, capsys):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    with pytest.raises(SystemExit) as exc:
+        main(["psi-check", "--psi", psi, "--phi", phi, "--bound", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --bound: must be nonnegative, got -1" in err
 
 
 def test_psi_check_flags_other_coefficients(tmp_path, capsys):
@@ -559,7 +580,7 @@ def run_process(*argv, hash_seed=None):
 
 
 def test_theta_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
-    # One vertex per frame of the default recursion limit: hashing a tree
+    # One vertex per frame of the default recursion limit: parsing a tree
     # takes at least one frame per level, so no ladder this deep fits.
     phi = jfile(tmp_path, "phi.json", PHI_D0)
     t = tfile(tmp_path, "t.txt", ladder_text(1000))
@@ -748,6 +769,26 @@ def test_grafting_commands_match_the_recorded_bytes(tmp_path, case, fmt):
     for seed in (0, 1):
         code, out, err = run_process(*argv, hash_seed=seed)
         assert {"code": code, "stdout": out, "stderr": err} == want, (case, fmt, seed)
+
+
+# sha256 of `rtcalc verify-suite --level small --format structured`, recorded
+# before trees and labels were interned.
+VERIFY_SMALL_SHA256 = "0d5cafb81af957c822509a0fe51e21515621d0ce11594eaf6c47be3c1d2c3433"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, seed):
+    # Interned values hash by identity, so a set of them iterates in an
+    # order set by allocation; none of that order may reach the output.
+    write_golden_inputs(tmp_path)
+    for case in ("star", "coprod"):
+        for fmt in ("text", "structured"):
+            argv = [str(tmp_path / arg) if arg in GOLDEN_INPUTS else arg for arg in golden_argv(case, fmt)]
+            code, out, err = run_process(*argv, hash_seed=seed)
+            assert {"code": code, "stdout": out, "stderr": err} == GOLDENS["cases"][case][fmt], (case, fmt)
+    code, out, err = run_process("verify-suite", "--level", "small", "--format", "structured", hash_seed=seed)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_SHA256
 
 
 def test_graft_on_a_240_deep_ladder_gives_the_recorded_bytes(tmp_path):
