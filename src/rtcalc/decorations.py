@@ -38,7 +38,7 @@ class MultiIndex(Interned):
     checked then too, so a value already in the table is not checked again.
     """
 
-    __slots__ = ("entries", "_key", "_text")
+    __slots__ = ("entries", "sort_key", "_text")
 
     def __new__(cls, entries: Tuple[int, ...]):
         ref = _MULTI_INDICES[0].get(entries)
@@ -48,12 +48,12 @@ class MultiIndex(Interned):
             raise ValueError(f"multi-index entries must be nonnegative ints: {entries}")
         m = object.__new__(cls)
         m.entries = entries
-        m._key = (1, entries)
+        m.sort_key = (1, entries)
         m._text = "<" + ",".join(map(str, entries)) + ">"
         return store(_MULTI_INDICES, entries, m)
 
-    def sort_key(self):
-        return self._key
+    def __reduce__(self):
+        return MultiIndex, (self.entries,)
 
     def render(self) -> str:
         return self._text
@@ -145,7 +145,7 @@ class Sym(Interned):
     sort key is computed once, when it is made.
     """
 
-    __slots__ = ("basis_id", "name", "_key")
+    __slots__ = ("basis_id", "name", "sort_key")
 
     def __new__(cls, basis_id: str, name: str):
         key = (basis_id, name)
@@ -155,14 +155,14 @@ class Sym(Interned):
         s = object.__new__(cls)
         s.basis_id = basis_id
         s.name = name
-        s._key = (0, basis_id, name)
+        s.sort_key = (0, basis_id, name)
         return store(_SYMBOLS, key, s)
+
+    def __reduce__(self):
+        return Sym, (self.basis_id, self.name)
 
     def __repr__(self) -> str:
         return f"Sym(basis_id={self.basis_id!r}, name={self.name!r})"
-
-    def sort_key(self):
-        return self._key
 
     def render(self) -> str:
         return self.name
@@ -174,9 +174,14 @@ class Noise:
 
     symbol: str
 
+    @property
     def sort_key(self):
         # Above every multi-index; STAR and XI stay mutually ordered.
         return (2, self.symbol)
+
+    def __reduce__(self):
+        # Pickled by name, so that a copy is XI or STAR itself.
+        return {"Xi": "XI", "*": "STAR"}[self.symbol]
 
     def render(self) -> str:
         return self.symbol
@@ -193,10 +198,9 @@ class Pr:
     left: "Label"
     right: "Label"
 
+    @property
     def sort_key(self):
-        from .lincomb import term_key
-
-        return (4, term_key(self.left), term_key(self.right))
+        return (4, self.left.sort_key, self.right.sort_key)
 
     def render(self) -> str:
         return f"({self.left.render()},{self.right.render()})"

@@ -13,7 +13,10 @@ chosen vertex of the right factor or leaves it alone, running the
 decoration map over each (grafted edge, target vertex) pair.  For a
 tree-compatible map this is associative and dual to the cut coproduct
 under the isomorphism pairing below.  ``go_triangle`` is the same sum
-with every tree grafted; both run on one scaffold, ``_graft_basis``.
+with every tree grafted.  Both run on one recursion, ``_graft_into``,
+which sends each tree to the root or into one child and is memoised on
+(subtree, trees sent into it); the product first sends each tree of the
+left factor to stay or into one tree of the right.
 The forest edge-product operator ``theta_bar`` runs the tree recursion
 of :mod:`rtcalc.prelie` on each tree body.
 
@@ -31,22 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb, prod
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
 from .phimaps import PhiMap
 from .prelie import _ensure_usable_on, apply_edge_maps
-from .trees import (
-    EMPTY_FOREST,
-    DecoratedTree,
-    Forest,
-    PlantedTree,
-    VertexId,
-    forest,
-    forest_mul,
-    node,
-)
+from .trees import EMPTY_FOREST, DecoratedTree, Forest, PlantedTree, forest, forest_mul, node
 
 ForestComb = LinComb  # combinations of Forest
 PairComb = LinComb  # combinations of (Forest, Forest)
@@ -58,8 +52,7 @@ def forest_elem(f: Forest) -> ForestComb:
     return LinComb.of(f)
 
 
-def _guard(phi: PhiMap, *forests: Forest) -> None:
-    trees = [t for f in forests for t in f.trees]
+def _guard(phi: PhiMap, trees: Tuple[PlantedTree, ...]) -> None:
     _ensure_usable_on(phi, [t.body for t in trees], [t.plant for t in trees])
 
 
@@ -67,73 +60,66 @@ def _guard(phi: PhiMap, *forests: Forest) -> None:
 # Deformed forest product
 
 
-def _regrow(t: DecoratedTree, path: VertexId, changes: Dict, through: Set[VertexId]) -> DecoratedTree:
-    """``t``, found at ``path``, with each change at or below it applied.
+def _groups(trees: Tuple[PlantedTree, ...], n: int):
+    """Every way to send each of ``trees`` to one of ``n`` places, as the
+    list of trees each place gets, in the order of ``trees``."""
+    for targets in iproduct(range(n), repeat=len(trees)):
+        groups: List[List[PlantedTree]] = [[] for _ in range(n)]
+        for p, i in zip(trees, targets):
+            groups[i].append(p)
+        yield groups
 
-    ``changes`` maps a vertex address to its new (label, extra children);
-    ``through`` holds every address on a path down to a change, and only
-    those vertices are rebuilt.
+
+def _graft_into(phi: PhiMap, t: DecoratedTree, trees: Tuple[PlantedTree, ...], memo: Dict) -> LinComb:
+    """Graft every planted tree of ``trees`` onto a vertex of ``t``, summed
+    over assignments.
+
+    Each tree goes to the root or into one child.  The trees kept at the
+    root run the map over (plant edge, root label) in the order of
+    ``trees`` and hang from the root on the edges it returns; each child
+    takes the sum for the trees sent into it, and a child that gets none
+    is kept as it is.  ``memo`` holds the sum of each (subtree, trees)
+    seen, so it must be scoped to one map.
     """
-    kids = tuple(
-        (e, _regrow(c, path + (i,), changes, through)) if path + (i,) in through else (e, c)
-        for i, (e, c) in enumerate(t.children)
-    )
-    label, extra = changes.get(path, (t.label, ()))
-    return node(label, kids + extra)
-
-
-def _vertices(t: DecoratedTree, path: VertexId = ()) -> List[Tuple[VertexId, Label]]:
-    """(address, label) of every vertex of ``t``, in depth-first preorder;
-    an address is the tuple of child positions down from the root."""
-    out = [(path, t.label)]
-    for i, (_, c) in enumerate(t.children):
-        out.extend(_vertices(c, path + (i,)))
-    return out
-
-
-def _graft_basis(phi: PhiMap, F: Forest, G: Forest, *, stay: bool) -> ForestComb:
-    """Graft each tree of F onto a vertex of G, summed over assignments.
-
-    An assignment sends each tree of F to a vertex of G or, with ``stay``,
-    also leaves it planted beside G.  At each target v the map runs over
-    (plant edge, label of v) for the trees sent there, in F's canonical
-    order; trees sent to different vertices act on disjoint slots.  Only
-    the vertices on the paths down to the targets are rebuilt, and every
-    tree of G with no target in it is kept as it is.
-    """
-    vertices = [
-        (k, path, label, [path[:i] for i in range(len(path) + 1)])
-        for k, t in enumerate(G.trees)
-        for path, label in _vertices(t.body)
-    ]
+    key = (t, trees)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    kids = t.children
     pairs = []
-    for targets in iproduct(range(-1 if stay else 0, len(vertices)), repeat=len(F.trees)):
-        staying: List[PlantedTree] = []
-        groups: Dict[int, List[PlantedTree]] = {}
-        for t, v in zip(F.trees, targets):
-            if v < 0:
-                staying.append(t)
-            else:
-                groups.setdefault(v, []).append(t)
-        through: Dict[int, Set[VertexId]] = {}
-        grafts = []
-        for v, trees in groups.items():
-            k, path, label, prefixes = vertices[v]
-            through.setdefault(k, set()).update(prefixes)
-            terms = phi.act_at_vertex(tuple(t.plant for t in trees), label).items()
-            grafts.append((k, path, [t.body for t in trees], terms))
-        kept = [t for k, t in enumerate(G.trees) if k not in through] + staying
-        for combo in iproduct(*[terms for _, _, _, terms in grafts]):
-            changes: Dict[int, Dict] = {k: {} for k in through}
-            coeff = 1
-            for (k, path, bodies, _), ((edges, b), c) in zip(grafts, combo):
-                changes[k][path] = (b, tuple(zip(edges, bodies)))
-                coeff = coeff * c
-            grown = [
-                PlantedTree(G.trees[k].plant, _regrow(G.trees[k].body, (), changes[k], through[k]))
-                for k in through
-            ]
-            pairs.append((forest(kept + grown), coeff))
+    for here, *inner in _groups(trees, len(kids) + 1):
+        local = phi.act_at_vertex(tuple(p.plant for p in here), t.label).items()
+        below = [
+            _graft_into(phi, c, tuple(g), memo).items() if g else ((c, 1),) for (_, c), g in zip(kids, inner)
+        ]
+        new = [p.body for p in here]
+        for combo in iproduct(*below):
+            grown = tuple((e, c) for (e, _), (c, _) in zip(kids, combo))
+            coeff = prod(k for _, k in combo)
+            for (edges, b), c in local:
+                pairs.append((node(b, grown + tuple(zip(edges, new))), coeff * c))
+    hit = memo[key] = LinComb(pairs)
+    return hit
+
+
+def _graft_basis(phi: PhiMap, F: Forest, G: Forest, memo: Dict) -> ForestComb:
+    """Graft each tree of F onto a vertex of G or leave it planted beside G,
+    summed over assignments.
+
+    Each tree of F stays or goes into one tree of G, and
+    :func:`_graft_into` places the trees each tree of G gets; trees of G
+    that get none are kept as they are.
+    """
+    pairs = []
+    for staying, *inner in _groups(F.trees, len(G.trees) + 1):
+        options = [
+            [(PlantedTree(g.plant, body), c) for body, c in _graft_into(phi, g.body, tuple(group), memo).items()]
+            if group
+            else ((g, 1),)
+            for g, group in zip(G.trees, inner)
+        ]
+        for combo in iproduct(*options):
+            pairs.append((forest(staying + [g for g, _ in combo]), prod(c for _, c in combo)))
     return LinComb(pairs)
 
 
@@ -147,12 +133,9 @@ def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
     """
     for f, _ in x.sorted_items():
         for g, _ in y.sorted_items():
-            _guard(phi, f, g)
-    return lc_sum(
-        cx * cy * _graft_basis(phi, fx, fy, stay=True)
-        for fx, cx in x.items()
-        for fy, cy in y.items()
-    )
+            _guard(phi, f.trees + g.trees)
+    memo: Dict = {}
+    return lc_sum(cx * cy * _graft_basis(phi, fx, fy, memo) for fx, cx in x.items() for fy, cy in y.items())
 
 
 def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
@@ -163,11 +146,11 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
     planted trees.  With a one-tree forest on the left this coincides
     with the deformed grafting of planted elements.
     """
+    memo: Dict = {}
 
     def grafted(F: Forest, pt: PlantedTree) -> LinComb:
-        target = forest([pt])
-        _guard(phi, F, target)
-        return _graft_basis(phi, F, target, stay=False).map_terms(lambda f: LinComb.of(f.trees[0]))
+        _guard(phi, F.trees + (pt,))
+        return _graft_into(phi, pt.body, F.trees, memo).map_terms(lambda t: LinComb.of(PlantedTree(pt.plant, t)))
 
     return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.sorted_items() for F, c in x.sorted_items())
 
@@ -246,7 +229,7 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
     """
 
     def cuts(f: Forest) -> PairComb:
-        _guard(phi, f)
+        _guard(phi, f.trees)
         options = [
             [((p,), (), 1)]
             + [(ups, (PlantedTree(p.plant, lower),), c) for (ups, lower), c in _cuts_below(phi, p.body).items()]
@@ -275,7 +258,7 @@ def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
     """
 
     def images(f: Forest) -> ForestComb:
-        _guard(phi, f)
+        _guard(phi, f.trees)
         bodies = [apply_edge_maps(phi, t.body).items() for t in f.trees]
         return LinComb(
             (

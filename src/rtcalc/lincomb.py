@@ -11,7 +11,7 @@ representation.  Quotients go through :func:`exact_div`, since ``int /
 int`` is a float.  A :class:`LinComb` is a finite map from basis terms to
 nonzero coefficients; the zero combination is the empty map.  Terms can be
 anything hashable that either is naturally orderable (ints, strings) or
-exposes a ``sort_key`` attribute/method; tuples of such terms are ordered
+exposes a ``sort_key`` attribute; tuples of such terms are ordered
 componentwise.  All operations return new objects.
 
 Every sum is accumulated by one loop, :func:`_add_terms`, which adds
@@ -68,16 +68,13 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 def term_key(term):
     """Canonical sort key for a basis term.
 
-    Tuples are keyed componentwise, objects with a ``sort_key`` use it
-    (calling it when it is a method), everything else must be directly
-    orderable.
+    Tuples are keyed componentwise, objects with a ``sort_key`` attribute
+    use it, everything else must be directly orderable.
     """
     if isinstance(term, tuple):
         return tuple(term_key(part) for part in term)
     key = getattr(term, "sort_key", None)
-    if key is None:
-        return term
-    return key() if callable(key) else key
+    return term if key is None else key
 
 
 def _add_terms(terms: Dict[Hashable, Scalar], pairs: Iterable[Tuple[Hashable, Scalar]]) -> Dict[Hashable, Scalar]:

@@ -131,7 +131,7 @@ def _ensure_usable_on(phi: PhiMap, trees: Iterable[DecoratedTree], plants: Itera
     vertex_labels: Set[Label] = set()
     for t in trees:
         _collect_labels(t, edge_labels, vertex_labels)
-    ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key()), sorted(vertex_labels, key=lambda l: l.sort_key()))
+    ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key), sorted(vertex_labels, key=lambda l: l.sort_key))
 
 
 def _edge_image(
@@ -262,7 +262,7 @@ def planted_graft(phi: PhiMap, u: PlantedTree, w: PlantedTree) -> PlantedComb:
 def root_split(p: PlantedTree) -> LinComb:
     """Cut each root edge in turn: pairs (branch planted on the cut edge,
     remainder on the original plant edge)."""
-    return LinComb((split_root_edge(p, (i,)), 1) for i in range(len(p.body.children)))
+    return LinComb((split_root_edge(p, i), 1) for i in range(len(p.body.children)))
 
 
 def nap_coproduct(x: PlantedComb) -> LinComb:

@@ -36,10 +36,11 @@ along its changed path, and printing renders each distinct subtree once.
 Every operator recurses over these canonical trees directly: grafting in
 :mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
 through :func:`vertex_sum`; the edge-product operator in
-:mod:`rtcalc.prelie`, and the cut coproduct and the grafting of whole
-forests in :mod:`rtcalc.hopf`, through recursions of their own.  They
-build the vertices they change with :func:`node` or by the bisection
-above, and share the subtrees they leave alone with their input.
+:mod:`rtcalc.prelie`, and the cut coproduct and forest grafting in
+:mod:`rtcalc.hopf`, through recursions of their own.  They build the
+vertices they change with :func:`node` or by the bisection above, and
+share the subtrees they leave alone with their input.  Nothing addresses
+a vertex by its path from the root.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from typing import Callable, Dict, Iterable, Tuple
 from .decorations import Label
 from .intern import Interned, store, table
 
-VertexId = Tuple[int, ...]
 # Intern tables: trees by label, then children; planted trees by plant, then body.
 _TREES: Dict = {}
 _PLANTED: Dict = {}
@@ -84,7 +84,7 @@ class DecoratedTree(Interned):
     def sort_key(self):
         key = self._key
         if key is None:
-            key = self._key = (self.label.sort_key(), tuple(map(_child_key, self.children)))
+            key = self._key = (self.label.sort_key, tuple(map(_child_key, self.children)))
         return key
 
     @property
@@ -102,12 +102,15 @@ class DecoratedTree(Interned):
             text = self._text = f"({self.label.render()}{inner})"
         return text
 
+    def __reduce__(self):
+        return DecoratedTree, (self.label, self.children)
+
     def __repr__(self) -> str:
         return f"DecoratedTree{self.render()}"
 
 
 def _child_key(child: Tuple[Label, DecoratedTree]):
-    return (child[0].sort_key(), child[1].sort_key)
+    return (child[0].sort_key, child[1].sort_key)
 
 
 def node(label: Label, children: Iterable[Tuple[Label, DecoratedTree]] = ()) -> DecoratedTree:
@@ -158,7 +161,7 @@ class PlantedTree(Interned):
     def sort_key(self):
         key = self._key
         if key is None:
-            key = self._key = (self.plant.sort_key(), self.body.sort_key)
+            key = self._key = (self.plant.sort_key, self.body.sort_key)
         return key
 
     @property
@@ -167,6 +170,9 @@ class PlantedTree(Interned):
 
     def render(self) -> str:
         return f"[{self.plant.render()}]{self.body.render()}"
+
+    def __reduce__(self):
+        return PlantedTree, (self.plant, self.body)
 
     def __repr__(self) -> str:
         return f"PlantedTree{self.render()}"
@@ -201,6 +207,9 @@ class Forest(Interned):
         if not self.trees:
             return "1"
         return " ".join(t.render() for t in self.trees)
+
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __repr__(self) -> str:
         return f"Forest({self.render()})"
@@ -256,16 +265,12 @@ def vertex_sum(s: DecoratedTree, local: Callable[[DecoratedTree], Iterable], mem
     return image
 
 
-def split_root_edge(p: PlantedTree, edge: VertexId) -> Tuple[PlantedTree, PlantedTree]:
-    """Cut one edge leaving the body root of ``p``.
+def split_root_edge(p: PlantedTree, i: int) -> Tuple[PlantedTree, PlantedTree]:
+    """Cut the edge from the body root of ``p`` to its child ``i``.
 
-    ``edge`` is the address of the edge's upper endpoint, a path of length
-    one.  Returns (branch planted on the cut edge, remainder with its
-    original plant edge).
+    Returns (branch planted on the cut edge, remainder with its original
+    plant edge).
     """
-    if len(edge) != 1:
-        raise ValueError("split_root_edge cuts only edges incident to the body root")
-    i = edge[0]
     if not 0 <= i < len(p.body.children):
         raise ValueError(f"no child {i} at the body root")
     elab, branch = p.body.children[i]

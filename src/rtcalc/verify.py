@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
@@ -156,27 +155,27 @@ def _compositions(n: int) -> Iterable[Tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _levels(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> List[Tuple[DecoratedTree, ...]]:
+    """The decorated trees with exactly k vertices, for k = 0..n, each level
+    built from the ones below it in a table local to the call."""
+    levels: List[Tuple[DecoratedTree, ...]] = [(), tuple(leaf(v) for v in vlabels)]
+    for k in range(2, n + 1):
+        acc: Set[DecoratedTree] = set()
+        for root in vlabels:
+            for split in _compositions(k - 1):
+                pools = [[(e, t) for e in elabels for t in levels[part]] for part in split]
+                acc.update(node(root, combo) for combo in iproduct(*pools))
+        levels.append(tuple(sorted(acc, key=lambda t: t.sort_key)))
+    return levels
+
+
 def trees_exact(k: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> Tuple[DecoratedTree, ...]:
     """All decorated trees with exactly k vertices over the given labels."""
-    return _trees_exact(k, tuple(elabels), tuple(vlabels))
-
-
-@lru_cache(maxsize=256)
-def _trees_exact(k: int, elabels: Tuple[Label, ...], vlabels: Tuple[Label, ...]) -> Tuple[DecoratedTree, ...]:
-    if k <= 0:
-        return ()
-    if k == 1:
-        return tuple(leaf(v) for v in vlabels)
-    acc: Set[DecoratedTree] = set()
-    for root in vlabels:
-        for split in _compositions(k - 1):
-            pools = [[(e, t) for e in elabels for t in _trees_exact(part, elabels, vlabels)] for part in split]
-            acc.update(node(root, combo) for combo in iproduct(*pools))
-    return tuple(sorted(acc, key=lambda t: t.sort_key))
+    return _levels(k, elabels, vlabels)[k] if k > 0 else ()
 
 
 def trees_up_to(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> List[DecoratedTree]:
-    return [t for k in range(1, n + 1) for t in trees_exact(k, elabels, vlabels)]
+    return [t for level in _levels(n, elabels, vlabels)[1 : n + 1] for t in level]
 
 
 def planted_up_to(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> List[PlantedTree]:

@@ -38,13 +38,13 @@ from rtcalc.trees import (
     DecoratedTree,
     Forest,
     PlantedTree,
-    VertexId,
     forest,
     insert_child,
     node,
 )
 
-ForestVertexId = Tuple[int, Tuple[int, ...]]
+VertexId = Tuple[int, ...]  # child positions down from the root
+ForestVertexId = Tuple[int, VertexId]
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,21 @@ def test_star_product_and_go_triangle_match_their_own_scaffolds(which):
         for pt in targets[::3]:
             x, p = LinComb.of(f), LinComb.of(pt)
             assert go_triangle(phi, x, p) == oracle_go_triangle(phi, x, p)
+    # Three-vertex targets whose root has two equal children, so that the
+    # sums of equal siblings come from one memo entry, under left forests
+    # of two trees.
+    cherries = [
+        PlantedTree(e, node(b, [(a, leaf(v))] * 2))
+        for e, b, a, v in product(E2.labels(), V2.labels(), E2.labels(), V2.labels())
+    ]
+    pairs = [f for f in pool if len(f.trees) == 2]
+    assert (len(cherries), len(pairs)) == (16, 10)
+    for f in pairs:
+        for pt in cherries:
+            x, p = LinComb.of(f), LinComb.of(pt)
+            assert go_triangle(phi, x, p) == oracle_go_triangle(phi, x, p)
+            g = forest([pt])
+            assert star_product(phi, x, LinComb.of(g)) == graft_basis(phi, f, g, stay=True)
 
 
 def forests_of_four(seed, per_shape):

@@ -3,15 +3,17 @@ hold them weakly, and a fresh import of rtcalc frees the previous one."""
 
 import copy
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtcalc
-from rtcalc.decorations import MultiIndex, Sym, mi, symbols
+from rtcalc.decorations import STAR, XI, MultiIndex, Sym, mi, symbols
 from rtcalc.lincomb import LinComb
 from rtcalc.parsing import parse_tree_comb
 from rtcalc.prelie import graft_free
@@ -109,6 +111,23 @@ def test_copies_of_interned_values_are_the_values_themselves():
     assert copy.deepcopy([t, t])[0] is t
 
 
+T = node(V.labels()[0], [(E.labels()[1], leaf(mi(1, 2))), (XI, leaf(STAR))])
+P = PlantedTree(E.labels()[0], T)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [mi(1, 2), E.labels()[2], T, P, forest([P, P]), XI, STAR],
+    ids=["multi-index", "symbol", "tree", "planted", "forest", "xi", "star"],
+)
+def test_pickles_and_deep_copies_are_the_values_themselves(value):
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert copy.deepcopy(value) is value
+    assert copy.copy(value) is value
+    [(back, c)] = pickle.loads(pickle.dumps(LinComb.of(value, 2))).items()
+    assert back is value and c == 2
+
+
 def test_a_5000_deep_ladder_hashes_and_keys_a_dict():
     b, a = V.labels()[0], E.labels()[0]
     t = leaf(b)
@@ -128,6 +147,7 @@ def test_dropping_every_reference_empties_the_tables():
         from rtcalc.parsing import parse_forest_comb, parse_tree_comb
         from rtcalc.prelie import graft_phi, theta
         from rtcalc.spde import SpdeConfig, phi_lambda
+        from rtcalc.verify import trees_up_to
 
         def live():
             return {
@@ -149,8 +169,9 @@ def test_dropping_every_reference_empties_the_tables():
         products = star_product(phi, f, f)
         cuts = cut_coproduct(phi, products)
         basis = decorations.symbols("E", ("a1", "a2"))
+        enumerated = trees_up_to(3, basis.labels(), decorations.symbols("V", ("b1", "b2")).labels())
         during = live()
-        del phi, x, y, grafted, images, f, products, cuts, basis
+        del phi, x, y, grafted, images, f, products, cuts, basis, enumerated
         gc.collect()
         print(before)
         print(during["trees"] > 0, during["forests"] != before["forests"], during["symbols"])
@@ -161,7 +182,7 @@ def test_dropping_every_reference_empties_the_tables():
     assert before == after == (
         "{'trees': 0, 'planted': 0, 'forests': ['1'], 'multi_indices': 0, 'symbols': 0}"
     )
-    assert during == "True True 2"
+    assert during == "True True 4"
 
 
 def test_a_fresh_import_frees_the_previous_one():

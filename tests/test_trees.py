@@ -157,7 +157,7 @@ def graft_at_by_resorting(x, target, y, edge, relabel=None):
 
 def reference_key(t):
     """The canonical sort key, recomputed from scratch without the slots."""
-    return (t.label.sort_key(), tuple((e.sort_key(), reference_key(c)) for e, c in t.children))
+    return (t.label.sort_key, tuple((e.sort_key, reference_key(c)) for e, c in t.children))
 
 
 def assert_same_graft(x, target, y, edge, relabel):
@@ -209,11 +209,12 @@ def test_graft_at_matches_resorting_oracle_on_wide_trees(y, x, edge, relabel, da
 def test_split_root_edge_roundtrip():
     body = node(B[0], [(A[0], leaf(B[1])), (A[1], chain([B[2], B[3]], [A[2]]))])
     p = PlantedTree(A[4], body)
-    branch, rest = split_root_edge(p, (1,))
+    branch, rest = split_root_edge(p, 1)
     assert branch == PlantedTree(A[1], chain([B[2], B[3]], [A[2]]))
     assert rest == PlantedTree(A[4], node(B[0], [(A[0], leaf(B[1]))]))
-    with pytest.raises(ValueError):
-        split_root_edge(p, (1, 0))
+    for out_of_range in (2, -1):
+        with pytest.raises(ValueError):
+            split_root_edge(p, out_of_range)
 
 
 # --- sites -----------------------------------------------------------------

@@ -2,7 +2,6 @@ import pytest
 
 from rtcalc.decorations import symbols
 from rtcalc.verify import (
-    _trees_exact,
     battery,
     forests_up_to,
     planted_up_to,
@@ -53,10 +52,3 @@ def test_battery_rejects_unknown_level():
     with pytest.raises(ValueError):
         battery("huge")
 
-
-def test_tree_cache_stays_at_its_bound():
-    bound = _trees_exact.cache_info().maxsize
-    assert bound is not None
-    for k in range(bound + 10):
-        trees_exact(2, EL, symbols("b", (f"c{k}",)).labels())
-    assert _trees_exact.cache_info().currsize == bound
