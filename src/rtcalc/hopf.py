@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb, prod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
@@ -286,7 +286,6 @@ class Pairing:
     """
 
     base: Callable[[Label, Label, Label, Label], Scalar]
-    name: str = "pairing"
     _memo: Dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def _tree(self, p1: PlantedTree, p2: PlantedTree) -> Scalar:
@@ -354,7 +353,7 @@ def delta_pairing() -> Pairing:
     def base(aprime, bprime, a, b):
         return 1 if (aprime == a and bprime == b) else 0
 
-    return Pairing(base, name="delta")
+    return Pairing(base)
 
 
 def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Scalar:
@@ -398,22 +397,15 @@ class PairingDefect:
     rhs: Scalar
 
 
-def check_adjoint(
-    phi: PhiMap, phi2: PhiMap, pairing: Pairing, bound: Optional[int] = None
-) -> None:
-    """Assert the adjointness that duality needs, label pair by label pair."""
+def check_adjoint(phi: PhiMap, phi2: PhiMap, pairing: Pairing) -> None:
+    """Assert the adjointness that duality needs, label pair by label pair.
 
-    def span(basis):
-        if basis.is_finite:
-            return basis.labels()
-        if bound is None:
-            raise ValueError("an explicit bound is required on an infinite basis")
-        return basis.labels_up_to(bound)
-
-    edges = span(phi.edge_basis)
-    verts = span(phi.vertex_basis)
-    for a2 in span(phi2.edge_basis):
-        for b2 in span(phi2.vertex_basis):
+    The bases must be finite; an infinite one raises ``ValueError``.
+    """
+    edges = phi.edge_basis.labels()
+    verts = phi.vertex_basis.labels()
+    for a2 in phi2.edge_basis.labels():
+        for b2 in phi2.vertex_basis.labels():
             img2 = phi2(a2, b2)
             for a in edges:
                 for b in verts:
@@ -437,7 +429,6 @@ def hopf_pairing_defects(
     pairing: Pairing,
     primed: List[Forest],
     unprimed: List[Forest],
-    bound: Optional[int] = None,
 ) -> List[PairingDefect]:
     """Check the four duality identities over sample forests.
 
@@ -446,7 +437,7 @@ def hopf_pairing_defects(
     violations of the counit and product-coproduct identities (empty when
     everything holds).
     """
-    check_adjoint(phi, phi2, pairing, bound=bound)
+    check_adjoint(phi, phi2, pairing)
     defects: List[PairingDefect] = []
 
     for f in unprimed:

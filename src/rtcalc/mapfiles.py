@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Dict, Iterator, Optional, Tuple
 
 from .decorations import (
@@ -88,9 +87,12 @@ def _req(obj: dict, key: str, where: str):
 
 
 def _int(obj: dict, key: str, where: str, default: Optional[int] = None) -> int:
+    """The nonnegative integer under ``key``; every integer field of a map file is a size or a count."""
     x = _req(obj, key, where) if default is None else obj.get(key, default)
     if isinstance(x, bool) or not isinstance(x, int):
         raise MapFileError(f"{where}: {key!r} must be an integer, not {x!r}")
+    if x < 0:
+        raise MapFileError(f"{where}: {key!r} must be nonnegative, not {x!r}")
     return x
 
 
@@ -205,8 +207,6 @@ def build_phi(obj: dict, where: str = "map") -> PhiMap:
         raise MapFileError(f"{where}: expected a map object")
     builder = _req(obj, "builder", where)
     phi = _dispatch_phi(obj, builder, where)
-    if "name" in obj:
-        phi = replace(phi, name=str(obj["name"]))
     if obj.get("assert_compatible"):
         phi = mark_compatible(phi)
     return phi

@@ -68,7 +68,6 @@ class PhiMap:
     edge_basis: DecorationBasis
     vertex_basis: DecorationBasis
     action: Callable[[Label, Label], PairComb]
-    name: str = "phi"
     compat_by_construction: bool = False
     _images: Dict[Tuple[Label, Label], PairComb] = field(default_factory=dict, init=False, compare=False, repr=False)
     _verdict: Optional[Verdict] = field(default=None, init=False, compare=False, repr=False)
@@ -110,16 +109,12 @@ class PhiMap:
             )
         return states
 
-    def __repr__(self) -> str:
-        return f"PhiMap({self.name})"
-
 
 def identity_map(edge_basis: DecorationBasis, vertex_basis: DecorationBasis) -> PhiMap:
     return PhiMap(
         edge_basis,
         vertex_basis,
         lambda a, b: LinComb.of((a, b)),
-        name="id",
         compat_by_construction=True,
     )
 
@@ -129,7 +124,6 @@ def zero_map(edge_basis: DecorationBasis, vertex_basis: DecorationBasis) -> PhiM
         edge_basis,
         vertex_basis,
         lambda a, b: LinComb(),
-        name="0",
         compat_by_construction=True,
     )
 
@@ -141,7 +135,6 @@ def from_table(
     edge_basis: DecorationBasis,
     vertex_basis: DecorationBasis,
     table: Dict[Tuple[Label, Label], TableEntry],
-    name: str = "table",
 ) -> PhiMap:
     """A map given by an explicit table; unlisted pairs go to zero."""
     compiled: Dict[Tuple[Label, Label], PairComb] = {}
@@ -159,7 +152,6 @@ def from_table(
         edge_basis,
         vertex_basis,
         lambda a, b: compiled.get((a, b), LinComb()),
-        name=name,
     )
 
 
@@ -168,7 +160,6 @@ def tensor_map(
     vertex_basis: DecorationBasis,
     f: Callable[[Label], LinComb],
     g: Callable[[Label], LinComb],
-    name: str = "f(x)g",
 ) -> PhiMap:
     """The decomposable map sending a (x) b to f(a) (x) g(b).
 
@@ -182,7 +173,7 @@ def tensor_map(
         gb = g(b).items()
         return LinComb._raw({(a2, b2): as_scalar(ca * cb) for a2, ca in f(a).items() for b2, cb in gb})
 
-    return PhiMap(edge_basis, vertex_basis, act, name=name, compat_by_construction=True)
+    return PhiMap(edge_basis, vertex_basis, act, compat_by_construction=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +306,7 @@ def ensure_usable(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequ
 # Combinators
 
 
-def direct_sum(phi1: PhiMap, phi2: PhiMap, lam, mu, name: Optional[str] = None) -> PhiMap:
+def direct_sum(phi1: PhiMap, phi2: PhiMap, lam, mu) -> PhiMap:
     """Block map on a direct sum of bases.
 
     Diagonal blocks act by the two maps; the mixed blocks are scalar:
@@ -342,7 +333,6 @@ def direct_sum(phi1: PhiMap, phi2: PhiMap, lam, mu, name: Optional[str] = None) 
         E,
         V,
         act,
-        name=name or f"({phi1.name})(+)({phi2.name})",
         compat_by_construction=phi1.compat_by_construction and phi2.compat_by_construction,
     )
 
@@ -352,7 +342,7 @@ def _require_same_bases(phi: PhiMap, psi: PhiMap) -> None:
         raise ValueError("the maps act on different bases")
 
 
-def compose(outer: PhiMap, inner: PhiMap, name: Optional[str] = None) -> PhiMap:
+def compose(outer: PhiMap, inner: PhiMap) -> PhiMap:
     """outer o inner.  Compatibility of the parts does not transfer by
     itself; it does under the mixed commutation hypothesis, which callers
     assert explicitly via ``mark_compatible`` when they have it."""
@@ -361,18 +351,16 @@ def compose(outer: PhiMap, inner: PhiMap, name: Optional[str] = None) -> PhiMap:
         outer.edge_basis,
         outer.vertex_basis,
         lambda a, b: outer.apply(inner(a, b)),
-        name=name or f"{outer.name}o{inner.name}",
     )
 
 
-def lin_comb_maps(alpha, phi: PhiMap, beta, psi: PhiMap, name: Optional[str] = None) -> PhiMap:
+def lin_comb_maps(alpha, phi: PhiMap, beta, psi: PhiMap) -> PhiMap:
     _require_same_bases(phi, psi)
     alpha, beta = as_scalar(alpha), as_scalar(beta)
     return PhiMap(
         phi.edge_basis,
         phi.vertex_basis,
         lambda a, b: phi(a, b).scale(alpha) + psi(a, b).scale(beta),
-        name=name or f"{alpha}*{phi.name}+{beta}*{psi.name}",
     )
 
 
@@ -381,7 +369,7 @@ def mark_compatible(phi: PhiMap) -> PhiMap:
     return replace(phi, compat_by_construction=True)
 
 
-def polynomial(phi: PhiMap, coeffs: Sequence, name: Optional[str] = None) -> PhiMap:
+def polynomial(phi: PhiMap, coeffs: Sequence) -> PhiMap:
     """sum_k coeffs[k] * phi^k.  Polynomials in one compatible map are compatible."""
     cs = [as_scalar(c) for c in coeffs]
 
@@ -395,12 +383,11 @@ def polynomial(phi: PhiMap, coeffs: Sequence, name: Optional[str] = None) -> Phi
         phi.edge_basis,
         phi.vertex_basis,
         act,
-        name=name or f"poly({phi.name})",
         compat_by_construction=phi.compat_by_construction,
     )
 
 
-def exp_series(phi: PhiMap, max_iter: int = 64, name: Optional[str] = None) -> PhiMap:
+def exp_series(phi: PhiMap, max_iter: int = 64) -> PhiMap:
     """exp(phi), defined input by input for locally nilpotent maps.
 
     Iterates until the running power of the input vanishes; raises
@@ -426,12 +413,11 @@ def exp_series(phi: PhiMap, max_iter: int = 64, name: Optional[str] = None) -> P
         phi.edge_basis,
         phi.vertex_basis,
         act,
-        name=name or f"exp({phi.name})",
         compat_by_construction=phi.compat_by_construction,
     )
 
 
-def tensor_product(phi: PhiMap, psi: PhiMap, name: Optional[str] = None) -> PhiMap:
+def tensor_product(phi: PhiMap, psi: PhiMap) -> PhiMap:
     """Slotwise tensor product, acting on product labels."""
     E = ProductBasis(phi.edge_basis, psi.edge_basis)
     V = ProductBasis(phi.vertex_basis, psi.vertex_basis)
@@ -452,12 +438,11 @@ def tensor_product(phi: PhiMap, psi: PhiMap, name: Optional[str] = None) -> PhiM
         E,
         V,
         act,
-        name=name or f"({phi.name})(x)({psi.name})",
         compat_by_construction=phi.compat_by_construction and psi.compat_by_construction,
     )
 
 
-def transpose_map(phi: PhiMap, name: Optional[str] = None) -> PhiMap:
+def transpose_map(phi: PhiMap) -> PhiMap:
     """The adjoint with respect to the basis pairing; finite bases only."""
     if not (phi.edge_basis.is_finite and phi.vertex_basis.is_finite):
         raise ValueError("transpose needs finite bases")
@@ -471,7 +456,6 @@ def transpose_map(phi: PhiMap, name: Optional[str] = None) -> PhiMap:
         phi.edge_basis,
         phi.vertex_basis,
         lambda a, b: table.get((a, b), LinComb()),
-        name=name or f"{phi.name}^T",
         compat_by_construction=phi.compat_by_construction,
     )
 
@@ -520,7 +504,6 @@ def from_blocks(
     M: BlockMatrix,
     edge_basis: Optional[SymbolBasis] = None,
     vertex_basis: Optional[SymbolBasis] = None,
-    name: str = "blocks",
 ) -> PhiMap:
     dflt_e, dflt_v = default_block_bases(M.m, M.n)
     E = edge_basis or dflt_e
@@ -538,7 +521,7 @@ def from_blocks(
                     if blk[k][l]:
                         entries.append(((es[i], vs[k]), blk[k][l]))
             table[(es[j], vs[l])] = LinComb(entries)
-    return PhiMap(E, V, lambda a, b: table.get((a, b), LinComb()), name=name)
+    return PhiMap(E, V, lambda a, b: table.get((a, b), LinComb()))
 
 
 def to_blocks(phi: PhiMap) -> BlockMatrix:

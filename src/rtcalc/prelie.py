@@ -29,11 +29,8 @@ itself is touched only by v's own child edges.  Hence the image of
 ``node(b, [(e_1, T_1), ..., (e_k, T_k)])`` is the local action of the
 map on (e_1, ..., e_k; b), the child edges taken in sibling order,
 combined with one term of the image of each T_i.  ``theta`` evaluates
-that bottom-up and computes each distinct subtree once per call.  With
-every sibling family reversed a subtree's image still does not depend on
-where it sits, so ``theta(check_order=True)`` reruns the same recursion
-that way.  The forest operator :func:`rtcalc.hopf.theta_bar` runs it on
-each tree body.
+that bottom-up and computes each distinct subtree once per call.  The
+forest operator :func:`rtcalc.hopf.theta_bar` runs it on each tree body.
 
 The root-split coproduct at the bottom of the module cuts one root edge
 at a time off a planted tree; regrafting the pieces back at the root
@@ -50,7 +47,7 @@ from typing import Callable, Dict, Iterable, Set, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb
-from .phimaps import IncompatiblePhi, PhiMap, ensure_usable, identity_map
+from .phimaps import PhiMap, ensure_usable, identity_map
 from .trees import (
     DecoratedTree,
     PlantedTree,
@@ -134,31 +131,25 @@ def _ensure_usable_on(phi: PhiMap, trees: Iterable[DecoratedTree], plants: Itera
     ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key), sorted(vertex_labels, key=lambda l: l.sort_key))
 
 
-def _edge_image(
-    phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeComb], reverse: bool
-) -> TreeComb:
+def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeComb]) -> TreeComb:
     """The operator on the subtree ``s``, computed once per ``memo``.
 
     The root's child edges act on (edge label, root label) one at a time
-    through :meth:`PhiMap.act_at_vertex`, in canonical sibling order or,
-    with ``reverse``, in the opposite order; each resulting local term is
-    combined with one term of every child image.  Either way a subtree's
-    image does not depend on where it sits, so ``memo`` holds it for every
-    distinct subtree seen in one mode.
+    through :meth:`PhiMap.act_at_vertex`, in canonical sibling order; each
+    resulting local term is combined with one term of every child image.
+    A subtree's image does not depend on where it sits, so ``memo`` holds
+    it for every distinct subtree seen.
     """
     if not s.children:
         return LinComb.of(s)
     image = memo.get(s)
     if image is not None:
         return image
-    kid_terms = [_edge_image(phi, c, memo, reverse).items() for _, c in s.children]
-    edges = tuple(e for e, _ in s.children)
-    local = phi.act_at_vertex(edges[::-1] if reverse else edges, s.label)
+    kid_terms = [_edge_image(phi, c, memo).items() for _, c in s.children]
+    local = phi.act_at_vertex(tuple(e for e, _ in s.children), s.label)
 
     def assemble(state) -> TreeComb:
         edges, b = state
-        if reverse:
-            edges = edges[::-1]
         return LinComb(
             (node(b, zip(edges, (t for t, _ in combo))), prod(c for _, c in combo))
             for combo in iproduct(*kid_terms)
@@ -168,20 +159,19 @@ def _edge_image(
     return image
 
 
-def apply_edge_maps(phi: PhiMap, t: DecoratedTree, *, reverse_siblings: bool = False) -> TreeComb:
+def apply_edge_maps(phi: PhiMap, t: DecoratedTree) -> TreeComb:
     """Run the map over every (edge, lower endpoint) pair of one tree.
 
     The edge into v acts only on the decorations of that edge and of v's
     parent p, so edges with different lower endpoints act on disjoint
-    slots and commute: only the order among siblings matters.  Siblings
-    act in canonical order, or in the reverse of it with
-    ``reverse_siblings``.  The tree is evaluated bottom-up, each vertex
+    slots and commute: only the order among siblings matters, and siblings
+    act in canonical order.  The tree is evaluated bottom-up, each vertex
     combining its local action with the images of its child subtrees.
     """
-    return _edge_image(phi, t, {}, reverse_siblings)
+    return _edge_image(phi, t, {})
 
 
-def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
+def theta(phi: PhiMap, x: TreeComb) -> TreeComb:
     """The edge-product operator attached to a tree-compatible map.
 
     Refuses maps that are refuted on the labels in sight (full basis when
@@ -189,20 +179,11 @@ def theta(phi: PhiMap, x: TreeComb, *, check_order: bool = False) -> TreeComb:
     of the map on (e_1, ..., e_k; b), combined with the images of the
     subtrees T_i, which are computed once per call and shared across the
     terms of ``x``; see :func:`apply_edge_maps` for why only the order of
-    siblings matters.  With ``check_order`` the evaluation is repeated
-    with every sibling family reversed, under a memo of its own, and the
-    two results are asserted equal, which checks order-independence on
-    the actual input.
+    siblings matters.
     """
     _ensure_usable_on(phi, (t for t, _ in x.items()))
-
     memo: Dict[DecoratedTree, TreeComb] = {}
-    out = x.map_terms(lambda t: _edge_image(phi, t, memo, False))
-    if check_order:
-        reversed_memo: Dict[DecoratedTree, TreeComb] = {}
-        if x.map_terms(lambda t: _edge_image(phi, t, reversed_memo, True)) != out:
-            raise IncompatiblePhi("edge order changed the result")
-    return out
+    return x.map_terms(lambda t: _edge_image(phi, t, memo))
 
 
 def multiple_prelie_defect(

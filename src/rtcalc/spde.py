@@ -82,7 +82,7 @@ def partial_lambda(cfg: SpdeConfig) -> PhiMap:
     def act(a: Label, b: Label) -> LinComb:
         return lc_sum(partial_j(j, a, b).scale(c) for j, c in enumerate(cfg.lam))
 
-    return PhiMap(basis, basis, act, name="partial_lambda", compat_by_construction=True)
+    return PhiMap(basis, basis, act, compat_by_construction=True)
 
 
 def phi_lambda(cfg: SpdeConfig) -> PhiMap:
@@ -119,7 +119,7 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
                 terms[(lower(ae, low), lower(be, low))] = coeff
         return LinComb._raw(terms)
 
-    return PhiMap(basis, basis, act, name="phi_lambda", compat_by_construction=True)
+    return PhiMap(basis, basis, act, compat_by_construction=True)
 
 
 def phi_lambda_via_exp(cfg: SpdeConfig, max_iter: int = 64) -> PhiMap:
@@ -128,7 +128,7 @@ def phi_lambda_via_exp(cfg: SpdeConfig, max_iter: int = 64) -> PhiMap:
     Termination is guaranteed input by input: the n-th power of the span
     kills any pair (a, b) once n exceeds |min(a, b)|.
     """
-    return exp_series(partial_lambda(cfg), max_iter=max_iter, name="phi_lambda_exp")
+    return exp_series(partial_lambda(cfg), max_iter=max_iter)
 
 
 def noise_extend(cfg: SpdeConfig) -> PhiMap:
@@ -141,7 +141,7 @@ def noise_extend(cfg: SpdeConfig) -> PhiMap:
     if not cfg.noise:
         raise ValueError("noise_extend needs a config with noise=True")
     block = zero_map(NoiseOnlyBasis(XI), NoiseOnlyBasis(STAR))
-    return direct_sum(phi_lambda(cfg), block, 0, 1, name="noise_extend")
+    return direct_sum(phi_lambda(cfg), block, 0, 1)
 
 
 def spde_phi(cfg: SpdeConfig) -> PhiMap:

@@ -481,12 +481,31 @@ def test_parse_error_carries_position(tmp_path, capsys):
         ({"builder": "table", **SYM_BASES, "entries": [{"on": ["a1", "b1"], "terms": [[1, "a1"]]}]}, "'terms'"),
         ({"builder": "polynomial", "of": {"builder": "phi_lambda", "d": 0}, "coeffs": 5}, "'coeffs'"),
         ({"builder": "polynomial", "of": {"builder": "phi_lambda", "d": 0}, "coeffs": [1, True]}, "bad rational True"),
+        ({"builder": "exp", "of": {"builder": "phi_lambda", "d": 0}, "max_iter": -1}, "'max_iter'"),
+        ({"builder": "phi_lambda_exp", "d": 0, "max_iter": -3}, "'max_iter'"),
+        (
+            {
+                "builder": "identity",
+                "edge_basis": {"kind": "multiindex", "d": -1},
+                "vertex_basis": {"kind": "multiindex", "d": -1},
+            },
+            "'d'",
+        ),
+        (
+            {
+                "builder": "identity",
+                "edge_basis": {"kind": "multiindex_noise", "d": -2},
+                "vertex_basis": {"kind": "multiindex_noise", "d": -2},
+            },
+            "'d'",
+        ),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
         "jd-ragged", "jd-list", "d-float", "d-string", "d-list",
         "lambda-int", "lambda-zero-denominator", "transpose-lambda-zero-denominator", "names-int", "entries-int", "entries-item-int", "terms-short",
-        "coeffs-int", "coeffs-bool",
+        "coeffs-int", "coeffs-bool", "exp-max-iter-negative", "phi-lambda-exp-max-iter-negative",
+        "multiindex-d-negative", "multiindex-noise-d-negative",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):

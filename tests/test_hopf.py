@@ -72,7 +72,7 @@ def shift_map():
     vs = V.labels()
     f = {a: LinComb.of(es[(i + 1) % 4]) for i, a in enumerate(es)}
     g = {b: LinComb.of(vs[(i + 1) % 4]) for i, b in enumerate(vs)}
-    return tensor_map(E, V, lambda a: f[a], lambda b: g[b], name="shift")
+    return tensor_map(E, V, lambda a: f[a], lambda b: g[b])
 
 
 def planted(plant, body):
@@ -565,7 +565,7 @@ def test_bucketed_pairing_defects_match_the_unbucketed_loops():
     E2 = symbols("E", ["a1"])
     V2 = symbols("V", ["b1", "b2"])
     phi = identity_map(E2, V2)
-    pairing = SkewedPairing(delta_pairing().base, name="skewed")
+    pairing = SkewedPairing(delta_pairing().base)
     # Unsorted by size, so the order of the defects is checked as well.
     pool = all_forests(3, E2.labels(), V2.labels())
     random.Random(5).shuffle(pool)
@@ -742,7 +742,7 @@ def skewed_base(seed):
     return lambda a2, b2, a, b: table[((a2, b2), (a, b))]
 
 
-@pytest.mark.parametrize("pairing", [delta_pairing(), Pairing(skewed_base(43), name="skewed")], ids=["delta", "skewed"])
+@pytest.mark.parametrize("pairing", [delta_pairing(), Pairing(skewed_base(43))], ids=["delta", "skewed"])
 def test_pairing_is_the_sum_over_isomorphisms(pairing):
     pool = all_forests(3, E2.labels(), V2.labels())
     decorations = {}

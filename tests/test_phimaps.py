@@ -400,7 +400,7 @@ def test_finite_verdict_is_computed_once(monkeypatch):
 
 
 def test_guarded_map_is_freed_when_dropped():
-    phi = from_table(E, V, {(a1, b1): [(3, a1, b1)]}, name="dropped")
+    phi = from_table(E, V, {(a1, b1): [(3, a1, b1)]})
     ensure_usable(phi, E.labels(), V.labels())
     phi(a1, b1)
     ref = weakref.ref(phi)

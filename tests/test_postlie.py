@@ -160,7 +160,7 @@ def swap_shift_phi():
     def g(b):
         return LinComb() if b == b1 else LinComb.of(V.labels()[V.labels().index(b) - 1])
 
-    return tensor_map(E, V, f, g, name="swap/lower")
+    return tensor_map(E, V, f, g)
 
 
 def diagonal_psi(mu):
@@ -252,7 +252,7 @@ def test_axioms_hold_for_compliant_actions():
     def g(b):
         return LinComb.of(va) if b == vb else LinComb()
 
-    phi = tensor_map(E2, V2, f, g, name="swap/step")
+    phi = tensor_map(E2, V2, f, g)
 
     def edge(p, a):
         return LinComb.of(a) if p == "p1" else LinComb.of(a, 2)
@@ -283,7 +283,7 @@ def test_axioms_fail_for_mutant_actions():
     def g(b):
         return LinComb.of(va) if b == vb else LinComb()
 
-    phi = tensor_map(E2, V2, f, g, name="swap/step")
+    phi = tensor_map(E2, V2, f, g)
 
     def edge(p, a):
         return LinComb.of(a) if p == "p1" else LinComb.of(a, 2)

@@ -190,7 +190,7 @@ def test_theta_order_independent_for_compatible():
 
     phi = tensor_map(E, V, rand_endo(list(E.labels())), rand_endo(list(V.labels())))
     for t in all_trees(4, [a1, a2], [b1, b2])[:80]:
-        theta(phi, tree_elem(t), check_order=True)
+        assert theta(phi, tree_elem(t)) == oracle_apply_edge_maps(phi, t, reversed_order(t))
 
 
 def test_theta_morphism_identity_psi():
@@ -311,7 +311,6 @@ def test_edge_maps_match_state_expansion_for_a_noncompatible_table_map():
         canonical = oracle_apply_edge_maps(phi, t)
         backwards = oracle_apply_edge_maps(phi, t, reversed_order(t))
         assert apply_edge_maps(phi, t) == canonical
-        assert apply_edge_maps(phi, t, reverse_siblings=True) == backwards
         order_sensitive += canonical != backwards
     # The map is far enough from compatible that order shows on some trees.
     assert order_sensitive > 0
@@ -319,9 +318,8 @@ def test_edge_maps_match_state_expansion_for_a_noncompatible_table_map():
 
 def test_equal_subtrees_follow_their_own_sibling_order():
     # Two equal cherries under one root, on a map for which the order of
-    # the cherry's siblings shows.  Each mode computes the cherry once and
-    # reuses it for the second copy, so a memo shared between the modes
-    # would hand one mode the other's image.
+    # the cherry's siblings shows.  The cherry is computed once and reused
+    # for the second copy, which must still follow canonical order.
     phi = dataclasses.replace(random_table_map(31), compat_by_construction=True)
     cherry = node(b1, [(a1, leaf(b1)), (a2, leaf(b2))])
     assert oracle_apply_edge_maps(phi, cherry) != oracle_apply_edge_maps(phi, cherry, reversed_order(cherry))
@@ -331,26 +329,6 @@ def test_equal_subtrees_follow_their_own_sibling_order():
     backwards = oracle_apply_edge_maps(phi, t, reversed_order(t))
     assert canonical != backwards
     assert apply_edge_maps(phi, t) == canonical
-    assert apply_edge_maps(phi, t, reverse_siblings=True) == backwards
-    with pytest.raises(IncompatiblePhi):
-        theta(phi, tree_elem(t), check_order=True)
-
-
-def test_check_order_raises_exactly_where_the_oracle_orders_differ():
-    # Flagged compatible so that only the order check can refuse it.
-    phi = dataclasses.replace(random_table_map(31), compat_by_construction=True)
-    raised = 0
-    for t in trees_up_to(4, E.labels(), V.labels()):
-        differs = oracle_apply_edge_maps(phi, t) != oracle_apply_edge_maps(phi, t, reversed_order(t))
-        try:
-            got = theta(phi, tree_elem(t), check_order=True)
-        except IncompatiblePhi:
-            assert differs, t.render()
-            raised += 1
-        else:
-            assert not differs, t.render()
-            assert got == oracle_apply_edge_maps(phi, t)
-    assert raised > 0
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-1, 2)])
@@ -371,9 +349,7 @@ def test_theta_matches_state_expansion_for_a_d_form_block_map():
     BE, BV = default_block_bases(2, 2)
     phi = from_blocks(build_JD(mat2(), mat2(), "D"), BE, BV)
     for t in trees_up_to(4, BE.labels(), BV.labels()):
-        want = oracle_apply_edge_maps(phi, t)
-        assert theta(phi, tree_elem(t)) == want
-        assert theta(phi, tree_elem(t), check_order=True) == want
+        assert theta(phi, tree_elem(t)) == oracle_apply_edge_maps(phi, t, reversed_order(t))
 
 
 def cancelling_pair(b, a, other):

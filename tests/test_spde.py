@@ -269,8 +269,8 @@ def test_noise_extension_requires_the_flag():
 
 
 def test_spde_phi_dispatches_on_noise():
-    assert spde_phi(SpdeConfig(0, (1,))).name == "phi_lambda"
-    assert spde_phi(SpdeConfig(0, (1,), noise=True)).name == "noise_extend"
+    assert not spde_phi(SpdeConfig(0, (1,))).edge_basis.contains(XI)
+    assert spde_phi(SpdeConfig(0, (1,), noise=True)).edge_basis.contains(XI)
 
 
 def test_config_validation():
