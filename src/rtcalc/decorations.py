@@ -10,7 +10,9 @@ Four kinds of label coexist:
 Every label has a ``sort_key`` giving a total order across kinds: symbols
 first (by basis id, then name), then multi-indices lexicographically, then
 STAR and XI above every multi-index.  Product labels (``Pr``) appear only
-as outputs of tensor-product constructions.
+as outputs of tensor-product constructions.  Each key is a non-empty tuple
+whose first item is an ``int`` kind tag, so ``()`` sorts below every label
+key; the flat tree keys of :mod:`rtcalc.trees` end each subtree with it.
 
 A noise-extended basis is the direct-sum basis ``union_bases(
 MultiIndexBasis(d), NoiseOnlyBasis(noise))``; the multi-indices come first

@@ -13,16 +13,21 @@ syntax the expression parser accepts.  Builders that take another map
 (``compose``, ``exp``, ...) nest the description inline.
 
 Any map object may set ``"assert_compatible": true`` to record a
-compatibility argument made outside the checker.
+compatibility argument made outside the checker.  Each builder and basis
+kind reads the keys that ``_READS`` lists for it, besides ``builder`` or
+``kind``; any other key is refused by name, in nested maps and bases too,
+so a misspelt optional key does not silently take its default.  That
+includes ``name``: maps carry no names.
 
 A malformed file raises :class:`MapFileError` (a ``ValueError``) whose
 message starts with its location once: the file path, extended by
-``.of``, ``.first`` and the like for a nested map, and by
-``: entries[k]`` for one entry of a list.  The checks in this module raise
-it with the location already in front.  The builders of the other modules
-raise plain ``ValueError``s, and :func:`_located` puts the location in
-front of those; it lets a ``MapFileError`` from a nested check through
-unchanged, so no location is printed twice.
+``.of``, ``.first`` and the like for a nested map, by ``.edge_basis`` or
+``.vertex_basis`` for a basis, and by ``: entries[k]`` for one entry of a
+list.  The checks in this module raise it with the location already in
+front.  The builders of the other modules raise plain ``ValueError``s,
+and :func:`_located` puts the location in front of those; it lets a
+``MapFileError`` from a nested check through unchanged, so no location is
+printed twice.
 """
 
 from __future__ import annotations
@@ -78,6 +83,49 @@ def _located(where: str) -> Iterator[None]:
         raise
     except ValueError as e:
         raise MapFileError(f"{where}: {e}")
+
+
+# The keys each map builder, action builder and basis kind reads.
+_READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "map": {
+        name: ("assert_compatible", *keys)
+        for name, keys in {
+            "identity": ("edge_basis", "vertex_basis"),
+            "zero": ("edge_basis", "vertex_basis"),
+            "table": ("edge_basis", "vertex_basis", "entries"),
+            "phi_lambda": ("d", "lambda"),
+            "partial_lambda": ("d", "lambda"),
+            "phi_lambda_exp": ("d", "lambda", "max_iter"),
+            "noise_extend": ("d", "lambda"),
+            "blocks": ("blocks", "jd", "edge_basis", "vertex_basis"),
+            "tensor": ("edge_basis", "vertex_basis", "f", "g"),
+            "direct_sum": ("first", "second", "lam", "mu"),
+            "compose": ("outer", "inner"),
+            "exp": ("of", "max_iter"),
+            "polynomial": ("of", "coeffs"),
+            "transpose": ("of",),
+        }.items()
+    },
+    "action": {
+        "spde_psi": ("d", "lambda", "noise"),
+        "psi_tables": ("generators", "edge_basis", "vertex_basis", "edge", "vertex", "bracket", "triangle"),
+    },
+    "basis": {"symbols": ("id", "names"), "multiindex": ("d",), "multiindex_noise": ("d",), "noise_only": ()},
+}
+
+
+def _kind(obj: dict, table: str, where: str) -> str:
+    """The builder or basis kind of ``obj``, one of ``_READS[table]``; a key
+    of ``obj`` that this kind does not read is refused by name."""
+    field, what = ("kind", "basis kind") if table == "basis" else ("builder", "builder")
+    kind = _req(obj, field, where)
+    reads = _READS[table].get(kind) if isinstance(kind, str) else None
+    if reads is None:
+        raise MapFileError(f"{where}: unknown {what} {kind!r}")
+    unread = sorted(set(obj) - {field, *reads})
+    if unread:
+        raise MapFileError(f"{where}: {what} {kind!r} does not read {', '.join(map(repr, unread))}")
+    return kind
 
 
 def _req(obj: dict, key: str, where: str):
@@ -142,9 +190,10 @@ def _rat(x, where: str) -> Scalar:
 
 def _basis(obj, side: str, where: str) -> DecorationBasis:
     noise = XI if side == "edge" else STAR
+    where = f"{where}.{side}_basis"
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected a basis object")
-    kind = _req(obj, "kind", where)
+    kind = _kind(obj, "basis", where)
     if kind == "symbols":
         names = _list(_req(obj, "names", where), "names", where)
         if not all(isinstance(n, str) for n in names):
@@ -154,9 +203,7 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
         return MultiIndexBasis(_int(obj, "d", where))
     if kind == "multiindex_noise":
         return union_bases(MultiIndexBasis(_int(obj, "d", where)), NoiseOnlyBasis(noise))
-    if kind == "noise_only":
-        return NoiseOnlyBasis(noise)
-    raise MapFileError(f"{where}: unknown basis kind {kind!r}")
+    return NoiseOnlyBasis(noise)  # noise_only
 
 
 def _label(src, basis: DecorationBasis, side: str, where: str):
@@ -180,6 +227,8 @@ def _spde_config(obj: dict, where: str, noise: bool) -> SpdeConfig:
 
 def _block_grid(obj: dict, where: str) -> BlockMatrix:
     if "jd" in obj:
+        if "blocks" in obj:
+            raise MapFileError(f"{where}: give 'blocks' or 'jd', not both")
         jd = obj["jd"]
         if not isinstance(jd, dict):
             raise MapFileError(f"{where}: 'jd' must be an object with keys A, B and form")
@@ -205,8 +254,7 @@ def _symbol_basis_opt(obj: dict, key: str, side: str, where: str) -> Optional[Sy
 def build_phi(obj: dict, where: str = "map") -> PhiMap:
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected a map object")
-    builder = _req(obj, "builder", where)
-    phi = _dispatch_phi(obj, builder, where)
+    phi = _dispatch_phi(obj, _kind(obj, "map", where), where)
     if obj.get("assert_compatible"):
         phi = mark_compatible(phi)
     return phi
@@ -283,12 +331,9 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
         inner = build_phi(_req(obj, "of", where), f"{where}.of")
         return polynomial(inner, [_rat(c, where) for c in _list(_req(obj, "coeffs", where), "coeffs", where)])
 
-    if builder == "transpose":
-        inner = build_phi(_req(obj, "of", where), f"{where}.of")
-        with _located(where):
-            return transpose_map(inner)
-
-    raise MapFileError(f"{where}: unknown builder {builder!r}")
+    inner = build_phi(_req(obj, "of", where), f"{where}.of")  # transpose
+    with _located(where):
+        return transpose_map(inner)
 
 
 def _matrix_action(m, labels, where: str):
@@ -306,7 +351,7 @@ def _matrix_action(m, labels, where: str):
 def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair]:
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected an action object")
-    builder = _req(obj, "builder", where)
+    builder = _kind(obj, "action", where)
 
     if builder == "spde_psi":
         noise = obj.get("noise", False)
@@ -314,25 +359,22 @@ def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair]:
             raise MapFileError(f"{where}: 'noise' must be true or false, not {noise!r}")
         return spde_psi(_spde_config(obj, where, noise=noise))
 
-    if builder == "psi_tables":
-        names = _generators(obj, where)
-        E = _basis(_req(obj, "edge_basis", where), "edge", where)
-        V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
+    names = _generators(obj, where)  # psi_tables
+    E = _basis(_req(obj, "edge_basis", where), "edge", where)
+    V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
 
-        def side(key: str, basis: DecorationBasis):
-            out = {}
-            entries = _entries(obj.get(key, []), key, where, ("generator", "label"), ("coefficient", "label"))
-            for spot, (gen, lab), terms in entries:
-                if gen not in names:
-                    raise MapFileError(f"{spot}: unknown generator {gen!r}")
-                label = _label(lab, basis, key, spot)
-                out[(gen, label)] = [(_rat(c, spot), _label(l, basis, key, spot)) for c, l in terms]
-            return out
+    def side(key: str, basis: DecorationBasis):
+        out = {}
+        entries = _entries(obj.get(key, []), key, where, ("generator", "label"), ("coefficient", "label"))
+        for spot, (gen, lab), terms in entries:
+            if gen not in names:
+                raise MapFileError(f"{spot}: unknown generator {gen!r}")
+            label = _label(lab, basis, key, spot)
+            out[(gen, label)] = [(_rat(c, spot), _label(l, basis, key, spot)) for c, l in terms]
+        return out
 
-        psi = psi_from_tables(side("edge", E), side("vertex", V))
-        return build_postlie(obj, where), psi
-
-    raise MapFileError(f"{where}: unknown builder {builder!r}")
+    psi = psi_from_tables(side("edge", E), side("vertex", V))
+    return build_postlie(obj, where), psi
 
 
 def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
@@ -375,4 +417,5 @@ def load_blockmatrix(path: str) -> BlockMatrix:
     obj = _load(path)
     if not isinstance(obj, dict) or obj.get("builder") != "blocks":
         raise MapFileError(f"{path}: expected a 'blocks' map")
+    _kind(obj, "map", path)
     return _block_grid(obj, path)

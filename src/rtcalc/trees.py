@@ -7,6 +7,14 @@ with labeled isomorphism.  A planted tree hangs its body from an extra
 undecorated root through a decorated plant edge; that extra root is not a
 vertex.  A forest is a multiset of planted trees.
 
+Sort keys are flat preorder tuples.  A tree's key is its root's label key,
+then each child's edge key and own key, then ``()``; a planted tree's is
+its plant key and its body's; a forest's, its planted trees' keys in a row.
+Every label key is a non-empty tuple led by an ``int`` kind tag, so ``()``
+sorts below all of them and ends each subtree.  No subtree's key is then a
+prefix of another's, and flat keys order as the nested (label, ((edge,
+subtree), ...)) keys do, in one pass instead of one quadratic in the depth.
+
 A sum over the vertices of a tree, of some change made at each vertex, is
 :func:`vertex_sum`: the change at the root, plus, for each child, the
 child's own sum put back in its place.  A changed child goes back in by
@@ -29,9 +37,10 @@ then by children tuple, whose entries are interned already, so no lookup
 hashes a subtree.  The raw constructor keeps the children as given, and an
 unsorted family is another value than the sorted one :func:`node` builds.
 The vertex count is set when a value is made; the ``sort_key``, ``shape``
-and text of a tree (and a forest's ``sort_key``) are kept in slots filled
-on first use.  Subtrees are shared, so a grafted tree recomputes them only
-along its changed path, and printing renders each distinct subtree once.
+and text of a tree (and a planted tree's or forest's ``sort_key``) are kept
+in slots filled on first use.  Subtrees are shared, so a grafted tree
+recomputes them only along its changed path, and printing renders each
+distinct subtree once.  A key holds one entry per vertex and edge.
 
 Every operator recurses over these canonical trees directly: grafting in
 :mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
@@ -82,9 +91,15 @@ class DecoratedTree(Interned):
 
     @property
     def sort_key(self):
+        """The root's label key, each child's edge key and key, then ``()``."""
         key = self._key
         if key is None:
-            key = self._key = (self.label.sort_key, tuple(map(_child_key, self.children)))
+            flat = [self.label.sort_key]
+            for e, c in self.children:
+                flat.append(e.sort_key)
+                flat.extend(c.sort_key)
+            flat.append(())
+            key = self._key = tuple(flat)
         return key
 
     @property
@@ -135,11 +150,6 @@ def leaf(label: Label) -> DecoratedTree:
     return DecoratedTree(label, ())
 
 
-def canonicalize(tree: DecoratedTree) -> DecoratedTree:
-    """Re-sort every level; idempotent."""
-    return node(tree.label, ((e, canonicalize(c)) for e, c in tree.children))
-
-
 class PlantedTree(Interned):
     """A body tree hanging from an undecorated root through a plant edge."""
 
@@ -161,7 +171,7 @@ class PlantedTree(Interned):
     def sort_key(self):
         key = self._key
         if key is None:
-            key = self._key = (self.plant.sort_key, self.body.sort_key)
+            key = self._key = (self.plant.sort_key, *self.body.sort_key)
         return key
 
     @property
@@ -197,7 +207,7 @@ class Forest(Interned):
     def sort_key(self):
         key = self._key
         if key is None:
-            key = self._key = tuple([t.sort_key for t in self.trees])
+            key = self._key = tuple([x for t in self.trees for x in t.sort_key])
         return key
 
     def __len__(self) -> int:

@@ -23,6 +23,11 @@ used before :func:`rtcalc.trees.vertex_sum` is kept here too: a vertex is
 addressed by the tuple of child positions leading down from the root, and
 ``graft_at`` and ``relabel_at`` rebuild the path from the root to one
 address, putting the changed child back in by bisection at each level.
+
+``canonicalize`` re-sorts every level of a tree with ``node``, and
+``nested_key`` and its planted and forest forms give the nested sort keys,
+(label key, ((edge key, subtree key), ...)), that the flat preorder keys of
+:mod:`rtcalc.trees` replaced and must order alike.
 """
 
 from __future__ import annotations
@@ -45,6 +50,27 @@ from rtcalc.trees import (
 
 VertexId = Tuple[int, ...]  # child positions down from the root
 ForestVertexId = Tuple[int, VertexId]
+
+
+# ---------------------------------------------------------------------------
+# Canonical form by re-sorting, and the nested sort keys
+
+
+def canonicalize(tree: DecoratedTree) -> DecoratedTree:
+    """Re-sort every level; idempotent."""
+    return node(tree.label, ((e, canonicalize(c)) for e, c in tree.children))
+
+
+def nested_key(tree: DecoratedTree) -> tuple:
+    return (tree.label.sort_key, tuple((e.sort_key, nested_key(c)) for e, c in tree.children))
+
+
+def nested_planted_key(p: PlantedTree) -> tuple:
+    return (p.plant.sort_key, nested_key(p.body))
+
+
+def nested_forest_key(f: Forest) -> tuple:
+    return tuple(nested_planted_key(p) for p in f.trees)
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,13 @@ def test_classify_m2_wants_a_blocks_object(tmp_path, capsys, grid):
     assert err.startswith("rtcalc: error:") and "expected a 'blocks' map" in err
 
 
+def test_classify_m2_refuses_a_key_the_blocks_builder_does_not_read(tmp_path, capsys):
+    grid = jfile(tmp_path, "grid.json", {"builder": "blocks", "blocks": [[[[1]]]], "block": [[[[2]]]]})
+    code, out, err = run(capsys, "classify-m2", "--phi", grid)
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: {grid}: builder 'blocks' does not read 'block'\n"
+
+
 def test_verify_suite_small(capsys):
     code, out, _ = run(capsys, "verify-suite", "--level", "small")
     assert code == 0
@@ -499,6 +506,21 @@ def test_parse_error_carries_position(tmp_path, capsys):
             },
             "'d'",
         ),
+        ({"builder": "phi_lambda", "d": 0, "lamda": ["1/2"]}, "builder 'phi_lambda' does not read 'lamda'"),
+        ({"builder": "phi_lambda", "d": 0, "name": "phi"}, "does not read 'name'"),
+        (
+            {"builder": "exp", "of": {"builder": "phi_lambda", "d": 0, "lamda": [2]}},
+            ".of: builder 'phi_lambda' does not read 'lamda'",
+        ),
+        (
+            {"builder": "compose", "outer": IDENTITY_SYM, "inner": {**IDENTITY_SYM, "max_iter": 3, "coeffs": []}},
+            ".inner: builder 'identity' does not read 'coeffs', 'max_iter'",
+        ),
+        (
+            {"builder": "identity", **SYM_BASES, "vertex_basis": {**SYM_BASES["vertex_basis"], "d": 1}},
+            ".vertex_basis: basis kind 'symbols' does not read 'd'",
+        ),
+        ({"builder": "blocks", "blocks": [[[[1]]]], "jd": {}}, "'blocks' or 'jd'"),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
@@ -506,6 +528,8 @@ def test_parse_error_carries_position(tmp_path, capsys):
         "lambda-int", "lambda-zero-denominator", "transpose-lambda-zero-denominator", "names-int", "entries-int", "entries-item-int", "terms-short",
         "coeffs-int", "coeffs-bool", "exp-max-iter-negative", "phi-lambda-exp-max-iter-negative",
         "multiindex-d-negative", "multiindex-noise-d-negative",
+        "lamda-misspelt", "name-refused", "nested-of-unknown-key", "nested-inner-unknown-keys", "basis-unknown-key",
+        "blocks-and-jd",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
@@ -537,11 +561,13 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
         (PSI_SYM, {"generators": "g"}, "'generators'"),
         (PSI_SYM, {"generators": ["g"], "bracket": [{"on": ["g", "g", "g"], "terms": []}]}, "bracket[0]: 'on'"),
         ({"builder": "spde_psi", "d": 0, "noise": "no"}, None, "'noise'"),
+        ({"builder": "spde_psi", "d": 0, "nosie": True}, None, "builder 'spde_psi' does not read 'nosie'"),
+        ({**PSI_SYM, "assert_compatible": True}, None, "does not read 'assert_compatible'"),
     ],
     ids=[
         "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
         "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
-        "noise-string",
+        "noise-string", "noise-misspelt", "psi-assert-compatible",
     ],
 )
 def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, postlie, key):

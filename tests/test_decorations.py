@@ -96,6 +96,14 @@ def test_label_order_symbols_then_multiindices_then_noise():
     assert term_key(mi(9)) < term_key(STAR)
 
 
+def test_every_label_key_is_a_nonempty_tuple_led_by_an_int_kind_tag():
+    # The flat tree keys end each subtree with (), which must sort below every label key.
+    for label in (Sym("E", "a1"), mi(0), mi(2, 0, 1), XI, STAR, Pr(Sym("E", "a1"), mi(1, 0)), Pr(XI, STAR)):
+        key = label.sort_key
+        assert isinstance(key, tuple) and key and type(key[0]) is int
+        assert () < key
+
+
 def test_render():
     assert mi(1, 0).render() == "<1,0>"
     assert XI.render() == "Xi"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rtcalc
+from forest_oracles import canonicalize
 from rtcalc.decorations import STAR, XI, MultiIndex, Sym, mi, symbols
 from rtcalc.lincomb import LinComb
 from rtcalc.parsing import parse_tree_comb
@@ -20,7 +21,6 @@ from rtcalc.prelie import graft_free
 from rtcalc.trees import (
     DecoratedTree,
     PlantedTree,
-    canonicalize,
     forest,
     forest_mul,
     insert_child,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forest_oracles import (
+    canonicalize,
     edge_label_at,
     forest_sites,
     forest_vertex_ids,
@@ -12,7 +13,11 @@ from forest_oracles import (
     grafting_maps,
     isomorphisms,
     label_at,
+    nested_forest_key,
+    nested_key,
+    nested_planted_key,
     rebuild_forest,
+    relabel_at,
     restrict,
     subtree_at,
     tree_sites,
@@ -20,13 +25,12 @@ from forest_oracles import (
     upper_subsets,
     vertex_ids,
 )
-from rtcalc.decorations import Sym, mi, symbols
+from rtcalc.decorations import STAR, XI, Sym, mi, symbols
 from rtcalc.trees import (
     EMPTY_FOREST,
     DecoratedTree,
     Forest,
     PlantedTree,
-    canonicalize,
     forest,
     forest_mul,
     leaf,
@@ -156,8 +160,11 @@ def graft_at_by_resorting(x, target, y, edge, relabel=None):
 
 
 def reference_key(t):
-    """The canonical sort key, recomputed from scratch without the slots."""
-    return (t.label.sort_key, tuple((e.sort_key, reference_key(c)) for e, c in t.children))
+    """The flat sort key, recomputed from scratch without the slots."""
+    key = (t.label.sort_key,)
+    for e, c in t.children:
+        key += (e.sort_key,) + reference_key(c)
+    return key + ((),)
 
 
 def assert_same_graft(x, target, y, edge, relabel):
@@ -215,6 +222,114 @@ def test_split_root_edge_roundtrip():
     for out_of_range in (2, -1):
         with pytest.raises(ValueError):
             split_root_edge(p, out_of_range)
+
+
+# --- flat sort keys against the nested reference ---------------------------
+
+
+def cmp(a, b):
+    return (a > b) - (a < b)
+
+
+mixed_labels = st.sampled_from([A[0], A[1], B[0], Sym("D", "z"), mi(0), mi(1), mi(0, 1), mi(1, 0), XI, STAR])
+
+
+@st.composite
+def mixed_trees(draw, depth=3, width=3):
+    """Canonical trees over every label kind, up to ``width`` children a vertex."""
+    kids = [] if depth == 0 else draw(st.lists(st.tuples(mixed_labels, mixed_trees(depth - 1, width)), max_size=width))
+    return node(draw(mixed_labels), kids)
+
+
+@st.composite
+def deep_trees(draw):
+    """A ladder up to 60 deep over every label kind, with a small tree at its foot."""
+    t = draw(mixed_trees(depth=1))
+    for v, e in draw(st.lists(st.tuples(mixed_labels, mixed_labels), max_size=60)):
+        t = node(v, [(e, t)])
+    return t
+
+
+@st.composite
+def near_pairs(draw, trees):
+    """A tree and the same tree with one change at a drawn vertex: an extra
+    child, a new label, or none."""
+    t = draw(trees)
+    target = draw(st.sampled_from(vertex_ids(t)))
+    change = draw(st.sampled_from(["graft", "relabel", "none"]))
+    if change == "graft":
+        u = graft_at(draw(mixed_trees(depth=1)), target, t, draw(mixed_labels))
+    elif change == "relabel":
+        u = relabel_at(t, target, draw(mixed_labels))
+    else:
+        u = t
+    return (t, u) if draw(st.booleans()) else (u, t)
+
+
+any_trees = st.one_of(mixed_trees(), mixed_trees(depth=2, width=8), deep_trees())
+tree_pairs = st.one_of(st.tuples(any_trees, any_trees), near_pairs(any_trees))
+
+
+def assert_ordered_as_nested(x, y, nested):
+    assert cmp(x.sort_key, y.sort_key) == cmp(nested(x), nested(y))
+
+
+@given(tree_pairs)
+@settings(max_examples=200, deadline=None)
+def test_flat_tree_keys_order_as_the_nested_ones(pair):
+    x, y = pair
+    assert x.sort_key == reference_key(x) and y.sort_key == reference_key(y)
+    assert (x.sort_key == y.sort_key) == (x is y)
+    assert_ordered_as_nested(x, y, nested_key)
+
+
+@given(tree_pairs, mixed_labels, mixed_labels)
+@settings(max_examples=100, deadline=None)
+def test_flat_planted_keys_order_as_the_nested_ones(pair, e, f):
+    x, y = pair
+    for p, q in ((PlantedTree(e, x), PlantedTree(f, y)), (PlantedTree(e, x), PlantedTree(e, y))):
+        assert p.sort_key == (p.plant.sort_key, *reference_key(p.body))
+        assert_ordered_as_nested(p, q, nested_planted_key)
+
+
+planted = st.builds(PlantedTree, mixed_labels, st.one_of(mixed_trees(depth=2), deep_trees()))
+
+
+@st.composite
+def forest_pairs(draw):
+    """Two drawn forests; a forest and its first k trees, which differ only
+    in length; or two forests that share all trees but one near pair."""
+    f = forest(draw(st.lists(planted, max_size=4)))
+    kind = draw(st.sampled_from(["drawn", "prefix", "near"]))
+    if kind == "drawn":
+        return f, forest(draw(st.lists(planted, max_size=4)))
+    if kind == "prefix":
+        return f, Forest(f.trees[: draw(st.integers(0, len(f)))])
+    e = draw(mixed_labels)
+    x, y = draw(near_pairs(any_trees))
+    return forest(f.trees + (PlantedTree(e, x),)), forest(f.trees + (PlantedTree(e, y),))
+
+
+@given(forest_pairs())
+@settings(max_examples=150, deadline=None)
+def test_flat_forest_keys_order_as_the_nested_ones(pair):
+    f, g = pair
+    assert f.sort_key == tuple(x for p in f.trees for x in p.sort_key)
+    assert_ordered_as_nested(f, g, nested_forest_key)
+
+
+def test_flat_keys_order_as_the_nested_ones_on_all_small_trees_and_forests():
+    from rtcalc.phimaps import default_block_bases
+    from rtcalc.verify import forests_up_to, trees_up_to
+
+    E, V = default_block_bases(2, 2)
+    trees = trees_up_to(4, E.labels(), V.labels())
+    forests = forests_up_to(3, E.labels(), V.labels())
+    assert (len(trees), len(forests)) == (438, 219)
+    for keys in ([(t.sort_key, nested_key(t)) for t in trees], [(f.sort_key, nested_forest_key(f)) for f in forests]):
+        for i, (flat, nested) in enumerate(keys):
+            for flat2, nested2 in keys[i + 1 :]:
+                assert cmp(flat, flat2) == cmp(nested, nested2) != 0
 
 
 # --- sites -----------------------------------------------------------------
