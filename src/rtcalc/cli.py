@@ -96,9 +96,16 @@ def _operands(args, parse: Optional[Callable] = None):
 
 
 def _load_psi(args):
-    """The generator algebra and actions of ``--psi``, the algebra replaced by ``--postlie`` if given."""
+    """The generator algebra and actions of ``--psi``, the algebra replaced by
+    ``--postlie`` if given; that one may only name generators of ``--psi``."""
     base, psi = load_psi(args.psi)
-    return (load_postlie(args.postlie) if args.postlie else base), psi
+    if not args.postlie:
+        return base, psi
+    algebra = load_postlie(args.postlie)
+    unknown = [g for g in algebra.names if g not in base.names]
+    if unknown:
+        raise UsageError(f"{args.postlie}: {args.psi} has no generator {', '.join(map(repr, unknown))}")
+    return algebra, psi
 
 
 def _span(basis: DecorationBasis, bound: Optional[int], what: str) -> Sequence:

@@ -7,12 +7,13 @@ Four kinds of label coexist:
 * ``XI`` -- the extra edge label of a noise-extended multi-index basis,
 * ``STAR`` -- the extra vertex label of a noise-extended multi-index basis.
 
-Every label has a ``sort_key`` giving a total order across kinds: symbols
-first (by basis id, then name), then multi-indices lexicographically, then
-STAR and XI above every multi-index.  Product labels (``Pr``) appear only
-as outputs of tensor-product constructions.  Each key is a non-empty tuple
-whose first item is an ``int`` kind tag, so ``()`` sorts below every label
-key; the flat tree keys of :mod:`rtcalc.trees` end each subtree with it.
+Symbols and multi-indices are interned; XI and STAR are the only two
+noise labels.  Every label has a ``sort_key`` giving a total order across
+kinds: symbols first (by basis id, then name), then multi-indices
+lexicographically, then STAR and XI above every multi-index.  Each key is
+a non-empty tuple whose first item is an ``int`` kind tag, so ``()`` sorts
+below every label key; the flat tree keys of :mod:`rtcalc.trees` end each
+subtree with it.
 
 A noise-extended basis is the direct-sum basis ``union_bases(
 MultiIndexBasis(d), NoiseOnlyBasis(noise))``; the multi-indices come first
@@ -193,22 +194,7 @@ XI = Noise("Xi")
 STAR = Noise("*")
 
 
-@dataclass(frozen=True)
-class Pr:
-    """A product label: one factor from each side of a tensor product."""
-
-    left: "Label"
-    right: "Label"
-
-    @property
-    def sort_key(self):
-        return (4, self.left.sort_key, self.right.sort_key)
-
-    def render(self) -> str:
-        return f"({self.left.render()},{self.right.render()})"
-
-
-Label = Sym | MultiIndex | Noise | Pr
+Label = Sym | MultiIndex | Noise
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +306,6 @@ class UnionBasis(DecorationBasis):
         return self.left.resolve_name(name) or self.right.resolve_name(name)
 
 
-@dataclass(frozen=True)
-class ProductBasis(DecorationBasis):
-    left: DecorationBasis
-    right: DecorationBasis
-
-    @property
-    def is_finite(self) -> bool:  # type: ignore[override]
-        return self.left.is_finite and self.right.is_finite
-
-    def contains(self, label: Label) -> bool:
-        return isinstance(label, Pr) and self.left.contains(label.left) and self.right.contains(label.right)
-
-    def labels(self) -> Tuple[Label, ...]:
-        return tuple(Pr(a, b) for a in self.left.labels() for b in self.right.labels())
-
-    def labels_up_to(self, bound: int) -> Tuple[Label, ...]:
-        return tuple(
-            Pr(a, b)
-            for a in self.left.labels_up_to(bound)
-            for b in self.right.labels_up_to(bound)
-        )
-
-
 def _summands(b: DecorationBasis) -> Tuple[DecorationBasis, ...]:
     """The basis split into parts of one kind each."""
     if isinstance(b, UnionBasis):
@@ -354,9 +317,9 @@ def bases_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
     """Structural disjointness check for a direct sum.
 
     Unions are split into their parts, which must be pairwise disjoint.
-    Parts of different kinds never share a label; two product bases are
-    disjoint when their left factors or their right factors are.  A pair
-    the check cannot decide counts as overlapping.
+    Parts of different types never share a label; two finite parts are
+    disjoint when their labels are, and two multi-index bases when their
+    lengths differ.
     """
     return all(_parts_disjoint(x, y) for x in _summands(b1) for y in _summands(b2))
 
@@ -364,15 +327,9 @@ def bases_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
 def _parts_disjoint(b1: DecorationBasis, b2: DecorationBasis) -> bool:
     if type(b1) is not type(b2):
         return True
-    if isinstance(b1, SymbolBasis):
-        return b1.basis_id != b2.basis_id or not set(b1.names) & set(b2.names)
-    if isinstance(b1, MultiIndexBasis):
-        return b1.d != b2.d
-    if isinstance(b1, NoiseOnlyBasis):
-        return b1.noise != b2.noise
-    if isinstance(b1, ProductBasis):
-        return bases_disjoint(b1.left, b2.left) or bases_disjoint(b1.right, b2.right)
-    return False
+    if b1.is_finite and b2.is_finite:
+        return set(b1.labels()).isdisjoint(b2.labels())
+    return b1.d != b2.d
 
 
 def union_bases(b1: DecorationBasis, b2: DecorationBasis) -> UnionBasis:

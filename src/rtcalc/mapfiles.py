@@ -17,7 +17,12 @@ compatibility argument made outside the checker.  Each builder and basis
 kind reads the keys that ``_READS`` lists for it, besides ``builder`` or
 ``kind``; any other key is refused by name, in nested maps and bases too,
 so a misspelt optional key does not silently take its default.  That
-includes ``name``: maps carry no names.
+includes ``name``: maps carry no names.  The other objects of a file are
+key-checked the same way: a ``jd`` object reads ``A``, ``B`` and
+``form``; each entry of ``entries``, ``edge``, ``vertex``, ``bracket``
+and ``triangle`` reads ``on`` and ``terms``; and a post-Lie file
+(:func:`load_postlie`) reads ``generators``, ``bracket`` and
+``triangle``.  :func:`_only` makes every such refusal.
 
 A malformed file raises :class:`MapFileError` (a ``ValueError``) whose
 message starts with its location once: the file path, extended by
@@ -122,10 +127,15 @@ def _kind(obj: dict, table: str, where: str) -> str:
     reads = _READS[table].get(kind) if isinstance(kind, str) else None
     if reads is None:
         raise MapFileError(f"{where}: unknown {what} {kind!r}")
-    unread = sorted(set(obj) - {field, *reads})
-    if unread:
-        raise MapFileError(f"{where}: {what} {kind!r} does not read {', '.join(map(repr, unread))}")
+    _only(obj, (field, *reads), where, f"{what} {kind!r}")
     return kind
+
+
+def _only(obj: dict, reads: Tuple[str, ...], where: str, what: str) -> None:
+    """Refuse by name each key of ``obj`` outside ``reads``; ``what`` names the reader."""
+    unread = sorted(set(obj) - set(reads))
+    if unread:
+        raise MapFileError(f"{where}: {what} does not read {', '.join(map(repr, unread))}")
 
 
 def _req(obj: dict, key: str, where: str):
@@ -167,6 +177,7 @@ def _entries(x, key: str, where: str, on: Tuple[str, str], term: Tuple[str, ...]
         spot = f"{where}: {key}[{k}]"
         if not isinstance(entry, dict):
             raise MapFileError(f"{spot}: each of {key!r} must be an object with 'on' and 'terms'")
+        _only(entry, ("on", "terms"), spot, f"an entry of {key!r}")
         pair = _req(entry, "on", spot)
         if not isinstance(pair, list) or len(pair) != 2:
             raise MapFileError(f"{spot}: 'on' wants [{', '.join(on)}], not {pair!r}")
@@ -232,6 +243,7 @@ def _block_grid(obj: dict, where: str) -> BlockMatrix:
         jd = obj["jd"]
         if not isinstance(jd, dict):
             raise MapFileError(f"{where}: 'jd' must be an object with keys A, B and form")
+        _only(jd, ("A", "B", "form"), where, "'jd'")
         A = _matrix(_req(jd, "A", where), "jd.A", where)
         B = _matrix(_req(jd, "B", where), "jd.B", where)
         form = _req(jd, "form", where)
@@ -410,7 +422,10 @@ def load_psi(path: str) -> Tuple[PostLieBase, PsiPair]:
 
 
 def load_postlie(path: str) -> PostLieBase:
-    return build_postlie(_load(path), path)
+    obj = _load(path)
+    if isinstance(obj, dict):
+        _only(obj, ("generators", "bracket", "triangle"), path, "a post-Lie file")
+    return build_postlie(obj, path)
 
 
 def load_blockmatrix(path: str) -> BlockMatrix:

@@ -5,7 +5,9 @@ combination gives back the original:
 
   expr    := sign? term (("+" | "-") term)*
   term    := rational "*"? item? | item
-  item    := tree | planted+          (according to the requested shape)
+  item    := tree                (in a tree combination)
+           | planted+            (in a forest combination)
+           | planted | name      (in an extension element: a generator name)
   tree    := "(" vlabel child* ")"
   child   := "[" elabel "]" tree
   planted := "[" elabel "]" tree
@@ -152,12 +154,6 @@ class _Parser:
             self.fail(tok, "expected a tree")
         return self.tree()
 
-    def item_planted(self) -> PlantedTree:
-        tok = self.peek()
-        if tok.text != "[":
-            self.fail(tok, "expected a planted tree")
-        return self.planted()
-
     def item_forest(self) -> Forest:
         tok = self.peek()
         if tok.kind == "number" and tok.text == "1":
@@ -218,13 +214,6 @@ def parse_label(src: str, basis: DecorationBasis, side: str = "decoration") -> L
 def parse_tree_comb(src: str, edge_basis: DecorationBasis, vertex_basis: DecorationBasis) -> LinComb:
     p = _Parser(src, edge_basis, vertex_basis)
     out = p.comb(p.item_tree, None)
-    p.done()
-    return out
-
-
-def parse_planted_comb(src: str, edge_basis: DecorationBasis, vertex_basis: DecorationBasis) -> LinComb:
-    p = _Parser(src, edge_basis, vertex_basis)
-    out = p.comb(p.item_planted, None)
     p.done()
     return out
 

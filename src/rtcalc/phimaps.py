@@ -8,8 +8,8 @@ second agrees with the opposite order.  On finite bases that is decided
 exactly; on multi-index bases it is only ever verified up to a bound.
 
 The module also provides the combinators that preserve or transport
-compatibility (direct sums, composition, polynomials, exponentials,
-tensor products, transposes) and the bridge to block-matrix form for
+compatibility (decomposable maps, direct sums, composition, polynomials,
+exponentials, transposes) and the bridge from block-matrix form on
 finite bases, including the joint upper-triangular/diagonal normal form
 on a two-dimensional vertex space.
 
@@ -34,8 +34,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .decorations import (
     DecorationBasis,
     Label,
-    Pr,
-    ProductBasis,
     SymbolBasis,
     union_bases,
 )
@@ -228,31 +226,6 @@ def _act13(phi: PhiMap, triples: LinComb) -> LinComb:
     return triples.map_terms(on_triple)
 
 
-def _sides(phi: PhiMap, psi: PhiMap, a: Label, a2: Label, b: Label) -> Tuple[LinComb, LinComb]:
-    """psi through (1,3) after phi through (2,3), and the other order, on one triple."""
-    start = LinComb.of((a, a2, b))
-    return _act13(psi, _act23(phi, start)), _act23(phi, _act13(psi, start))
-
-
-def phi13_phi23_defect(phi: PhiMap, a: Label, a2: Label, b: Label) -> LinComb:
-    """The commutator of the two slot actions, evaluated on one triple."""
-    return mixed_commutation_defect(phi, phi, a, a2, b)
-
-
-def mixed_commutation_defect(
-    phi: PhiMap, psi: PhiMap, a: Label, a2: Label, b: Label
-) -> LinComb:
-    """psi through (1,3) after phi through (2,3), minus the other order.
-
-    Vanishing of this on all triples is the hypothesis under which the
-    edge-by-edge application of phi intertwines the psi-deformed grafting
-    with the (phi o psi)-deformed one, and under which compositions and
-    linear combinations of compatible maps stay compatible.
-    """
-    lhs, rhs = _sides(phi, psi, a, a2, b)
-    return lhs - rhs
-
-
 def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
     """Decide tree-compatibility on finite bases; verify up to a bound otherwise.
 
@@ -277,7 +250,8 @@ def refuted_on(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequenc
     for a in edge_labels:
         for a2 in edge_labels:
             for b in vertex_labels:
-                lhs, rhs = _sides(phi, phi, a, a2, b)
+                start = LinComb.of((a, a2, b))
+                lhs, rhs = _act13(phi, _act23(phi, start)), _act23(phi, _act13(phi, start))
                 if lhs != rhs:
                     return Refuted((a, a2, b), lhs, rhs)
     return None
@@ -354,16 +328,6 @@ def compose(outer: PhiMap, inner: PhiMap) -> PhiMap:
     )
 
 
-def lin_comb_maps(alpha, phi: PhiMap, beta, psi: PhiMap) -> PhiMap:
-    _require_same_bases(phi, psi)
-    alpha, beta = as_scalar(alpha), as_scalar(beta)
-    return PhiMap(
-        phi.edge_basis,
-        phi.vertex_basis,
-        lambda a, b: phi(a, b).scale(alpha) + psi(a, b).scale(beta),
-    )
-
-
 def mark_compatible(phi: PhiMap) -> PhiMap:
     """Assert compatibility established by an argument outside the checker."""
     return replace(phi, compat_by_construction=True)
@@ -414,31 +378,6 @@ def exp_series(phi: PhiMap, max_iter: int = 64) -> PhiMap:
         phi.vertex_basis,
         act,
         compat_by_construction=phi.compat_by_construction,
-    )
-
-
-def tensor_product(phi: PhiMap, psi: PhiMap) -> PhiMap:
-    """Slotwise tensor product, acting on product labels."""
-    E = ProductBasis(phi.edge_basis, psi.edge_basis)
-    V = ProductBasis(phi.vertex_basis, psi.vertex_basis)
-
-    def act(a: Label, b: Label) -> PairComb:
-        assert isinstance(a, Pr) and isinstance(b, Pr)
-        left = phi(a.left, b.left)
-        right = psi(a.right, b.right)
-        return LinComb(
-            [
-                ((Pr(a1, a2), Pr(b1, b2)), c1 * c2)
-                for (a1, b1), c1 in left.items()
-                for (a2, b2), c2 in right.items()
-            ]
-        )
-
-    return PhiMap(
-        E,
-        V,
-        act,
-        compat_by_construction=phi.compat_by_construction and psi.compat_by_construction,
     )
 
 
@@ -522,23 +461,6 @@ def from_blocks(
                         entries.append(((es[i], vs[k]), blk[k][l]))
             table[(es[j], vs[l])] = LinComb(entries)
     return PhiMap(E, V, lambda a, b: table.get((a, b), LinComb()))
-
-
-def to_blocks(phi: PhiMap) -> BlockMatrix:
-    if not isinstance(phi.edge_basis, SymbolBasis) or not isinstance(phi.vertex_basis, SymbolBasis):
-        raise ValueError("block form needs finite symbol bases")
-    es, vs = phi.edge_basis.labels(), phi.vertex_basis.labels()
-    m, n = len(es), len(vs)
-    grid = [[[[0] * n for _ in range(n)] for _ in range(m)] for _ in range(m)]
-    for j in range(m):
-        for l in range(n):
-            for (a2, b2), c in phi(es[j], vs[l]).items():
-                i = es.index(a2)
-                k = vs.index(b2)
-                grid[i][j][k][l] = c
-    return BlockMatrix(
-        m, n, tuple(tuple(tuple(tuple(r) for r in blk) for blk in row) for row in grid)
-    )
 
 
 def noncommuting_pair(M: BlockMatrix) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:

@@ -426,6 +426,14 @@ def test_classify_m2_refuses_a_key_the_blocks_builder_does_not_read(tmp_path, ca
     assert err == f"rtcalc: error: {grid}: builder 'blocks' does not read 'block'\n"
 
 
+def test_classify_m2_refuses_a_key_jd_does_not_read(tmp_path, capsys):
+    obj = {"builder": "blocks", "jd": {"A": [[1]], "B": [[0]], "form": "J", "fromm": "D"}}
+    grid = jfile(tmp_path, "grid.json", obj)
+    code, out, err = run(capsys, "classify-m2", "--phi", grid)
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: {grid}: 'jd' does not read 'fromm'\n"
+
+
 def test_verify_suite_small(capsys):
     code, out, _ = run(capsys, "verify-suite", "--level", "small")
     assert code == 0
@@ -521,6 +529,18 @@ def test_parse_error_carries_position(tmp_path, capsys):
             ".vertex_basis: basis kind 'symbols' does not read 'd'",
         ),
         ({"builder": "blocks", "blocks": [[[[1]]]], "jd": {}}, "'blocks' or 'jd'"),
+        (
+            {"builder": "blocks", "jd": {"A": [[1]], "B": [[0]], "form": "J", "fromm": "D"}},
+            ": 'jd' does not read 'fromm'",
+        ),
+        (
+            {
+                "builder": "table",
+                **SYM_BASES,
+                "entries": [{"on": ["a1", "b1"], "terms": [[1, "a1", "b1"]], "term": [[5, "a1", "b1"]]}],
+            },
+            "entries[0]: an entry of 'entries' does not read 'term'",
+        ),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
@@ -529,7 +549,7 @@ def test_parse_error_carries_position(tmp_path, capsys):
         "coeffs-int", "coeffs-bool", "exp-max-iter-negative", "phi-lambda-exp-max-iter-negative",
         "multiindex-d-negative", "multiindex-noise-d-negative",
         "lamda-misspelt", "name-refused", "nested-of-unknown-key", "nested-inner-unknown-keys", "basis-unknown-key",
-        "blocks-and-jd",
+        "blocks-and-jd", "jd-unknown-key", "entry-unknown-key",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
@@ -563,11 +583,22 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
         ({"builder": "spde_psi", "d": 0, "noise": "no"}, None, "'noise'"),
         ({"builder": "spde_psi", "d": 0, "nosie": True}, None, "builder 'spde_psi' does not read 'nosie'"),
         ({**PSI_SYM, "assert_compatible": True}, None, "does not read 'assert_compatible'"),
+        (
+            {**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]], "extra": 1}]},
+            None,
+            "edge[0]: an entry of 'edge' does not read 'extra'",
+        ),
+        (
+            PSI_SYM,
+            {"generators": ["g"], "brackets": [{"on": ["g", "g"], "terms": [[1, "g"]]}]},
+            ": a post-Lie file does not read 'brackets'",
+        ),
     ],
     ids=[
         "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
         "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
-        "noise-string", "noise-misspelt", "psi-assert-compatible",
+        "noise-string", "noise-misspelt", "psi-assert-compatible", "edge-entry-unknown-key",
+        "postlie-unknown-key",
     ],
 )
 def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, postlie, key):
@@ -583,6 +614,15 @@ def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, postli
     assert key in err
     assert err.count(path) == 1
     assert "Traceback" not in err
+
+
+def test_postlie_file_naming_a_generator_the_actions_lack_exits_2(tmp_path, capsys):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    postlie = jfile(tmp_path, "postlie.json", {"generators": ["X_0", "g"]})
+    code, out, err = run(capsys, "psi-check", "--phi", phi, "--psi", psi, "--postlie", postlie, "--bound", "1")
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: {postlie}: {psi} has no generator 'g'\n"
 
 
 def test_internal_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch):

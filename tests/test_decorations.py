@@ -10,8 +10,6 @@ from rtcalc.decorations import (
     MultiIndex,
     MultiIndexBasis,
     NoiseOnlyBasis,
-    Pr,
-    ProductBasis,
     Sym,
     SymbolBasis,
     UnionBasis,
@@ -24,7 +22,9 @@ from rtcalc.decorations import (
     union_bases,
 )
 from rtcalc.lincomb import LinComb, term_key
-from rtcalc.phimaps import direct_sum, identity_map, tensor_product
+from rtcalc.phimaps import direct_sum, identity_map
+
+from constructions import Pr, ProductBasis, tensor_product
 
 small_mi = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3).map(
     lambda es: MultiIndex(tuple(es))

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no module imports a name it never uses."""
+"""Source hygiene of the package: no module imports a name it never uses,
+and no top-level definition is left with no user outside the tests."""
 
 import ast
 import re
@@ -6,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rtcalc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rtcalc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The code a definition of the package may serve; the tests do not count.
+USERS = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# Kept with no user outside the tests: the tests build trees with it.
+TEST_ONLY = {"tree_elem"}
 
 
 def unused_imports(source: str):
@@ -36,3 +42,40 @@ def test_every_imported_name_is_used(path):
 def test_the_scan_sees_unused_and_string_only_names():
     source = 'from typing import Iterable, Optional\nimport os.path\nx = "Iterable[int]"\n'
     assert unused_imports(source) == ["Optional", "os"]
+
+
+def unused_definitions(modules, others):
+    """The top-level functions and classes of the sources ``modules`` whose
+    names occur, as whole words, in no source of ``modules`` or ``others``
+    outside their own definition.  A definition that only calls itself is
+    unused; a name that only a string uses counts as used."""
+    found = set()
+    for source in modules:
+        lines = source.splitlines()
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+                rest = "\n".join(lines[: start - 1] + lines[stmt.end_lineno :])
+                pattern = re.compile(rf"\b{re.escape(stmt.name)}\b")
+                texts = [rest] + [other for other in [*modules, *others] if other is not source]
+                if not any(pattern.search(text) for text in texts):
+                    found.add(stmt.name)
+    return found
+
+
+def test_every_top_level_definition_has_a_user_outside_the_tests():
+    package = [p.read_text() for p in MODULES]
+    others = [p.read_text() for p in USERS if p not in MODULES]
+    assert unused_definitions(package, others) == TEST_ONLY
+
+
+def test_the_definition_scan_sees_self_calls_and_string_only_names():
+    module = (
+        "import os\n\n"
+        "@staticmethod\ndef loop(n):\n    return loop(n - 1)\n\n"
+        "def used():\n    return os\n\n"
+        "def quoted():\n    pass\n\n"
+        "class Lonely:\n    pass\n\n"
+        "x = 'quoted'\n"
+    )
+    assert unused_definitions([module, "import m\nm.used()\n"], []) == {"loop", "Lonely"}

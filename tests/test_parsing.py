@@ -11,7 +11,6 @@ from rtcalc.parsing import (
     parse_ext_elem,
     parse_forest_comb,
     parse_label,
-    parse_planted_comb,
     parse_tree_comb,
     render_comb,
 )
@@ -77,8 +76,8 @@ def test_parse_canonicalizes_child_order():
 
 
 def test_parse_planted_and_forest():
-    p = parse_planted_comb("[a1](b2)", E_SYM, V_SYM)
-    assert p == LinComb.of(PlantedTree(a(1), leaf(b(2))))
+    p = parse_forest_comb("[a1](b2)", E_SYM, V_SYM)
+    assert p == LinComb.of(forest([PlantedTree(a(1), leaf(b(2)))]))
 
     f = parse_forest_comb("[a1](b1) [a2](b2)", E_SYM, V_SYM)
     want = forest([PlantedTree(a(1), leaf(b(1))), PlantedTree(a(2), leaf(b(2)))])
@@ -90,7 +89,6 @@ def test_empty_forest_and_zero():
     assert parse_forest_comb("3/2", E_SYM, V_SYM) == LinComb.of(EMPTY_FOREST, Fraction(3, 2))
     assert parse_forest_comb("0", E_SYM, V_SYM) == LinComb()
     assert parse_tree_comb("0", E_SYM, V_SYM) == LinComb()
-    assert parse_planted_comb("0", E_SYM, V_SYM) == LinComb()
 
 
 # -- combinations
@@ -200,7 +198,9 @@ planted_noise = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(comb_of(planted_noise))
 def test_roundtrip_planted_combs(x):
-    assert parse_planted_comb(render_comb(x), E_NOISE, V_NOISE) == x
+    # A planted tree renders as the forest of that one tree.
+    as_forests = x.map_terms(lambda p: LinComb.of(forest([p])))
+    assert parse_forest_comb(render_comb(x), E_NOISE, V_NOISE) == as_forests
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtcalc.decorations import Pr, Sym, symbols
+from rtcalc.decorations import Sym, symbols
 from rtcalc.lincomb import LinComb
 from rtcalc.phimaps import (
     AlreadyJD,
@@ -31,18 +31,15 @@ from rtcalc.phimaps import (
     from_blocks,
     from_table,
     identity_map,
-    lin_comb_maps,
-    mixed_commutation_defect,
-    phi13_phi23_defect,
     polynomial,
     tensor_map,
-    tensor_product,
-    to_blocks,
     transpose_map,
     zero_map,
 )
 import rtcalc.phimaps as phimaps
 from rtcalc.ratmat import det, identity, inv2, mat, mat_mul
+
+from constructions import Pr, mixed_commutation_defect, tensor_product, to_blocks
 
 E = symbols("E", ["a1", "a2"])
 V = symbols("V", ["b1", "b2"])
@@ -85,7 +82,7 @@ def test_defect_detects_noncommuting_slots():
     # Send (a1, b1) to (a2, b2) and stop; acting in the two slot orders on
     # (a1, a1, b1) then differs in which slots got consumed.
     phi = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
-    d = phi13_phi23_defect(phi, a1, a1, b1)
+    d = mixed_commutation_defect(phi, phi, a1, a1, b1)
     assert not d.is_zero
     verdict = check_compat(phi)
     assert isinstance(verdict, Refuted)
@@ -136,14 +133,11 @@ def test_direct_sum_refuted_when_summand_is():
     assert isinstance(check_compat(s), Refuted)
 
 
-def test_compose_and_lin_comb_pointwise():
+def test_compose_pointwise():
     phi = from_table(E, V, {(a1, b1): [(2, a2, b1)]})
     psi = from_table(E, V, {(a2, b1): [(1, a1, b2)]})
     c = compose(psi, phi)
     assert c(a1, b1) == pair(a1, b2, 2)
-    lc = lin_comb_maps(Fraction(1, 2), phi, -1, psi)
-    assert lc(a1, b1) == pair(a2, b1)
-    assert lc(a2, b1) == pair(a1, b2, -1)
 
 
 def test_mixed_commutation_defect_vanishes_for_identity():
