@@ -95,10 +95,12 @@ def _operands(args, parse: Optional[Callable] = None):
     return phi, a, [parse(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis) for f in args.files]
 
 
-def _load_psi(args):
-    """The generator algebra and actions of ``--psi``, the algebra replaced by
-    ``--postlie`` if given; that one may only name generators of ``--psi``."""
-    base, psi = load_psi(args.psi)
+def _load_psi(args, phi):
+    """The generator algebra and actions of ``--psi``, on the bases of ``phi``;
+    ``--postlie`` may replace the algebra, naming only generators of ``--psi``."""
+    base, psi, bases = load_psi(args.psi)
+    if bases != (phi.edge_basis, phi.vertex_basis):
+        raise UsageError(f"{args.psi}: the actions are on other label bases than the map of {args.phi}")
     if not args.postlie:
         return base, psi
     algebra = load_postlie(args.postlie)
@@ -190,7 +192,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_postlie_check(args) -> int:
     phi = load_phi(args.phi)
-    base, psi = _load_psi(args)
+    base, psi = _load_psi(args, phi)
     elems = [
         parse_ext_elem(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis, base.names) for f in args.files
     ]
@@ -202,7 +204,7 @@ def _cmd_postlie_check(args) -> int:
 
 def _cmd_psi_check(args) -> int:
     phi = load_phi(args.phi)
-    base, psi = _load_psi(args)
+    base, psi = _load_psi(args, phi)
     edge_labels = _span(phi.edge_basis, args.bound, "edge")
     vertex_labels = _span(phi.vertex_basis, args.bound, "vertex")
     defects = psi_compat_defects(phi, base, psi, edge_labels, vertex_labels)

@@ -14,10 +14,10 @@ anything hashable that either is naturally orderable (ints, strings) or
 exposes a ``sort_key`` attribute; tuples of such terms are ordered
 componentwise.  All operations return new objects.
 
-Every sum is accumulated by one loop, :func:`_add_terms`, which adds
-(term, coefficient) pairs into a dict and drops the terms that cancel:
-``LinComb(pairs)``, :func:`lc_sum`, ``+`` and ``-`` all run it, so a sum
-of many parts costs one pass over their terms, not a copy per part.
+Every sum of stored coefficients runs through one loop, :func:`_add_terms`,
+which adds (term, coefficient) pairs into a dict and drops the terms that
+cancel: ``LinComb(pairs)``, :func:`lc_sum`, ``+`` and ``-`` all run it, so
+a sum of many parts costs one pass over their terms, not a copy per part.
 
 :meth:`LinComb.items` is the unordered view of the stored terms; exact
 sums do not depend on the order they are visited in.  Canonical term
@@ -25,17 +25,19 @@ order is applied only at output, by :meth:`LinComb.sorted_items`, which
 :meth:`LinComb.render` uses and which callers use where the first term
 visited picks an error message or a witness.
 
-:meth:`LinComb.map_terms`, the inner loop of every operator, sums its
-products as plain integer numerator/denominator pairs over a common
-denominator and reduces each surviving coefficient once at the end, so
-its results equal what term-by-term ``Fraction`` arithmetic gives.
+Sums of products are kept as integer numerator/denominator pairs over a
+common denominator, each coefficient reduced once at the end, so no
+``Fraction`` is made for a product or a partial sum.  The two integer-pair
+loops are :func:`accumulate` and the inline one of :meth:`LinComb.map_terms`,
+which a generator would slow by about 10% on fractional coefficient maps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import lcm
-from typing import Callable, Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
 
 Scalar = int | Fraction
 
@@ -175,16 +177,8 @@ class LinComb:
     __rmul__ = __mul__
 
     def map_terms(self, fn: Callable[[Hashable], "LinComb"]) -> "LinComb":
-        """Linear extension of ``fn``, which sends a term to a LinComb.
-
-        Each image's coefficient is accumulated as an integer pair
-        ``[numerator, denominator]`` whose denominator is the lcm of the
-        product denominators seen so far, so no gcd is taken per product.
-        Images that sum to zero are dropped, and each other one gets a
-        single coefficient in lowest terms, equal to what summing the
-        products as ``Fraction`` values gives: an ``int`` when the
-        denominator reduces to 1.
-        """
+        """Linear extension of ``fn``, which sends a term to a LinComb; the
+        products are summed as :func:`accumulate` sums its triples."""
         acc: Dict[Hashable, list] = {}
         for term, c in self._terms.items():
             cn, cd = c.numerator, c.denominator
@@ -234,3 +228,39 @@ def lc_sum(parts: Iterable[LinComb]) -> LinComb:
     for p in parts:
         _add_terms(terms, p._terms.items())
     return LinComb._raw(terms)
+
+
+def accumulate(triples: Iterable[Tuple[Hashable, int, int]]) -> LinComb:
+    """The sum of (term, numerator, denominator > 0) triples.  A term's pair
+    keeps the lcm of its denominators, so no gcd is taken per triple; terms
+    that sum to zero are dropped and the rest reduced once, at the end."""
+    acc: Dict[Hashable, list] = {}
+    for term, n, d in triples:
+        slot = acc.get(term)
+        if slot is None:
+            acc[term] = [n, d]
+        elif slot[1] == d:
+            slot[0] += n
+        else:
+            m = lcm(slot[1], d)
+            slot[0], slot[1] = slot[0] * (m // slot[1]) + n * (m // d), m
+    return LinComb._raw({term: n // d if n % d == 0 else Fraction(n, d) for term, (n, d) in acc.items() if n})
+
+
+def product_sum(factors: Sequence[Iterable[Tuple[Hashable, Scalar]]], build: Callable[..., Hashable]) -> LinComb:
+    """The sum, over one (term, coefficient) pair of each factor, of
+    ``build(*terms)`` weighted by the product of the coefficients, summed by
+    :func:`accumulate`; no factors give ``build()`` once."""
+    split = [[(t, c.numerator, c.denominator) for t, c in factor] for factor in factors]
+
+    def triples():
+        for combo in iproduct(*split):
+            n = d = 1
+            terms = []
+            for t, cn, cd in combo:
+                n *= cn
+                d *= cd
+                terms.append(t)
+            yield build(*terms), n, d
+
+    return accumulate(triples())

@@ -360,7 +360,8 @@ def _matrix_action(m, labels, where: str):
     return act
 
 
-def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair]:
+def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair, Tuple[DecorationBasis, DecorationBasis]]:
+    """The generator algebra, the actions, and their (edge, vertex) bases."""
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected an action object")
     builder = _kind(obj, "action", where)
@@ -369,7 +370,9 @@ def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair]:
         noise = obj.get("noise", False)
         if not isinstance(noise, bool):
             raise MapFileError(f"{where}: 'noise' must be true or false, not {noise!r}")
-        return spde_psi(_spde_config(obj, where, noise=noise))
+        cfg = _spde_config(obj, where, noise=noise)
+        basis = {"kind": "multiindex_noise" if noise else "multiindex", "d": cfg.d}
+        return (*spde_psi(cfg), (_basis(basis, "edge", where), _basis(basis, "vertex", where)))
 
     names = _generators(obj, where)  # psi_tables
     E = _basis(_req(obj, "edge_basis", where), "edge", where)
@@ -386,7 +389,7 @@ def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair]:
         return out
 
     psi = psi_from_tables(side("edge", E), side("vertex", V))
-    return build_postlie(obj, where), psi
+    return build_postlie(obj, where), psi, (E, V)
 
 
 def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
@@ -417,7 +420,7 @@ def load_phi(path: str) -> PhiMap:
     return build_phi(_load(path), path)
 
 
-def load_psi(path: str) -> Tuple[PostLieBase, PsiPair]:
+def load_psi(path: str) -> Tuple[PostLieBase, PsiPair, Tuple[DecorationBasis, DecorationBasis]]:
     return build_psi(_load(path), path)
 
 

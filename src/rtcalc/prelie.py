@@ -31,6 +31,8 @@ map on (e_1, ..., e_k; b), the child edges taken in sibling order,
 combined with one term of the image of each T_i.  ``theta`` evaluates
 that bottom-up and computes each distinct subtree once per call.  The
 forest operator :func:`rtcalc.hopf.theta_bar` runs it on each tree body.
+Grafting sums its output, and ``theta`` each subtree image, in one
+:func:`rtcalc.lincomb.accumulate`, which reduces each coefficient once.
 
 The root-split coproduct at the bottom of the module cuts one root edge
 at a time off a planted tree; regrafting the pieces back at the root
@@ -41,12 +43,10 @@ exactly the planted single vertices.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product as iproduct
-from math import prod
 from typing import Callable, Dict, Iterable, Set, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb
+from .lincomb import LinComb, accumulate, product_sum
 from .phimaps import PhiMap, ensure_usable, identity_map
 from .trees import (
     DecoratedTree,
@@ -77,14 +77,19 @@ def _graft_sum(x: TreeComb, y: TreeComb, attach: Callable) -> TreeComb:
 
     Each term of ``x`` runs :func:`rtcalc.trees.vertex_sum` with a memo of
     its own, shared by the terms of ``y`` and dropped with that term.
+    Every (tx, ty, vertex-sum term) goes into one accumulation, reduced once.
     """
 
-    def per_term(tx: DecoratedTree) -> TreeComb:
-        memo: Dict = {}
-        local = partial(attach, tx)
-        return y.map_terms(lambda ty: LinComb(vertex_sum(ty, local, memo)))
+    def triples():
+        for tx, cx in x.items():
+            memo: Dict = {}
+            local = partial(attach, tx)
+            for ty, cy in y.items():
+                n, d = cx.numerator * cy.numerator, cx.denominator * cy.denominator
+                for t, k in vertex_sum(ty, local, memo):
+                    yield t, n * k.numerator, d * k.denominator
 
-    return x.map_terms(per_term)
+    return accumulate(triples())
 
 
 def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
@@ -136,9 +141,9 @@ def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeCom
 
     The root's child edges act on (edge label, root label) one at a time
     through :meth:`PhiMap.act_at_vertex`, in canonical sibling order; each
-    resulting local term is combined with one term of every child image.
-    A subtree's image does not depend on where it sits, so ``memo`` holds
-    it for every distinct subtree seen.
+    resulting local term is combined with one term of every child image by
+    :func:`rtcalc.lincomb.product_sum`.  A subtree's image does not depend
+    on where it sits, so ``memo`` holds it for every distinct subtree seen.
     """
     if not s.children:
         return LinComb.of(s)
@@ -147,15 +152,8 @@ def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeCom
         return image
     kid_terms = [_edge_image(phi, c, memo).items() for _, c in s.children]
     local = phi.act_at_vertex(tuple(e for e, _ in s.children), s.label)
-
-    def assemble(state) -> TreeComb:
-        edges, b = state
-        return LinComb(
-            (node(b, zip(edges, (t for t, _ in combo))), prod(c for _, c in combo))
-            for combo in iproduct(*kid_terms)
-        )
-
-    image = memo[s] = local.map_terms(assemble)
+    build = lambda state, *kids: node(state[1], zip(state[0], kids))  # state: (edge labels, root label)
+    image = memo[s] = product_sum([local.items(), *kid_terms], build)
     return image
 
 

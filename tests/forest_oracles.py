@@ -24,6 +24,12 @@ addressed by the tuple of child positions leading down from the root, and
 ``graft_at`` and ``relabel_at`` rebuild the path from the root to one
 address, putting the changed child back in by bisection at each level.
 
+``theta_nested``, ``graft_phi_nested``, ``graft_free_nested`` and
+``theta_bar_nested`` are the edge-product operator and the grafting
+products as they summed before :func:`rtcalc.lincomb.accumulate`: one
+``LinComb`` per local state or per term, reduced again by each enclosing
+``map_terms``.
+
 ``canonicalize`` re-sorts every level of a tree with ``node``, and
 ``nested_key`` and its planted and forest forms give the nested sort keys,
 (label key, ((edge key, subtree key), ...)), that the flat preorder keys of
@@ -34,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from functools import partial
 from itertools import permutations, product as iproduct
+from math import prod
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from rtcalc.decorations import Label
@@ -46,6 +54,7 @@ from rtcalc.trees import (
     forest,
     insert_child,
     node,
+    vertex_sum,
 )
 
 VertexId = Tuple[int, ...]  # child positions down from the root
@@ -562,3 +571,74 @@ def isomorphisms(f1: Forest, f2: Forest) -> List[Dict[ForestVertexId, ForestVert
                     iso[(i, p)] = (perm[i], q)
             out.append(iso)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Theta and grafting by nested reductions
+
+
+def _edge_image_nested(phi, s: DecoratedTree, memo: Dict) -> LinComb:
+    """One ``LinComb`` per local state, summed again by ``map_terms``."""
+    if not s.children:
+        return LinComb.of(s)
+    image = memo.get(s)
+    if image is not None:
+        return image
+    kid_terms = [_edge_image_nested(phi, c, memo).items() for _, c in s.children]
+    local = phi.act_at_vertex(tuple(e for e, _ in s.children), s.label)
+
+    def assemble(state) -> LinComb:
+        edges, b = state
+        return LinComb(
+            (node(b, zip(edges, (t for t, _ in combo))), prod(c for _, c in combo))
+            for combo in iproduct(*kid_terms)
+        )
+
+    image = memo[s] = local.map_terms(assemble)
+    return image
+
+
+def theta_nested(phi, x: LinComb) -> LinComb:
+    """``rtcalc.prelie.theta`` without its guard, by nested reductions."""
+    memo: Dict = {}
+    return x.map_terms(lambda t: _edge_image_nested(phi, t, memo))
+
+
+def _graft_sum_nested(x: LinComb, y: LinComb, attach: Callable) -> LinComb:
+    """A ``LinComb`` per vertex sum, reduced by ``y.map_terms`` and ``x.map_terms``."""
+
+    def per_term(tx: DecoratedTree) -> LinComb:
+        memo: Dict = {}
+        local = partial(attach, tx)
+        return y.map_terms(lambda ty: LinComb(vertex_sum(ty, local, memo)))
+
+    return x.map_terms(per_term)
+
+
+def graft_phi_nested(phi, x: LinComb, a: Label, y: LinComb) -> LinComb:
+    def attach(tx: DecoratedTree, s: DecoratedTree):
+        kids = s.children
+        return [(DecoratedTree(b2, insert_child(kids, (a2, tx))), c) for (a2, b2), c in phi(a, s.label).items()]
+
+    return _graft_sum_nested(x, y, attach)
+
+
+def graft_free_nested(x: LinComb, a: Label, y: LinComb) -> LinComb:
+    return _graft_sum_nested(x, y, lambda tx, s: ((DecoratedTree(s.label, insert_child(s.children, (a, tx))), 1),))
+
+
+def theta_bar_nested(phi, x: LinComb) -> LinComb:
+    """``rtcalc.hopf.theta_bar`` without its guard: a ``LinComb`` of the
+    products of the tree images, per forest."""
+
+    def images(f: Forest) -> LinComb:
+        bodies = [_edge_image_nested(phi, t.body, {}).items() for t in f.trees]
+        return LinComb(
+            (
+                forest(PlantedTree(t.plant, body) for t, (body, _) in zip(f.trees, combo)),
+                prod(c for _, c in combo),
+            )
+            for combo in iproduct(*bodies)
+        )
+
+    return lc_sum(c * images(f) for f, c in x.items())

@@ -625,6 +625,27 @@ def test_postlie_file_naming_a_generator_the_actions_lack_exits_2(tmp_path, caps
     assert err == f"rtcalc: error: {postlie}: {psi} has no generator 'g'\n"
 
 
+@pytest.mark.parametrize("command", ["psi-check", "postlie-check"])
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        (IDENTITY_SYM, PSI_D0),
+        (PHI_D0, PSI_SYM),
+        (PHI_D0, {**PSI_D0, "noise": True}),
+        (NOISE_D0, PSI_D0),
+        (PHI_D0, {**PSI_D0, "d": 1}),
+        ({**IDENTITY_SYM, "vertex_basis": {"kind": "symbols", "id": "b", "names": ["b1"]}}, PSI_SYM),
+    ],
+    ids=["symbols-vs-spde", "multiindex-vs-tables", "noise-vs-plain", "plain-vs-noise", "d0-vs-d1", "names"],
+)
+def test_actions_on_other_bases_than_the_map_exit_2_naming_both_files(tmp_path, capsys, command, phi, psi):
+    phi, psi = jfile(tmp_path, "phi.json", phi), jfile(tmp_path, "psi.json", psi)
+    argv = ["--bound", "1"] if command == "psi-check" else [tfile(tmp_path, f"{k}.txt", "g") for k in "uvw"]
+    code, out, err = run(capsys, command, "--phi", phi, "--psi", psi, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: {psi}: the actions are on other label bases than the map of {phi}\n"
+
+
 def test_internal_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
     def broken(phi, x):
         raise TypeError("bad\nstate")

@@ -1,5 +1,5 @@
 """Fuzzing ``rtcalc`` through ``cli.main`` with generated map, action and
-post-Lie files.
+post-Lie files, and with generated tree text.
 
 The files are built from the builder names of the README and are well
 formed, so loading them fails only on a key put in on purpose: one
@@ -8,13 +8,19 @@ misspelt or unknown key, in the top-level map, a nested map, a basis, a
 run must exit 0, 1 or 2 with no traceback and no internal error; exit 1
 must come from a refutation or a nonzero residual, and a file with an
 unknown key must exit 2 with a message naming it.
+
+The tree text for ``theta`` and ``graft`` is well formed (wide trees of up
+to 8 children, ladders up to 600 deep) or spoilt by one misspelt label,
+one unbalanced bracket or one dropped character.  Well-formed text of
+modest depth must exit 0; text nested beyond the frame limit exits 2 with
+the recursion message.
 """
 
 import copy
 import json
 import string
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rtcalc.cli import main
@@ -319,3 +325,122 @@ def test_psi_check_on_generated_action_and_postlie_files(tmp_path, capsys, case)
         assert_refused(code, out, err, key)
     elif code == 1:
         assert " at gens=(" in out
+
+
+# ---------------------------------------------------------------------------
+# Tree text for theta and graft
+
+# Two compatible maps and their labels: phi_lambda at d = 0 with a
+# fractional coefficient, and the identity on the symbol pair "ab".
+TREE_MAPS = {
+    "mi": ({"builder": "phi_lambda", "d": 0, "lambda": ["1/2"]}, ["<0>", "<1>", "<2>"], ["<0>", "<1>", "<2>"]),
+    "ab": ({"builder": "identity", **bases("ab")}, SYMBOLS["ab"][0][1], SYMBOLS["ab"][1][1]),
+}
+# Labels that no basis above has, or that belong to the other slot.
+BAD_LABELS = ["<0,1>", "<>", "a3", "b0", "Xi", "*", "bb1", "a1b1", "<1"]
+# Ladders deeper than this may meet the frame limit; shallower ones must not.
+SAFE_DEPTH = 400
+RECURSION = "rtcalc: error: recursion limit"
+
+
+def trees(es, vs):
+    """Tree text with up to 8 children at a vertex."""
+
+    def grow(kids):
+        return st.builds(
+            lambda v, cs: f"({v}" + "".join(f" [{e}]{c}" for e, c in cs) + ")",
+            st.sampled_from(vs),
+            st.lists(st.tuples(st.sampled_from(es), kids), max_size=8),
+        )
+
+    return st.recursive(st.sampled_from(vs).map(lambda v: f"({v})"), grow, max_leaves=12)
+
+
+def ladder(depth, e, v):
+    """One chain of ``depth`` vertices labelled ``v`` joined by ``e`` edges."""
+    return f"({v} [{e}]" * (depth - 1) + f"({v})" + ")" * (depth - 1)
+
+
+COEFFICIENTS = st.sampled_from(["", "2*", "1/2*", "3/4 "])
+
+
+@st.composite
+def tree_expr(draw, es, vs):
+    """A tree combination: ``(text, depth)`` with ``depth`` 0 for a generated
+    combination and the ladder's depth for a ladder."""
+    if draw(st.integers(0, 3)) == 0:
+        # Only <0> is fixed by phi_lambda at every level, so deep ladders on
+        # multi-indices keep one term.
+        e, v = (es[0], vs[0]) if es[0] == "<0>" else (draw(st.sampled_from(es)), draw(st.sampled_from(vs)))
+        depth = draw(st.one_of(st.integers(1, 60), st.integers(SAFE_DEPTH, 600)))
+        return ladder(depth, e, v), depth
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), COEFFICIENTS, trees(es, vs)), min_size=1, max_size=3))
+    return " ".join(s + c + t for s, c, t in terms).lstrip("+"), 0
+
+
+@st.composite
+def spoil_text(draw, text):
+    """``text`` with one label misspelt, one bracket unbalanced or one character dropped."""
+    how = draw(st.sampled_from(["label", "bracket", "drop"]))
+    if how == "label":
+        spots = [i for i, ch in enumerate(text) if ch in "<ab"]
+        i = draw(st.sampled_from(spots))
+        j = text.find(">", i) + 1 if text[i] == "<" else i + 2
+        return text[:i] + draw(st.sampled_from(BAD_LABELS)) + text[j:]
+    if how == "bracket":
+        spots = [i for i, ch in enumerate(text) if ch in "()[]"]
+        i = draw(st.sampled_from(spots))
+        return text[:i] + draw(st.sampled_from(["", "((", "))", "[", "]"])) + text[i + 1 :]
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1 :]
+
+
+@st.composite
+def tree_case(draw):
+    """A subcommand, its map, its tree operands and whether one of them is spoilt."""
+    sig = draw(st.sampled_from(sorted(TREE_MAPS)))
+    phi, es, vs = TREE_MAPS[sig]
+    command = draw(st.sampled_from(["theta", "graft", "graft-free"]))
+    x, depth = draw(tree_expr(es, vs))
+    spoilt_operand = draw(st.booleans())
+    if spoilt_operand:
+        x = draw(spoil_text(x))
+    if command == "theta":
+        return [command, "--phi", "phi.json", "x.txt"], {"phi.json": phi}, {"x.txt": x}, depth, spoilt_operand
+    # The ladder goes on the left, so the grafts stay one per vertex of y.
+    y = draw(trees(es, vs))
+    argv = [command, "--phi", "phi.json", "--a", draw(st.sampled_from(es)), "x.txt", "y.txt"]
+    return argv, {"phi.json": phi}, {"x.txt": x, "y.txt": y}, depth, spoilt_operand
+
+
+THETA = ["theta", "--phi", "phi.json", "x.txt"]
+PHI_MI = {"phi.json": TREE_MAPS["mi"][0]}
+DEEP = ladder(600, "<0>", "<0>")
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((THETA, PHI_MI, {"x.txt": DEEP}, 600, False))
+@example((THETA, PHI_MI, {"x.txt": ladder(SAFE_DEPTH, "<0>", "<0>")}, SAFE_DEPTH, False))
+@example(
+    (
+        ["graft", "--phi", "phi.json", "--a", "<1>", "x.txt", "y.txt"],
+        PHI_MI,
+        {"x.txt": DEEP, "y.txt": "(<1> [<2>](<0>))"},
+        600,
+        False,
+    )
+)
+@given(tree_case())
+def test_theta_and_graft_on_generated_tree_text(tmp_path, capsys, case):
+    argv, files, texts, depth, spoilt_operand = case
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text + "\n")
+    argv = [str(tmp_path / a) if a in texts else a for a in argv]
+    code, out, err = run_cli(capsys, tmp_path, argv, files)
+    if not spoilt_operand:
+        if depth <= SAFE_DEPTH:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 0 or (code == 2 and err.startswith(RECURSION))
+    elif code == 2:
+        assert out == "" and err.startswith("rtcalc: error:")

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rtcalc.lincomb import LinComb, as_scalar, lc_sum, term_key
+from rtcalc.lincomb import LinComb, accumulate, as_scalar, lc_sum, product_sum, term_key
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 terms = st.sampled_from(["u", "v", "w", "x", "y"])
@@ -174,6 +175,48 @@ def test_summing_matches_fraction_fold(p, q, k, parts):
     everything = parts + [p, negated(p)]
     total = lc_sum(LinComb(ps) for ps in everything)
     assert dict(total.items()) == fraction_fold([tc for ps in everything for tc in ps])
+
+
+triples = st.lists(st.tuples(terms, st.integers(-20, 20), st.integers(1, 12)), max_size=12)
+
+
+@example([("u", 1, 2), ("u", 1, 3), ("u", -5, 6), ("v", 0, 5), ("w", 3, 4), ("w", 1, 4)], 0)
+@given(triples, st.integers(0, 12))
+def test_accumulate_matches_fraction_fold(items, k):
+    # Sums that cancel to zero: the items against the negation of a prefix.
+    for ts in (items, items + [(t, -n, d) for t, n, d in items[:k]]):
+        got = accumulate(ts)
+        assert dict(got.items()) == fraction_fold((t, Fraction(n, d)) for t, n, d in ts)
+        assert all(is_stored_scalar(c) and c != 0 for _, c in got.items())
+
+
+stored_scalars = st.one_of(st.integers(-6, 6), rationals).map(as_scalar)
+factors = st.lists(st.lists(st.tuples(terms, stored_scalars), max_size=3), max_size=4)
+
+
+def product_fold(factors):
+    """The sum over one pair of each factor of the joined terms, weighted by
+    the product of the coefficients as ``Fraction`` values."""
+    pairs = []
+    for combo in iproduct(*factors):
+        weight = Fraction(1)
+        for _, c in combo:
+            weight *= c
+        pairs.append(("".join(t for t, _ in combo), weight))
+    return fraction_fold(pairs)
+
+
+@example([])
+@example([[]])
+@example([[("u", Fraction(1, 2)), ("u", Fraction(-1, 2))], [("v", 3)]])
+@example([[("u", Fraction(1, 2)), ("u", Fraction(-1, 3))], [("v", 3), ("v", -1)], [("w", Fraction(3, 4))]])
+@given(factors)
+def test_product_sum_matches_fraction_fold(fs):
+    got = product_sum(fs, lambda *ts: "".join(ts))
+    assert dict(got.items()) == product_fold(fs)
+    assert all(is_stored_scalar(c) and c != 0 for _, c in got.items())
+    if not fs:
+        assert dict(got.items()) == {"": 1}
 
 
 @given(pair_lists, st.randoms(use_true_random=False))

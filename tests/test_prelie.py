@@ -6,8 +6,18 @@ from itertools import product
 
 import pytest
 
-from forest_oracles import graft_free_by_address, graft_phi_by_address, rebuild_tree, tree_sites
+from forest_oracles import (
+    graft_free_by_address,
+    graft_free_nested,
+    graft_phi_by_address,
+    graft_phi_nested,
+    rebuild_tree,
+    theta_bar_nested,
+    theta_nested,
+    tree_sites,
+)
 from rtcalc.decorations import Sym, mi, symbols
+from rtcalc.hopf import theta_bar
 from rtcalc.lincomb import LinComb, lc_sum
 from rtcalc.phimaps import (
     IncompatiblePhi,
@@ -40,11 +50,12 @@ from rtcalc.postlie import PsiPair, _vertex_action_on_tree
 from rtcalc.trees import (
     DecoratedTree,
     PlantedTree,
+    forest,
     leaf,
     node,
     vertex_sum,
 )
-from rtcalc.verify import trees_up_to
+from rtcalc.verify import forests_up_to, trees_up_to
 
 E = symbols("E", ["a1", "a2"])
 V = symbols("V", ["b1", "b2"])
@@ -522,3 +533,80 @@ def test_grafting_and_the_vertex_action_leave_no_cyclic_garbage():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# One accumulation against the nested reductions it replaced
+
+
+def assert_same(got, want):
+    """Equal combinations whose coefficients are stored alike: an ``int``
+    exactly when the value is integral."""
+    assert got == want
+    assert all(type(c) is type(want.coeff(t)) for t, c in got.items())
+    assert all(type(c) is int or c.denominator > 1 for t, c in got.items())
+
+
+def fractional(rng, terms, k):
+    return LinComb((rng.choice(terms), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(k))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-1, 2)])
+def test_theta_and_grafting_match_the_nested_reductions_for_phi_lambda(lam):
+    phi, back = (phi_lambda(SpdeConfig(0, (s * lam,))) for s in (1, -1))
+    labels = [mi(k) for k in range(3)]
+    trees = trees_up_to(4, labels, labels)
+    assert len(trees) == 6492
+    for t in trees:
+        image = theta(phi, tree_elem(t))
+        assert_same(image, theta_nested(phi, tree_elem(t)))
+        # Applying the inverse map cancels every term but t.
+        assert_same(theta(back, image), theta_nested(back, image))
+    for f in forests_up_to(3, labels, labels):
+        assert_same(theta_bar(phi, LinComb.of(f)), theta_bar_nested(phi, LinComb.of(f)))
+    small = trees_up_to(2, labels, labels)
+    for a in labels:
+        for tx in small:
+            for ty in small:
+                x, y = LinComb.of(tx), LinComb.of(ty)
+                assert_same(graft_phi(phi, x, a, y), graft_phi_nested(phi, x, a, y))
+                assert_same(graft_free(x, a, y), graft_free_nested(x, a, y))
+    # Multi-term inputs with fractional coefficients share subtrees and
+    # meet on common output terms.
+    rng = random.Random(f"nested:{lam}")
+    for _ in range(20):
+        x, y = fractional(rng, trees, 4), fractional(rng, trees, 4)
+        a = rng.choice(labels)
+        assert_same(theta(phi, x), theta_nested(phi, x))
+        assert_same(graft_phi(phi, x, a, y), graft_phi_nested(phi, x, a, y))
+        assert_same(graft_free(x, a, y), graft_free_nested(x, a, y))
+        f = forest(PlantedTree(rng.choice(labels), t) for t, _ in x.items())
+        z = LinComb.of(f, Fraction(-2, 3)) + LinComb.of(forest([PlantedTree(a, rng.choice(trees))]), 3)
+        assert_same(theta_bar(phi, z), theta_bar_nested(phi, z))
+
+
+def test_theta_and_grafting_match_the_nested_reductions_for_a_d_form_block_map():
+    rng = random.Random(35)
+    mat2 = lambda: [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2)] for _ in range(2)]
+    BE, BV = default_block_bases(2, 2)
+    phi = from_blocks(build_JD(mat2(), mat2(), "D"), BE, BV)
+    trees = trees_up_to(3, BE.labels(), BV.labels())
+    assert len(trees) == 62
+    for t in trees:
+        assert_same(theta(phi, tree_elem(t)), theta_nested(phi, tree_elem(t)))
+    for f in forests_up_to(3, BE.labels(), BV.labels()):
+        assert_same(theta_bar(phi, LinComb.of(f)), theta_bar_nested(phi, LinComb.of(f)))
+    (e1, _), (v1, v2) = BE.labels(), BV.labels()
+    x, y, meet = cancelling_pair(v1, e1, v2)
+    assert graft_free(x, e1, y).coeff(meet) == 0
+    assert_same(graft_free(x, e1, y), graft_free_nested(x, e1, y))
+    for a in BE.labels():
+        for tx in trees:
+            x = LinComb.of(tx)
+            for ty in trees:
+                y = LinComb.of(ty)
+                assert_same(graft_phi(phi, x, a, y), graft_phi_nested(phi, x, a, y))
+                assert_same(graft_free(x, a, y), graft_free_nested(x, a, y))
+        x, y = fractional(rng, trees, 5), fractional(rng, trees, 5)
+        assert_same(graft_phi(phi, x, a, y), graft_phi_nested(phi, x, a, y))
+        assert_same(theta(phi, graft_free(x, a, y)), theta_nested(phi, graft_free_nested(x, a, y)))
