@@ -257,7 +257,7 @@ class MultiIndexBasis(DecorationBasis):
     is_finite = False
 
     def contains(self, label: Label) -> bool:
-        return isinstance(label, MultiIndex) and len(label) == self.d + 1
+        return isinstance(label, MultiIndex) and len(label.entries) == self.d + 1
 
     def labels_up_to(self, bound: int) -> Tuple[Label, ...]:
         rng = range(bound + 1)

@@ -19,9 +19,12 @@ keeps each image in a dict on the map, looked up before the basis checks
 and the action run, and a map on finite bases keeps its
 :func:`check_compat` verdict, which :func:`ensure_usable` reads.  A label
 outside the basis raises on every call and is never stored.  Deriving a
-map with ``dataclasses.replace`` starts empty memos.  No cache in this
-module is global or keyed by a map.  The only global caches are the weak
-intern tables of :mod:`rtcalc.intern`: trees, forests and labels.
+map with ``dataclasses.replace`` starts empty memos.  A builder that
+keeps tables in its action's closure, such as
+:func:`rtcalc.spde.phi_lambda`, scopes them the same way: they live and
+die with the map, as ``_images`` does.  No cache in this module is global
+or keyed by a map.  The only global caches are the weak intern tables of
+:mod:`rtcalc.intern`: trees, forests and labels.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 Edge and vertex labels both live in N^{d+1}.  The elementary map lowers
 one coordinate on both sides of a pair at once, weighted by the vertex
 entry; these steps pairwise commute and are locally nilpotent, so the
-exponential of any coefficient-weighted span is defined and admits a
-closed form as a binomial sum.  The resulting one-parameter family is a
+exponential of any coefficient-weighted span is defined and is the
+product of the one-coordinate exponentials: a binomial sum whose weights
+are coordinatewise products of integers over one denominator.  The
+closed-form map reads its images from per-map tables that it fills
+lazily and that die with it.  The resulting one-parameter family is a
 semigroup under composition, with the sign-flipped member as inverse.
 
 The noise variant adds one edge symbol and one vertex symbol via a
@@ -18,8 +21,12 @@ trees generated from the three one-edge shapes, and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import product as iproduct
+from math import comb
+from operator import sub
 from typing import Dict, Iterable, List, Tuple
 
 from .decorations import (
@@ -29,7 +36,6 @@ from .decorations import (
     MultiIndex,
     MultiIndexBasis,
     NoiseOnlyBasis,
-    lambda_pow,
     mi_unit,
 )
 from .lincomb import LinComb, Scalar, as_scalar, lc_sum
@@ -86,37 +92,53 @@ def partial_lambda(cfg: SpdeConfig) -> PhiMap:
 
 
 def phi_lambda(cfg: SpdeConfig) -> PhiMap:
-    """Closed form of exp(partial_lambda): a binomial sum over l <= min(a, b)."""
-    basis = MultiIndexBasis(cfg.d)
-    monomials: dict = {}
-    coeffs: dict = {}
-    lowered: dict = {}
+    """Closed form of exp(partial_lambda): a binomial sum over l <= min(a, b).
 
-    def lower(entries: Tuple[int, ...], low: Tuple[int, ...]) -> MultiIndex:
-        key = (entries, low)
-        m = lowered.get(key)
-        if m is None:
-            m = MultiIndex(tuple(x - y for x, y in zip(entries, low)))
-            lowered[key] = m
-        return m
+    The lowering steps commute, so the exponential is the product of the
+    one-coordinate exponentials, and (a, b) goes to the sum over
+    l <= m = min(a, b) of prod_j C(b_j, l_j) lambda_j^{l_j} times
+    (a - l, b - l), with 0^0 = 1.  Three tables in the closure hold what
+    the images share: the l <= m of each box m, the weight of each l under
+    each vertex label b, and the interned a - l of each label a, for edge
+    and vertex labels alike.  They are filled one entry at a time, only
+    for the l that some image visits, and live and die with the map.
+    """
+    basis = MultiIndexBasis(cfg.d)
+    ratios = tuple((c.numerator, c.denominator) for c in cfg.lam)
+    boxes: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
+    weights: Dict[Label, Dict[Tuple[int, ...], Scalar]] = defaultdict(dict)
+    lowered: Dict[Label, Dict[Tuple[int, ...], MultiIndex]] = defaultdict(dict)
+
+    def weight(be: Tuple[int, ...], low: Tuple[int, ...]) -> Scalar:
+        num = den = 1
+        for bj, lj, (n, d) in zip(be, low, ratios):
+            if lj:
+                num *= comb(bj, lj) * n**lj
+                den *= d**lj
+        return num // den if num % den == 0 else Fraction(num, den)
 
     def act(a: Label, b: Label) -> LinComb:
         # Distinct l give distinct a - l, so the terms need no merging;
         # only lambda^l can vanish, since C(b, l) >= 1 for l <= b.
-        terms = {}
         ae, be = a.entries, b.entries
-        for low in iproduct(*(range(min(x, y) + 1) for x, y in zip(ae, be))):
-            key = (be, low)
-            coeff = coeffs.get(key)
-            if coeff is None:
-                weight = monomials.get(low)
-                if weight is None:
-                    weight = lambda_pow(cfg.lam, MultiIndex(low))
-                    monomials[low] = weight
-                coeff = as_scalar(weight * b.binom(MultiIndex(low)))
-                coeffs[key] = coeff
-            if coeff:
-                terms[(lower(ae, low), lower(be, low))] = coeff
+        m = tuple(map(min, ae, be))
+        box = boxes.get(m)
+        if box is None:
+            box = boxes[m] = tuple(iproduct(*(range(x + 1) for x in m)))
+        row, a_low, b_low = weights[b], lowered[a], lowered[b]
+        terms = {}
+        for low in box:
+            w = row.get(low)
+            if w is None:
+                w = row[low] = weight(be, low)
+            if w:
+                na = a_low.get(low)
+                if na is None:
+                    na = a_low[low] = MultiIndex(tuple(map(sub, ae, low)))
+                nb = b_low.get(low)
+                if nb is None:
+                    nb = b_low[low] = MultiIndex(tuple(map(sub, be, low)))
+                terms[(na, nb)] = w
         return LinComb._raw(terms)
 
     return PhiMap(basis, basis, act, compat_by_construction=True)

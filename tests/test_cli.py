@@ -671,16 +671,17 @@ def ladder_text(depth):
     return "(<0>" + " [<0>](<0>" * (depth - 1) + ")" * depth
 
 
-def run_process(*argv, hash_seed=None):
+def run_process(*argv, hash_seed=None, timeout=120):
     """Run the CLI in a fresh interpreter, so the stack starts as it does
     from the shell rather than under the test runner's frames; with
-    ``hash_seed``, under that ``PYTHONHASHSEED``."""
+    ``hash_seed``, under that ``PYTHONHASHSEED``.  A run past ``timeout``
+    seconds fails the test."""
     src = str(Path(rtcalc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)
     done = subprocess.run(
-        [sys.executable, "-m", "rtcalc.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "rtcalc.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -707,6 +708,20 @@ def test_theta_on_a_240_deep_ladder_still_succeeds(tmp_path):
     assert err == ""
     # With lambda = 1 at d = 0 the map fixes (<0>, <0>), so theta fixes the ladder.
     assert out == text + "\n"
+
+
+def test_graft_onto_a_huge_vertex_label_does_work_in_the_output_terms(tmp_path):
+    # The image of (<1,1>, <10^6,10^6>) sums over the four l <= <1,1>,
+    # whatever the size of the vertex label.
+    phi = jfile(tmp_path, "phi.json", {"builder": "phi_lambda", "d": 1, "lambda": ["1/2", "0"]})
+    x = tfile(tmp_path, "x.txt", "(<0,0> [<1,1>](<0,0>))")
+    y = tfile(tmp_path, "y.txt", "(<1000000,1000000>)")
+    code, out, err = run_process("graft", "--phi", phi, "--a", "<1,1>", x, y, timeout=30)
+    assert (code, err) == (0, "")
+    assert out == (
+        "500000*(<999999,1000000> [<0,1>](<0,0> [<1,1>](<0,0>)))"
+        " + (<1000000,1000000> [<1,1>](<0,0> [<1,1>](<0,0>)))\n"
+    )
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -1,15 +1,21 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtcalc.decorations import STAR, XI, MultiIndex, NoiseOnlyBasis, lambda_pow, mi, mi_unit
-from rtcalc.lincomb import LinComb
+import rtcalc
+from rtcalc.decorations import STAR, XI, MultiIndex, MultiIndexBasis, NoiseOnlyBasis, lambda_pow, mi, mi_unit
+from rtcalc.lincomb import LinComb, as_scalar
 from rtcalc.mapfiles import build_phi
-from rtcalc.phimaps import VerifiedUpToBound, check_compat, compose, direct_sum, zero_map
+from rtcalc.phimaps import PhiMap, VerifiedUpToBound, check_compat, compose, direct_sum, zero_map
 from rtcalc.postlie import (
     PsiPair,
     ext_bracket,
@@ -34,12 +40,25 @@ from rtcalc.spde import (
     xi_generation_probe,
 )
 from rtcalc.trees import PlantedTree, leaf, node
+from rtcalc.verify import _mi_pairs
 
 
 def pairs_up_to(d, bound):
     rng = range(bound + 1)
     labels = [MultiIndex(t) for t in product(rng, repeat=d + 1)]
     return [(a, b) for a in labels for b in labels]
+
+
+def run_python(script, timeout=60):
+    """Run ``script`` in a fresh interpreter importing rtcalc from this tree;
+    one that runs past ``timeout`` seconds fails the test."""
+    src = str(Path(rtcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def pair_comb(*entries):
@@ -136,6 +155,75 @@ def test_phi_lambda_matches_series_construction():
                 image = closed(a, b)
                 assert image == series(a, b)
                 assert all(c != 0 for _, c in image.items())
+
+
+def phi_lambda_reference(cfg):
+    """The closed form as it was summed before the per-label tables: for
+    each l <= min(a, b), the weight lambda^l C(b, l) in ``Fraction``
+    arithmetic, memoised by (b, l), and the lowered labels a - l and
+    b - l, memoised by (entries, l)."""
+    monomials, coeffs, lowered = {}, {}, {}
+
+    def lower(entries, low):
+        key = (entries, low)
+        m = lowered.get(key)
+        if m is None:
+            m = lowered[key] = MultiIndex(tuple(x - y for x, y in zip(entries, low)))
+        return m
+
+    def act(a, b):
+        terms = {}
+        ae, be = a.entries, b.entries
+        for low in product(*(range(min(x, y) + 1) for x, y in zip(ae, be))):
+            key = (be, low)
+            coeff = coeffs.get(key)
+            if coeff is None:
+                weight = monomials.get(low)
+                if weight is None:
+                    weight = monomials[low] = lambda_pow(cfg.lam, MultiIndex(low))
+                coeff = coeffs[key] = as_scalar(weight * b.binom(MultiIndex(low)))
+            if coeff:
+                terms[(lower(ae, low), lower(be, low))] = coeff
+        return LinComb._raw(terms)
+
+    return PhiMap(MultiIndexBasis(cfg.d), MultiIndexBasis(cfg.d), act, compat_by_construction=True)
+
+
+# Zero entries (0^0 = 1), +-1, other integers and negative fractions.
+REFERENCE_LAMBDAS = {
+    0: [(0,), (1,), (-1,), (3,), (Fraction(-2, 3),), (Fraction(5, 2),)],
+    1: [(0, 0), (1, -1), (0, -4), (Fraction(-1, 2), 0), (Fraction(-3, 4), Fraction(-2, 5)), (-1, Fraction(7, 3))],
+    2: [(0, 1, -1), (2, 0, Fraction(-1, 3)), (Fraction(-5, 2), -3, 0), (Fraction(-1, 2), Fraction(-2, 3), 1)],
+}
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_phi_lambda_matches_the_replaced_closed_form(d):
+    for lam in REFERENCE_LAMBDAS[d]:
+        cfg = SpdeConfig(d, lam)
+        fast, reference = phi_lambda(cfg), phi_lambda_reference(cfg)
+        for a, b in _mi_pairs(d, 3):
+            got, expected = fast(a, b), reference(a, b)
+            assert got == expected, (lam, a, b)
+            assert {t: type(c) for t, c in got.items()} == {t: type(c) for t, c in expected.items()}
+            assert all(type(c) is int or c.denominator != 1 for _, c in got.items())
+
+
+def test_phi_lambda_work_stays_with_the_output_on_a_huge_vertex_label():
+    # With a = 0 the image is the pair itself; a table row filled over the
+    # whole box below b would never finish.
+    out = run_python(
+        """
+        from fractions import Fraction
+        from rtcalc.decorations import mi
+        from rtcalc.spde import SpdeConfig, phi_lambda
+
+        a, b = mi(0, 0, 0), mi(10**6, 10**6, 10**6)
+        ph = phi_lambda(SpdeConfig(2, (Fraction(-1, 2), 3, 0)))
+        print(ph(a, b).sorted_items() == [((a, b), 1)])
+        """
+    )
+    assert out == "True\n"
 
 
 def test_power_lemma_reference_formula():
