@@ -171,20 +171,26 @@ class Sym(Interned):
         return self.name
 
 
-@dataclass(frozen=True)
 class Noise:
-    """One of the two reserved noise labels."""
+    """One of the two reserved noise labels, ``XI`` and ``STAR``.
 
-    symbol: str
+    No other is made, so a noise label hashes and compares by identity, as
+    an interned label does, and keeps its sort key in a slot.
+    """
 
-    @property
-    def sort_key(self):
+    __slots__ = ("symbol", "sort_key")
+
+    def __init__(self, symbol: str):
+        self.symbol = symbol
         # Above every multi-index; STAR and XI stay mutually ordered.
-        return (2, self.symbol)
+        self.sort_key = (2, symbol)
 
     def __reduce__(self):
         # Pickled by name, so that a copy is XI or STAR itself.
         return {"Xi": "XI", "*": "STAR"}[self.symbol]
+
+    def __repr__(self) -> str:
+        return f"Noise(symbol={self.symbol!r})"
 
     def render(self) -> str:
         return self.symbol

@@ -17,10 +17,13 @@ with every tree grafted.  Both run on one recursion, ``_graft_into``,
 which sends each tree to the root or into one child and is memoised on
 (subtree, trees sent into it); the product first sends each tree of the
 left factor to stay or into one tree of the right.  It sums assignments by
-``LinComb(pairs)``: their coefficients are integers, and summing each through
-:func:`rtcalc.lincomb.product_sum` cost about 11% of hopf-duality's jobs_per_s.
-The forest edge-product operator ``theta_bar`` runs the tree recursion
-of :mod:`rtcalc.prelie` on each tree body.
+``LinComb(pairs)``: their coefficients are integers, and summing each
+through the integer-pair loop of :func:`rtcalc.lincomb.multilinear` cost
+about 11% of hopf-duality's jobs_per_s.  The forest edge-product operator
+``theta_bar`` runs the tree recursion of :mod:`rtcalc.prelie` on each tree
+body.  Each operator sums over the terms of its inputs unsorted, by
+:func:`rtcalc.lincomb.multilinear` or :meth:`LinComb.map_terms`, after
+:func:`_guard` has checked the map on them in canonical order.
 
 All three are local in the sense :mod:`rtcalc.prelie` explains for the
 edge-product operator: the map acts only on an edge and its lower
@@ -39,7 +42,7 @@ from math import comb, prod
 from typing import Callable, Dict, List, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, Scalar, as_scalar, lc_sum, product_sum
+from .lincomb import LinComb, Scalar, as_scalar, multilinear
 from .phimaps import PhiMap
 from .prelie import _ensure_usable_on, apply_edge_maps
 from .trees import EMPTY_FOREST, DecoratedTree, Forest, PlantedTree, forest, forest_mul, node
@@ -54,8 +57,13 @@ def forest_elem(f: Forest) -> ForestComb:
     return LinComb.of(f)
 
 
-def _guard(phi: PhiMap, trees: Tuple[PlantedTree, ...]) -> None:
-    _ensure_usable_on(phi, [t.body for t in trees], [t.plant for t in trees])
+def _guard(phi: PhiMap, *combs: LinComb) -> None:
+    """Refuse ``phi`` if it is refuted on the labels of the trees of one
+    forest of each combination.  The choices of forests go in canonical
+    order, so a refusal names the first."""
+    for choice in iproduct(*(c.sorted_items() for c in combs)):
+        trees = [p for f, _ in choice for p in f.trees]
+        _ensure_usable_on(phi, [p.body for p in trees], [p.plant for p in trees])
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +141,9 @@ def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
     empty forest is the unit.  Refuses maps refuted on the labels in
     sight, since the result would depend on internal application order.
     """
-    for f, _ in x.sorted_items():
-        for g, _ in y.sorted_items():
-            _guard(phi, f.trees + g.trees)
+    _guard(phi, x, y)
     memo: Dict = {}
-    return lc_sum(cx * cy * _graft_basis(phi, fx, fy, memo) for fx, cx in x.items() for fy, cy in y.items())
+    return multilinear(lambda f, g: _graft_basis(phi, f, g, memo).items(), x, y)
 
 
 def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
@@ -148,13 +154,13 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
     planted trees.  With a one-tree forest on the left this coincides
     with the deformed grafting of planted elements.
     """
+    _guard(phi, p.map_terms(lambda pt: LinComb.of(forest([pt]))), x)
     memo: Dict = {}
 
-    def grafted(F: Forest, pt: PlantedTree) -> LinComb:
-        _guard(phi, F.trees + (pt,))
-        return _graft_into(phi, pt.body, F.trees, memo).map_terms(lambda t: LinComb.of(PlantedTree(pt.plant, t)))
+    def grafted(F: Forest, pt: PlantedTree):
+        return ((PlantedTree(pt.plant, t), c) for t, c in _graft_into(phi, pt.body, F.trees, memo).items())
 
-    return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.sorted_items() for F, c in x.sorted_items())
+    return multilinear(grafted, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +235,9 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
     The upper part lands in the left factor, replanted on the severed
     edges.
     """
+    _guard(phi, x)
 
     def cuts(f: Forest) -> PairComb:
-        _guard(phi, f.trees)
         options = [
             [((p,), (), 1)]
             + [(ups, (PlantedTree(p.plant, lower),), c) for (ups, lower), c in _cuts_below(phi, p.body).items()]
@@ -248,24 +254,24 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
             for combo in iproduct(*options)
         )
 
-    return lc_sum(c * cuts(f) for f, c in x.sorted_items())
+    return x.map_terms(cuts)
 
 
 def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
     """Edge-product operator on forests.
 
     Runs :func:`rtcalc.prelie.apply_edge_maps` on the body of each tree
-    and multiplies the images by :func:`rtcalc.lincomb.product_sum`; plant
+    and multiplies the images by :func:`rtcalc.lincomb.multilinear`; plant
     edges have no decorated lower endpoint and keep their labels.  An
     algebra morphism by construction.
     """
+    _guard(phi, x)
 
     def images(f: Forest) -> ForestComb:
-        _guard(phi, f.trees)
-        bodies = [apply_edge_maps(phi, t.body).items() for t in f.trees]
-        return product_sum(bodies, lambda *bs: forest(PlantedTree(t.plant, b) for t, b in zip(f.trees, bs)))
+        build = lambda *bs: ((forest(PlantedTree(t.plant, b) for t, b in zip(f.trees, bs)), 1),)
+        return multilinear(build, *[apply_edge_maps(phi, t.body) for t in f.trees])
 
-    return lc_sum(c * images(f) for f, c in x.sorted_items())
+    return x.map_terms(images)
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,22 @@ anything hashable that either is naturally orderable (ints, strings) or
 exposes a ``sort_key`` attribute; tuples of such terms are ordered
 componentwise.  All operations return new objects.
 
-Every sum of stored coefficients runs through one loop, :func:`_add_terms`,
-which adds (term, coefficient) pairs into a dict and drops the terms that
-cancel: ``LinComb(pairs)``, :func:`lc_sum`, ``+`` and ``-`` all run it, so
-a sum of many parts costs one pass over their terms, not a copy per part.
+Two loops sum coefficients.  Sums of stored coefficients run through
+:func:`_add_terms`, which adds (term, coefficient) pairs into a dict and
+drops the terms that cancel: ``LinComb(pairs)``, :func:`lc_sum`, ``+`` and
+``-`` all run it, so a sum of many parts costs one pass over their terms,
+not a copy per part.  Sums of products, an operator extended linearly or
+multilinearly from basis terms, run through :func:`_add_scaled`, which
+keeps each term's coefficient as an integer numerator/denominator pair
+over a common denominator, and :func:`_reduced`, which reduces it once,
+at the end, so no ``Fraction`` is made for a product or a partial sum:
+:meth:`LinComb.map_terms` and :func:`multilinear` run them.
 
 :meth:`LinComb.items` is the unordered view of the stored terms; exact
 sums do not depend on the order they are visited in.  Canonical term
 order is applied only at output, by :meth:`LinComb.sorted_items`, which
 :meth:`LinComb.render` uses and which callers use where the first term
 visited picks an error message or a witness.
-
-Sums of products are kept as integer numerator/denominator pairs over a
-common denominator, each coefficient reduced once at the end, so no
-``Fraction`` is made for a product or a partial sum.  The two integer-pair
-loops are :func:`accumulate` and the inline one of :meth:`LinComb.map_terms`,
-which a generator would slow by about 10% on fractional coefficient maps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
-from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Tuple
 
 Scalar = int | Fraction
 
@@ -63,8 +63,9 @@ def as_scalar(value) -> Scalar:
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """The exact quotient ``a / b``, an ``int`` when it is integral."""
-    return _norm(Fraction(a, b))
+    """The exact quotient ``a / b``, an ``int`` when it is integral; the one
+    reduction rule of the package."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def term_key(term):
@@ -82,7 +83,7 @@ def term_key(term):
 def _add_terms(terms: Dict[Hashable, Scalar], pairs: Iterable[Tuple[Hashable, Scalar]]) -> Dict[Hashable, Scalar]:
     """Add each (term, coefficient) pair into ``terms``; drop what sums to zero.
 
-    The one summing loop of the package.  Coefficients that are not
+    The summing loop of stored coefficients.  Coefficients that are not
     already ``int`` values go through :func:`as_scalar`, and a sum that is
     not an ``int`` through :func:`_norm`.
     """
@@ -177,27 +178,11 @@ class LinComb:
     __rmul__ = __mul__
 
     def map_terms(self, fn: Callable[[Hashable], "LinComb"]) -> "LinComb":
-        """Linear extension of ``fn``, which sends a term to a LinComb; the
-        products are summed as :func:`accumulate` sums its triples."""
+        """Linear extension of ``fn``, which sends a term to a LinComb."""
         acc: Dict[Hashable, list] = {}
         for term, c in self._terms.items():
-            cn, cd = c.numerator, c.denominator
-            for image, weight in fn(term)._terms.items():
-                n = cn * weight.numerator
-                d = cd * weight.denominator
-                slot = acc.get(image)
-                if slot is None:
-                    acc[image] = [n, d]
-                elif slot[1] == d:
-                    slot[0] += n
-                else:
-                    sd = slot[1]
-                    m = lcm(sd, d)
-                    slot[0] = slot[0] * (m // sd) + n * (m // d)
-                    slot[1] = m
-        return LinComb._raw(
-            {image: n // d if n % d == 0 else Fraction(n, d) for image, (n, d) in acc.items() if n}
-        )
+            _add_scaled(acc, fn(term)._terms.items(), c.numerator, c.denominator)
+        return _reduced(acc)
 
     def render(self, render_term: Callable[[Hashable], str] = str) -> str:
         """Canonical textual form, ``0`` for the empty combination.
@@ -230,37 +215,49 @@ def lc_sum(parts: Iterable[LinComb]) -> LinComb:
     return LinComb._raw(terms)
 
 
-def accumulate(triples: Iterable[Tuple[Hashable, int, int]]) -> LinComb:
-    """The sum of (term, numerator, denominator > 0) triples.  A term's pair
-    keeps the lcm of its denominators, so no gcd is taken per triple; terms
-    that sum to zero are dropped and the rest reduced once, at the end."""
-    acc: Dict[Hashable, list] = {}
-    for term, n, d in triples:
+def _add_scaled(acc: Dict[Hashable, list], pairs: Iterable[Tuple[Hashable, Scalar]], gn: int, gd: int) -> None:
+    """Add each (term, coefficient) pair, times gn/gd (gd > 0), into the
+    integer [numerator, denominator] pairs of ``acc``.  A term's pair keeps
+    the lcm of its denominators, so no gcd is taken per pair."""
+    for term, c in pairs:
+        n = gn * c.numerator
+        d = gd * c.denominator
         slot = acc.get(term)
         if slot is None:
             acc[term] = [n, d]
         elif slot[1] == d:
             slot[0] += n
         else:
-            m = lcm(slot[1], d)
-            slot[0], slot[1] = slot[0] * (m // slot[1]) + n * (m // d), m
+            sd = slot[1]
+            m = lcm(sd, d)
+            slot[0] = slot[0] * (m // sd) + n * (m // d)
+            slot[1] = m
+
+
+def _reduced(acc: Dict[Hashable, list]) -> LinComb:
+    """The combination of the integer pairs of ``acc``: terms that summed
+    to zero dropped, the rest reduced once by the rule of :func:`exact_div`,
+    written out here because a call per term slowed ``map_terms`` by about 5%."""
     return LinComb._raw({term: n // d if n % d == 0 else Fraction(n, d) for term, (n, d) in acc.items() if n})
 
 
-def product_sum(factors: Sequence[Iterable[Tuple[Hashable, Scalar]]], build: Callable[..., Hashable]) -> LinComb:
-    """The sum, over one (term, coefficient) pair of each factor, of
-    ``build(*terms)`` weighted by the product of the coefficients, summed by
-    :func:`accumulate`; no factors give ``build()`` once."""
-    split = [[(t, c.numerator, c.denominator) for t, c in factor] for factor in factors]
-
-    def triples():
-        for combo in iproduct(*split):
-            n = d = 1
-            terms = []
-            for t, cn, cd in combo:
-                n *= cn
-                d *= cd
-                terms.append(t)
-            yield build(*terms), n, d
-
-    return accumulate(triples())
+def multilinear(fn: Callable[..., Iterable[Tuple[Hashable, Scalar]]], *factors: LinComb) -> LinComb:
+    """Multilinear extension of ``fn``, which sends one term of each factor
+    to (term, coefficient) pairs: the sum, over one term of each factor, of
+    ``fn(*terms)`` weighted by the product of the coefficients.  No factors
+    give ``fn()`` once; an empty factor gives zero without calling ``fn``."""
+    rows = []
+    for f in factors:
+        if not f._terms:
+            return LinComb._raw({})
+        rows.append([(t, c.numerator, c.denominator) for t, c in f._terms.items()])
+    acc: Dict[Hashable, list] = {}
+    for combo in iproduct(*rows):
+        n = d = 1
+        terms = []
+        for t, cn, cd in combo:
+            n *= cn
+            d *= cd
+            terms.append(t)
+        _add_scaled(acc, fn(*terms), n, d)
+    return _reduced(acc)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, Scalar, as_scalar, lc_sum
+from .lincomb import LinComb, Scalar, as_scalar, multilinear
 from .phimaps import PhiMap
 from .prelie import planted_graft
 from .trees import DecoratedTree, PlantedTree, vertex_sum
@@ -98,10 +98,10 @@ class PostLieBase:
         return self.triangle.get((p, q), LinComb())
 
     def bracket_lin(self, x: GenComb, y: GenComb) -> GenComb:
-        return lc_sum((c * c2) * self.bracket_of(p, q) for p, c in x.items() for q, c2 in y.items())
+        return multilinear(lambda p, q: self.bracket_of(p, q).items(), x, y)
 
     def triangle_lin(self, x: GenComb, y: GenComb) -> GenComb:
-        return lc_sum((c * c2) * self.triangle_of(p, q) for p, c in x.items() for q, c2 in y.items())
+        return multilinear(lambda p, q: self.triangle_of(p, q).items(), x, y)
 
 
 def _axiom_residuals(bracket, triangle, x, y, z):
@@ -233,33 +233,20 @@ def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
 
 def ext_triangle(phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:
     """The triangle product of the extension, case by case."""
-    parts = [
-        (c1 * c2) * planted_graft(phi, p1, p2) for p1, c1 in u.planted.items() for p2, c2 in w.planted.items()
-    ]
-    parts += [
-        (c * c2) * _vertex_action_on_tree(psi, g, p2) for g, c in u.gens.items() for p2, c2 in w.planted.items()
-    ]
+    grafted = multilinear(lambda p1, p2: planted_graft(phi, p1, p2).items(), u.planted, w.planted)
+    acted = multilinear(lambda g, p2: _vertex_action_on_tree(psi, g, p2).items(), u.gens, w.planted)
     # planted ⊳ generator contributes nothing.
-    gen_out = P.triangle_lin(u.gens, w.gens)
-    return ExtElem(lc_sum(parts), gen_out)
+    return ExtElem(grafted + acted, P.triangle_lin(u.gens, w.gens))
 
 
 def ext_bracket(P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:
     """The bracket of the extension: antisymmetric, zero between planted parts."""
-    terms = [
-        (PlantedTree(na, p1.body), c1 * c2 * c3)
-        for p1, c1 in u.planted.items()
-        for g, c2 in w.gens.items()
-        for na, c3 in psi.edge(g, p1.plant).items()
-    ]
-    terms += [
-        (PlantedTree(na, p2.body), -c1 * c2 * c3)
-        for g, c1 in u.gens.items()
-        for p2, c2 in w.planted.items()
-        for na, c3 in psi.edge(g, p2.plant).items()
-    ]
-    gen_out = P.bracket_lin(u.gens, w.gens)
-    return ExtElem(LinComb(terms), gen_out)
+
+    def replanted(p: PlantedTree, g: Gen):
+        return ((PlantedTree(na, p.body), c) for na, c in psi.edge(g, p.plant).items())
+
+    planted = multilinear(replanted, u.planted, w.gens) - multilinear(replanted, w.planted, u.gens)
+    return ExtElem(planted, P.bracket_lin(u.gens, w.gens))
 
 
 # ---------------------------------------------------------------------------

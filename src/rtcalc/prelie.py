@@ -31,8 +31,9 @@ map on (e_1, ..., e_k; b), the child edges taken in sibling order,
 combined with one term of the image of each T_i.  ``theta`` evaluates
 that bottom-up and computes each distinct subtree once per call.  The
 forest operator :func:`rtcalc.hopf.theta_bar` runs it on each tree body.
-Grafting sums its output, and ``theta`` each subtree image, in one
-:func:`rtcalc.lincomb.accumulate`, which reduces each coefficient once.
+Grafting and the subtree images of ``theta`` are multilinear extensions,
+each summed by one :func:`rtcalc.lincomb.multilinear`, which reduces each
+output coefficient once.
 
 The root-split coproduct at the bottom of the module cuts one root edge
 at a time off a planted tree; regrafting the pieces back at the root
@@ -46,7 +47,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, Set, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, accumulate, product_sum
+from .lincomb import LinComb, multilinear
 from .phimaps import PhiMap, ensure_usable, identity_map
 from .trees import (
     DecoratedTree,
@@ -76,20 +77,18 @@ def _graft_sum(x: TreeComb, y: TreeComb, attach: Callable) -> TreeComb:
     subtree s of ty hanging from v.
 
     Each term of ``x`` runs :func:`rtcalc.trees.vertex_sum` with a memo of
-    its own, shared by the terms of ``y`` and dropped with that term.
-    Every (tx, ty, vertex-sum term) goes into one accumulation, reduced once.
+    its own, shared by the terms of ``y``.  The memos are kept by term of
+    ``x``, so all of them live until the call returns.
     """
+    scopes: Dict[DecoratedTree, Tuple[Callable, Dict]] = {}
 
-    def triples():
-        for tx, cx in x.items():
-            memo: Dict = {}
-            local = partial(attach, tx)
-            for ty, cy in y.items():
-                n, d = cx.numerator * cy.numerator, cx.denominator * cy.denominator
-                for t, k in vertex_sum(ty, local, memo):
-                    yield t, n * k.numerator, d * k.denominator
+    def grafts(tx: DecoratedTree, ty: DecoratedTree):
+        scope = scopes.get(tx)
+        if scope is None:
+            scope = scopes[tx] = (partial(attach, tx), {})
+        return vertex_sum(ty, *scope)
 
-    return accumulate(triples())
+    return multilinear(grafts, x, y)
 
 
 def graft_phi(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
@@ -142,7 +141,7 @@ def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeCom
     The root's child edges act on (edge label, root label) one at a time
     through :meth:`PhiMap.act_at_vertex`, in canonical sibling order; each
     resulting local term is combined with one term of every child image by
-    :func:`rtcalc.lincomb.product_sum`.  A subtree's image does not depend
+    :func:`rtcalc.lincomb.multilinear`.  A subtree's image does not depend
     on where it sits, so ``memo`` holds it for every distinct subtree seen.
     """
     if not s.children:
@@ -150,10 +149,10 @@ def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeCom
     image = memo.get(s)
     if image is not None:
         return image
-    kid_terms = [_edge_image(phi, c, memo).items() for _, c in s.children]
+    kids = [_edge_image(phi, c, memo) for _, c in s.children]
     local = phi.act_at_vertex(tuple(e for e, _ in s.children), s.label)
-    build = lambda state, *kids: node(state[1], zip(state[0], kids))  # state: (edge labels, root label)
-    image = memo[s] = product_sum([local.items(), *kid_terms], build)
+    build = lambda state, *ts: ((node(state[1], zip(state[0], ts)), 1),)  # state: (edge labels, root label)
+    image = memo[s] = multilinear(build, local, *kids)
     return image
 
 

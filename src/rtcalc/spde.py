@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 from operator import sub
@@ -38,7 +37,7 @@ from .decorations import (
     NoiseOnlyBasis,
     mi_unit,
 )
-from .lincomb import LinComb, Scalar, as_scalar, lc_sum
+from .lincomb import LinComb, Scalar, as_scalar, exact_div, lc_sum
 from .phimaps import PhiMap, direct_sum, exp_series, zero_map
 from .postlie import PostLieBase, PsiPair, trivial_postlie
 from .prelie import planted_graft
@@ -115,7 +114,7 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
             if lj:
                 num *= comb(bj, lj) * n**lj
                 den *= d**lj
-        return num // den if num % den == 0 else Fraction(num, den)
+        return exact_div(num, den)
 
     def act(a: Label, b: Label) -> LinComb:
         # Distinct l give distinct a - l, so the terms need no merging;

@@ -25,11 +25,13 @@ times, since changing any one of them gives the same tree.  The sum of a
 subtree does not depend on where the subtree sits, so a memo passed in by
 the caller keeps each distinct subtree's sum for as long as the change
 stays the same: one term of the left factor in one grafting call, one
-whole call of the vertex action.  The recursion is a module-level function
-that takes the memo as an argument.  A nested function that called itself
-would refer to itself through its closure, and that cycle would keep the
-memo alive until the garbage collector ran; as it is, the memo is freed by
-reference counting when the call returns.
+whole call of the vertex action.  A grafting call keeps one memo per term
+of its left factor, and all of them live until the call returns.  The
+recursion is a module-level function that takes the memo as an argument.
+A nested function that called itself would refer to itself through its
+closure, and that cycle would keep the memo alive until the garbage
+collector ran; as it is, the memo is freed by reference counting when the
+call returns.
 
 Trees, planted trees and forests are interned (:mod:`rtcalc.intern`), so
 they hash and compare by identity.  A tree is looked up by vertex label,

@@ -33,7 +33,7 @@ from .hopf import (
     hopf_pairing_defects,
     star_product,
 )
-from .lincomb import LinComb, lc_sum
+from .lincomb import LinComb, multilinear
 from .phimaps import (
     Compatible,
     assemble,
@@ -365,13 +365,14 @@ def _star_phi(rng: random.Random):
 
 
 def _tensor_star(phi, star_cache, dx: LinComb, dy: LinComb) -> LinComb:
-    terms = []
-    for (f1, g1), c1 in dx.items():
-        for (f2, g2), c2 in dy.items():
-            left = _cached_star(phi, star_cache, f1, f2)
-            right = _cached_star(phi, star_cache, g1, g2)
-            terms.extend(((fa, fb), c1 * c2 * ca * cb) for fa, ca in left.items() for fb, cb in right.items())
-    return LinComb(terms)
+    """The product of two combinations of forest pairs, factor by factor."""
+
+    def factorwise(fg1, fg2):
+        (f1, g1), (f2, g2) = fg1, fg2
+        left, right = _cached_star(phi, star_cache, f1, f2), _cached_star(phi, star_cache, g1, g2)
+        return multilinear(lambda fa, fb: (((fa, fb), 1),), left, right).items()
+
+    return multilinear(factorwise, dx, dy)
 
 
 def _cached_star(phi, cache, f: Forest, g: Forest) -> LinComb:
@@ -396,14 +397,8 @@ def _check_star(scale: Scale) -> str:
             for z in fs:
                 if x.vertex_count + y.vertex_count + z.vertex_count > scale.star_vertices:
                     continue
-                left = lc_sum(
-                    c * _cached_star(phi, cache, f, z)
-                    for f, c in _cached_star(phi, cache, x, y).items()
-                )
-                right = lc_sum(
-                    c * _cached_star(phi, cache, x, f)
-                    for f, c in _cached_star(phi, cache, y, z).items()
-                )
+                left = _cached_star(phi, cache, x, y).map_terms(lambda f: _cached_star(phi, cache, f, z))
+                right = _cached_star(phi, cache, y, z).map_terms(lambda f: _cached_star(phi, cache, x, f))
                 if left != right:
                     raise Defect(f"associativity broke on ({x.render()}, {y.render()}, {z.render()})")
                 assoc += 1

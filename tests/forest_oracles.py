@@ -26,9 +26,15 @@ address, putting the changed child back in by bisection at each level.
 
 ``theta_nested``, ``graft_phi_nested``, ``graft_free_nested`` and
 ``theta_bar_nested`` are the edge-product operator and the grafting
-products as they summed before :func:`rtcalc.lincomb.accumulate`: one
-``LinComb`` per local state or per term, reduced again by each enclosing
-``map_terms``.
+products as they summed before one integer-pair accumulation,
+:func:`rtcalc.lincomb.multilinear`, summed each: one ``LinComb`` per local
+state or per term, reduced again by each enclosing ``map_terms``, and
+``theta_bar_nested`` scaling each forest's image and adding the images by
+``lc_sum``.  ``star_product_by_scaling``, ``go_triangle_by_scaling``,
+``cut_coproduct_by_scaling``, ``bilinear_by_scaling``,
+``ext_triangle_by_scaling`` and ``ext_bracket_by_scaling`` are the forest
+and post-Lie operators in that last form: the image of each choice of basis
+terms, a ``LinComb``, scaled by the product of the coefficients and added.
 
 ``canonicalize`` re-sorts every level of a tree with ``node``, and
 ``nested_key`` and its planted and forest forms give the nested sort keys,
@@ -46,7 +52,11 @@ from math import prod
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from rtcalc.decorations import Label
+from rtcalc.hopf import _graft_basis, _graft_into
+from rtcalc.hopf import cut_coproduct as cut_coproduct_by_recursion
 from rtcalc.lincomb import LinComb, lc_sum
+from rtcalc.postlie import ExtElem, _vertex_action_on_tree
+from rtcalc.prelie import planted_graft
 from rtcalc.trees import (
     DecoratedTree,
     Forest,
@@ -642,3 +652,60 @@ def theta_bar_nested(phi, x: LinComb) -> LinComb:
         )
 
     return lc_sum(c * images(f) for f, c in x.items())
+
+
+# ---------------------------------------------------------------------------
+# Forest and post-Lie operators by scaling each basis image
+
+
+def star_product_by_scaling(phi, x: LinComb, y: LinComb) -> LinComb:
+    """``rtcalc.hopf.star_product`` without its guard."""
+    memo: Dict = {}
+    return lc_sum(cx * cy * _graft_basis(phi, fx, fy, memo) for fx, cx in x.items() for fy, cy in y.items())
+
+
+def go_triangle_by_scaling(phi, x: LinComb, p: LinComb) -> LinComb:
+    """``rtcalc.hopf.go_triangle`` without its guard."""
+    memo: Dict = {}
+
+    def grafted(F: Forest, pt: PlantedTree) -> LinComb:
+        return _graft_into(phi, pt.body, F.trees, memo).map_terms(lambda t: LinComb.of(PlantedTree(pt.plant, t)))
+
+    return lc_sum(c * cp * grafted(F, pt) for pt, cp in p.items() for F, c in x.items())
+
+
+def cut_coproduct_by_scaling(phi, x: LinComb) -> LinComb:
+    """The cut coproduct of each forest of ``x`` alone, scaled and added."""
+    return lc_sum(c * cut_coproduct_by_recursion(phi, LinComb.of(f)) for f, c in x.items())
+
+
+def bilinear_by_scaling(table_of: Callable, x: LinComb, y: LinComb) -> LinComb:
+    """``PostLieBase.bracket_lin`` or ``triangle_lin`` for the structure
+    constants ``table_of`` (``bracket_of`` or ``triangle_of``)."""
+    return lc_sum((c * c2) * table_of(p, q) for p, c in x.items() for q, c2 in y.items())
+
+
+def ext_triangle_by_scaling(phi, P, psi, u: ExtElem, w: ExtElem) -> ExtElem:
+    parts = [
+        (c1 * c2) * planted_graft(phi, p1, p2) for p1, c1 in u.planted.items() for p2, c2 in w.planted.items()
+    ]
+    parts += [
+        (c * c2) * _vertex_action_on_tree(psi, g, p2) for g, c in u.gens.items() for p2, c2 in w.planted.items()
+    ]
+    return ExtElem(lc_sum(parts), bilinear_by_scaling(P.triangle_of, u.gens, w.gens))
+
+
+def ext_bracket_by_scaling(P, psi, u: ExtElem, w: ExtElem) -> ExtElem:
+    terms = [
+        (PlantedTree(na, p1.body), c1 * c2 * c3)
+        for p1, c1 in u.planted.items()
+        for g, c2 in w.gens.items()
+        for na, c3 in psi.edge(g, p1.plant).items()
+    ]
+    terms += [
+        (PlantedTree(na, p2.body), -c1 * c2 * c3)
+        for g, c1 in u.gens.items()
+        for p2, c2 in w.planted.items()
+        for na, c3 in psi.edge(g, p2.plant).items()
+    ]
+    return ExtElem(LinComb(terms), bilinear_by_scaling(P.bracket_of, u.gens, w.gens))

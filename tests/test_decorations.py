@@ -104,6 +104,15 @@ def test_every_label_key_is_a_nonempty_tuple_led_by_an_int_kind_tag():
         assert () < key
 
 
+def test_noise_labels_hash_and_compare_by_identity_with_a_stored_key():
+    # Python-level __eq__ and __hash__ would run on every intern-table and memo lookup.
+    Noise = type(XI)
+    assert Noise.__eq__ is object.__eq__ and Noise.__hash__ is object.__hash__
+    assert XI != STAR and XI == XI and {XI: 1}[XI] == 1
+    assert not hasattr(XI, "__dict__") and XI.sort_key is XI.sort_key
+    assert (STAR.sort_key, XI.sort_key) == ((2, "*"), (2, "Xi"))
+
+
 def test_render():
     assert mi(1, 0).render() == "<1,0>"
     assert XI.render() == "Xi"

@@ -9,6 +9,10 @@ import pytest
 from forest_oracles import (
     apply_at,
     cut_coproduct as oracle_cut_coproduct,
+    cut_coproduct_by_scaling,
+    go_triangle_by_scaling,
+    star_product_by_scaling,
+    theta_bar_nested,
     forest_sites,
     graft_basis,
     graft_forest,
@@ -40,6 +44,7 @@ from rtcalc.phimaps import (
     Refuted,
     build_JD,
     check_compat,
+    default_block_bases,
     direct_sum,
     from_blocks,
     from_table,
@@ -57,6 +62,7 @@ from rtcalc.trees import (
     leaf,
     node,
 )
+from rtcalc.verify import forests_up_to, planted_up_to
 
 E = symbols("E", ["a1", "a2", "a3", "a4"])
 V = symbols("V", ["b1", "b2", "b3", "b4"])
@@ -799,3 +805,45 @@ def test_refusals_name_the_canonically_first_term():
         assert alone[f1] != alone[f2]
         for order in ((f1, f2), (f2, f1)):
             assert refusal(op, LinComb((f, 1) for f in order)) == alone[first]
+
+
+# ---------------------------------------------------------------------------
+# Multilinear sums against the scale-then-add forms they replaced
+
+
+def assert_same(got, want):
+    """Equal combinations whose coefficients are stored alike."""
+    assert got == want
+    assert all(type(c) is type(want.coeff(t)) for t, c in got.items())
+
+
+def test_forest_operators_match_their_scaled_sums():
+    rng = random.Random(20)
+    mat2 = lambda: [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2)] for _ in range(2)]
+    BE, BV = default_block_bases(2, 2)
+    phi = from_blocks(build_JD(mat2(), mat2(), "D"), BE, BV)
+    fs = forests_up_to(3, BE.labels(), BV.labels())
+    targets = planted_up_to(2, BE.labels(), BV.labels())
+    assert (len(fs), len(targets)) == (219, 20)
+    for f in fs:
+        x = LinComb.of(f)
+        assert_same(cut_coproduct(phi, x), cut_coproduct_by_scaling(phi, x))
+        assert_same(theta_bar(phi, x), theta_bar_nested(phi, x))
+        for g in fs:
+            if f.vertex_count + g.vertex_count <= 3:
+                y = LinComb.of(g)
+                assert_same(star_product(phi, x, y), star_product_by_scaling(phi, x, y))
+        if f.vertex_count <= 2:
+            for pt in targets:
+                p = LinComb.of(pt)
+                assert_same(go_triangle(phi, x, p), go_triangle_by_scaling(phi, x, p))
+    # Multi-term fractional combinations meet on common output terms.
+    small = [f for f in fs if f.vertex_count <= 2]
+    fractional = lambda pool, k: LinComb((rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(k))
+    for _ in range(20):
+        x, y, p = fractional(small, 4), fractional(small, 4), fractional(targets, 3)
+        z = fractional(fs, 6)
+        assert_same(star_product(phi, x, y), star_product_by_scaling(phi, x, y))
+        assert_same(go_triangle(phi, x, p), go_triangle_by_scaling(phi, x, p))
+        assert_same(cut_coproduct(phi, z), cut_coproduct_by_scaling(phi, z))
+        assert_same(theta_bar(phi, z), theta_bar_nested(phi, z))

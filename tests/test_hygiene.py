@@ -12,8 +12,13 @@ PACKAGE = ROOT / "src" / "rtcalc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # The code a definition of the package may serve; the tests do not count.
 USERS = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
-# Kept with no user outside the tests: the tests build trees with it.
-TEST_ONLY = {"tree_elem"}
+# Kept with no user outside the tests, and why.
+TEST_ONLY = {
+    "tree_elem": "the tests build tree combinations with it",
+    "theta_bar": "the paper's forest edge-product operator; the tests check it against the tree operator",
+    "go_triangle": "the paper's all-grafted forest product; the tests check it against planted grafting",
+    "nullspace": "an acceptance test finds the kernel of the root-regraft operator with it",
+}
 
 
 def unused_imports(source: str):
@@ -44,20 +49,36 @@ def test_the_scan_sees_unused_and_string_only_names():
     assert unused_imports(source) == ["Optional", "os"]
 
 
+def without_docstrings(source: str) -> str:
+    """``source`` with every line of a docstring blanked; other strings,
+    string annotations among them, stay."""
+    lines = source.splitlines()
+    for stmt in ast.walk(ast.parse(source)):
+        if isinstance(stmt, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(stmt, clean=False) is not None:
+                doc = stmt.body[0]
+                for k in range(doc.lineno - 1, doc.end_lineno):
+                    lines[k] = ""
+    return "\n".join(lines)
+
+
 def unused_definitions(modules, others):
     """The top-level functions and classes of the sources ``modules`` whose
     names occur, as whole words, in no source of ``modules`` or ``others``
-    outside their own definition.  A definition that only calls itself is
-    unused; a name that only a string uses counts as used."""
+    outside their own definition and outside docstrings.  A definition
+    that only calls itself, or that only a docstring names, is unused; a
+    name that only another string uses, such as a string annotation,
+    counts as used."""
     found = set()
+    stripped = {text: without_docstrings(text) for text in [*modules, *others]}
     for source in modules:
-        lines = source.splitlines()
+        lines = stripped[source].splitlines()
         for stmt in ast.parse(source).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
                 rest = "\n".join(lines[: start - 1] + lines[stmt.end_lineno :])
                 pattern = re.compile(rf"\b{re.escape(stmt.name)}\b")
-                texts = [rest] + [other for other in [*modules, *others] if other is not source]
+                texts = [rest] + [stripped[other] for other in [*modules, *others] if other is not source]
                 if not any(pattern.search(text) for text in texts):
                     found.add(stmt.name)
     return found
@@ -66,7 +87,7 @@ def unused_definitions(modules, others):
 def test_every_top_level_definition_has_a_user_outside_the_tests():
     package = [p.read_text() for p in MODULES]
     others = [p.read_text() for p in USERS if p not in MODULES]
-    assert unused_definitions(package, others) == TEST_ONLY
+    assert unused_definitions(package, others) == set(TEST_ONLY)
 
 
 def test_the_definition_scan_sees_self_calls_and_string_only_names():
@@ -79,3 +100,15 @@ def test_the_definition_scan_sees_self_calls_and_string_only_names():
         "x = 'quoted'\n"
     )
     assert unused_definitions([module, "import m\nm.used()\n"], []) == {"loop", "Lonely"}
+
+
+def test_the_definition_scan_skips_docstrings_but_not_string_annotations():
+    module = (
+        '"""Module text naming documented()."""\n\n'
+        "def documented():\n    pass\n\n"
+        "def annotated():\n    pass\n\n"
+        'class Holder:\n    """Holder of documented."""\n\n    def get(self) -> "annotated":\n'
+        '        """Also documented."""\n        return self\n\n'
+        "def user():\n    return Holder()\n"
+    )
+    assert unused_definitions([module, '"""user()"""\nimport m\nm.user()\n'], []) == {"documented"}

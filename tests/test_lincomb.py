@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rtcalc.lincomb import LinComb, accumulate, as_scalar, lc_sum, product_sum, term_key
+from rtcalc.lincomb import LinComb, as_scalar, lc_sum, multilinear, term_key
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 terms = st.sampled_from(["u", "v", "w", "x", "y"])
@@ -177,46 +177,56 @@ def test_summing_matches_fraction_fold(p, q, k, parts):
     assert dict(total.items()) == fraction_fold([tc for ps in everything for tc in ps])
 
 
-triples = st.lists(st.tuples(terms, st.integers(-20, 20), st.integers(1, 12)), max_size=12)
-
-
-@example([("u", 1, 2), ("u", 1, 3), ("u", -5, 6), ("v", 0, 5), ("w", 3, 4), ("w", 1, 4)], 0)
-@given(triples, st.integers(0, 12))
-def test_accumulate_matches_fraction_fold(items, k):
-    # Sums that cancel to zero: the items against the negation of a prefix.
-    for ts in (items, items + [(t, -n, d) for t, n, d in items[:k]]):
-        got = accumulate(ts)
-        assert dict(got.items()) == fraction_fold((t, Fraction(n, d)) for t, n, d in ts)
-        assert all(is_stored_scalar(c) and c != 0 for _, c in got.items())
-
-
 stored_scalars = st.one_of(st.integers(-6, 6), rationals).map(as_scalar)
-factors = st.lists(st.lists(st.tuples(terms, stored_scalars), max_size=3), max_size=4)
+factors = st.lists(st.lists(st.tuples(terms, stored_scalars), max_size=3).map(LinComb), max_size=4)
+# What fn sends a tuple of terms to: several pairs, fractional ones among
+# them, that meet and cancel on common outputs.
+outputs = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), mixed_rationals), max_size=4)
 
 
-def product_fold(factors):
-    """The sum over one pair of each factor of the joined terms, weighted by
-    the product of the coefficients as ``Fraction`` values."""
+def multilinear_fold(fn, fs):
+    """The sum over one term of each factor of ``fn(*terms)``, weighted by
+    the product of the coefficients, as a plain ``Fraction`` fold."""
     pairs = []
-    for combo in iproduct(*factors):
+    for combo in iproduct(*[f.items() for f in fs]):
         weight = Fraction(1)
         for _, c in combo:
             weight *= c
-        pairs.append(("".join(t for t, _ in combo), weight))
+        pairs += [(t, weight * Fraction(c)) for t, c in fn(*[t for t, _ in combo])]
     return fraction_fold(pairs)
 
 
-@example([])
-@example([[]])
-@example([[("u", Fraction(1, 2)), ("u", Fraction(-1, 2))], [("v", 3)]])
-@example([[("u", Fraction(1, 2)), ("u", Fraction(-1, 3))], [("v", 3), ("v", -1)], [("w", Fraction(3, 4))]])
-@given(factors)
-def test_product_sum_matches_fraction_fold(fs):
-    got = product_sum(fs, lambda *ts: "".join(ts))
-    assert dict(got.items()) == product_fold(fs)
-    assert all(is_stored_scalar(c) and c != 0 for _, c in got.items())
-    if not fs:
-        assert dict(got.items()) == {"": 1}
+# Caught, each on a mutated copy of lincomb: a dropped lcm rescale (the
+# third example), zeros kept in the output (the second) and a dropped
+# factor coefficient (the first).
+@example([LinComb([("u", Fraction(1, 2)), ("v", 3)]), LinComb([("w", Fraction(-2, 3))])], {})
+@example([LinComb([("u", Fraction(1, 2)), ("v", Fraction(-1, 2))]), LinComb([("w", 3)])], {("u", "w"): [("A", 1)], ("v", "w"): [("A", 1)]})
+@example([LinComb([("u", 1), ("v", 1)])], {("u",): [("A", Fraction(1, 2)), ("B", 2)], ("v",): [("A", Fraction(1, 3))]})
+@given(factors, st.dictionaries(st.tuples(terms, terms) | st.tuples(terms), outputs))
+def test_multilinear_matches_fraction_fold(fs, table):
+    fn = lambda *ts: table.get(ts, [("".join(ts), 1)])
+    got = multilinear(fn, *fs)
+    assert dict(got.items()) == multilinear_fold(fn, fs)
+    for _, c in got.items():
+        assert is_stored_scalar(c) and c != 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def test_multilinear_calls_fn_once_per_choice_of_terms():
+    calls = []
+
+    def fn(*ts):
+        calls.append(ts)
+        return [("".join(ts), Fraction(1, 2)), ("z", -1)]
+
+    assert multilinear(fn) == LinComb([("", Fraction(1, 2)), ("z", -1)])
+    assert calls == [()]
+    calls.clear()
+    # An empty factor leaves no choice of terms, so the sum is zero.
+    assert multilinear(fn, LinComb.of("u"), LinComb()).is_zero
+    assert calls == []
+    x, y = LinComb([("u", 2), ("v", Fraction(1, 3))]), LinComb([("w", 3)])
+    assert multilinear(fn, x, y) == LinComb([("uw", 3), ("vw", Fraction(1, 2)), ("z", -7)])
+    assert sorted(calls) == [("u", "w"), ("v", "w")]
 
 
 @given(pair_lists, st.randoms(use_true_random=False))

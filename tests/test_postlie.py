@@ -4,11 +4,18 @@ from itertools import product
 
 import pytest
 
-from forest_oracles import vertex_action_by_address, vertex_action_on_tree
+from forest_oracles import (
+    bilinear_by_scaling,
+    ext_bracket_by_scaling,
+    ext_triangle_by_scaling,
+    vertex_action_by_address,
+    vertex_action_on_tree,
+)
 from rtcalc.decorations import symbols
 from rtcalc.lincomb import LinComb
-from rtcalc.phimaps import identity_map, tensor_map
+from rtcalc.phimaps import build_JD, default_block_bases, from_blocks, identity_map, tensor_map
 from rtcalc.postlie import (
+    ExtElem,
     PsiPair,
     _vertex_action_on_tree,
     ext_bracket,
@@ -353,3 +360,37 @@ def test_vertex_action_matches_relabelling_one_address_at_a_time(psi):
     for p in ("p", "q"):
         for t in pool:
             assert _vertex_action_on_tree(psi, p, t) == vertex_action_by_address(psi, p, t)
+
+
+# ---------------------------------------------------------------------------
+# Multilinear sums against the scale-then-add forms they replaced
+
+
+def test_extension_products_match_their_scaled_sums():
+    rng = random.Random(20)
+    frac = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    BE, BV = default_block_bases(2, 2)
+    phi = from_blocks(build_JD(*([[frac() for _ in range(2)] for _ in range(2)] for _ in range(2)), "D"), BE, BV)
+    P = postlie_base(
+        ["p", "q"],
+        bracket_consts={("p", "q"): [(1, "q")], ("q", "p"): [(-1, "q")]},
+        triangle_consts={("p", "q"): [(Fraction(1, 2), "q")]},
+    )
+    etab = {(g, a): LinComb((rng.choice(BE.labels()), frac()) for _ in range(2)) for g in P.names for a in BE.labels()}
+    vtab = {(g, b): LinComb((rng.choice(BV.labels()), frac()) for _ in range(2)) for g in P.names for b in BV.labels()}
+    psi = PsiPair(edge=lambda g, a: etab[g, a], vertex=lambda g, b: vtab[g, b])
+    basis = small_elements(P, BE.labels(), BV.labels())
+    assert len(basis) == 2 + 2 * (2 + 8)
+    for u in basis:
+        for w in basis:
+            assert ext_triangle(phi, P, psi, u, w) == ext_triangle_by_scaling(phi, P, psi, u, w)
+            assert ext_bracket(P, psi, u, w) == ext_bracket_by_scaling(P, psi, u, w)
+    # Multi-term fractional elements meet on common output terms.
+    planted = planted_up_to(2, BE.labels(), BV.labels())
+    for _ in range(20):
+        x, y = (LinComb((rng.choice(P.names), frac()) for _ in range(3)) for _ in range(2))
+        assert P.bracket_lin(x, y) == bilinear_by_scaling(P.bracket_of, x, y)
+        assert P.triangle_lin(x, y) == bilinear_by_scaling(P.triangle_of, x, y)
+        u, w = (ExtElem(LinComb((rng.choice(planted), frac()) for _ in range(3)), z) for z in (x, y))
+        assert ext_triangle(phi, P, psi, u, w) == ext_triangle_by_scaling(phi, P, psi, u, w)
+        assert ext_bracket(P, psi, u, w) == ext_bracket_by_scaling(P, psi, u, w)

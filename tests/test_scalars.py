@@ -68,6 +68,25 @@ def test_integral_values_come_back_as_ints():
         exact_div(1, 0)
 
 
+divisible = st.one_of(st.integers(-30, 30), st.fractions(min_value=-30, max_value=30, max_denominator=8))
+
+
+@example(6, -3)
+@example(-7, -2)
+@example(Fraction(3, 2), Fraction(-1, 2))
+@example(Fraction(4, 3), Fraction(2, 3))
+@example(0, Fraction(-5, 7))
+@given(divisible, divisible)
+def test_exact_div_is_the_fraction_quotient_stored(a, b):
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            exact_div(a, b)
+        return
+    q = exact_div(a, b)
+    assert q == Fraction(a, b)
+    assert type(q) is (int if Fraction(a, b).denominator == 1 else Fraction)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(halves, min_size=2, max_size=2))
 def test_phi_lambda_images_store_ints_until_a_denominator_appears(lam):
