@@ -42,7 +42,7 @@ from .phimaps import (
     check_compat,
     classify_m2,
 )
-from .postlie import postlie_axiom_defects, psi_compat_defects
+from .postlie import postlie_axiom_defects, psi_compat_defects, render_ext
 from .prelie import graft_free, graft_phi, theta
 from .spde import SpdeConfig, noise_extend, phi_lambda, spde_psi, xi_admissible
 
@@ -197,7 +197,7 @@ def _cmd_postlie_check(args) -> int:
         parse_ext_elem(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis, base.names) for f in args.files
     ]
     defects = postlie_axiom_defects(phi, base, psi, *elems)
-    data = {name: getattr(defects, name).render() for name in ("jacobi", "derivation", "associator")}
+    data = {name: render_ext(getattr(defects, name)) for name in ("jacobi", "derivation", "associator")}
     _emit(args, "\n".join(f"{name}: {d}" for name, d in data.items()), {**data, "all_zero": defects.all_zero})
     return 0 if defects.all_zero else 1
 

@@ -7,7 +7,8 @@ combination gives back the original:
   term    := rational "*"? item? | item
   item    := tree                (in a tree combination)
            | planted+            (in a forest combination)
-           | planted | name      (in an extension element: a generator name)
+           | planted | name      (in an extension element, one combination
+                                  over planted trees and generator names)
   tree    := "(" vlabel child* ")"
   child   := "[" elabel "]" tree
   planted := "[" elabel "]" tree
@@ -228,10 +229,9 @@ def parse_forest_comb(src: str, edge_basis: DecorationBasis, vertex_basis: Decor
 
 
 def parse_ext_elem(src: str, edge_basis: DecorationBasis, vertex_basis: DecorationBasis,
-                   gen_names: Tuple[str, ...]):
-    """Parse an extension element: terms are planted trees or generator names."""
-    from .postlie import ExtElem
-
+                   gen_names: Tuple[str, ...]) -> LinComb:
+    """Parse an extension element: one combination whose terms are planted
+    trees or generator names."""
     p = _Parser(src, edge_basis, vertex_basis)
 
     def item():
@@ -247,9 +247,7 @@ def parse_ext_elem(src: str, edge_basis: DecorationBasis, vertex_basis: Decorati
 
     out = p.comb(item, None)
     p.done()
-    planted = [(t, c) for t, c in out.items() if isinstance(t, PlantedTree)]
-    gens = [(t, c) for t, c in out.items() if isinstance(t, str)]
-    return ExtElem(LinComb(planted), LinComb(gens))
+    return out
 
 
 def render_comb(x: LinComb) -> str:

@@ -17,6 +17,13 @@ them to P and to the decoration map; ``psi_compat_defects`` measures
 those, and ``postlie_axiom_defects`` measures the three post-Lie axioms
 directly on elements of the extension.
 
+An element of the extension is one :class:`~rtcalc.lincomb.LinComb` whose
+terms are planted trees or generator names (``str``).  Each product is one
+:func:`~rtcalc.lincomb.multilinear` call whose term function picks the case
+above from the kinds of its two terms.  The two kinds do not sort
+together, so :func:`render_ext` prints the planted part and then the
+generator part.
+
 The generator ⊳ planted case is a sum over the vertices of the body, so it
 runs :func:`rtcalc.trees.vertex_sum` with "relabel the root by the vertex
 action" as its local step, the same recursion that grafting uses.
@@ -28,14 +35,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .decorations import Label
-from .lincomb import LinComb, Scalar, as_scalar, multilinear
+from .lincomb import LinComb, as_scalar, multilinear
 from .phimaps import PhiMap
 from .prelie import planted_graft
 from .trees import DecoratedTree, PlantedTree, vertex_sum
 
 Gen = str
 GenComb = LinComb  # over generator names
-PlantedComb = LinComb  # over PlantedTree
 
 
 def _as_gencomb(entries, names: Tuple[str, ...]) -> GenComb:
@@ -170,58 +176,20 @@ def psi_from_tables(
 
 
 # ---------------------------------------------------------------------------
-# Elements of the extension
+# Elements of the extension: combinations of planted trees and generators
 
 
-@dataclass(frozen=True)
-class ExtElem:
-    """An element of the extension: a planted part plus a generator part."""
-
-    planted: PlantedComb
-    gens: GenComb
-
-    @property
-    def is_zero(self) -> bool:
-        return self.planted.is_zero and self.gens.is_zero
-
-    def __add__(self, other: "ExtElem") -> "ExtElem":
-        return ExtElem(self.planted + other.planted, self.gens + other.gens)
-
-    def __sub__(self, other: "ExtElem") -> "ExtElem":
-        return ExtElem(self.planted - other.planted, self.gens - other.gens)
-
-    def __neg__(self) -> "ExtElem":
-        return ExtElem(-self.planted, -self.gens)
-
-    def scale(self, c) -> "ExtElem":
-        s = as_scalar(c)
-        return ExtElem(self.planted.scale(s), self.gens.scale(s))
-
-    def __rmul__(self, c) -> "ExtElem":
-        return self.scale(c)
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        if not self.planted.is_zero:
-            parts.append(self.planted.render(lambda p: p.render()))
-        if not self.gens.is_zero:
-            parts.append(self.gens.render(lambda g: g))
-        return " + ".join(parts)
+def render_ext(x: LinComb) -> str:
+    """Text for an extension element: its planted part, then its generator
+    part, joined by ``" + "``, or ``0``.  The two term kinds do not sort
+    together, so each part renders alone."""
+    planted = LinComb((t, c) for t, c in x.items() if not isinstance(t, str))
+    gens = LinComb((t, c) for t, c in x.items() if isinstance(t, str))
+    parts = [part.render(render) for part, render in ((planted, PlantedTree.render), (gens, str)) if part]
+    return " + ".join(parts) or "0"
 
 
-def ext_planted(x) -> ExtElem:
-    """Wrap a planted tree or a combination of planted trees."""
-    comb = x if isinstance(x, LinComb) else LinComb.of(x)
-    return ExtElem(comb, LinComb())
-
-
-def ext_gen(name: Gen, c: Scalar = 1) -> ExtElem:
-    return ExtElem(LinComb(), LinComb.of(name, as_scalar(c)))
-
-
-def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
+def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> LinComb:
     """Sum over vertices of t with the vertex action applied at that spot,
     through :func:`rtcalc.trees.vertex_sum` with a memo for this call."""
 
@@ -231,22 +199,34 @@ def _vertex_action_on_tree(psi: PsiPair, p: Gen, t: PlantedTree) -> PlantedComb:
     return LinComb((PlantedTree(t.plant, g), c) for g, c in vertex_sum(t.body, local, {}))
 
 
-def ext_triangle(phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:
-    """The triangle product of the extension, case by case."""
-    grafted = multilinear(lambda p1, p2: planted_graft(phi, p1, p2).items(), u.planted, w.planted)
-    acted = multilinear(lambda g, p2: _vertex_action_on_tree(psi, g, p2).items(), u.gens, w.planted)
-    # planted ⊳ generator contributes nothing.
-    return ExtElem(grafted + acted, P.triangle_lin(u.gens, w.gens))
+def ext_triangle(phi: PhiMap, P: PostLieBase, psi: PsiPair, u: LinComb, w: LinComb) -> LinComb:
+    """The triangle product of the extension, case by case on term kinds."""
+
+    def fn(s, t):
+        if isinstance(s, str):
+            if isinstance(t, str):
+                return P.triangle_of(s, t).items()
+            return _vertex_action_on_tree(psi, s, t).items()
+        if isinstance(t, str):
+            return ()  # planted ⊳ generator contributes nothing
+        return planted_graft(phi, s, t).items()
+
+    return multilinear(fn, u, w)
 
 
-def ext_bracket(P: PostLieBase, psi: PsiPair, u: ExtElem, w: ExtElem) -> ExtElem:
-    """The bracket of the extension: antisymmetric, zero between planted parts."""
+def ext_bracket(P: PostLieBase, psi: PsiPair, u: LinComb, w: LinComb) -> LinComb:
+    """The bracket of the extension: antisymmetric, zero between planted trees."""
 
-    def replanted(p: PlantedTree, g: Gen):
-        return ((PlantedTree(na, p.body), c) for na, c in psi.edge(g, p.plant).items())
+    def fn(s, t):
+        if isinstance(s, str):
+            if isinstance(t, str):
+                return P.bracket_of(s, t).items()
+            return ((PlantedTree(na, t.body), -c) for na, c in psi.edge(s, t.plant).items())
+        if isinstance(t, str):
+            return ((PlantedTree(na, s.body), c) for na, c in psi.edge(t, s.plant).items())
+        return ()
 
-    planted = multilinear(replanted, u.planted, w.gens) - multilinear(replanted, w.planted, u.gens)
-    return ExtElem(planted, P.bracket_lin(u.gens, w.gens))
+    return multilinear(fn, u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +285,15 @@ def psi_compat_defects(
                         PsiDefect("vertex-action-bracket", (p, q), b, lhs - rhs)
                     )
     for p in P.names:
+
+        def vertex_side(pair):  # the vertex action of p on one (edge, vertex) pair
+            na, nb = pair
+            return [((na, nb2), c) for nb2, c in psi.vertex(p, nb).items()]
+
         for a in edge_labels:
             for b in vertex_labels:
                 lhs = psi.edge(p, a).map_terms(lambda na: phi(na, b))
-                rhs = psi.vertex(p, b).map_terms(lambda nb: phi(a, nb)) - LinComb(
-                    [
-                        ((na, nb2), c * c2)
-                        for (na, nb), c in phi(a, b).items()
-                        for nb2, c2 in psi.vertex(p, nb).items()
-                    ]
-                )
+                rhs = psi.vertex(p, b).map_terms(lambda nb: phi(a, nb)) - multilinear(vertex_side, phi(a, b))
                 if lhs != rhs:
                     defects.append(
                         PsiDefect("map-intertwining", (p,), (a, b), lhs - rhs)
@@ -328,9 +307,9 @@ def psi_compat_defects(
 
 @dataclass(frozen=True)
 class AxiomDefects:
-    jacobi: ExtElem
-    derivation: ExtElem
-    associator: ExtElem
+    jacobi: LinComb
+    derivation: LinComb
+    associator: LinComb
 
     @property
     def all_zero(self) -> bool:
@@ -338,7 +317,7 @@ class AxiomDefects:
 
 
 def postlie_axiom_defects(
-    phi: PhiMap, P: PostLieBase, psi: PsiPair, u: ExtElem, v: ExtElem, w: ExtElem
+    phi: PhiMap, P: PostLieBase, psi: PsiPair, u: LinComb, v: LinComb, w: LinComb
 ) -> AxiomDefects:
     """The three axiom residuals of the extension at (u, v, w)."""
     return AxiomDefects(

@@ -49,7 +49,7 @@ from .phimaps import (
     NotCompatible,
     transpose_map,
 )
-from .postlie import ext_gen, ext_planted, postlie_axiom_defects, psi_compat_defects
+from .postlie import postlie_axiom_defects, psi_compat_defects
 from .prelie import (
     graft_phi,
     identity_on,
@@ -419,20 +419,23 @@ def _check_cut_coproduct(scale: Scale) -> str:
     rng = random.Random(106)
     phi, E, V = _star_phi(rng)
     fs = forests_up_to(scale.star_vertices, E.labels(), V.labels())
+
+    def delta_left(gh):  # (Δ ⊗ id) on one pair
+        g, h = gh
+        return (((g1, g2, h), c) for (g1, g2), c in cut_coproduct(phi, forest_elem(g)).items())
+
+    def delta_right(gh):  # (id ⊗ Δ) on one pair
+        g, h = gh
+        return (((g, h1, h2), c) for (h1, h2), c in cut_coproduct(phi, forest_elem(h)).items())
+
+    def pairwise_mul(fp, gp):
+        (f1, f2), (g1, g2) = fp, gp
+        return (((forest_mul(f1, g1), forest_mul(f2, g2)), 1),)
+
     coassoc = mult = 0
     for f in fs:
         dx = cut_coproduct(phi, forest_elem(f))
-        left = LinComb(
-            ((g1, g2, h), c * c1)
-            for (g, h), c in dx.items()
-            for (g1, g2), c1 in cut_coproduct(phi, forest_elem(g)).items()
-        )
-        right = LinComb(
-            ((g, h1, h2), c * c2)
-            for (g, h), c in dx.items()
-            for (h1, h2), c2 in cut_coproduct(phi, forest_elem(h)).items()
-        )
-        if left != right:
+        if multilinear(delta_left, dx) != multilinear(delta_right, dx):
             raise Defect(f"coassociativity broke on {f.render()}")
         coassoc += 1
     for f in fs:
@@ -440,12 +443,7 @@ def _check_cut_coproduct(scale: Scale) -> str:
             if f.vertex_count + g.vertex_count > scale.star_vertices:
                 continue
             lhs = cut_coproduct(phi, forest_elem(forest_mul(f, g)))
-            dg = cut_coproduct(phi, forest_elem(g))
-            rhs = LinComb(
-                ((forest_mul(f1, g1), forest_mul(f2, g2)), c1 * c2)
-                for (f1, f2), c1 in cut_coproduct(phi, forest_elem(f)).items()
-                for (g1, g2), c2 in dg.items()
-            )
+            rhs = multilinear(pairwise_mul, cut_coproduct(phi, forest_elem(f)), cut_coproduct(phi, forest_elem(g)))
             if lhs != rhs:
                 raise Defect(f"multiplicativity broke on ({f.render()}, {g.render()})")
             mult += 1
@@ -485,11 +483,11 @@ def _check_spde_actions(scale: Scale) -> str:
     phi = spde_phi(cfg)
     base, psi = spde_psi(cfg)
     elems = [
-        ext_gen("X_0"),
-        ext_gen("X_1"),
-        ext_planted(PlantedTree(mi(1, 0), leaf(mi(0, 1)))),
-        ext_planted(PlantedTree(XI, leaf(STAR))),
-        ext_gen("X_0") + ext_planted(PlantedTree(mi(0, 1), node(mi(1, 1), ((XI, leaf(STAR)),)))),
+        LinComb.of("X_0"),
+        LinComb.of("X_1"),
+        LinComb.of(PlantedTree(mi(1, 0), leaf(mi(0, 1)))),
+        LinComb.of(PlantedTree(XI, leaf(STAR))),
+        LinComb.of("X_0") + LinComb.of(PlantedTree(mi(0, 1), node(mi(1, 1), ((XI, leaf(STAR)),)))),
     ]
     triples = 0
     for u in elems:

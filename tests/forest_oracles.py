@@ -34,7 +34,9 @@ state or per term, reduced again by each enclosing ``map_terms``, and
 ``cut_coproduct_by_scaling``, ``bilinear_by_scaling``,
 ``ext_triangle_by_scaling`` and ``ext_bracket_by_scaling`` are the forest
 and post-Lie operators in that last form: the image of each choice of basis
-terms, a ``LinComb``, scaled by the product of the coefficients and added.
+terms, a ``LinComb``, scaled by the product of the coefficients and added;
+the two post-Lie ones first split each extension element into its planted
+trees and its generator names and take each case on its own part.
 
 ``canonicalize`` re-sorts every level of a tree with ``node``, and
 ``nested_key`` and its planted and forest forms give the nested sort keys,
@@ -55,7 +57,7 @@ from rtcalc.decorations import Label
 from rtcalc.hopf import _graft_basis, _graft_into
 from rtcalc.hopf import cut_coproduct as cut_coproduct_by_recursion
 from rtcalc.lincomb import LinComb, lc_sum
-from rtcalc.postlie import ExtElem, _vertex_action_on_tree
+from rtcalc.postlie import _vertex_action_on_tree
 from rtcalc.prelie import planted_graft
 from rtcalc.trees import (
     DecoratedTree,
@@ -685,27 +687,31 @@ def bilinear_by_scaling(table_of: Callable, x: LinComb, y: LinComb) -> LinComb:
     return lc_sum((c * c2) * table_of(p, q) for p, c in x.items() for q, c2 in y.items())
 
 
-def ext_triangle_by_scaling(phi, P, psi, u: ExtElem, w: ExtElem) -> ExtElem:
-    parts = [
-        (c1 * c2) * planted_graft(phi, p1, p2) for p1, c1 in u.planted.items() for p2, c2 in w.planted.items()
-    ]
-    parts += [
-        (c * c2) * _vertex_action_on_tree(psi, g, p2) for g, c in u.gens.items() for p2, c2 in w.planted.items()
-    ]
-    return ExtElem(lc_sum(parts), bilinear_by_scaling(P.triangle_of, u.gens, w.gens))
+def _split_ext(x: LinComb) -> Tuple[LinComb, LinComb]:
+    """An extension element's planted part and generator part."""
+    planted = LinComb((t, c) for t, c in x.items() if isinstance(t, PlantedTree))
+    return planted, x - planted
 
 
-def ext_bracket_by_scaling(P, psi, u: ExtElem, w: ExtElem) -> ExtElem:
+def ext_triangle_by_scaling(phi, P, psi, u: LinComb, w: LinComb) -> LinComb:
+    (up, ug), (wp, wg) = _split_ext(u), _split_ext(w)
+    parts = [(c1 * c2) * planted_graft(phi, p1, p2) for p1, c1 in up.items() for p2, c2 in wp.items()]
+    parts += [(c * c2) * _vertex_action_on_tree(psi, g, p2) for g, c in ug.items() for p2, c2 in wp.items()]
+    return lc_sum(parts) + bilinear_by_scaling(P.triangle_of, ug, wg)
+
+
+def ext_bracket_by_scaling(P, psi, u: LinComb, w: LinComb) -> LinComb:
+    (up, ug), (wp, wg) = _split_ext(u), _split_ext(w)
     terms = [
         (PlantedTree(na, p1.body), c1 * c2 * c3)
-        for p1, c1 in u.planted.items()
-        for g, c2 in w.gens.items()
+        for p1, c1 in up.items()
+        for g, c2 in wg.items()
         for na, c3 in psi.edge(g, p1.plant).items()
     ]
     terms += [
         (PlantedTree(na, p2.body), -c1 * c2 * c3)
-        for g, c1 in u.gens.items()
-        for p2, c2 in w.planted.items()
+        for g, c1 in ug.items()
+        for p2, c2 in wp.items()
         for na, c3 in psi.edge(g, p2.plant).items()
     ]
-    return ExtElem(LinComb(terms), bilinear_by_scaling(P.bracket_of, u.gens, w.gens))
+    return LinComb(terms) + bilinear_by_scaling(P.bracket_of, ug, wg)

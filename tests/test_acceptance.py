@@ -44,8 +44,6 @@ from rtcalc.phimaps import (
 )
 from rtcalc.postlie import (
     ext_bracket,
-    ext_gen,
-    ext_planted,
     ext_triangle,
     postlie_axiom_defects,
     psi_compat_defects,
@@ -394,14 +392,14 @@ def test_criterion_07_generator_actions_fit_the_extension():
 
             z, u = mi_labels(d, 1)[0], mi_labels(d, 1)[1]
             elems = [
-                ext_gen(P.names[0]),
-                ext_gen(P.names[-1]),
-                ext_planted(PlantedTree(u, leaf(z))),
-                ext_planted(PlantedTree(u, node(z, [(u, leaf(u))]))) + ext_gen(P.names[0]),
-                ext_planted(PlantedTree(z, node(u, [(u, leaf(z)), (z, leaf(u))]))),
+                LinComb.of(P.names[0]),
+                LinComb.of(P.names[-1]),
+                LinComb.of(PlantedTree(u, leaf(z))),
+                LinComb.of(PlantedTree(u, node(z, [(u, leaf(u))]))) + LinComb.of(P.names[0]),
+                LinComb.of(PlantedTree(z, node(u, [(u, leaf(z)), (z, leaf(u))]))),
             ]
             if noise:
-                elems.append(ext_planted(PlantedTree(XI, leaf(STAR))))
+                elems.append(LinComb.of(PlantedTree(XI, leaf(STAR))))
             for x in elems:
                 for y in elems:
                     for w in elems:
@@ -418,19 +416,19 @@ def test_criterion_07_generator_actions_fit_the_extension():
         return PlantedTree(a, node(r1, [(a1, node(r2, [(a2, leaf(r3))])), (a3, leaf(r4))]))
 
     e = mi_unit(1, 1)
-    got = ext_triangle(ph, P, psi, ext_gen("X_1"), ext_planted(tree(b1, b2, b3, b4)))
+    got = ext_triangle(ph, P, psi, LinComb.of("X_1"), LinComb.of(tree(b1, b2, b3, b4)))
     assert got == (
-        ext_planted(tree(b1.add(e), b2, b3, b4))
-        + ext_planted(tree(b1, b2.add(e), b3, b4))
-        + ext_planted(tree(b1, b2, b3.add(e), b4))
-        + ext_planted(tree(b1, b2, b3, b4.add(e)))
+        LinComb.of(tree(b1.add(e), b2, b3, b4))
+        + LinComb.of(tree(b1, b2.add(e), b3, b4))
+        + LinComb.of(tree(b1, b2, b3.add(e), b4))
+        + LinComb.of(tree(b1, b2, b3, b4.add(e)))
     )
 
     # Display two: the mixed bracket lowers the plant label by one step.
     body = node(mi(0, 0), [(mi(1, 0), leaf(mi(1, 0))), (mi(2, 0), leaf(mi(2, 2)))])
-    carried = ext_planted(PlantedTree(mi(1, 1), body))
-    got = ext_bracket(P, psi, carried, ext_gen("X_1"))
-    assert got == ext_planted(PlantedTree(mi(1, 0), body))
+    carried = LinComb.of(PlantedTree(mi(1, 1), body))
+    got = ext_bracket(P, psi, carried, LinComb.of("X_1"))
+    assert got == LinComb.of(PlantedTree(mi(1, 0), body))
     report(7, f"actions compatible on {checked} label pairs, axioms and displays hold")
 
 

@@ -213,14 +213,13 @@ def test_roundtrip_forest_combs(x):
 
 
 def test_parse_ext_elem_mixes_generators_and_planted_trees():
+    planted = PlantedTree(mi(1), leaf(mi(0)))
     got = parse_ext_elem("X_0 - 2*[<1>](<0>)", MultiIndexBasis(0), MultiIndexBasis(0), ("X_0",))
-    assert got.gens == LinComb.of("X_0")
-    assert got.planted == LinComb.of(PlantedTree(mi(1), leaf(mi(0))), -2)
+    assert got == LinComb.of("X_0") + LinComb.of(planted, -2)
     got = parse_ext_elem("2 X_0", MultiIndexBasis(0), MultiIndexBasis(0), ("X_0",))
-    assert got.gens == LinComb.of("X_0", 2) and got.planted.is_zero
+    assert got == LinComb.of("X_0", 2)
     got = parse_ext_elem("-[<1>](<0>) + 0", MultiIndexBasis(0), MultiIndexBasis(0), ("X_0",))
-    assert got.gens.is_zero
-    assert got.planted == LinComb.of(PlantedTree(mi(1), leaf(mi(0))), -1)
+    assert got == LinComb.of(planted, -1)
 
 
 def test_parse_ext_elem_zero_and_errors():

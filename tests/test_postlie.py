@@ -11,20 +11,18 @@ from forest_oracles import (
     vertex_action_by_address,
     vertex_action_on_tree,
 )
-from rtcalc.decorations import symbols
+from rtcalc.decorations import mi, symbols
 from rtcalc.lincomb import LinComb
 from rtcalc.phimaps import build_JD, default_block_bases, from_blocks, identity_map, tensor_map
 from rtcalc.postlie import (
-    ExtElem,
     PsiPair,
     _vertex_action_on_tree,
     ext_bracket,
-    ext_gen,
-    ext_planted,
     ext_triangle,
     postlie_axiom_defects,
     postlie_base,
     psi_compat_defects,
+    render_ext,
     trivial_postlie,
 )
 from rtcalc.trees import PlantedTree, leaf, node
@@ -91,21 +89,20 @@ def test_generator_acts_vertex_by_vertex():
     P = trivial_postlie(["p"])
     psi = vertex_bump_psi()
     x = PlantedTree(a1, node(b1, [(a2, leaf(b2)), (a3, leaf(b3))]))
-    got = ext_triangle(ID, P, psi, ext_gen("p"), ext_planted(x))
+    got = ext_triangle(ID, P, psi, LinComb.of("p"), LinComb.of(x))
     want = (
         LinComb.of(PlantedTree(a1, node(b2, [(a2, leaf(b2)), (a3, leaf(b3))])))
         + LinComb.of(PlantedTree(a1, node(b1, [(a2, leaf(b3)), (a3, leaf(b3))])))
         + LinComb.of(PlantedTree(a1, node(b1, [(a2, leaf(b2)), (a3, leaf(b1))])))
     )
-    assert got.planted == want
-    assert got.gens.is_zero
+    assert got == want
 
 
 def test_planted_triangle_generator_vanishes():
     P = trivial_postlie(["p"])
     psi = vertex_bump_psi()
-    x = ext_planted(PlantedTree(a1, leaf(b1)))
-    assert ext_triangle(ID, P, psi, x, ext_gen("p")).is_zero
+    x = LinComb.of(PlantedTree(a1, leaf(b1)))
+    assert ext_triangle(ID, P, psi, x, LinComb.of("p")).is_zero
 
 
 def test_generator_triangle_generator_uses_constants():
@@ -113,25 +110,25 @@ def test_generator_triangle_generator_uses_constants():
         ["p", "q"],
         triangle_consts={("p", "p"): [(1, "q")]},
     )
-    got = ext_triangle(ID, P, zero_psi(), ext_gen("p"), ext_gen("p"))
-    assert got.gens == LinComb.of("q")
+    got = ext_triangle(ID, P, zero_psi(), LinComb.of("p"), LinComb.of("p"))
+    assert got == LinComb.of("q")
 
 
 def test_bracket_acts_on_plant_label():
     P = trivial_postlie(["p"])
     psi = vertex_bump_psi()
     x = PlantedTree(a1, node(b1, [(a2, leaf(b2))]))
-    got = ext_bracket(P, psi, ext_planted(x), ext_gen("p"))
-    assert got.planted == LinComb.of(PlantedTree(a2, node(b1, [(a2, leaf(b2))])))
-    flipped = ext_bracket(P, psi, ext_gen("p"), ext_planted(x))
-    assert flipped.planted == -got.planted
+    got = ext_bracket(P, psi, LinComb.of(x), LinComb.of("p"))
+    assert got == LinComb.of(PlantedTree(a2, node(b1, [(a2, leaf(b2))])))
+    flipped = ext_bracket(P, psi, LinComb.of("p"), LinComb.of(x))
+    assert flipped == -got
 
 
 def test_bracket_between_planted_vanishes():
     P = trivial_postlie(["p"])
     psi = vertex_bump_psi()
-    x = ext_planted(PlantedTree(a1, leaf(b1)))
-    y = ext_planted(PlantedTree(a2, leaf(b2)))
+    x = LinComb.of(PlantedTree(a1, leaf(b1)))
+    y = LinComb.of(PlantedTree(a2, leaf(b2)))
     assert ext_bracket(P, psi, x, y).is_zero
 
 
@@ -141,17 +138,26 @@ def test_bracket_antisymmetric_on_mixed_elements():
         bracket_consts={("p", "q"): [(1, "q")], ("q", "p"): [(-1, "q")]},
     )
     psi = vertex_bump_psi()
-    u = ext_planted(PlantedTree(a1, leaf(b1))) + ext_gen("p", 2) + ext_gen("q", -1)
+    u = LinComb.of(PlantedTree(a1, leaf(b1))) + LinComb.of("p", 2) + LinComb.of("q", -1)
     assert ext_bracket(P, psi, u, u).is_zero
 
 
 def test_ext_elem_arithmetic():
-    u = ext_gen("p") + ext_planted(PlantedTree(a1, leaf(b1)))
+    u = LinComb.of("p") + LinComb.of(PlantedTree(a1, leaf(b1)))
     v = u - u
     assert v.is_zero
     w = Fraction(1, 2) * u
-    assert w.gens.coeff("p") == Fraction(1, 2)
-    assert "p" in u.render()
+    assert w.coeff("p") == Fraction(1, 2)
+    assert w.coeff(PlantedTree(a1, leaf(b1))) == Fraction(1, 2)
+
+
+def test_render_ext_prints_the_planted_part_then_the_generators():
+    planted = PlantedTree(mi(1), leaf(mi(0)))
+    mixed = LinComb.of("X_0", -1) + LinComb.of(planted) + LinComb.of("X_1", -2)
+    assert render_ext(mixed) == "[<1>](<0>) + -X_0 - 2*X_1"
+    assert render_ext(LinComb.of(planted, Fraction(-1, 2))) == "-1/2*[<1>](<0>)"
+    assert render_ext(LinComb.of("X_1", 3)) == "3*X_1"
+    assert render_ext(mixed - mixed) == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,8 @@ def small_elements(P, elabels, vlabels, max_vertices=2):
             for a in elabels
             for b2 in vlabels
         ]
-    out = [ext_gen(g) for g in P.names]
-    out += [ext_planted(PlantedTree(a, t)) for a in elabels for t in bodies]
+    out = [LinComb.of(g) for g in P.names]
+    out += [LinComb.of(PlantedTree(a, t)) for a in elabels for t in bodies]
     return out
 
 
@@ -275,7 +281,7 @@ def test_axioms_hold_for_compliant_actions():
     pool = small_elements(P, E2.labels(), V2.labels())
     for u, v, w in product(pool, repeat=3):
         d = postlie_axiom_defects(phi, P, psi, u, v, w)
-        assert d.all_zero, (u.render(), v.render(), w.render())
+        assert d.all_zero, (render_ext(u), render_ext(v), render_ext(w))
 
 
 def test_axioms_fail_for_mutant_actions():
@@ -319,9 +325,9 @@ def test_axioms_fail_for_mutant_actions():
 def test_planted_triples_reduce_to_pre_lie():
     P = trivial_postlie(["p"])
     psi = zero_psi()
-    u = ext_planted(PlantedTree(a1, leaf(b1)))
-    v = ext_planted(PlantedTree(a2, leaf(b2)))
-    w = ext_planted(PlantedTree(a3, node(b3, [(a1, leaf(b1))])))
+    u = LinComb.of(PlantedTree(a1, leaf(b1)))
+    v = LinComb.of(PlantedTree(a2, leaf(b2)))
+    w = LinComb.of(PlantedTree(a3, node(b3, [(a1, leaf(b1))])))
     d = postlie_axiom_defects(ID, P, psi, u, v, w)
     assert d.jacobi.is_zero
     assert d.derivation.is_zero
@@ -391,6 +397,6 @@ def test_extension_products_match_their_scaled_sums():
         x, y = (LinComb((rng.choice(P.names), frac()) for _ in range(3)) for _ in range(2))
         assert P.bracket_lin(x, y) == bilinear_by_scaling(P.bracket_of, x, y)
         assert P.triangle_lin(x, y) == bilinear_by_scaling(P.triangle_of, x, y)
-        u, w = (ExtElem(LinComb((rng.choice(planted), frac()) for _ in range(3)), z) for z in (x, y))
+        u, w = (LinComb((rng.choice(planted), frac()) for _ in range(3)) + z for z in (x, y))
         assert ext_triangle(phi, P, psi, u, w) == ext_triangle_by_scaling(phi, P, psi, u, w)
         assert ext_bracket(P, psi, u, w) == ext_bracket_by_scaling(P, psi, u, w)

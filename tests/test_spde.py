@@ -19,8 +19,6 @@ from rtcalc.phimaps import PhiMap, VerifiedUpToBound, check_compat, compose, dir
 from rtcalc.postlie import (
     PsiPair,
     ext_bracket,
-    ext_gen,
-    ext_planted,
     ext_triangle,
     postlie_axiom_defects,
     psi_compat_defects,
@@ -433,8 +431,8 @@ def test_broken_edge_action_breaks_the_associator_axiom():
     conditions = {d.condition for d in psi_compat_defects(phi_lambda(cfg), P, broken, labels, labels)}
     assert conditions == {"map-intertwining"}
 
-    u = ext_gen("X_0")
-    v = ext_planted(PlantedTree(mi(0), leaf(mi(0))))
+    u = LinComb.of("X_0")
+    v = LinComb.of(PlantedTree(mi(0), leaf(mi(0))))
     defects = postlie_axiom_defects(phi_lambda(cfg), P, broken, u, v, v)
     assert not defects.associator.is_zero
 
@@ -444,12 +442,12 @@ def test_axioms_hold_on_sample_extension_triples():
     P, psi = spde_psi(cfg)
     ph = noise_extend(cfg)
     elems = [
-        ext_gen("X_0"),
-        ext_gen("X_1"),
-        ext_planted(PlantedTree(mi(1, 0), leaf(mi(0, 1)))),
-        ext_planted(PlantedTree(XI, leaf(STAR))),
-        ext_planted(PlantedTree(mi(0, 1), node(mi(1, 1), [(XI, leaf(STAR))]))),
-        ext_gen("X_0") + ext_planted(PlantedTree(mi(1, 1), leaf(STAR))),
+        LinComb.of("X_0"),
+        LinComb.of("X_1"),
+        LinComb.of(PlantedTree(mi(1, 0), leaf(mi(0, 1)))),
+        LinComb.of(PlantedTree(XI, leaf(STAR))),
+        LinComb.of(PlantedTree(mi(0, 1), node(mi(1, 1), [(XI, leaf(STAR))]))),
+        LinComb.of("X_0") + LinComb.of(PlantedTree(mi(1, 1), leaf(STAR))),
     ]
     for u in elems:
         for v in elems:
@@ -474,12 +472,12 @@ def test_generator_bumps_each_vertex_of_a_planted_tree():
         )
 
     e = mi_unit(1, 1)
-    got = ext_triangle(ph, P, psi, ext_gen("X_1"), ext_planted(tree(b1, b2, b3, b4)))
+    got = ext_triangle(ph, P, psi, LinComb.of("X_1"), LinComb.of(tree(b1, b2, b3, b4)))
     expected = (
-        ext_planted(tree(b1.add(e), b2, b3, b4))
-        + ext_planted(tree(b1, b2.add(e), b3, b4))
-        + ext_planted(tree(b1, b2, b3.add(e), b4))
-        + ext_planted(tree(b1, b2, b3, b4.add(e)))
+        LinComb.of(tree(b1.add(e), b2, b3, b4))
+        + LinComb.of(tree(b1, b2.add(e), b3, b4))
+        + LinComb.of(tree(b1, b2, b3.add(e), b4))
+        + LinComb.of(tree(b1, b2, b3, b4.add(e)))
     )
     assert got == expected
 
@@ -488,11 +486,11 @@ def test_bracket_lowers_the_plant_label():
     cfg = SpdeConfig(1, (1, 1))
     P, psi = spde_psi(cfg)
     body = node(mi(0, 0), [(mi(1, 0), leaf(mi(1, 0))), (mi(2, 0), leaf(mi(2, 2)))])
-    carried = ext_planted(PlantedTree(mi(1, 1), body))
-    got = ext_bracket(P, psi, carried, ext_gen("X_1"))
-    assert got == ext_planted(PlantedTree(mi(1, 0), body))
-    grounded = ext_planted(PlantedTree(mi(1, 0), body))
-    assert ext_bracket(P, psi, grounded, ext_gen("X_1")).is_zero
+    carried = LinComb.of(PlantedTree(mi(1, 1), body))
+    got = ext_bracket(P, psi, carried, LinComb.of("X_1"))
+    assert got == LinComb.of(PlantedTree(mi(1, 0), body))
+    grounded = LinComb.of(PlantedTree(mi(1, 0), body))
+    assert ext_bracket(P, psi, grounded, LinComb.of("X_1")).is_zero
 
 
 def test_generator_skips_noise_vertices():
@@ -506,8 +504,8 @@ def test_generator_skips_noise_vertices():
         return PlantedTree(a1, node(r1, [(a2, leaf(r2)), (XI, leaf(STAR))]))
 
     e = mi_unit(0, 1)
-    got = ext_triangle(ph, P, psi, ext_gen("X_0"), ext_planted(tree(b1, b2)))
-    assert got == ext_planted(tree(b1.add(e), b2)) + ext_planted(tree(b1, b2.add(e)))
+    got = ext_triangle(ph, P, psi, LinComb.of("X_0"), LinComb.of(tree(b1, b2)))
+    assert got == LinComb.of(tree(b1.add(e), b2)) + LinComb.of(tree(b1, b2.add(e)))
 
 
 def test_grafting_display_with_binomial_weights():
