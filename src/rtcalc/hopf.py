@@ -208,7 +208,9 @@ def _cuts_below(phi: PhiMap, t: DecoratedTree) -> LinComb:
     """
     if not t.children:
         return LinComb.of(((), t))
-    below = [_cuts_below(phi, c).items() for _, c in t.children]
+    below = []
+    for _, c in t.children:  # a loop, not a comprehension: one frame per level
+        below.append(_cuts_below(phi, c).items())
     pairs = []
     for keep in iproduct((False, True), repeat=len(t.children)):
         severed = [i for i, k in enumerate(keep) if not k]

@@ -3,11 +3,19 @@
 Trees, planted trees, forests, multi-indices and symbols are made in
 ``__new__``, which returns the live object of equal value if there is one,
 so they hash and compare by identity, in C and without recursion.  A table
-maps a key to a ``weakref.KeyedRef`` and keeps nothing alive; the tables of
-an earlier import of rtcalc are freed with its classes.
+maps a key to a weak reference to the object, which keeps nothing alive and
+holds the key in a slot for its callback to find the entry by; the tables
+of an earlier import of rtcalc are freed with its classes.
 """
 
-from weakref import KeyedRef
+from weakref import ref
+
+
+class _Ref(ref):
+    """A weak reference that carries its table key.  It has no Python
+    ``__new__`` or ``__init__``, so one is made in C and the key set after."""
+
+    __slots__ = ("key",)
 
 
 class Interned:
@@ -22,7 +30,7 @@ class Interned:
 
 
 def table(parent=None, name=None):
-    """A new table ``(refs, drop)``: a dict from key to ``KeyedRef``, and the
+    """A new table ``(refs, drop)``: a dict from key to weak reference, and the
     callback of its references, which deletes an entry only if it still
     holds the dying one (an equal object may have been stored since).  A
     sub-table ``parent[name]`` leaves ``parent`` when it empties; ``drop``
@@ -31,9 +39,9 @@ def table(parent=None, name=None):
     """
     refs = {}
 
-    def drop(ref):
-        key = ref.key
-        if refs.get(key) is ref:
+    def drop(r):
+        key = r.key
+        if refs.get(key) is r:
             del refs[key]
             if not refs and parent is not None and parent.get(name, (None,))[0] is refs:
                 del parent[name]
@@ -44,7 +52,8 @@ def table(parent=None, name=None):
 def store(entry, key, obj, parent=None, name=None):
     """Put ``obj`` in ``entry`` under ``key`` and return it; ``entry`` goes into
     ``parent`` if new, or if emptied by a collection run while ``obj`` was made."""
-    entry[0][key] = KeyedRef(obj, entry[1], key)
+    r = entry[0][key] = _Ref(obj, entry[1])
+    r.key = key
     if parent is not None and parent.get(name) is not entry:
         parent[name] = entry
     return obj

@@ -187,21 +187,34 @@ class LinComb:
     def render(self, render_term: Callable[[Hashable], str] = str) -> str:
         """Canonical textual form, ``0`` for the empty combination.
 
-        Terms appear in canonical order; a coefficient of +-1 is folded
-        into the sign, otherwise it prints as ``p/q*term`` with the
-        denominator omitted when it is 1.
+        Terms appear in canonical order, joined by `` + `` or `` - ``, the
+        first one's sign written ``-`` only when negative.  A coefficient of
+        +-1 is folded into the sign; any other prints its magnitude as
+        ``n*term`` when it is an ``int`` and ``p/q*term`` when it is a
+        ``Fraction``, read off the numerator and denominator (> 1, as every
+        stored ``Fraction`` has), so no ``Fraction`` arithmetic is done.
         """
         if not self._terms:
             return "0"
         pieces = []
-        for i, (term, c) in enumerate(self.sorted_items()):
-            mag = abs(c)
-            body = render_term(term) if mag == 1 else f"{mag}*{render_term(term)}"
-            if i == 0:
-                pieces.append(body if c > 0 else f"-{body}")
+        for term, c in self.sorted_items():
+            text = render_term(term)
+            if type(c) is int:
+                neg = c < 0
+                mag = -c if neg else c
+                if mag != 1:
+                    text = f"{mag}*{text}"
             else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+                n = c.numerator
+                neg = n < 0
+                text = f"{-n if neg else n}/{c.denominator}*{text}"
+            pieces.append(" - " if neg else " + ")
+            pieces.append(text)
+        if pieces[0] == " - ":
+            pieces[0] = "-"
+        else:
+            del pieces[0]
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return f"LinComb({self.render()})"

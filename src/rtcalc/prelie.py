@@ -149,7 +149,9 @@ def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeCom
     image = memo.get(s)
     if image is not None:
         return image
-    kids = [_edge_image(phi, c, memo) for _, c in s.children]
+    kids = []
+    for _, c in s.children:  # a loop, not a comprehension: one frame per level
+        kids.append(_edge_image(phi, c, memo))
     local = phi.act_at_vertex(tuple(e for e, _ in s.children), s.label)
     build = lambda state, *ts: ((node(state[1], zip(state[0], ts)), 1),)  # state: (edge labels, root label)
     image = memo[s] = multilinear(build, local, *kids)

@@ -18,20 +18,23 @@ subtree), ...)) keys do, in one pass instead of one quadratic in the depth.
 A sum over the vertices of a tree, of some change made at each vertex, is
 :func:`vertex_sum`: the change at the root, plus, for each child, the
 child's own sum put back in its place.  A changed child goes back in by
-bisection against its siblings, which are already sorted, so the result
-stays canonical without re-sorting; only :func:`node` sorts a whole family
-of children.  A run of m equal children is summed once and counted m
-times, since changing any one of them gives the same tree.  The sum of a
-subtree does not depend on where the subtree sits, so a memo passed in by
-the caller keeps each distinct subtree's sum for as long as the change
-stays the same: one term of the left factor in one grafting call, one
-whole call of the vertex action.  A grafting call keeps one memo per term
-of its left factor, and all of them live until the call returns.  The
-recursion is a module-level function that takes the memo as an argument.
-A nested function that called itself would refer to itself through its
-closure, and that cycle would keep the memo alive until the garbage
-collector ran; as it is, the memo is freed by reference counting when the
-call returns.
+:func:`insert_child`, a linear scan of its siblings, which are already
+sorted: edge labels are compared first, and the child's subtree key is
+read only against a sibling under an equal edge label, so a child that
+goes into an empty family, or beside other edge labels only, needs no
+key.  The result stays canonical without re-sorting; only :func:`node`
+sorts a whole family of children.  A run of m equal children is summed
+once and counted m times, since changing any one of them gives the same
+tree.  The sum of a subtree does not depend on where the subtree sits,
+so a memo passed in by the caller keeps each distinct subtree's sum for
+as long as the change stays the same: one term of the left factor in one
+grafting call, one whole call of the vertex action.  A grafting call
+keeps one memo per term of its left factor, and all of them live until
+the call returns.  The recursion is a module-level function that takes
+the memo as an argument.  A nested function that called itself would
+refer to itself through its closure, and that cycle would keep the memo
+alive until the garbage collector ran; as it is, the memo is freed by
+reference counting when the call returns.
 
 Trees, planted trees and forests are interned (:mod:`rtcalc.intern`), so
 they hash and compare by identity.  A tree is looked up by vertex label,
@@ -49,14 +52,13 @@ Every operator recurses over these canonical trees directly: grafting in
 through :func:`vertex_sum`; the edge-product operator in
 :mod:`rtcalc.prelie`, and the cut coproduct and forest grafting in
 :mod:`rtcalc.hopf`, through recursions of their own.  They build the
-vertices they change with :func:`node` or by the bisection above, and
+vertices they change with :func:`node` or :func:`insert_child`, and
 share the subtrees they leave alone with their input.  Nothing addresses
 a vertex by its path from the root.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, Dict, Iterable, Tuple
 
 from .decorations import Label
@@ -87,7 +89,10 @@ class DecoratedTree(Interned):
         t = object.__new__(cls)
         t.label = label
         t.children = children
-        t.vertex_count = 1 + sum([c.vertex_count for _, c in children])
+        n = 1
+        for _, c in children:
+            n += c.vertex_count
+        t.vertex_count = n
         t._key = t._shape = t._text = None
         return store(entry, children, t, _TREES, label)
 
@@ -113,10 +118,16 @@ class DecoratedTree(Interned):
         return shape
 
     def render(self) -> str:
+        """The text ``(label [edge](child) ...)``, made once: one frame per
+        level, a child's cached text read without a call."""
         text = self._text
         if text is None:
-            inner = "".join([f" [{e.render()}]{c.render()}" for e, c in self.children])
-            text = self._text = f"({self.label.render()}{inner})"
+            parts = ["(", self.label.render()]
+            for e, c in self.children:
+                parts.append(f" [{e.render()}]")
+                parts.append(c._text or c.render())
+            parts.append(")")
+            text = self._text = "".join(parts)
         return text
 
     def __reduce__(self):
@@ -143,9 +154,22 @@ def node(label: Label, children: Iterable[Tuple[Label, DecoratedTree]] = ()) -> 
 
 
 def insert_child(children: Tuple, child: Tuple[Label, DecoratedTree]) -> Tuple:
-    """Sorted ``children`` with ``child`` put in at its canonical place."""
-    i = bisect_right(children, _child_key(child), key=_child_key)
-    return children[:i] + (child,) + children[i:]
+    """Sorted ``children`` with ``child`` put in at its canonical place,
+    after every sibling of an equal key.
+
+    The siblings are scanned in order, edge label first; the subtrees' keys
+    are compared only under an equal edge label, so a child put into an
+    empty family, or among other edge labels only, never reads its key.
+    Labels and trees are interned, so an equal one is the same object.
+    """
+    e, t = child
+    for i, (f, s) in enumerate(children):
+        if f is e:
+            if s is not t and t.sort_key < s.sort_key:
+                return children[:i] + (child,) + children[i:]
+        elif e.sort_key < f.sort_key:
+            return children[:i] + (child,) + children[i:]
+    return children + (child,)
 
 
 def leaf(label: Label) -> DecoratedTree:
@@ -251,9 +275,9 @@ def vertex_sum(s: DecoratedTree, local: Callable[[DecoratedTree], Iterable], mem
     The result, a tuple of such pairs, is ``local(s)`` followed, for each
     child, by the child's own sum put back in its place.  A run of m equal
     children contributes one child's sum with every coefficient times m,
-    and each new child goes in by bisection against the siblings, which
-    stay sorted.  ``memo`` holds the sum of every distinct subtree seen,
-    so it must be scoped to one ``local``.
+    and each new child goes in by :func:`insert_child` among the siblings,
+    which stay sorted.  ``memo`` holds the sum of every distinct subtree
+    seen, so it must be scoped to one ``local``.
     """
     image = memo.get(s)
     if image is not None:

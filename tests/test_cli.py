@@ -699,6 +699,31 @@ def test_theta_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
     assert "recursion limit" in err and "nesting depth" in err
 
 
+@pytest.mark.parametrize("command", ["theta", "graft", "coprod"])
+def test_an_800_deep_ladder_succeeds(tmp_path, command):
+    # Parsing, the operators and printing each take one frame per level.
+    # graft takes the ladder as its left factor, so the output is the one
+    # tree (<0> [<0>]ladder): a leaf grafted onto every vertex of the ladder
+    # would give 800 trees whose 320,000 rebuilt vertices each keep their
+    # own key and text, about 6 GB.
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    text = ladder_text(800)
+    t = tfile(tmp_path, "t.txt", "[<0>]" + text if command == "coprod" else text)
+    argv = {
+        "theta": ("theta", "--phi", phi, t),
+        "graft": ("graft", "--phi", phi, "--a", "<0>", t, tfile(tmp_path, "y.txt", "(<0>)")),
+        "coprod": ("coprod", "--phi", phi, t),
+    }[command]
+    code, out, err = run_process(*argv)
+    assert (code, err) == (0, "")
+    want = {"theta": text + "\n", "graft": f"(<0> [<0>]{text})\n"}
+    if command in want:
+        assert out == want[command]
+    else:
+        # The terms are 1 (x) the tree, the tree (x) 1 and one cut per edge.
+        assert out.count(" (x) ") == 801
+
+
 def test_theta_on_a_240_deep_ladder_still_succeeds(tmp_path):
     phi = jfile(tmp_path, "phi.json", PHI_D0)
     text = ladder_text(240)

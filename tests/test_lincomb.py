@@ -238,3 +238,34 @@ def test_output_order_does_not_depend_on_insertion_order(pairs, rnd):
     assert x.sorted_items() == y.sorted_items()
     assert x.render() == y.render()
     assert [t for t, _ in x.sorted_items()] == sorted(t for t, _ in x.items())
+
+
+def render_by_magnitude(x, render_term=str):
+    """The earlier ``LinComb.render``, kept as the oracle: the sign from
+    comparing each coefficient with 0, the magnitude from ``abs``."""
+    if x.is_zero:
+        return "0"
+    pieces = []
+    for i, (term, c) in enumerate(x.sorted_items()):
+        mag = abs(c)
+        body = render_term(term) if mag == 1 else f"{mag}*{render_term(term)}"
+        if i == 0:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+render_coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2)]) | rationals
+
+
+@example([])
+@example([("u", -1), ("v", 1)])
+@example([(("u", "v"), Fraction(-1, 2)), (("v", "w"), 1), (("v", "u"), Fraction(1, 2))])
+@example([("u", -2), ("v", -1), ("w", Fraction(-7, 3))])
+@given(st.lists(st.tuples(terms, render_coeffs), max_size=8) | st.lists(st.tuples(st.tuples(terms, terms), render_coeffs), max_size=8))
+def test_render_matches_the_sign_and_magnitude_form(pairs):
+    x = LinComb(pairs)
+    assert x.render() == render_by_magnitude(x)
+    joined = lambda t: "(x)".join(t) if isinstance(t, tuple) else t.upper()
+    assert x.render(joined) == render_by_magnitude(x, joined)

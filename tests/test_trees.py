@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from itertools import product
 
 import pytest
@@ -33,6 +34,7 @@ from rtcalc.trees import (
     PlantedTree,
     forest,
     forest_mul,
+    insert_child,
     leaf,
     node,
     split_root_edge,
@@ -211,6 +213,56 @@ def wide_trees(draw, depth=2):
 def test_graft_at_matches_resorting_oracle_on_wide_trees(y, x, edge, relabel, data):
     target = data.draw(st.sampled_from(vertex_ids(y)))
     assert_same_graft(x, target, y, edge, relabel)
+
+
+def insert_child_by_bisection(children, child):
+    """The earlier insert_child, kept as the oracle: bisection on the
+    (edge key, subtree key) of every sibling, after the equal ones."""
+    key = lambda c: (c[0].sort_key, c[1].sort_key)
+    i = bisect_right(children, key(child), key=key)
+    return children[:i] + (child,) + children[i:]
+
+
+def assert_same_insertion(family, child):
+    got = insert_child(family, child)
+    want = insert_child_by_bisection(family, child)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_insert_child_matches_bisection_on_small_trees():
+    from rtcalc.verify import trees_up_to
+
+    trees = trees_up_to(4, A[:2], B[:2])
+    families = {t.children for t in trees}
+    children = [(e, t) for e in A[:2] for t in trees]
+    assert (len(families), len(children)) == (219, 876)
+    for family in families:
+        for child in children:
+            assert_same_insertion(family, child)
+
+
+@given(wide_trees(), small_labels, wide_trees(depth=1))
+@settings(max_examples=150, deadline=None)
+def test_insert_child_matches_bisection_on_wide_families(y, edge, x):
+    assert_same_insertion(y.children, (edge, x))
+    for _, c in y.children:
+        assert_same_insertion(c.children, (edge, x))
+        assert_same_insertion(y.children, (edge, c))
+
+
+def test_insert_child_reads_no_key_without_an_equal_edge_label():
+    fresh = Sym("insert-child-test", "v")
+    sibling = (A[0], leaf(B[0]))
+    for family in ((), (sibling,)):
+        t = node(fresh, [(A[1], leaf(B[1]))])
+        assert t._key is None
+        assert insert_child(family, (A[1], t)) == family + ((A[1], t),)
+        assert t._key is None
+        del t
+    t = leaf(fresh)
+    assert_same_insertion((sibling,), (A[0], t))
+    assert t._key is not None
 
 
 def test_split_root_edge_roundtrip():
@@ -481,3 +533,22 @@ def test_tree_render():
     t = node(B[0], [(A[0], leaf(B[1])), (A[1], leaf(B[2]))])
     assert t.render() == "(b1 [a1](b2) [a2](b3))"
     assert PlantedTree(A[2], t).render() == "[a3](b1 [a1](b2) [a2](b3))"
+
+
+def render_from_scratch(t):
+    """The text of ``t`` built anew at every vertex, without the cache."""
+    text = "(" + t.label.render()
+    for e, c in t.children:
+        text += f" [{e.render()}]" + render_from_scratch(c)
+    return text + ")"
+
+
+def test_render_matches_a_from_scratch_render():
+    from rtcalc.verify import trees_up_to
+
+    for t in trees_up_to(4, A[:2], B[:2] + [mi(0, 1)]):
+        assert t.render() == render_from_scratch(t)
+        assert PlantedTree(A[0], t).render() == f"[a1]{render_from_scratch(t)}"
+    ladder = chain([B[2]] * 900, [A[3]] * 899)
+    assert ladder._text is None
+    assert ladder.render() == render_from_scratch(ladder) == "(b3 [a4]" * 899 + "(b3)" + ")" * 899
