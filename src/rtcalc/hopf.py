@@ -25,23 +25,32 @@ body.  Each operator sums over the terms of its inputs unsorted, by
 :func:`rtcalc.lincomb.multilinear` or :meth:`LinComb.map_terms`, after
 :func:`_guard` has checked the map on them in canonical order.
 
-All three are local in the sense :mod:`rtcalc.prelie` explains for the
-edge-product operator: the map acts only on an edge and its lower
-endpoint, so operations at different vertices touch disjoint label slots,
-and the edges meeting at one vertex act one after another through
-:meth:`rtcalc.phimaps.PhiMap.act_at_vertex`.  Each operator therefore
-works on canonical trees directly, rebuilding only the vertices it
-touches.
+The pairing is the isomorphism pairing of the Grossman-Larson and
+Connes-Kreimer algebras (Hoffman, "Combinatorics of rooted trees and Hopf
+algebras", Trans. AMS 355, 2003): <F, G> = sigma(F) [F = G], where the
+symmetry factor sigma(F) counts the automorphisms of F that keep every
+label.  It equals the sum, over the isomorphisms of the underlying
+forests, of the product of decoration deltas.  Forests are canonical and
+interned, so [F = G] is an identity test, and sigma is a product over runs
+of equal trees and equal children.  Combinations pair by looking each
+term of the shorter up in the other.
+
+The product, the cut coproduct and ``theta_bar`` are local in the sense
+:mod:`rtcalc.prelie` explains for the edge-product operator: the map acts
+only on an edge and its lower endpoint, so operations at different
+vertices touch disjoint label slots, and the edges meeting at one vertex
+act one after another through :meth:`rtcalc.phimaps.PhiMap.act_at_vertex`.
+Each operator therefore works on canonical trees directly, rebuilding
+only the vertices it touches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, prod
-from typing import Callable, Dict, List, Tuple
+from math import comb, factorial, prod
+from typing import Dict, List, Tuple
 
-from .decorations import Label
 from .lincomb import LinComb, Scalar, as_scalar, multilinear
 from .phimaps import PhiMap
 from .prelie import _ensure_usable_on, apply_edge_maps
@@ -64,6 +73,19 @@ def _guard(phi: PhiMap, *combs: LinComb) -> None:
     for choice in iproduct(*(c.sorted_items() for c in combs)):
         trees = [p for f, _ in choice for p in f.trees]
         _ensure_usable_on(phi, [p.body for p in trees], [p.plant for p in trees])
+
+
+def _runs(items: Tuple) -> List[List]:
+    """Each run of equal neighbours in ``items`` as ``[item, length]``.  The
+    trees of a forest and the children of a vertex are sorted, so a run is
+    the multiplicity of an equal tree or child."""
+    runs: List[List] = []
+    for x in items:
+        if runs and runs[-1][0] == x:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +197,7 @@ def deshuffle(x: ForestComb) -> PairComb:
     """
 
     def split(f: Forest) -> PairComb:
-        groups: List[Tuple[PlantedTree, int]] = []
-        for t in f.trees:
-            if groups and groups[-1][0] == t:
-                groups[-1] = (t, groups[-1][1] + 1)
-            else:
-                groups.append((t, 1))
+        groups = _runs(f.trees)
 
         def halves(picks: Tuple[int, ...]):
             weight = 1
@@ -280,114 +297,76 @@ def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
 # Pairing
 
 
-@dataclass(frozen=True)
 class Pairing:
-    """A bilinear pairing of decoration pairs, extended to forests.
+    """The isomorphism pairing of forests: ``forests(F, G)`` is the symmetry
+    factor of F when F and G are equal, and 0 otherwise.
 
-    ``base`` takes (edge', vertex', edge, vertex) and returns a scalar.
-    Forests pair by summing over isomorphisms of the underlying planted
-    forests and multiplying the base pairing over corresponding
-    (incoming edge, vertex) pairs; no symmetry normalization is applied.
+    Forests are interned and canonical, so equality is identity.  The
+    symmetry factor counts the label-preserving automorphisms: the product,
+    over each run of m equal trees of a forest or m equal children of a
+    vertex, of m! times the run's own factor to the m-th.  Each tree body's
+    factor is kept in ``_memo``, which lives as long as the object.
     """
 
-    base: Callable[[Label, Label, Label, Label], Scalar]
-    _memo: Dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    def __init__(self) -> None:
+        self._memo: Dict[DecoratedTree, int] = {}
 
-    def _tree(self, p1: PlantedTree, p2: PlantedTree) -> Scalar:
-        key = (p1, p2)
-        hit = self._memo.get(key)
+    def _sigma(self, t: DecoratedTree) -> int:
+        hit = self._memo.get(t)
         if hit is not None:
             return hit
-        val = self._planted(p1.plant, p1.body, p2.plant, p2.body)
-        self._memo[key] = val
-        return val
+        s = 1
+        for (_, c), m in _runs(t.children):  # a loop, not a comprehension: one frame per level
+            s *= factorial(m) * self._sigma(c) ** m
+        self._memo[t] = s
+        return s
 
-    def _planted(self, e1: Label, t1: DecoratedTree, e2: Label, t2: DecoratedTree) -> Scalar:
-        if t1.shape != t2.shape:
+    def forests(self, f1: Forest, f2: Forest) -> int:
+        if f1 is not f2:
             return 0
-        head = self.base(e1, t1.label, e2, t2.label)
-        if not head:
-            return 0
-        k = len(t1.children)
-        if k == 0:
-            return head
-        # Sum over bijections of children, a permanent of the child matrix.
-        grid = [
-            [self._planted(f1, c1, f2, c2) for (f2, c2) in t2.children]
-            for (f1, c1) in t1.children
-        ]
-        return head * _permanent(grid)
-
-    def forests(self, f1: Forest, f2: Forest) -> Scalar:
-        if len(f1.trees) != len(f2.trees) or f1.vertex_count != f2.vertex_count:
-            return 0
-        if not f1.trees:
-            return 1
-        grid = [[self._tree(t1, t2) for t2 in f2.trees] for t1 in f1.trees]
-        return as_scalar(_permanent(grid))
-
-
-def _permanent(grid: List[List[Scalar]]) -> Scalar:
-    n = len(grid)
-    if n == 0:
-        return 1
-    if n == 1:
-        return grid[0][0]
-    cols = list(range(n))
-    total = 0
-
-    def rec(row: int, used: int, acc: Scalar):
-        nonlocal total
-        if row == n:
-            total += acc
-            return
-        for c in cols:
-            if used >> c & 1:
-                continue
-            v = grid[row][c]
-            if v:
-                rec(row + 1, used | 1 << c, acc * v)
-
-    rec(0, 0, 1)
-    return total
+        s = 1
+        for p, m in _runs(f1.trees):
+            s *= factorial(m) * self._sigma(p.body) ** m
+        return s
 
 
 def delta_pairing() -> Pairing:
-    """Basis-delta pairing: matching labels pair to 1."""
-
-    def base(aprime, bprime, a, b):
-        return 1 if (aprime == a and bprime == b) else 0
-
-    return Pairing(base)
+    """The pairing under which matching decorations pair to 1, and forests
+    to their symmetry factor."""
+    return Pairing()
 
 
 def pair_forests(pairing: Pairing, x: ForestComb, y: ForestComb) -> Scalar:
     """Bilinear extension of the forest pairing to combinations.
 
-    An exact sum, so the terms are visited in storage order, unsorted.
+    Only a forest against itself pairs, so the terms of the shorter
+    combination are looked up in the other; an exact sum, in storage order.
     """
+    if len(y) < len(x):
+        x, y = y, x
     total = 0
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            v = pairing.forests(f1, f2)
-            if v:
-                total += c1 * c2 * v
+    for f, c in x.items():
+        d = y.coeff(f)
+        if d:
+            total += c * d * pairing.forests(f, f)
     return as_scalar(total)
 
 
 def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Scalar:
-    """Pair two combinations of forest pairs factorwise, in storage order."""
+    """Pair two combinations of forest pairs factorwise: only a pair against
+    itself pairs, so the terms of the shorter are looked up in the other."""
+    if len(y) < len(x):
+        x, y = y, x
     total = 0
-    for (f1, g1), c1 in x.items():
-        for (f2, g2), c2 in y.items():
-            v1 = pairing.forests(f1, f2)
-            if v1:
-                total += c1 * c2 * v1 * pairing.forests(g1, g2)
+    for (f, g), c in x.items():
+        d = y.coeff((f, g))
+        if d:
+            total += c * d * pairing.forests(f, f) * pairing.forests(g, g)
     return as_scalar(total)
 
 
 class AdjointnessViolated(Exception):
-    """The two maps fail to be adjoint for the base pairing."""
+    """The second map is not the transpose of the first."""
 
 
 def counit(x: ForestComb) -> Scalar:
@@ -402,8 +381,10 @@ class PairingDefect:
     rhs: Scalar
 
 
-def check_adjoint(phi: PhiMap, phi2: PhiMap, pairing: Pairing) -> None:
-    """Assert the adjointness that duality needs, label pair by label pair.
+def check_adjoint(phi: PhiMap, phi2: PhiMap) -> None:
+    """Assert that ``phi2`` is the transpose of ``phi``, the adjointness
+    that duality needs: the coefficient of (a, b) in ``phi2(a2, b2)``
+    equals that of (a2, b2) in ``phi(a, b)``, label pair by label pair.
 
     The bases must be finite; an infinite one raises ``ValueError``.
     """
@@ -414,14 +395,8 @@ def check_adjoint(phi: PhiMap, phi2: PhiMap, pairing: Pairing) -> None:
             img2 = phi2(a2, b2)
             for a in edges:
                 for b in verts:
-                    lhs = sum(
-                        (c * pairing.base(na, nb, a, b) for (na, nb), c in img2.items()),
-                        0,
-                    )
-                    rhs = sum(
-                        (c * pairing.base(a2, b2, na, nb) for (na, nb), c in phi(a, b).items()),
-                        0,
-                    )
+                    lhs = img2.coeff((a, b))
+                    rhs = phi(a, b).coeff((a2, b2))
                     if lhs != rhs:
                         raise AdjointnessViolated(
                             f"on ({a2.render()},{b2.render()}) vs ({a.render()},{b.render()}): {lhs} != {rhs}"
@@ -437,12 +412,12 @@ def hopf_pairing_defects(
 ) -> List[PairingDefect]:
     """Check the four duality identities over sample forests.
 
-    Adjointness of the two maps is asserted first and raised as
-    :class:`AdjointnessViolated` when broken; the returned list collects
-    violations of the counit and product-coproduct identities (empty when
-    everything holds).
+    That ``phi2`` is the transpose of ``phi`` is asserted first
+    (:func:`check_adjoint`) and raised as :class:`AdjointnessViolated`
+    when broken; the returned list collects violations of the counit and
+    product-coproduct identities (empty when everything holds).
     """
-    check_adjoint(phi, phi2, pairing)
+    check_adjoint(phi, phi2)
     defects: List[PairingDefect] = []
 
     for f in unprimed:

@@ -15,8 +15,15 @@ here as oracles on top of the same view:
 ``grafting_maps`` and ``graft_forest`` graft one assignment at a time with
 the identity map, and ``isomorphisms`` lists every isomorphism of the
 underlying planted forests.  The package computes the same sums directly:
-the deformed product over all assignments at once, the pairing as a
-permanent over children.
+the deformed product over all assignments at once, the pairing as the
+symmetry factor of a forest against itself.
+
+``PermanentPairing`` is the pairing before that: a base pairing of
+(edge', vertex', edge, vertex) extended to forests as a permanent over
+the trees of the two forests, and over the children of each pair of
+vertices of equal shape; ``delta_base`` is the base it was always given.
+``pair_forests_by_double_loop`` and ``pair_tensor_by_double_loop`` pair
+two combinations term against term.
 
 The path-address surgery that grafting and the post-Lie vertex action
 used before :func:`rtcalc.trees.vertex_sum` is kept here too: a vertex is
@@ -583,6 +590,73 @@ def isomorphisms(f1: Forest, f2: Forest) -> List[Dict[ForestVertexId, ForestVert
                     iso[(i, p)] = (perm[i], q)
             out.append(iso)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The pairing as a permanent over children
+
+
+class PermanentPairing:
+    """A base pairing ``base(e', v', e, v)`` extended to forests: the sum,
+    over the isomorphisms of the underlying planted forests, of the product
+    of the base over corresponding (incoming edge, vertex) pairs, taken as
+    a permanent over trees and, at each vertex, over children."""
+
+    def __init__(self, base: Callable[[Label, Label, Label, Label], object]):
+        self.base = base
+        self._memo: Dict = {}
+
+    def _tree(self, p1: PlantedTree, p2: PlantedTree):
+        key = (p1, p2)
+        if key not in self._memo:
+            self._memo[key] = self._planted(p1.plant, p1.body, p2.plant, p2.body)
+        return self._memo[key]
+
+    def _planted(self, e1: Label, t1: DecoratedTree, e2: Label, t2: DecoratedTree):
+        if t1.shape != t2.shape:
+            return 0
+        head = self.base(e1, t1.label, e2, t2.label)
+        if not head or not t1.children:
+            return head
+        grid = [[self._planted(f1, c1, f2, c2) for f2, c2 in t2.children] for f1, c1 in t1.children]
+        return head * permanent(grid)
+
+    def forests(self, f1: Forest, f2: Forest):
+        if len(f1.trees) != len(f2.trees) or f1.vertex_count != f2.vertex_count:
+            return 0
+        return permanent([[self._tree(t1, t2) for t2 in f2.trees] for t1 in f1.trees])
+
+
+def permanent(grid: List[List]) -> object:
+    """The sum, over the bijections of rows to columns, of the products of
+    the entries they pick; 1 for the empty grid."""
+    n = len(grid)
+    return sum(
+        (prod(grid[i][j] for i, j in enumerate(cols)) for cols in permutations(range(n))),
+        0,
+    )
+
+
+def delta_base(e2: Label, v2: Label, e: Label, v: Label) -> int:
+    """Matching decorations pair to 1, all others to 0."""
+    return 1 if (e2, v2) == (e, v) else 0
+
+
+def pair_forests_by_double_loop(pairing, x: LinComb, y: LinComb):
+    """Every term of ``x`` against every term of ``y``."""
+    return sum((c1 * c2 * pairing.forests(f1, f2) for f1, c1 in x.items() for f2, c2 in y.items()), 0)
+
+
+def pair_tensor_by_double_loop(pairing, x: LinComb, y: LinComb):
+    """Every pair of ``x`` against every pair of ``y``, factorwise."""
+    return sum(
+        (
+            c1 * c2 * pairing.forests(f1, f2) * pairing.forests(g1, g2)
+            for (f1, g1), c1 in x.items()
+            for (f2, g2), c2 in y.items()
+        ),
+        0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -699,7 +699,7 @@ def test_theta_on_a_too_deep_ladder_exits_2_without_traceback(tmp_path):
     assert "recursion limit" in err and "nesting depth" in err
 
 
-@pytest.mark.parametrize("command", ["theta", "graft", "coprod"])
+@pytest.mark.parametrize("command", ["theta", "graft", "coprod", "pair"])
 def test_an_800_deep_ladder_succeeds(tmp_path, command):
     # Parsing, the operators and printing each take one frame per level.
     # graft takes the ladder as its left factor, so the output is the one
@@ -708,15 +708,17 @@ def test_an_800_deep_ladder_succeeds(tmp_path, command):
     # own key and text, about 6 GB.
     phi = jfile(tmp_path, "phi.json", PHI_D0)
     text = ladder_text(800)
-    t = tfile(tmp_path, "t.txt", "[<0>]" + text if command == "coprod" else text)
+    t = tfile(tmp_path, "t.txt", "[<0>]" + text if command in ("coprod", "pair") else text)
     argv = {
         "theta": ("theta", "--phi", phi, t),
         "graft": ("graft", "--phi", phi, "--a", "<0>", t, tfile(tmp_path, "y.txt", "(<0>)")),
         "coprod": ("coprod", "--phi", phi, t),
+        "pair": ("pair", "--phi", phi, t, t),
     }[command]
     code, out, err = run_process(*argv)
     assert (code, err) == (0, "")
-    want = {"theta": text + "\n", "graft": f"(<0> [<0>]{text})\n"}
+    # A ladder has no symmetry, so it pairs with itself to 1.
+    want = {"theta": text + "\n", "graft": f"(<0> [<0>]{text})\n", "pair": "1\n"}
     if command in want:
         assert out == want[command]
     else:

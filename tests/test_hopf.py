@@ -2,22 +2,25 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import prod
 
 import pytest
 
 from forest_oracles import (
+    PermanentPairing,
     apply_at,
     cut_coproduct as oracle_cut_coproduct,
     cut_coproduct_by_scaling,
     go_triangle_by_scaling,
     star_product_by_scaling,
     theta_bar_nested,
+    delta_base,
     forest_sites,
     graft_basis,
     graft_forest,
     grafting_maps,
     isomorphisms,
+    pair_forests_by_double_loop,
+    pair_tensor_by_double_loop,
     rebuild_forest,
 )
 from rtcalc.decorations import symbols
@@ -515,7 +518,7 @@ def test_hopf_pairing_rejects_non_adjoint():
     phi = from_table(E2, V2, {(ea, va): [(1, eb, va)]})
     not_adjoint = identity_map(E2, V2)
     with pytest.raises(AdjointnessViolated):
-        check_adjoint(phi, not_adjoint, delta_pairing())
+        check_adjoint(phi, not_adjoint)
     pool = [EMPTY_FOREST]
     with pytest.raises(AdjointnessViolated):
         hopf_pairing_defects(phi, not_adjoint, delta_pairing(), pool, pool)
@@ -571,7 +574,7 @@ def test_bucketed_pairing_defects_match_the_unbucketed_loops():
     E2 = symbols("E", ["a1"])
     V2 = symbols("V", ["b1", "b2"])
     phi = identity_map(E2, V2)
-    pairing = SkewedPairing(delta_pairing().base)
+    pairing = SkewedPairing()
     # Unsorted by size, so the order of the defects is checked as well.
     pool = all_forests(3, E2.labels(), V2.labels())
     random.Random(5).shuffle(pool)
@@ -740,17 +743,11 @@ def test_star_product_under_the_identity_sums_the_grafting_maps():
             assert star_product(phi, LinComb.of(f), LinComb.of(g)) == want
 
 
-def skewed_base(seed):
-    """A seeded base pairing with no symmetry, zero on some label pairs."""
-    rng = random.Random(seed)
-    pairs = list(product(E2.labels(), V2.labels()))
-    table = {(p, q): Fraction(rng.randint(-1, 3), rng.randint(1, 3)) for p in pairs for q in pairs}
-    return lambda a2, b2, a, b: table[((a2, b2), (a, b))]
-
-
-@pytest.mark.parametrize("pairing", [delta_pairing(), Pairing(skewed_base(43))], ids=["delta", "skewed"])
-def test_pairing_is_the_sum_over_isomorphisms(pairing):
+def test_pairing_is_the_sum_over_isomorphisms():
+    # Under the delta base, the pairing of two forests counts the
+    # isomorphisms of their underlying forests that keep every label.
     pool = all_forests(3, E2.labels(), V2.labels())
+    pairing = delta_pairing()
     decorations = {}
     for f in pool:
         s = forest_sites(f)
@@ -760,15 +757,59 @@ def test_pairing_is_the_sum_over_isomorphisms(pairing):
         d1 = decorations[f1]
         for f2 in pool:
             d2 = decorations[f2]
-            want = sum(
-                (prod(pairing.base(*d1[v], *d2[w]) for v, w in iso.items()) for iso in isomorphisms(f1, f2)),
-                Fraction(0),
-            )
+            want = sum(all(d1[v] == d2[w] for v, w in iso.items()) for iso in isomorphisms(f1, f2))
             assert pairing.forests(f1, f2) == want
             nonzero += want != 0
-    # The delta pairing is nonzero on the diagonal only; the skewed base
-    # also pairs forests with different labels.
-    assert nonzero >= len(pool)
+    assert nonzero == len(pool)
+
+
+def test_symmetry_factors_match_the_permanent_pairing():
+    old = PermanentPairing(delta_base)
+    new = delta_pairing()
+    pool = all_forests(3, E2.labels(), V2.labels())
+    assert len(pool) == 219
+    for f1 in pool:
+        for f2 in pool:
+            assert new.forests(f1, f2) == old.forests(f1, f2)
+    diagonal = forests_up_to(4, E2.labels(), V2.labels())
+    assert len(diagonal) == 1718
+    # Runs of equal trees or children whose own factor is 2, which needs
+    # more than four vertices: two equal cherries side by side or under
+    # one vertex, and three under one vertex.
+    cherries = [p for p in all_planted(3, E2.labels(), V2.labels()) if new.forests(forest([p]), forest([p])) == 2]
+    assert len(cherries) == 16
+    for p in cherries:
+        diagonal.append(forest([p, p]))
+        for m in (2, 3):
+            diagonal.append(forest([PlantedTree(p.plant, node(p.body.label, [(p.plant, p.body)] * m))]))
+    values = [new.forests(f, f) for f in diagonal]
+    assert values == [old.forests(f, f) for f in diagonal]
+    assert {1, 2, 4, 6, 8, 24, 48} <= set(values)
+
+
+def test_the_combination_pairings_match_the_double_loops():
+    rng = random.Random(23)
+    pool = all_forests(3, E2.labels(), V2.labels())
+    pairing = delta_pairing()
+    old = PermanentPairing(delta_base)
+
+    def comb(terms, size):
+        picks = [rng.choice(terms) for _ in range(size)]
+        return LinComb((t, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for t in picks)
+
+    nonzero = 0
+    for _ in range(40):
+        # Drawn from a few forests, so the two sides share terms.
+        few = rng.sample(pool, 5)
+        x, y = comb(few, rng.randint(0, 6)), comb(few, rng.randint(0, 9))
+        want = pair_forests_by_double_loop(old, x, y)
+        assert pair_forests(pairing, x, y) == want == pair_forests(pairing, y, x)
+        pairs = [(f, g) for f in few[:3] for g in few[:3]]
+        x, y = comb(pairs, rng.randint(0, 6)), comb(pairs, rng.randint(0, 9))
+        want2 = pair_tensor_by_double_loop(old, x, y)
+        assert pair_tensor(pairing, x, y) == want2 == pair_tensor(pairing, y, x)
+        nonzero += (want != 0) + (want2 != 0)
+    assert nonzero >= 40
 
 
 def test_refusals_name_the_canonically_first_term():

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rtcalc.decorations import lambda_pow, mi, symbols
-from rtcalc.hopf import Pairing, cut_coproduct, forest_elem, star_product
+from rtcalc.hopf import cut_coproduct, delta_pairing, forest_elem, pair_forests, pair_tensor, star_product
 from rtcalc.lincomb import LinComb, as_scalar, exact_div, lc_sum
 from rtcalc.phimaps import build_JD, from_blocks
 from rtcalc.ratmat import det, inv2, mat, rref
 from rtcalc.spde import SpdeConfig, phi_lambda
+from rtcalc.trees import EMPTY_FOREST
 from rtcalc.verify import forests_up_to
 
 
@@ -113,13 +114,16 @@ def test_hopf_operators_store_ints_until_a_denominator_appears(A, B, form, f, g)
 
 
 @settings(max_examples=15, deadline=None)
+@example([Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(2)], FORESTS[1], FORESTS[2])
 @given(st.lists(halves, min_size=4, max_size=4), st.sampled_from(FORESTS), st.sampled_from(FORESTS))
 def test_pairing_values_store_ints_until_a_denominator_appears(weights, f, g):
-    table = dict(zip(((a, b) for a in E.labels() for b in V.labels()), weights))
-    pairing = Pairing(lambda a2, b2, a, b: table[(a, b)] if (a2, b2) == (a, b) else 0)
-    for x in (f, g):
-        for y in (f, g):
-            assert is_stored_scalar(pairing.forests(x, y))
+    w1, w2, w3, w4 = weights
+    pairing = delta_pairing()
+    x, y = LinComb([(f, w1), (g, w2)]), LinComb([(f, w3), (g, w4), (EMPTY_FOREST, w1)])
+    assert is_stored_scalar(pair_forests(pairing, x, y))
+    xx = LinComb([((f, g), w1), ((g, f), w2), ((f, f), w3)])
+    yy = LinComb([((f, g), w4), ((g, f), w3), ((g, g), w2)])
+    assert is_stored_scalar(pair_tensor(pairing, xx, yy))
 
 
 matrices = st.integers(1, 3).flatmap(
