@@ -21,9 +21,10 @@ left factor to stay or into one tree of the right.  It sums assignments by
 through the integer-pair loop of :func:`rtcalc.lincomb.multilinear` cost
 about 11% of hopf-duality's jobs_per_s.  The forest edge-product operator
 ``theta_bar`` runs the tree recursion of :mod:`rtcalc.prelie` on each tree
-body.  Each operator sums over the terms of its inputs unsorted, by
-:func:`rtcalc.lincomb.multilinear` or :meth:`LinComb.map_terms`, after
-:func:`_guard` has checked the map on them in canonical order.
+body.  Each operator refuses, by one :func:`rtcalc.phimaps.ensure_usable`,
+a map refuted on the labels of all the terms of its inputs together, then
+sums over those terms unsorted, by :func:`rtcalc.lincomb.multilinear` or
+:meth:`LinComb.map_terms`.
 
 The pairing is the isomorphism pairing of the Grossman-Larson and
 Connes-Kreimer algebras (Hoffman, "Combinatorics of rooted trees and Hopf
@@ -47,13 +48,13 @@ only the vertices it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import comb, factorial, prod
 from typing import Dict, List, Tuple
 
 from .lincomb import LinComb, Scalar, as_scalar, multilinear
-from .phimaps import PhiMap
-from .prelie import _ensure_usable_on, apply_edge_maps
+from .phimaps import PhiMap, ensure_usable
+from .prelie import apply_edge_maps
 from .trees import EMPTY_FOREST, DecoratedTree, Forest, PlantedTree, forest, forest_mul, node
 
 ForestComb = LinComb  # combinations of Forest
@@ -66,13 +67,9 @@ def forest_elem(f: Forest) -> ForestComb:
     return LinComb.of(f)
 
 
-def _guard(phi: PhiMap, *combs: LinComb) -> None:
-    """Refuse ``phi`` if it is refuted on the labels of the trees of one
-    forest of each combination.  The choices of forests go in canonical
-    order, so a refusal names the first."""
-    for choice in iproduct(*(c.sorted_items() for c in combs)):
-        trees = [p for f, _ in choice for p in f.trees]
-        _ensure_usable_on(phi, [p.body for p in trees], [p.plant for p in trees])
+def _planted(*combs: ForestComb):
+    """The planted trees of the forests of ``combs``, unsorted."""
+    return (p for c in combs for f, _ in c.items() for p in f.trees)
 
 
 def _runs(items: Tuple) -> List[List]:
@@ -160,10 +157,10 @@ def star_product(phi: PhiMap, x: ForestComb, y: ForestComb) -> ForestComb:
 
     Each tree of the left factor either stays planted or grafts onto a
     vertex of the right factor, the map acting on each grafted pair.  The
-    empty forest is the unit.  Refuses maps refuted on the labels in
-    sight, since the result would depend on internal application order.
+    empty forest is the unit.  Refuses maps refuted on the labels of both
+    factors, since the result would depend on internal application order.
     """
-    _guard(phi, x, y)
+    ensure_usable(phi, _planted(x, y))
     memo: Dict = {}
     return multilinear(lambda f, g: _graft_basis(phi, f, g, memo).items(), x, y)
 
@@ -174,9 +171,10 @@ def go_triangle(phi: PhiMap, x: ForestComb, p: LinComb) -> LinComb:
     Unlike the product, nothing may stay behind: the assignments run over
     vertices of the target only, so the result is again a combination of
     planted trees.  With a one-tree forest on the left this coincides
-    with the deformed grafting of planted elements.
+    with the deformed grafting of planted elements.  Refuses a map refuted
+    on the labels of ``x`` and ``p`` together.
     """
-    _guard(phi, p.map_terms(lambda pt: LinComb.of(forest([pt]))), x)
+    ensure_usable(phi, chain(_planted(x), (pt for pt, _ in p.items())))
     memo: Dict = {}
 
     def grafted(F: Forest, pt: PlantedTree):
@@ -252,9 +250,10 @@ def cut_coproduct(phi: PhiMap, x: ForestComb) -> PairComb:
     A severed edge runs the map against its lower endpoint; plant edges
     have no decorated lower endpoint and move with their tree, untouched.
     The upper part lands in the left factor, replanted on the severed
-    edges.
+    edges.  Refuses a map refuted on the labels of all the terms of ``x``
+    together.
     """
-    _guard(phi, x)
+    ensure_usable(phi, _planted(x))
 
     def cuts(f: Forest) -> PairComb:
         options = [
@@ -282,9 +281,10 @@ def theta_bar(phi: PhiMap, x: ForestComb) -> ForestComb:
     Runs :func:`rtcalc.prelie.apply_edge_maps` on the body of each tree
     and multiplies the images by :func:`rtcalc.lincomb.multilinear`; plant
     edges have no decorated lower endpoint and keep their labels.  An
-    algebra morphism by construction.
+    algebra morphism by construction.  Refuses a map refuted on the labels
+    of all the terms of ``x`` together.
     """
-    _guard(phi, x)
+    ensure_usable(phi, _planted(x))
 
     def images(f: Forest) -> ForestComb:
         build = lambda *bs: ((forest(PlantedTree(t.plant, b) for t, b in zip(f.trees, bs)), 1),)

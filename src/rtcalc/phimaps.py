@@ -1,11 +1,14 @@
 """Linear maps on edge-vertex decoration pairs.
 
 A :class:`PhiMap` sends a basis pair (edge label, vertex label) to a
-linear combination of such pairs.  The central predicate is the
-commutation of the two partial actions on triples (a, a', b): the map is
-"tree-compatible" when acting through the first edge slot and then the
-second agrees with the opposite order.  On finite bases that is decided
+linear combination of such pairs.  The central predicate is
+tree-compatibility: two edges decorated a and a' at one vertex decorated
+b give the same result in either order of :meth:`PhiMap.act_at_vertex`,
+the local step of every tree operator.  On finite bases that is decided
 exactly; on multi-index bases it is only ever verified up to a bound.
+:func:`ensure_usable`, the one guard of the operators, passes a flagged
+map at once, reads the kept verdict on finite bases, and otherwise scans
+the labels of all the operands together.
 
 The module also provides the combinators that preserve or transport
 compatibility (decomposable maps, direct sums, composition, polynomials,
@@ -40,7 +43,7 @@ from .decorations import (
     SymbolBasis,
     union_bases,
 )
-from .lincomb import LinComb, Scalar, as_scalar, exact_div, lc_sum
+from .lincomb import LinComb, Scalar, as_scalar, exact_div, lc_sum, term_key
 from .ratmat import (
     Matrix,
     commute,
@@ -51,6 +54,7 @@ from .ratmat import (
     mat_sub,
     sqrt_fraction,
 )
+from .trees import DecoratedTree, PlantedTree
 
 
 class IncompatiblePhi(Exception):
@@ -209,33 +213,15 @@ class Refuted:
 Verdict = Compatible | VerifiedUpToBound | Refuted
 
 
-def _act23(phi: PhiMap, triples: LinComb) -> LinComb:
-    """Apply the map through slots (2, 3) of a triple combination."""
-
-    def on_triple(t):
-        a, a2, b = t
-        return phi(a2, b).map_terms(lambda nb: LinComb.of((a, nb[0], nb[1])))
-
-    return triples.map_terms(on_triple)
-
-
-def _act13(phi: PhiMap, triples: LinComb) -> LinComb:
-    """Apply the map through slots (1, 3) of a triple combination."""
-
-    def on_triple(t):
-        a, a2, b = t
-        return phi(a, b).map_terms(lambda nb: LinComb.of((nb[0], a2, nb[1])))
-
-    return triples.map_terms(on_triple)
-
-
 def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
     """Decide tree-compatibility on finite bases; verify up to a bound otherwise.
 
-    On finite bases the verdict is computed once and kept on the map, and
-    ``bound`` is ignored.  On infinite (multi-index) bases the verdict is
-    never ``Compatible``: the scan covers all labels with entries <=
-    ``bound`` (noise labels included) and reports ``VerifiedUpToBound``.
+    The scan, :func:`refuted_on`, runs two edges at one vertex in both
+    orders.  On finite bases the verdict is computed once and kept on the
+    map, and ``bound`` is ignored.  On infinite (multi-index) bases the
+    verdict is never ``Compatible``: the scan covers all labels with
+    entries <= ``bound`` (noise labels included) and reports
+    ``VerifiedUpToBound``.
     """
     if phi.edge_basis.is_finite and phi.vertex_basis.is_finite:
         if phi._verdict is None:
@@ -249,34 +235,51 @@ def check_compat(phi: PhiMap, bound: Optional[int] = None) -> Verdict:
 
 
 def refuted_on(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequence[Label]):
-    """First refuting triple among the given labels, or None."""
+    """First refuting triple among the given labels, in their order, or None.
+
+    The triple (a, a', b) runs edges decorated a' and a at a vertex
+    decorated b through :meth:`PhiMap.act_at_vertex`, a' first (``lhs``)
+    and a first (``rhs``), each state read back as (image of a, image of
+    a', new b).
+    """
     for a in edge_labels:
         for a2 in edge_labels:
             for b in vertex_labels:
-                start = LinComb.of((a, a2, b))
-                lhs, rhs = _act13(phi, _act23(phi, start)), _act23(phi, _act13(phi, start))
+                a2_first, a_first = phi.act_at_vertex((a2, a), b), phi.act_at_vertex((a, a2), b)
+                lhs = LinComb._raw({(x, x2, bb): c for ((x2, x), bb), c in a2_first.items()})
+                rhs = LinComb._raw({(x, x2, bb): c for ((x, x2), bb), c in a_first.items()})
                 if lhs != rhs:
                     return Refuted((a, a2, b), lhs, rhs)
     return None
 
 
-def ensure_usable(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequence[Label]) -> None:
-    """Refuse maps whose refutation is visible from the labels at hand.
+def ensure_usable(phi: PhiMap, trees: Iterable[DecoratedTree | PlantedTree]) -> None:
+    """Refuse ``phi`` if it is refuted on the labels of ``trees``, the
+    trees or planted trees of an operator's operands.
 
-    Maps flagged compatible-by-construction pass immediately.  On finite
-    bases the full verdict, kept on the map, decides; otherwise the scan
-    runs over the labels actually occurring in the element being processed.
+    A flagged map passes at once, and on finite bases the verdict kept on
+    the map decides; neither walks a tree.  Otherwise the labels of all
+    the trees, plant edges counted as edge labels, are sorted canonically
+    and scanned once, so a refusal names the first refuting triple over
+    all of them, whatever order the trees come in.
     """
     if phi.compat_by_construction:
         return
     if phi.edge_basis.is_finite and phi.vertex_basis.is_finite:
         verdict = check_compat(phi)
-        if isinstance(verdict, Refuted):
-            raise IncompatiblePhi(str(verdict))
-        return
-    bad = refuted_on(phi, tuple(edge_labels), tuple(vertex_labels))
-    if bad is not None:
-        raise IncompatiblePhi(str(bad))
+    else:
+        edges, vertices, stack = set(), set(), list(trees)
+        while stack:  # a loop, not a recursion: any depth
+            t = stack.pop()
+            if isinstance(t, PlantedTree):
+                edges.add(t.plant)
+                t = t.body
+            vertices.add(t.label)
+            edges.update(e for e, _ in t.children)
+            stack.extend(c for _, c in t.children)
+        verdict = refuted_on(phi, sorted(edges, key=term_key), sorted(vertices, key=term_key))
+    if isinstance(verdict, Refuted):
+        raise IncompatiblePhi(str(verdict))
 
 
 # ---------------------------------------------------------------------------

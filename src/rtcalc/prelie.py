@@ -44,7 +44,7 @@ exactly the planted single vertices.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, Set, Tuple
+from typing import Callable, Dict, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb, multilinear
@@ -61,10 +61,6 @@ from .trees import (
 
 TreeComb = LinComb  # combinations of DecoratedTree
 PlantedComb = LinComb  # combinations of PlantedTree
-
-
-def tree_elem(t: DecoratedTree) -> TreeComb:
-    return LinComb.of(t)
 
 
 def single_vertex(label: Label) -> TreeComb:
@@ -114,27 +110,6 @@ def graft_free(x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
     return _graft_sum(x, y, lambda tx, s: ((DecoratedTree(s.label, insert_child(s.children, (a, tx))), 1),))
 
 
-def _collect_labels(t: DecoratedTree, edges: Set[Label], vertices: Set[Label]) -> None:
-    vertices.add(t.label)
-    for e, c in t.children:
-        edges.add(e)
-        _collect_labels(c, edges, vertices)
-
-
-def _ensure_usable_on(phi: PhiMap, trees: Iterable[DecoratedTree], plants: Iterable[Label] = ()) -> None:
-    """Refuse ``phi`` if it is refuted on the labels of ``trees`` and the
-    edge labels ``plants``.
-
-    The labels go to :func:`rtcalc.phimaps.ensure_usable` in canonical
-    order, so the triple a refusal names does not depend on set order.
-    """
-    edge_labels: Set[Label] = set(plants)
-    vertex_labels: Set[Label] = set()
-    for t in trees:
-        _collect_labels(t, edge_labels, vertex_labels)
-    ensure_usable(phi, sorted(edge_labels, key=lambda l: l.sort_key), sorted(vertex_labels, key=lambda l: l.sort_key))
-
-
 def _edge_image(phi: PhiMap, s: DecoratedTree, memo: Dict[DecoratedTree, TreeComb]) -> TreeComb:
     """The operator on the subtree ``s``, computed once per ``memo``.
 
@@ -173,14 +148,14 @@ def apply_edge_maps(phi: PhiMap, t: DecoratedTree) -> TreeComb:
 def theta(phi: PhiMap, x: TreeComb) -> TreeComb:
     """The edge-product operator attached to a tree-compatible map.
 
-    Refuses maps that are refuted on the labels in sight (full basis when
-    finite).  The image of ``node(b, [(e_i, T_i)])`` is the local action
+    Refuses a map refuted on the labels of all the terms of ``x``
+    together (on the full bases when they are finite).  The image of ``node(b, [(e_i, T_i)])`` is the local action
     of the map on (e_1, ..., e_k; b), combined with the images of the
     subtrees T_i, which are computed once per call and shared across the
     terms of ``x``; see :func:`apply_edge_maps` for why only the order of
     siblings matters.
     """
-    _ensure_usable_on(phi, (t for t, _ in x.items()))
+    ensure_usable(phi, (t for t, _ in x.items()))
     memo: Dict[DecoratedTree, TreeComb] = {}
     return x.map_terms(lambda t: _edge_image(phi, t, memo))
 

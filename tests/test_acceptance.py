@@ -58,7 +58,6 @@ from rtcalc.prelie import (
     planted_graft,
     single_vertex,
     theta,
-    tree_elem,
 )
 from rtcalc.ratmat import nullspace
 from rtcalc.spde import SpdeConfig, noise_extend, partial_lambda, phi_lambda, phi_lambda_via_exp, spde_phi, spde_psi, xi_admissible, xi_generation_probe
@@ -216,11 +215,11 @@ def test_criterion_04_edge_operator_is_a_morphism_with_inverse():
     for phi, elabels, vlabels in families:
         ts = trees_up_to(3, elabels, vlabels)
         for x in ts:
-            tx = theta(phi, tree_elem(x))
+            tx = theta(phi, LinComb.of(x))
             for y in ts:
-                ty = theta(phi, tree_elem(y))
+                ty = theta(phi, LinComb.of(y))
                 for a in elabels:
-                    lhs = theta(phi, graft_free(tree_elem(x), a, tree_elem(y)))
+                    lhs = theta(phi, graft_free(LinComb.of(x), a, LinComb.of(y)))
                     assert lhs == graft_phi(phi, tx, a, ty)
                     identities += 1
 
@@ -229,7 +228,7 @@ def test_criterion_04_edge_operator_is_a_morphism_with_inverse():
     labels = [mi(k) for k in range(3)]
     inverses = 0
     for t in trees_up_to(4, labels, labels):
-        assert theta(fwd, theta(back, tree_elem(t))) == tree_elem(t)
+        assert theta(fwd, theta(back, LinComb.of(t))) == LinComb.of(t)
         inverses += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 120

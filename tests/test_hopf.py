@@ -55,7 +55,7 @@ from rtcalc.phimaps import (
     tensor_map,
     transpose_map,
 )
-from rtcalc.prelie import graft_phi
+from rtcalc.prelie import graft_phi, theta
 from rtcalc.spde import SpdeConfig, phi_lambda
 from rtcalc.trees import (
     EMPTY_FOREST,
@@ -815,8 +815,10 @@ def test_the_combination_pairings_match_the_double_loops():
 def test_refusals_name_the_canonically_first_term():
     # A map refuted on (e1, e1, v1) and on (e2, e2, v2), joined to phi_lambda
     # so that the basis is infinite and each refusal scans only the labels
-    # in sight.  The refusal must come from the canonically first forest,
-    # whatever order the combination was built in.
+    # of the operands.  Those of all the terms are scanned together, in
+    # canonical order, so a combination is refused on the first refuting
+    # triple over all of them, whatever order it was built in.  Here that
+    # triple is also the first over the canonically first forest alone.
     Es, Vs = symbols("e", ["e1", "e2"]), symbols("v", ["v1", "v2"])
     (e1, e2), (v1, v2) = Es.labels(), Vs.labels()
     table = {
@@ -846,6 +848,46 @@ def test_refusals_name_the_canonically_first_term():
         assert alone[f1] != alone[f2]
         for order in ((f1, f2), (f2, f1)):
             assert refusal(op, LinComb((f, 1) for f in order)) == alone[first]
+
+
+def test_terms_that_pass_alone_are_refused_together():
+    # A block-diagonal table: e1 acts on the vertex labels by a nilpotent
+    # matrix and e2 by a projection.  Each commutes with itself, so a forest
+    # with one of the two edge labels passes, but the two do not commute at
+    # v1.  Joined to phi_lambda, the map is on an infinite basis and not
+    # flagged, so the operators scan the labels of both terms together.
+    Es, Vs = symbols("e", ["e1", "e2"]), symbols("v", ["v1", "v2"])
+    (e1, e2), (v1, v2) = Es.labels(), Vs.labels()
+    table = {(e1, v1): [(1, e1, v2)], (e2, v1): [(1, e2, v1)]}
+    phi = direct_sum(phi_lambda(SpdeConfig(0, (1,))), from_table(Es, Vs, table), 1, 1)
+    f1, f2 = forest([PlantedTree(e1, leaf(v1))]), forest([PlantedTree(e2, leaf(v1))])
+    operations = [
+        lambda x: star_product(phi, x, UNIT),
+        lambda x: cut_coproduct(phi, x),
+        lambda x: theta_bar(phi, x),
+    ]
+    for op in operations:
+        for f in (f1, f2):
+            op(LinComb.of(f))
+        for order in ((f1, f2), (f2, f1)):
+            with pytest.raises(IncompatiblePhi, match=r"^Refuted\(a=e1, a'=e2, b=v1\)$"):
+                op(LinComb((f, 1) for f in order))
+
+
+def test_a_refuted_finite_map_is_refused_on_a_zero_operand():
+    # On finite bases the map's own verdict decides, whatever the operands.
+    bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
+    zero = LinComb()
+    operations = [
+        lambda: theta(bad, zero),
+        lambda: star_product(bad, zero, UNIT),
+        lambda: go_triangle(bad, zero, zero),
+        lambda: cut_coproduct(bad, zero),
+        lambda: theta_bar(bad, zero),
+    ]
+    for op in operations:
+        with pytest.raises(IncompatiblePhi):
+            op()
 
 
 # ---------------------------------------------------------------------------

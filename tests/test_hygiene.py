@@ -14,7 +14,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
 # Kept with no user outside the tests, and why.
 TEST_ONLY = {
-    "tree_elem": "the tests build tree combinations with it",
     "theta_bar": "the paper's forest edge-product operator; the tests check it against the tree operator",
     "go_triangle": "the paper's all-grafted forest product; the tests check it against planted grafting",
     "nullspace": "an acceptance test finds the kernel of the root-regraft operator with it",

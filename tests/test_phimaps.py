@@ -31,13 +31,16 @@ from rtcalc.phimaps import (
     from_blocks,
     from_table,
     identity_map,
+    mark_compatible,
     polynomial,
+    refuted_on,
     tensor_map,
     transpose_map,
     zero_map,
 )
 import rtcalc.phimaps as phimaps
 from rtcalc.ratmat import det, identity, inv2, mat, mat_mul
+from rtcalc.spde import SpdeConfig, phi_lambda
 
 from constructions import Pr, mixed_commutation_defect, tensor_product, to_blocks
 
@@ -185,8 +188,81 @@ def test_transpose_is_matrix_transpose():
 def test_ensure_usable_raises_on_refuted():
     bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
     with pytest.raises(IncompatiblePhi):
-        ensure_usable(bad, E.labels(), V.labels())
-    ensure_usable(identity_map(E, V), E.labels(), V.labels())
+        ensure_usable(bad, ())
+    ensure_usable(identity_map(E, V), ())
+
+
+def first_defect(phi, edge_labels, vertex_labels):
+    """The first triple, in scan order, with a nonzero slot-action defect,
+    and the defect there; (None, None) when there is none."""
+    for a in edge_labels:
+        for a2 in edge_labels:
+            for b in vertex_labels:
+                d = mixed_commutation_defect(phi, phi, a, a2, b)
+                if d:
+                    return (a, a2, b), d
+    return None, None
+
+
+def assert_scan_matches_the_slot_oracle(phi, edge_labels, vertex_labels):
+    """``refuted_on`` against the slot-action oracle on the scan of each
+    triple, the triple's two edge labels in its order: the same first
+    witness, and lhs - rhs equal to the oracle's defect there.  Returns the
+    verdicts seen, True for a refutation."""
+    seen = set()
+    for a in edge_labels:
+        for a2 in edge_labels:
+            for b in vertex_labels:
+                es = (a,) if a == a2 else (a, a2)
+                bad = refuted_on(phi, es, (b,))
+                witness, defect = first_defect(phi, es, (b,))
+                if bad is None:
+                    assert witness is None
+                else:
+                    assert bad.witness == witness
+                    assert bad.lhs - bad.rhs == defect
+                seen.add(bad is not None)
+    return seen
+
+
+def test_the_scan_agrees_with_the_slot_action_oracle():
+    rng = random.Random(2401)
+    pairs = [(a, b) for a in E.labels() for b in V.labels()]
+    seen = set()
+    for _ in range(40):
+        table = {
+            ab: [(rng.randint(-2, 2), *rng.choice(pairs)) for _ in range(rng.randint(0, 2))]
+            for ab in rng.sample(pairs, rng.randint(1, 4))
+        }
+        seen |= assert_scan_matches_the_slot_oracle(from_table(E, V, table), E.labels(), V.labels())
+    assert seen == {True, False}
+    lam = phi_lambda(SpdeConfig(1, (1, Fraction(1, 2))))
+    mu = phi_lambda(SpdeConfig(1, (-2, 3)))
+    phi = compose(lam, mu)
+    labels = phi.edge_basis.labels_up_to(2)
+    assert assert_scan_matches_the_slot_oracle(phi, labels, labels) == {False}
+    assert refuted_on(phi, labels, labels) is None
+    assert first_defect(phi, labels, labels) == (None, None)
+
+
+class Untouched:
+    """An iterator of trees that fails the test if anything advances it."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("the guard walked a tree")
+
+
+def test_flagged_and_finite_maps_walk_no_tree():
+    lam = phi_lambda(SpdeConfig(0, (1,)))
+    flagged = [identity_map(E, V), lam, mark_compatible(compose(lam, lam))]
+    for phi in flagged + [from_table(E, V, {(a1, b1): [(2, a1, b1)]})]:
+        ensure_usable(phi, Untouched())
+    bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
+    with pytest.raises(IncompatiblePhi):
+        ensure_usable(bad, Untouched())
 
 
 # --- block bridge -----------------------------------------------------------
@@ -384,18 +460,18 @@ def test_finite_verdict_is_computed_once(monkeypatch):
     bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
     for _ in range(3):
         with pytest.raises(IncompatiblePhi):
-            ensure_usable(bad, E.labels(), V.labels())
+            ensure_usable(bad, ())
     assert isinstance(check_compat(bad), Refuted)
     assert len(scans) == 1
     good = from_table(E, V, {(a1, b1): [(2, a1, b1)]})
     assert isinstance(check_compat(good), Compatible)
-    ensure_usable(good, E.labels(), V.labels())
+    ensure_usable(good, ())
     assert len(scans) == 2
 
 
 def test_guarded_map_is_freed_when_dropped():
     phi = from_table(E, V, {(a1, b1): [(3, a1, b1)]})
-    ensure_usable(phi, E.labels(), V.labels())
+    ensure_usable(phi, ())
     phi(a1, b1)
     ref = weakref.ref(phi)
     del phi

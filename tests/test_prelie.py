@@ -43,7 +43,6 @@ from rtcalc.prelie import (
     single_vertex,
     theta,
     theta_morphism_defect,
-    tree_elem,
 )
 from rtcalc.spde import SpdeConfig, phi_lambda
 from rtcalc.postlie import PsiPair, _vertex_action_on_tree
@@ -103,7 +102,7 @@ def test_graft_free_on_single_vertices():
 
 def test_graft_free_sums_over_all_vertices():
     x = single_vertex(b1)
-    y = tree_elem(ladder((b1, a2), (b2,)))
+    y = LinComb.of(ladder((b1, a2), (b2,)))
     out = graft_free(x, a1, y)
     assert len(out) == 2
     assert sum(c for _, c in out.items()) == 2
@@ -111,8 +110,8 @@ def test_graft_free_sums_over_all_vertices():
 
 def test_graft_phi_identity_is_free():
     phi = identity_map(E, V)
-    x = tree_elem(ladder((b1, a1), (b2,)))
-    y = tree_elem(node(b2, [(a2, leaf(b1))]))
+    x = LinComb.of(ladder((b1, a1), (b2,)))
+    y = LinComb.of(node(b2, [(a2, leaf(b1))]))
     assert graft_phi(phi, x, a1, y) == graft_free(x, a1, y)
 
 
@@ -138,7 +137,7 @@ def test_multiple_prelie_defect_free_product():
     rng = random.Random(2)
     trees = all_trees(2, [a1, a2], [b1, b2])
     for _ in range(20):
-        x, y, z = (tree_elem(rng.choice(trees)) for _ in range(3))
+        x, y, z = (LinComb.of(rng.choice(trees)) for _ in range(3))
         ia, ia2 = rng.choice([a1, a2]), rng.choice([a1, a2])
         d = multiple_prelie_defect(graft_free, ia, ia2, x, y, z)
         assert d.is_zero
@@ -187,7 +186,7 @@ def test_theta_on_single_vertex_is_identity():
 
 def test_theta_refuses_refuted_map():
     bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})
-    t = tree_elem(ladder((b1, a1), (b2,)))
+    t = LinComb.of(ladder((b1, a1), (b2,)))
     with pytest.raises(IncompatiblePhi):
         theta(bad, t)
 
@@ -201,7 +200,7 @@ def test_theta_order_independent_for_compatible():
 
     phi = tensor_map(E, V, rand_endo(list(E.labels())), rand_endo(list(V.labels())))
     for t in all_trees(4, [a1, a2], [b1, b2])[:80]:
-        assert theta(phi, tree_elem(t)) == oracle_apply_edge_maps(phi, t, reversed_order(t))
+        assert theta(phi, LinComb.of(t)) == oracle_apply_edge_maps(phi, t, reversed_order(t))
 
 
 def test_theta_morphism_identity_psi():
@@ -215,7 +214,7 @@ def test_theta_morphism_identity_psi():
     psi = identity_map(E, V)
     trees = all_trees(2, [a1, a2], [b1, b2])
     for tx, ty, a in product(trees[:6], trees[:6], [a1, a2]):
-        d = theta_morphism_defect(phi, psi, tree_elem(tx), a, tree_elem(ty))
+        d = theta_morphism_defect(phi, psi, LinComb.of(tx), a, LinComb.of(ty))
         assert d.is_zero
 
 
@@ -348,7 +347,7 @@ def test_theta_matches_state_expansion_for_phi_lambda(lam):
     labels = [mi(k) for k in range(3)]
     trees = trees_up_to(4, labels, labels)
     for t in trees:
-        assert theta(phi, tree_elem(t)) == oracle_apply_edge_maps(phi, t)
+        assert theta(phi, LinComb.of(t)) == oracle_apply_edge_maps(phi, t)
     # A multi-term input shares subtrees between its terms.
     x = LinComb((t, Fraction(k % 5 - 2, 1 + k % 3)) for k, t in enumerate(trees[::97]))
     assert theta(phi, x) == x.map_terms(lambda t: oracle_apply_edge_maps(phi, t))
@@ -360,7 +359,7 @@ def test_theta_matches_state_expansion_for_a_d_form_block_map():
     BE, BV = default_block_bases(2, 2)
     phi = from_blocks(build_JD(mat2(), mat2(), "D"), BE, BV)
     for t in trees_up_to(4, BE.labels(), BV.labels()):
-        assert theta(phi, tree_elem(t)) == oracle_apply_edge_maps(phi, t, reversed_order(t))
+        assert theta(phi, LinComb.of(t)) == oracle_apply_edge_maps(phi, t, reversed_order(t))
 
 
 def cancelling_pair(b, a, other):
@@ -558,8 +557,8 @@ def test_theta_and_grafting_match_the_nested_reductions_for_phi_lambda(lam):
     trees = trees_up_to(4, labels, labels)
     assert len(trees) == 6492
     for t in trees:
-        image = theta(phi, tree_elem(t))
-        assert_same(image, theta_nested(phi, tree_elem(t)))
+        image = theta(phi, LinComb.of(t))
+        assert_same(image, theta_nested(phi, LinComb.of(t)))
         # Applying the inverse map cancels every term but t.
         assert_same(theta(back, image), theta_nested(back, image))
     for f in forests_up_to(3, labels, labels):
@@ -593,7 +592,7 @@ def test_theta_and_grafting_match_the_nested_reductions_for_a_d_form_block_map()
     trees = trees_up_to(3, BE.labels(), BV.labels())
     assert len(trees) == 62
     for t in trees:
-        assert_same(theta(phi, tree_elem(t)), theta_nested(phi, tree_elem(t)))
+        assert_same(theta(phi, LinComb.of(t)), theta_nested(phi, LinComb.of(t)))
     for f in forests_up_to(3, BE.labels(), BV.labels()):
         assert_same(theta_bar(phi, LinComb.of(f)), theta_bar_nested(phi, LinComb.of(f)))
     (e1, _), (v1, v2) = BE.labels(), BV.labels()

@@ -23,7 +23,7 @@ from rtcalc.postlie import (
     postlie_axiom_defects,
     psi_compat_defects,
 )
-from rtcalc.prelie import graft_phi, theta, tree_elem
+from rtcalc.prelie import graft_phi, theta
 import rtcalc.spde as spde
 from rtcalc.spde import (
     SpdeConfig,
@@ -523,7 +523,7 @@ def test_grafting_display_with_binomial_weights():
     def onto_light_leaf(edge, label):
         return node(mi(3), [(mi(2), leaf(mi(1))), (mi(0), node(label, [(edge, x)]))])
 
-    got = graft_phi(ph, tree_elem(x), mi(2), tree_elem(y))
+    got = graft_phi(ph, LinComb.of(x), mi(2), LinComb.of(y))
     expected = (
         LinComb.of(onto_heavy_leaf(mi(2), mi(1)))
         + LinComb.of(onto_heavy_leaf(mi(1), mi(0)))
@@ -547,7 +547,7 @@ def test_grafting_display_with_noise_leaf():
     def onto_leaf(edge, label):
         return node(mi(2), [(mi(0), node(label, [(edge, x)])), (XI, leaf(STAR))])
 
-    got = graft_phi(ph, tree_elem(x), mi(1), tree_elem(y))
+    got = graft_phi(ph, LinComb.of(x), mi(1), LinComb.of(y))
     expected = (
         LinComb.of(onto_leaf(mi(1), mi(1)))
         + LinComb.of(onto_leaf(mi(0), mi(0)))
@@ -559,13 +559,13 @@ def test_grafting_display_with_noise_leaf():
 
 def test_grafting_onto_a_bare_noise_vertex_is_zero():
     ph = noise_extend(SpdeConfig(0, (1,), noise=True))
-    got = graft_phi(ph, tree_elem(leaf(mi(1))), mi(1), tree_elem(leaf(STAR)))
+    got = graft_phi(ph, LinComb.of(leaf(mi(1))), mi(1), LinComb.of(leaf(STAR)))
     assert got.is_zero
 
 
 def test_edge_operator_ladder_display():
     ph = phi_lambda(SpdeConfig(0, (1,)))
-    got = theta(ph, tree_elem(node(mi(3), [(mi(2), leaf(mi(0)))])))
+    got = theta(ph, LinComb.of(node(mi(3), [(mi(2), leaf(mi(0)))])))
     expected = (
         LinComb.of(node(mi(3), [(mi(2), leaf(mi(0)))]))
         + LinComb.of(node(mi(2), [(mi(1), leaf(mi(0)))]), 3)
@@ -585,7 +585,7 @@ def test_edge_operator_inverts_at_flipped_sign():
         node(mi(2), [(mi(2), node(mi(1), [(mi(1), leaf(mi(2)))])), (mi(0), leaf(mi(1)))]),
     ]
     for t in samples:
-        x = tree_elem(t)
+        x = LinComb.of(t)
         assert theta(backward, theta(forward, x)) == x
         assert theta(forward, theta(backward, x)) == x
 
@@ -646,7 +646,7 @@ def test_products_of_admissible_elements_stay_admissible():
     pool = admissible_pool(cfg)
     for u in pool:
         for w in pool:
-            grafted = graft_phi(ph, tree_elem(u.body), u.plant, tree_elem(w.body))
+            grafted = graft_phi(ph, LinComb.of(u.body), u.plant, LinComb.of(w.body))
             for body, _ in grafted.items():
                 assert xi_admissible(PlantedTree(w.plant, body), cfg)
 
