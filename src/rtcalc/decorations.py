@@ -1,4 +1,4 @@
-"""Decoration labels for tree edges and vertices, and the bases they live in.
+r"""Decoration labels for tree edges and vertices, and the bases they live in.
 
 Four kinds of label coexist:
 
@@ -8,12 +8,15 @@ Four kinds of label coexist:
 * ``STAR`` -- the extra vertex label of a noise-extended multi-index basis.
 
 Symbols and multi-indices are interned; XI and STAR are the only two
-noise labels.  Every label has a ``sort_key`` giving a total order across
-kinds: symbols first (by basis id, then name), then multi-indices
-lexicographically, then STAR and XI above every multi-index.  Each key is
-a non-empty tuple whose first item is an ``int`` kind tag, so ``()`` sorts
-below every label key; the flat tree keys of :mod:`rtcalc.trees` end each
-subtree with it.
+noise labels.  Every label has a ``sort_key``, a ``str`` made once with
+the label, giving a total order across kinds: symbols first (by basis id,
+then name), then multi-indices lexicographically, then STAR and XI above
+every multi-index.  A key is a kind code (``"\x01"``, ``"\x02"``,
+``"\x03"``) followed by self-delimiting, order-preserving codes of its
+fields (:func:`_str_code`, :func:`_int_code`), so string comparison
+orders keys as the (kind, fields) tuples, no label key is a prefix of
+another, and ``"\x00"`` sorts below every label key; the tree keys of
+:mod:`rtcalc.trees` end each subtree with it.
 
 A noise-extended basis is the direct-sum basis ``union_bases(
 MultiIndexBasis(d), NoiseOnlyBasis(noise))``; the multi-indices come first
@@ -33,6 +36,22 @@ from .lincomb import Scalar, as_scalar
 _MULTI_INDICES, _SYMBOLS = table(), table()
 
 
+def _str_code(s: str) -> str:
+    r"""``s`` with ``\x01`` and ``\x00`` escaped as ``\x01\x02`` and ``\x01\x01``,
+    then an ``\x00`` end: ordered as ``s``, and no prefix of another's code."""
+    return s.replace("\x01", "\x01\x02").replace("\x00", "\x01\x01") + "\x00"
+
+
+def _int_code(e: int) -> str:
+    r"""A self-delimiting code of ``e`` >= 0, ordered as ``e`` and above ``"\x00"``:
+    ``chr(e + 1)`` below 254, else ``"\xff"``, the code of the byte length n
+    of ``v = e - 254``, and the n big-endian bytes of v."""
+    if e < 254:
+        return chr(e + 1)
+    n = ((e - 254).bit_length() + 7) // 8 or 1
+    return "\xff" + _int_code(n) + (e - 254).to_bytes(n, "big").decode("latin-1")
+
+
 class MultiIndex(Interned):
     """A multi-index in N^{d+1}; ``entries[j]`` counts the direction j.
 
@@ -47,11 +66,11 @@ class MultiIndex(Interned):
         ref = _MULTI_INDICES[0].get(entries)
         if ref is not None and (m := ref()) is not None:
             return m
-        if not all(isinstance(e, int) and e >= 0 for e in entries):
+        if not all(type(e) is int and e >= 0 for e in entries):
             raise ValueError(f"multi-index entries must be nonnegative ints: {entries}")
         m = object.__new__(cls)
         m.entries = entries
-        m.sort_key = (1, entries)
+        m.sort_key = "\x02" + "".join(map(_int_code, entries)) + "\x00"
         m._text = "<" + ",".join(map(str, entries)) + ">"
         return store(_MULTI_INDICES, entries, m)
 
@@ -155,10 +174,12 @@ class Sym(Interned):
         ref = _SYMBOLS[0].get(key)
         if ref is not None and (s := ref()) is not None:
             return s
+        if not (isinstance(basis_id, str) and isinstance(name, str)):
+            raise TypeError(f"a symbol's basis id and name must be strings: {key!r}")
         s = object.__new__(cls)
         s.basis_id = basis_id
         s.name = name
-        s.sort_key = (0, basis_id, name)
+        s.sort_key = "\x01" + _str_code(basis_id) + _str_code(name)
         return store(_SYMBOLS, key, s)
 
     def __reduce__(self):
@@ -183,7 +204,7 @@ class Noise:
     def __init__(self, symbol: str):
         self.symbol = symbol
         # Above every multi-index; STAR and XI stay mutually ordered.
-        self.sort_key = (2, symbol)
+        self.sort_key = "\x03" + _str_code(symbol)
 
     def __reduce__(self):
         # Pickled by name, so that a copy is XI or STAR itself.

@@ -11,8 +11,8 @@ representation.  Quotients go through :func:`exact_div`, since ``int /
 int`` is a float.  A :class:`LinComb` is a finite map from basis terms to
 nonzero coefficients; the zero combination is the empty map.  Terms can be
 anything hashable that either is naturally orderable (ints, strings) or
-exposes a ``sort_key`` attribute; tuples of such terms are ordered
-componentwise.  All operations return new objects.
+exposes a ``sort_key`` attribute (a ``str`` for labels, trees and forests);
+tuples of such terms are ordered componentwise.  All operations return new objects.
 
 Two loops sum coefficients.  Sums of stored coefficients run through
 :func:`_add_terms`, which adds (term, coefficient) pairs into a dict and
@@ -72,7 +72,8 @@ def term_key(term):
     """Canonical sort key for a basis term.
 
     Tuples are keyed componentwise, objects with a ``sort_key`` attribute
-    use it, everything else must be directly orderable.
+    (the key string of a label, tree or forest) use it, everything else
+    must be directly orderable.
     """
     if isinstance(term, tuple):
         return tuple(term_key(part) for part in term)

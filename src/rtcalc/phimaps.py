@@ -240,10 +240,11 @@ def refuted_on(phi: PhiMap, edge_labels: Sequence[Label], vertex_labels: Sequenc
     The triple (a, a', b) runs edges decorated a' and a at a vertex
     decorated b through :meth:`PhiMap.act_at_vertex`, a' first (``lhs``)
     and a first (``rhs``), each state read back as (image of a, image of
-    a', new b).
+    a', new b).  Its mirror (a', a, b) is refuted exactly when it is, so
+    only a' at or after a is scanned, which finds a full scan's first witness.
     """
-    for a in edge_labels:
-        for a2 in edge_labels:
+    for i, a in enumerate(edge_labels):
+        for a2 in edge_labels[i:]:
             for b in vertex_labels:
                 a2_first, a_first = phi.act_at_vertex((a2, a), b), phi.act_at_vertex((a, a2), b)
                 lhs = LinComb._raw({(x, x2, bb): c for ((x2, x), bb), c in a2_first.items()})

@@ -1,4 +1,4 @@
-"""Decorated rooted trees, planted trees, forests, and sums over vertices.
+r"""Decorated rooted trees, planted trees, forests, and sums over vertices.
 
 A tree carries one label on every vertex and one on every edge.  Children
 are an unordered multiset; the canonical representative keeps them sorted
@@ -7,13 +7,13 @@ with labeled isomorphism.  A planted tree hangs its body from an extra
 undecorated root through a decorated plant edge; that extra root is not a
 vertex.  A forest is a multiset of planted trees.
 
-Sort keys are flat preorder tuples.  A tree's key is its root's label key,
-then each child's edge key and own key, then ``()``; a planted tree's is
-its plant key and its body's; a forest's, its planted trees' keys in a row.
-Every label key is a non-empty tuple led by an ``int`` kind tag, so ``()``
-sorts below all of them and ends each subtree.  No subtree's key is then a
-prefix of another's, and flat keys order as the nested (label, ((edge,
-subtree), ...)) keys do, in one pass instead of one quadratic in the depth.
+Sort keys are the canonical preorder strings of Aho, Hopcroft and Ullman's
+tree isomorphism test.  A tree's key is its root's label key, then each
+child's edge key and own key, then ``"\x00"``; a planted tree's is its
+plant key and its body's; a forest's, its planted trees' keys in a row.  No
+label key is a prefix of another and ``"\x00"`` sorts below all of them, so
+no subtree's key is a prefix of another's, and keys order as the nested
+(label, ((edge, subtree), ...)) keys do, by one string comparison in C.
 
 A sum over the vertices of a tree, of some change made at each vertex, is
 :func:`vertex_sum`: the change at the root, plus, for each child, the
@@ -45,7 +45,7 @@ The vertex count is set when a value is made; the ``sort_key``, ``shape``
 and text of a tree (and a planted tree's or forest's ``sort_key``) are kept
 in slots filled on first use.  Subtrees are shared, so a grafted tree
 recomputes them only along its changed path, and printing renders each
-distinct subtree once.  A key holds one entry per vertex and edge.
+distinct subtree once.  A key holds a code per vertex, edge and subtree end.
 
 Every operator recurses over these canonical trees directly: grafting in
 :mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
@@ -97,16 +97,16 @@ class DecoratedTree(Interned):
         return store(entry, children, t, _TREES, label)
 
     @property
-    def sort_key(self):
-        """The root's label key, each child's edge key and key, then ``()``."""
+    def sort_key(self) -> str:
+        r"""The root's label key, each child's edge key and key, then ``"\x00"``."""
         key = self._key
         if key is None:
-            flat = [self.label.sort_key]
+            parts = [self.label.sort_key]
             for e, c in self.children:
-                flat.append(e.sort_key)
-                flat.extend(c.sort_key)
-            flat.append(())
-            key = self._key = tuple(flat)
+                parts.append(e.sort_key)
+                parts.append(c._key or c.sort_key)
+            parts.append("\x00")
+            key = self._key = "".join(parts)
         return key
 
     @property
@@ -194,10 +194,10 @@ class PlantedTree(Interned):
         return store(entry, body, p, _PLANTED, plant)
 
     @property
-    def sort_key(self):
+    def sort_key(self) -> str:
         key = self._key
         if key is None:
-            key = self._key = (self.plant.sort_key, *self.body.sort_key)
+            key = self._key = self.plant.sort_key + self.body.sort_key
         return key
 
     @property
@@ -230,10 +230,10 @@ class Forest(Interned):
         return store(_FORESTS, trees, f)
 
     @property
-    def sort_key(self):
+    def sort_key(self) -> str:
         key = self._key
         if key is None:
-            key = self._key = tuple([x for t in self.trees for x in t.sort_key])
+            key = self._key = "".join([t.sort_key for t in self.trees])
         return key
 
     def __len__(self) -> int:

@@ -2,8 +2,8 @@
 
 - ``Pr`` and ``ProductBasis``: product labels and the bases they span, one
   factor from each side.  A ``Pr`` is a plain frozen dataclass, not an
-  interned label; its sort key leads with the kind tag 4, above every
-  label kind of :mod:`rtcalc.decorations`.
+  interned label; its sort key is the kind code ``"\\x04"``, above every
+  label kind of :mod:`rtcalc.decorations`, then the factors' keys.
 - ``tensor_product``: the slotwise tensor product of two maps, acting on
   product labels; the tests check that it preserves compatibility.
 - ``to_blocks``: the block grid of a map on finite symbol bases, the
@@ -11,6 +11,9 @@
 - ``mixed_commutation_defect``: the two slot actions of two maps in both
   orders on one triple, written afresh; with both maps equal it is the
   defect whose vanishing :func:`rtcalc.phimaps.check_compat` decides.
+- ``refuted_on_by_full_scan``: the scan of :func:`rtcalc.phimaps.refuted_on`
+  over every ordered pair of edge labels, both (a, a') and (a', a); the
+  package scans a' at or after a only.
 
 The package decides disjointness of bases by their labels, so a
 ``ProductBasis`` needs no hook there: two finite product bases are
@@ -26,7 +29,7 @@ from typing import Tuple
 
 from rtcalc.decorations import DecorationBasis, Label, SymbolBasis
 from rtcalc.lincomb import LinComb
-from rtcalc.phimaps import BlockMatrix, PhiMap
+from rtcalc.phimaps import BlockMatrix, PhiMap, Refuted
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class Pr:
 
     @property
     def sort_key(self):
-        return (4, self.left.sort_key, self.right.sort_key)
+        return "\x04" + self.left.sort_key + self.right.sort_key
 
     def render(self) -> str:
         return f"({self.left.render()},{self.right.render()})"
@@ -118,3 +121,16 @@ def mixed_commutation_defect(phi: PhiMap, psi: PhiMap, a: Label, a2: Label, b: L
     """
     start = LinComb.of((a, a2, b))
     return _act(psi, 0, _act(phi, 1, start)) - _act(phi, 1, _act(psi, 0, start))
+
+
+def refuted_on_by_full_scan(phi: PhiMap, edge_labels, vertex_labels):
+    """First refuting triple in the scan over every ordered edge pair, or None."""
+    for a in edge_labels:
+        for a2 in edge_labels:
+            for b in vertex_labels:
+                a2_first, a_first = phi.act_at_vertex((a2, a), b), phi.act_at_vertex((a, a2), b)
+                lhs = LinComb._raw({(x, x2, bb): c for ((x2, x), bb), c in a2_first.items()})
+                rhs = LinComb._raw({(x, x2, bb): c for ((x, x2), bb), c in a_first.items()})
+                if lhs != rhs:
+                    return Refuted((a, a2, b), lhs, rhs)
+    return None

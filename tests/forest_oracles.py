@@ -45,10 +45,16 @@ terms, a ``LinComb``, scaled by the product of the coefficients and added;
 the two post-Lie ones first split each extension element into its planted
 trees and its generator names and take each case on its own part.
 
-``canonicalize`` re-sorts every level of a tree with ``node``, and
-``nested_key`` and its planted and forest forms give the nested sort keys,
-(label key, ((edge key, subtree key), ...)), that the flat preorder keys of
-:mod:`rtcalc.trees` replaced and must order alike.
+``canonicalize`` re-sorts every level of a tree with ``node``.
+``tuple_label_key`` is the label key that the key strings of
+:mod:`rtcalc.decorations` replaced: ``(0, basis_id, name)``, ``(1,
+entries)``, ``(2, symbol)``, and ``(4, left, right)`` for a product label.
+On it rest the nested sort keys, (label key, ((edge key, subtree key),
+...)), of ``nested_key`` and its planted and forest forms, and the flat
+preorder tuples of ``flat_tuple_key`` and its forms, the label keys in
+preorder with ``()`` ending each subtree.  The key strings of
+:mod:`rtcalc.trees` must order as both, independently of how the strings
+are made.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ from itertools import permutations, product as iproduct
 from math import prod
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from rtcalc.decorations import Label
+from constructions import Pr
+from rtcalc.decorations import Label, MultiIndex, Sym
 from rtcalc.hopf import _graft_basis, _graft_into
 from rtcalc.hopf import cut_coproduct as cut_coproduct_by_recursion
 from rtcalc.lincomb import LinComb, lc_sum
@@ -89,16 +96,41 @@ def canonicalize(tree: DecoratedTree) -> DecoratedTree:
     return node(tree.label, ((e, canonicalize(c)) for e, c in tree.children))
 
 
+def tuple_label_key(label) -> tuple:
+    if isinstance(label, Sym):
+        return (0, label.basis_id, label.name)
+    if isinstance(label, MultiIndex):
+        return (1, label.entries)
+    if isinstance(label, Pr):
+        return (4, tuple_label_key(label.left), tuple_label_key(label.right))
+    return (2, label.symbol)
+
+
 def nested_key(tree: DecoratedTree) -> tuple:
-    return (tree.label.sort_key, tuple((e.sort_key, nested_key(c)) for e, c in tree.children))
+    return (tuple_label_key(tree.label), tuple((tuple_label_key(e), nested_key(c)) for e, c in tree.children))
 
 
 def nested_planted_key(p: PlantedTree) -> tuple:
-    return (p.plant.sort_key, nested_key(p.body))
+    return (tuple_label_key(p.plant), nested_key(p.body))
 
 
 def nested_forest_key(f: Forest) -> tuple:
     return tuple(nested_planted_key(p) for p in f.trees)
+
+
+def flat_tuple_key(tree: DecoratedTree) -> tuple:
+    key = (tuple_label_key(tree.label),)
+    for e, c in tree.children:
+        key += (tuple_label_key(e),) + flat_tuple_key(c)
+    return key + ((),)
+
+
+def flat_tuple_planted_key(p: PlantedTree) -> tuple:
+    return (tuple_label_key(p.plant),) + flat_tuple_key(p.body)
+
+
+def flat_tuple_forest_key(f: Forest) -> tuple:
+    return tuple(x for p in f.trees for x in flat_tuple_planted_key(p))
 
 
 # ---------------------------------------------------------------------------

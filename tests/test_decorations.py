@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import rtcalc
 from rtcalc.decorations import (
     STAR,
     XI,
@@ -25,6 +30,7 @@ from rtcalc.lincomb import LinComb, term_key
 from rtcalc.phimaps import direct_sum, identity_map
 
 from constructions import Pr, ProductBasis, tensor_product
+from forest_oracles import tuple_label_key
 
 small_mi = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3).map(
     lambda es: MultiIndex(tuple(es))
@@ -96,12 +102,84 @@ def test_label_order_symbols_then_multiindices_then_noise():
     assert term_key(mi(9)) < term_key(STAR)
 
 
-def test_every_label_key_is_a_nonempty_tuple_led_by_an_int_kind_tag():
-    # The flat tree keys end each subtree with (), which must sort below every label key.
-    for label in (Sym("E", "a1"), mi(0), mi(2, 0, 1), XI, STAR, Pr(Sym("E", "a1"), mi(1, 0)), Pr(XI, STAR)):
+KIND_CODES = {0: "\x01", 1: "\x02", 2: "\x03", 4: "\x04"}
+
+
+def test_every_label_key_is_a_string_led_by_its_kind_code():
+    # The tree keys end each subtree with "\x00", which must sort below every label key.
+    labels = (Sym("E", "a1"), mi(0), mi(2, 0, 1), XI, STAR, Pr(Sym("E", "a1"), mi(1, 0)), Pr(XI, STAR))
+    for label in labels:
         key = label.sort_key
-        assert isinstance(key, tuple) and key and type(key[0]) is int
-        assert () < key
+        assert isinstance(key, str) and key[0] == KIND_CODES[tuple_label_key(label)[0]] > "\x00"
+    for x in labels:
+        for y in labels:
+            assert cmp(x.sort_key, y.sort_key) == cmp(tuple_label_key(x), tuple_label_key(y))
+
+
+def cmp(a, b):
+    return (a > b) - (a < b)
+
+
+# Strings around the escapes and the end code, prefixes of each other,
+# Latin-1, BMP and non-BMP characters.
+names = st.text(st.sampled_from(["\x00", "\x01", "\x02", "a", "b", "\xff", "\u0100", "\U0001f600"]), max_size=3)
+# Entries about the one-character limit, the byte-length steps and far above.
+ENTRY_EDGES = [0, 1, 199, 253, 254, 255, 508, 509, 510, 253 + 2**16, 254 + 2**16, 10**6, 2**64 - 1, 2**64, 10**30]
+entries = st.one_of(st.sampled_from(ENTRY_EDGES), st.integers(0, 600), st.integers(0, 10**40))
+any_labels = st.one_of(
+    st.builds(Sym, names, names),
+    st.lists(entries, min_size=1, max_size=3).map(lambda es: MultiIndex(tuple(es))),
+    st.sampled_from([XI, STAR]),
+)
+
+
+@given(any_labels, any_labels)
+@settings(max_examples=300)
+@example(Sym("E", "\x00"), Sym("E", "\x01"))
+@example(Sym("E", "\x00"), Sym("E", "\x01\x01"))
+@example(Sym("E\x00", "z"), Sym("E", "zz"))
+@example(Sym("E", ""), Sym("E", "\x00"))
+@example(mi(0), mi(0, 0))
+@example(mi(253), mi(254))
+@example(mi(509), mi(510))
+@example(mi(2**64, 0), mi(10**30))
+def test_label_keys_order_as_the_tuples_and_none_is_a_prefix_of_another(x, y):
+    kx, ky = x.sort_key, y.sort_key
+    assert cmp(kx, ky) == cmp(tuple_label_key(x), tuple_label_key(y))
+    assert (kx == ky) == (x is y)
+    assert kx == ky or not (ky.startswith(kx) or kx.startswith(ky))
+    assert kx[0] > "\x00"
+
+
+def test_small_entries_and_ascii_names_give_latin_1_keys():
+    for label in (mi(0), mi(199, 0, 5), Sym("E", "a1"), Sym("", "x y"), XI, STAR):
+        assert label.sort_key.encode("latin-1")
+    assert len(mi(199, 0).sort_key) == 4 and len(Sym("E", "a1").sort_key) == 6
+
+
+def test_multiindex_refuses_bool_entries():
+    # In a fresh interpreter no (1, 0) is interned yet, so the bool tuple would be stored.
+    code = (
+        "from rtcalc.decorations import MultiIndex, mi\n"
+        "try:\n"
+        "    MultiIndex((True, 0))\n"
+        "except ValueError as e:\n"
+        "    print('refused:', e)\n"
+        "print(mi(1, 0).render())\n"
+    )
+    src = str(Path(rtcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60).stdout
+    assert out == "refused: multi-index entries must be nonnegative ints: (True, 0)\n<1,0>\n"
+    with pytest.raises(ValueError):
+        MultiIndex((False, 3, 141421))
+    assert mi(0, 3, 141421).render() == "<0,3,141421>" and mi(1, 0).render() == "<1,0>"
+
+
+def test_symbols_refuse_names_and_basis_ids_that_are_not_strings():
+    for basis_id, name in ((1, "a"), ("E", 1), ("E", b"a"), (None, "a"), ("E", ("a",))):
+        with pytest.raises(TypeError, match="must be strings"):
+            Sym(basis_id, name)
 
 
 def test_noise_labels_hash_and_compare_by_identity_with_a_stored_key():
@@ -110,7 +188,8 @@ def test_noise_labels_hash_and_compare_by_identity_with_a_stored_key():
     assert Noise.__eq__ is object.__eq__ and Noise.__hash__ is object.__hash__
     assert XI != STAR and XI == XI and {XI: 1}[XI] == 1
     assert not hasattr(XI, "__dict__") and XI.sort_key is XI.sort_key
-    assert (STAR.sort_key, XI.sort_key) == ((2, "*"), (2, "Xi"))
+    assert (STAR.sort_key, XI.sort_key) == ("\x03*\x00", "\x03Xi\x00")
+    assert mi(10**30).sort_key < STAR.sort_key < XI.sort_key
 
 
 def test_render():

@@ -42,7 +42,7 @@ import rtcalc.phimaps as phimaps
 from rtcalc.ratmat import det, identity, inv2, mat, mat_mul
 from rtcalc.spde import SpdeConfig, phi_lambda
 
-from constructions import Pr, mixed_commutation_defect, tensor_product, to_blocks
+from constructions import Pr, mixed_commutation_defect, refuted_on_by_full_scan, tensor_product, to_blocks
 
 E = symbols("E", ["a1", "a2"])
 V = symbols("V", ["b1", "b2"])
@@ -243,6 +243,39 @@ def test_the_scan_agrees_with_the_slot_action_oracle():
     assert assert_scan_matches_the_slot_oracle(phi, labels, labels) == {False}
     assert refuted_on(phi, labels, labels) is None
     assert first_defect(phi, labels, labels) == (None, None)
+
+
+def assert_same_verdict(phi, edge_labels, vertex_labels):
+    """``refuted_on`` and the full scan: the same triple, lhs and rhs, or
+    both None.  Returns True for a refutation."""
+    got = refuted_on(phi, edge_labels, vertex_labels)
+    want = refuted_on_by_full_scan(phi, edge_labels, vertex_labels)
+    if want is None:
+        assert got is None
+        return False
+    assert (got.witness, got.lhs, got.rhs) == (want.witness, want.lhs, want.rhs)
+    return True
+
+
+def test_the_half_scan_finds_the_full_scan_witness():
+    E3 = symbols("E", ["a1", "a2", "a3"])
+    rng = random.Random(2501)
+    pairs = [(a, b) for a in E3.labels() for b in V.labels()]
+    seen, diagonal = set(), 0
+    for _ in range(200):
+        table = {
+            ab: [(rng.randint(-2, 2), *rng.choice(pairs)) for _ in range(rng.randint(0, 2))]
+            for ab in rng.sample(pairs, rng.randint(1, 5))
+        }
+        phi = from_table(E3, V, table)
+        for es in (E3.labels(), E3.labels()[::-1]):
+            seen.add(assert_same_verdict(phi, es, V.labels()))
+        bad = refuted_on(phi, E3.labels(), V.labels())
+        diagonal += bad is not None and bad.witness[0] == bad.witness[1]
+    assert seen == {True, False} and diagonal > 0
+    phi = compose(phi_lambda(SpdeConfig(1, (1, Fraction(1, 2)))), phi_lambda(SpdeConfig(1, (-2, 3))))
+    labels = phi.edge_basis.labels_up_to(2)
+    assert assert_same_verdict(phi, labels, labels) is False
 
 
 class Untouched:

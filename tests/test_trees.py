@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from forest_oracles import (
     canonicalize,
     edge_label_at,
+    flat_tuple_forest_key,
+    flat_tuple_key,
+    flat_tuple_planted_key,
     forest_sites,
     forest_vertex_ids,
     graft_at,
@@ -162,11 +165,11 @@ def graft_at_by_resorting(x, target, y, edge, relabel=None):
 
 
 def reference_key(t):
-    """The flat sort key, recomputed from scratch without the slots."""
-    key = (t.label.sort_key,)
+    """The key string, recomputed from scratch without the slots."""
+    key = t.label.sort_key
     for e, c in t.children:
-        key += (e.sort_key,) + reference_key(c)
-    return key + ((),)
+        key += e.sort_key + reference_key(c)
+    return key + "\x00"
 
 
 def assert_same_graft(x, target, y, edge, relabel):
@@ -176,6 +179,7 @@ def assert_same_graft(x, target, y, edge, relabel):
     assert [e for e, _ in got.children] == [e for e, _ in want.children]
     assert got is want
     assert got.sort_key == want.sort_key == reference_key(got)
+    assert cmp(got.sort_key, y.sort_key) == cmp(flat_tuple_key(got), flat_tuple_key(y))
     assert got.vertex_count == want.vertex_count == y.vertex_count + x.vertex_count
     assert canonicalize(got) == got
 
@@ -283,7 +287,9 @@ def cmp(a, b):
     return (a > b) - (a < b)
 
 
-mixed_labels = st.sampled_from([A[0], A[1], B[0], Sym("D", "z"), mi(0), mi(1), mi(0, 1), mi(1, 0), XI, STAR])
+mixed_labels = st.sampled_from(
+    [A[0], A[1], B[0], Sym("D", "z"), Sym("D", "z\x00"), Sym("D\x00", ""), mi(0), mi(1), mi(0, 1), mi(1, 0), mi(254), mi(10**30), XI, STAR]
+)
 
 
 @st.composite
@@ -322,8 +328,10 @@ any_trees = st.one_of(mixed_trees(), mixed_trees(depth=2, width=8), deep_trees()
 tree_pairs = st.one_of(st.tuples(any_trees, any_trees), near_pairs(any_trees))
 
 
-def assert_ordered_as_nested(x, y, nested):
-    assert cmp(x.sort_key, y.sort_key) == cmp(nested(x), nested(y))
+def assert_ordered_as_nested(x, y, nested, flat):
+    """The key strings order as the nested keys and as the flat tuples."""
+    assert isinstance(x.sort_key, str)
+    assert cmp(x.sort_key, y.sort_key) == cmp(nested(x), nested(y)) == cmp(flat(x), flat(y))
 
 
 @given(tree_pairs)
@@ -332,7 +340,7 @@ def test_flat_tree_keys_order_as_the_nested_ones(pair):
     x, y = pair
     assert x.sort_key == reference_key(x) and y.sort_key == reference_key(y)
     assert (x.sort_key == y.sort_key) == (x is y)
-    assert_ordered_as_nested(x, y, nested_key)
+    assert_ordered_as_nested(x, y, nested_key, flat_tuple_key)
 
 
 @given(tree_pairs, mixed_labels, mixed_labels)
@@ -340,8 +348,8 @@ def test_flat_tree_keys_order_as_the_nested_ones(pair):
 def test_flat_planted_keys_order_as_the_nested_ones(pair, e, f):
     x, y = pair
     for p, q in ((PlantedTree(e, x), PlantedTree(f, y)), (PlantedTree(e, x), PlantedTree(e, y))):
-        assert p.sort_key == (p.plant.sort_key, *reference_key(p.body))
-        assert_ordered_as_nested(p, q, nested_planted_key)
+        assert p.sort_key == p.plant.sort_key + reference_key(p.body)
+        assert_ordered_as_nested(p, q, nested_planted_key, flat_tuple_planted_key)
 
 
 planted = st.builds(PlantedTree, mixed_labels, st.one_of(mixed_trees(depth=2), deep_trees()))
@@ -366,8 +374,8 @@ def forest_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_flat_forest_keys_order_as_the_nested_ones(pair):
     f, g = pair
-    assert f.sort_key == tuple(x for p in f.trees for x in p.sort_key)
-    assert_ordered_as_nested(f, g, nested_forest_key)
+    assert f.sort_key == "".join(p.sort_key for p in f.trees)
+    assert_ordered_as_nested(f, g, nested_forest_key, flat_tuple_forest_key)
 
 
 def test_flat_keys_order_as_the_nested_ones_on_all_small_trees_and_forests():
