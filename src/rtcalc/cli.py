@@ -279,7 +279,7 @@ def _cmd_spde_demo(args) -> int:
         f"theta on {chain.render()} = " + theta(phi, LinComb.of(chain)).render(lambda t: t.render())
     )
 
-    base, psi = spde_psi(cfg)
+    base, psi = spde_psi(cfg.d)
     lines.append(
         f"psi vertex action {base.names[0]} on {zero.render()} = "
         + psi.vertex(base.names[0], zero).render(lambda l: l.render())

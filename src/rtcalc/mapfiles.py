@@ -100,7 +100,7 @@ _READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
             "table": ("edge_basis", "vertex_basis", "entries"),
             "phi_lambda": ("d", "lambda"),
             "partial_lambda": ("d", "lambda"),
-            "phi_lambda_exp": ("d", "lambda", "max_iter"),
+            "phi_lambda_exp": ("d", "lambda"),
             "noise_extend": ("d", "lambda"),
             "blocks": ("blocks", "jd", "edge_basis", "vertex_basis"),
             "tensor": ("edge_basis", "vertex_basis", "f", "g"),
@@ -112,7 +112,7 @@ _READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
         }.items()
     },
     "action": {
-        "spde_psi": ("d", "lambda", "noise"),
+        "spde_psi": ("d", "noise"),
         "psi_tables": ("generators", "edge_basis", "vertex_basis", "edge", "vertex", "bracket", "triangle"),
     },
     "basis": {"symbols": ("id", "names"), "multiindex": ("d",), "multiindex_noise": ("d",), "noise_only": ()},
@@ -298,7 +298,7 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
             return phi_lambda(cfg)
         if builder == "partial_lambda":
             return partial_lambda(cfg)
-        return phi_lambda_via_exp(cfg, max_iter=_int(obj, "max_iter", where, 64))
+        return phi_lambda_via_exp(cfg)
 
     if builder == "noise_extend":
         return noise_extend(_spde_config(obj, where, noise=True))
@@ -370,9 +370,9 @@ def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair, Tupl
         noise = obj.get("noise", False)
         if not isinstance(noise, bool):
             raise MapFileError(f"{where}: 'noise' must be true or false, not {noise!r}")
-        cfg = _spde_config(obj, where, noise=noise)
-        basis = {"kind": "multiindex_noise" if noise else "multiindex", "d": cfg.d}
-        return (*spde_psi(cfg), (_basis(basis, "edge", where), _basis(basis, "vertex", where)))
+        d = _int(obj, "d", where)
+        basis = {"kind": "multiindex_noise" if noise else "multiindex", "d": d}
+        return (*spde_psi(d), (_basis(basis, "edge", where), _basis(basis, "vertex", where)))
 
     names = _generators(obj, where)  # psi_tables
     E = _basis(_req(obj, "edge_basis", where), "edge", where)

@@ -358,12 +358,13 @@ def polynomial(phi: PhiMap, coeffs: Sequence) -> PhiMap:
     )
 
 
-def exp_series(phi: PhiMap, max_iter: int = 64) -> PhiMap:
+def exp_series(phi: PhiMap, max_iter: Optional[int] = 64) -> PhiMap:
     """exp(phi), defined input by input for locally nilpotent maps.
 
     Iterates until the running power of the input vanishes; raises
     :class:`NonNilpotentError` if that has not happened after
-    ``max_iter`` applications.
+    ``max_iter`` applications.  ``max_iter=None`` sets no cap, for a map
+    whose series the caller knows to end on every input.
     """
 
     def act(a: Label, b: Label) -> PairComb:
@@ -371,7 +372,7 @@ def exp_series(phi: PhiMap, max_iter: int = 64) -> PhiMap:
         cur = LinComb.of((a, b))
         k = 0
         while cur:
-            if k > max_iter:
+            if max_iter is not None and k > max_iter:
                 raise NonNilpotentError(
                     f"series for ({a.render()},{b.render()}) still alive after {max_iter} terms"
                 )

@@ -132,23 +132,12 @@ def postlie_base(
     return PostLieBase(ns, br, tr)
 
 
-def trivial_postlie(names: Sequence[str]) -> PostLieBase:
-    """Abelian P with zero triangle; the leading example."""
-    return postlie_base(names)
-
-
 @dataclass(frozen=True)
 class PsiPair:
     """Actions of the generators on edge labels and on vertex labels."""
 
     edge: Callable[[Gen, Label], LinComb]
     vertex: Callable[[Gen, Label], LinComb]
-
-    def edge_lin(self, p: Gen, x: LinComb) -> LinComb:
-        return x.map_terms(lambda a: self.edge(p, a))
-
-    def vertex_lin(self, p: Gen, x: LinComb) -> LinComb:
-        return x.map_terms(lambda b: self.vertex(p, b))
 
 
 def psi_from_tables(
@@ -263,7 +252,10 @@ def psi_compat_defects(
             tr_skew = P.triangle_of(q, p) - tr_pq
             for a in edge_labels:
                 lhs = br.map_terms(lambda g: psi.edge(g, a))
-                rhs = psi.edge_lin(q, psi.edge(p, a)) - psi.edge_lin(p, psi.edge(q, a))
+                rhs = (
+                    psi.edge(p, a).map_terms(lambda c: psi.edge(q, c))
+                    - psi.edge(q, a).map_terms(lambda c: psi.edge(p, c))
+                )
                 if lhs != rhs:
                     defects.append(
                         PsiDefect("edge-action-bracket", (p, q), a, lhs - rhs)
@@ -276,8 +268,8 @@ def psi_compat_defects(
             for b in vertex_labels:
                 lhs = br.map_terms(lambda g: psi.vertex(g, b))
                 rhs = (
-                    psi.vertex_lin(p, psi.vertex(q, b))
-                    - psi.vertex_lin(q, psi.vertex(p, b))
+                    psi.vertex(q, b).map_terms(lambda c: psi.vertex(p, c))
+                    - psi.vertex(p, b).map_terms(lambda c: psi.vertex(q, c))
                     + tr_skew.map_terms(lambda g: psi.vertex(g, b))
                 )
                 if lhs != rhs:

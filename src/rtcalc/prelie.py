@@ -48,12 +48,11 @@ from typing import Callable, Dict, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb, multilinear
-from .phimaps import PhiMap, ensure_usable, identity_map
+from .phimaps import PhiMap, compose, ensure_usable
 from .trees import (
     DecoratedTree,
     PlantedTree,
     insert_child,
-    leaf,
     node,
     split_root_edge,
     vertex_sum,
@@ -61,10 +60,6 @@ from .trees import (
 
 TreeComb = LinComb  # combinations of DecoratedTree
 PlantedComb = LinComb  # combinations of PlantedTree
-
-
-def single_vertex(label: Label) -> TreeComb:
-    return LinComb.of(leaf(label))
 
 
 def _graft_sum(x: TreeComb, y: TreeComb, attach: Callable) -> TreeComb:
@@ -189,23 +184,13 @@ def theta_morphism_defect(
     with ``psi`` the identity this says the operator maps the free
     product onto the phi-deformed one.
     """
-    from .phimaps import compose
-
     lhs = theta(phi, graft_phi(psi, x, a, y))
     rhs = graft_phi(compose(phi, psi), theta(phi, x), a, theta(phi, y))
     return lhs - rhs
 
 
-def identity_on(phi: PhiMap) -> PhiMap:
-    return identity_map(phi.edge_basis, phi.vertex_basis)
-
-
 # ---------------------------------------------------------------------------
 # Root-split coproduct on planted trees
-
-
-def planted_elem(p: PlantedTree) -> PlantedComb:
-    return LinComb.of(p)
 
 
 def planted_graft(phi: PhiMap, u: PlantedTree, w: PlantedTree) -> PlantedComb:

@@ -39,7 +39,7 @@ from .decorations import (
 )
 from .lincomb import LinComb, Scalar, as_scalar, exact_div, lc_sum
 from .phimaps import PhiMap, direct_sum, exp_series, zero_map
-from .postlie import PostLieBase, PsiPair, trivial_postlie
+from .postlie import PostLieBase, PsiPair, postlie_base
 from .prelie import planted_graft
 from .trees import DecoratedTree, PlantedTree, node
 
@@ -143,13 +143,14 @@ def phi_lambda(cfg: SpdeConfig) -> PhiMap:
     return PhiMap(basis, basis, act, compat_by_construction=True)
 
 
-def phi_lambda_via_exp(cfg: SpdeConfig, max_iter: int = 64) -> PhiMap:
+def phi_lambda_via_exp(cfg: SpdeConfig) -> PhiMap:
     """The same map built through the series, as an independent cross-check.
 
     Termination is guaranteed input by input: the n-th power of the span
-    kills any pair (a, b) once n exceeds |min(a, b)|.
+    kills any pair (a, b) once n exceeds |min(a, b)|, so the series runs
+    uncapped.
     """
-    return exp_series(partial_lambda(cfg), max_iter=max_iter)
+    return exp_series(partial_lambda(cfg), max_iter=None)
 
 
 def noise_extend(cfg: SpdeConfig) -> PhiMap:
@@ -170,19 +171,20 @@ def spde_phi(cfg: SpdeConfig) -> PhiMap:
     return noise_extend(cfg) if cfg.noise else phi_lambda(cfg)
 
 
-def spde_psi(cfg: SpdeConfig) -> Tuple[PostLieBase, PsiPair]:
+def spde_psi(d: int) -> Tuple[PostLieBase, PsiPair]:
     """Abelian generators X_0 .. X_d with raising and lowering actions.
 
     The vertex action raises coordinate i, the edge action lowers it
-    with the vanish convention, and both kill the noise symbols.  The
-    pair meets the compatibility conditions for the closed-form map when
-    every coefficient equals 1; the actions themselves do not depend on
-    the coefficients.
+    with the vanish convention, and both kill the noise symbols, so one
+    pair serves the labels with and without noise.  The pair meets the
+    compatibility conditions for the closed-form map when every
+    coefficient equals 1; the actions do not depend on the coefficients,
+    so only ``d`` is asked for.
 
     Both actions memoise their images in one dict, keyed by (action,
     generator, label), which lives and dies with the returned pair.
     """
-    unit = {f"X_{i}": mi_unit(i, cfg.d) for i in range(cfg.d + 1)}
+    unit = {f"X_{i}": mi_unit(i, d) for i in range(d + 1)}
     images: Dict[Tuple[str, str, Label], LinComb] = {}
 
     def edge(gen: str, a: Label) -> LinComb:
@@ -200,7 +202,7 @@ def spde_psi(cfg: SpdeConfig) -> Tuple[PostLieBase, PsiPair]:
             image = images[key] = LinComb() if b is STAR else LinComb.of(b.add(unit[gen]))
         return image
 
-    return trivial_postlie(tuple(unit)), PsiPair(edge, vertex)
+    return postlie_base(tuple(unit)), PsiPair(edge, vertex)
 
 
 # ---------------------------------------------------------------------------

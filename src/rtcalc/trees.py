@@ -41,11 +41,11 @@ they hash and compare by identity.  A tree is looked up by vertex label,
 then by children tuple, whose entries are interned already, so no lookup
 hashes a subtree.  The raw constructor keeps the children as given, and an
 unsorted family is another value than the sorted one :func:`node` builds.
-The vertex count is set when a value is made; the ``sort_key``, ``shape``
-and text of a tree (and a planted tree's or forest's ``sort_key``) are kept
-in slots filled on first use.  Subtrees are shared, so a grafted tree
-recomputes them only along its changed path, and printing renders each
-distinct subtree once.  A key holds a code per vertex, edge and subtree end.
+The vertex count is set when a value is made; the ``sort_key`` and text of
+a tree (and a planted tree's or forest's ``sort_key``) are kept in slots
+filled on first use, and ``shape`` is worked out afresh on each read.
+Subtrees are shared, so a grafted tree recomputes its key and text only
+along its changed path, and printing renders each distinct subtree once.  A key holds a code per vertex, edge and subtree end.
 
 Every operator recurses over these canonical trees directly: grafting in
 :mod:`rtcalc.prelie` and the vertex action in :mod:`rtcalc.postlie`
@@ -79,7 +79,7 @@ class DecoratedTree(Interned):
     given; :func:`node` is the canonical one.
     """
 
-    __slots__ = ("label", "children", "vertex_count", "_key", "_shape", "_text")
+    __slots__ = ("label", "children", "vertex_count", "_key", "_text")
 
     def __new__(cls, label: Label, children: Tuple[Tuple[Label, "DecoratedTree"], ...] = ()):
         entry = _TREES.get(label) or table(_TREES, label)
@@ -93,7 +93,7 @@ class DecoratedTree(Interned):
         for _, c in children:
             n += c.vertex_count
         t.vertex_count = n
-        t._key = t._shape = t._text = None
+        t._key = t._text = None
         return store(entry, children, t, _TREES, label)
 
     @property
@@ -112,10 +112,7 @@ class DecoratedTree(Interned):
     @property
     def shape(self):
         """The underlying unlabeled rooted tree, as a nested sorted tuple."""
-        shape = self._shape
-        if shape is None:
-            shape = self._shape = tuple(sorted([c.shape for _, c in self.children]))
-        return shape
+        return tuple(sorted([c.shape for _, c in self.children]))
 
     def render(self) -> str:
         """The text ``(label [edge](child) ...)``, made once: one frame per

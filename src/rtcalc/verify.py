@@ -21,6 +21,7 @@ from .decorations import (
     XI,
     Label,
     MultiIndex,
+    MultiIndexBasis,
     lambda_pow,
     mi,
     symbols,
@@ -45,6 +46,7 @@ from .phimaps import (
     default_block_bases,
     from_blocks,
     from_table,
+    identity_map,
     AlreadyJD,
     NotCompatible,
     transpose_map,
@@ -52,17 +54,14 @@ from .phimaps import (
 from .postlie import postlie_axiom_defects, psi_compat_defects
 from .prelie import (
     graft_phi,
-    identity_on,
     nap_coproduct,
     nap_eigen_defect,
-    planted_elem,
     planted_graft,
-    single_vertex,
     multiple_prelie_defect,
     theta,
     theta_morphism_defect,
 )
-from .ratmat import det, mat, rref
+from .ratmat import det, mat, nullspace
 from .spde import (
     SpdeConfig,
     noise_extend,
@@ -169,11 +168,6 @@ def _levels(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> List[
     return levels
 
 
-def trees_exact(k: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> Tuple[DecoratedTree, ...]:
-    """All decorated trees with exactly k vertices over the given labels."""
-    return _levels(k, elabels, vlabels)[k] if k > 0 else ()
-
-
 def trees_up_to(n: int, elabels: Sequence[Label], vlabels: Sequence[Label]) -> List[DecoratedTree]:
     return [t for level in _levels(n, elabels, vlabels)[1 : n + 1] for t in level]
 
@@ -224,8 +218,7 @@ def _random_jd_map(rng: random.Random, m: int, form: str):
 
 
 def _mi_pairs(d: int, bound: int) -> List[Tuple[MultiIndex, MultiIndex]]:
-    rng = range(bound + 1)
-    labels = [MultiIndex(t) for t in iproduct(rng, repeat=d + 1)]
+    labels = MultiIndexBasis(d).labels_up_to(bound)
     return [(a, b) for a in labels for b in labels]
 
 
@@ -241,7 +234,7 @@ def _check_table_census(scale: Scale) -> str:
     rng = random.Random(101)
     E, V = default_block_bases(2, 2)
     elabels, vlabels = E.labels(), V.labels()
-    singles = [single_vertex(v) for v in vlabels]
+    singles = [LinComb.of(leaf(v)) for v in vlabels]
     n_compatible = n_refuted = 0
     for i in range(scale.table_maps):
         if i % 2 == 0:
@@ -337,7 +330,7 @@ def _check_theta(scale: Scale) -> str:
     triples = 0
     for phi, elabels, vlabels in cases:
         ts = trees_up_to(scale.theta_vertices, elabels, vlabels)
-        psi = identity_on(phi)
+        psi = identity_map(phi.edge_basis, phi.vertex_basis)
         for x in ts:
             for y in ts:
                 for a in elabels:
@@ -467,11 +460,9 @@ def _check_spde_actions(scale: Scale) -> str:
     label_pairs = 0
     for d in scale.psi_dims:
         for noise in (False, True):
-            cfg = SpdeConfig(d, _ones(d), noise=noise)
-            phi = spde_phi(cfg)
-            base, psi = spde_psi(cfg)
-            rng_vals = range(scale.psi_entries + 1)
-            mis = [MultiIndex(t) for t in iproduct(rng_vals, repeat=d + 1)]
+            phi = spde_phi(SpdeConfig(d, _ones(d), noise=noise))
+            base, psi = spde_psi(d)
+            mis = list(MultiIndexBasis(d).labels_up_to(scale.psi_entries))
             elabels = mis + [XI] if noise else mis
             vlabels = mis + [STAR] if noise else mis
             defects = psi_compat_defects(phi, base, psi, elabels, vlabels)
@@ -479,9 +470,8 @@ def _check_spde_actions(scale: Scale) -> str:
                 d0 = defects[0]
                 raise Defect(f"{d0.condition} defect at d={d}, noise={noise}")
             label_pairs += len(elabels) * len(vlabels)
-    cfg = SpdeConfig(1, _ones(1), noise=True)
-    phi = spde_phi(cfg)
-    base, psi = spde_psi(cfg)
+    phi = spde_phi(SpdeConfig(1, _ones(1), noise=True))
+    base, psi = spde_psi(1)
     elems = [
         LinComb.of("X_0"),
         LinComb.of("X_1"),
@@ -500,7 +490,7 @@ def _check_spde_actions(scale: Scale) -> str:
 
 
 def _adm_labels(cfg: SpdeConfig) -> Tuple[List[Label], List[Label]]:
-    mis = [MultiIndex(t) for t in iproduct(range(2), repeat=cfg.d + 1)]
+    mis = list(MultiIndexBasis(cfg.d).labels_up_to(1))
     return mis + [XI], mis + [STAR]
 
 
@@ -569,13 +559,13 @@ def _check_nap(scale: Scale) -> str:
     E = symbols("a", ("a1", "a2"))
     V = symbols("b", ("b1",))
     for p in planted_up_to(scale.nap_vertices, E.labels(), V.labels()):
-        if not nap_eigen_defect(planted_elem(p)).is_zero:
+        if not nap_eigen_defect(LinComb.of(p)).is_zero:
             raise Defect(f"regraft eigen relation failed on {p.render()}")
     basis = planted_up_to(3, E.labels(), V.labels())
     pair_index: Dict = {}
     columns = []
     for p in basis:
-        img = nap_coproduct(planted_elem(p))
+        img = nap_coproduct(LinComb.of(p))
         for key, _ in img.items():
             pair_index.setdefault(key, len(pair_index))
         columns.append(img)
@@ -583,13 +573,12 @@ def _check_nap(scale: Scale) -> str:
     for j, img in enumerate(columns):
         for key, c in img.items():
             rows[pair_index[key]][j] = c
-    _, pivots = rref(mat(rows)) if rows else ((), [])
-    kernel_dim = len(basis) - len(pivots)
+    kernel_dim = len(nullspace(mat(rows))) if rows else len(basis)
     single = [p for p in basis if not p.body.children]
     if kernel_dim != len(single):
         raise Defect(f"kernel dimension {kernel_dim} != {len(single)} single-vertex trees")
     for p in single:
-        if not nap_coproduct(planted_elem(p)).is_zero:
+        if not nap_coproduct(LinComb.of(p)).is_zero:
             raise Defect(f"{p.render()} is not in the kernel")
     return f"eigen relation up to {scale.nap_vertices} vertices; kernel is the {len(single)} single-vertex trees"
 

@@ -54,9 +54,7 @@ from rtcalc.prelie import (
     multiple_prelie_defect,
     nap_coproduct,
     nap_eigen_defect,
-    planted_elem,
     planted_graft,
-    single_vertex,
     theta,
 )
 from rtcalc.ratmat import nullspace
@@ -110,7 +108,7 @@ def test_criterion_01_compat_verdict_matches_grafting_relation():
     rng = random.Random(2101)
     E, V = default_block_bases(2, 2)
     elabels, vlabels = E.labels(), V.labels()
-    singles = [single_vertex(b) for b in vlabels]
+    singles = [LinComb.of(leaf(b)) for b in vlabels]
     n_compatible = n_refuted = 0
     for i in range(50):
         if i % 2 == 0:
@@ -379,7 +377,7 @@ def test_criterion_07_generator_actions_fit_the_extension():
     for d in (0, 1, 2):
         for noise in (False, True):
             cfg = SpdeConfig(d, tuple(Fraction(1) for _ in range(d + 1)), noise=noise)
-            P, psi = spde_psi(cfg)
+            P, psi = spde_psi(cfg.d)
             ph = spde_phi(cfg)
             edge_labels = list(mi_labels(d, 3))
             vertex_labels = list(mi_labels(d, 3))
@@ -406,7 +404,7 @@ def test_criterion_07_generator_actions_fit_the_extension():
 
     # Display one: a generator bumps each vertex of a planted tree in turn.
     cfg = SpdeConfig(1, (Fraction(1), Fraction(1)))
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     ph = phi_lambda(cfg)
     a, a1, a2, a3 = mi(1, 1), mi(1, 0), mi(0, 1), mi(2, 0)
     b1, b2, b3, b4 = mi(0, 0), mi(1, 0), mi(0, 1), mi(2, 2)
@@ -476,14 +474,14 @@ def test_criterion_09_regraft_eigenrelation_and_coproduct_kernel():
     V = symbols("b", ("b1",))
     pool4 = planted_up_to(4, E.labels(), V.labels())
     for p in pool4:
-        assert nap_eigen_defect(planted_elem(p)).is_zero
+        assert nap_eigen_defect(LinComb.of(p)).is_zero
 
     pool3 = planted_up_to(3, E.labels(), V.labels())
     index = {p: i for i, p in enumerate(pool3)}
     targets = {}
     columns = []
     for p in pool3:
-        img = nap_coproduct(planted_elem(p))
+        img = nap_coproduct(LinComb.of(p))
         col = {}
         for pair, c in img.items():
             row = targets.setdefault(pair, len(targets))
@@ -501,7 +499,7 @@ def test_criterion_09_regraft_eigenrelation_and_coproduct_kernel():
         support = {i for i, c in enumerate(vec) if c}
         assert support <= single_ix
     for p in singles:
-        assert nap_coproduct(planted_elem(p)).is_zero
+        assert nap_coproduct(LinComb.of(p)).is_zero
     report(9, f"eigen relation on {len(pool4)} trees, kernel is the {len(singles)} single vertices")
 
 

@@ -19,7 +19,6 @@ PHI_D0 = {"builder": "phi_lambda", "d": 0, "lambda": ["1"]}
 PHI_D0_TWO = {"builder": "phi_lambda", "d": 0, "lambda": ["2"]}
 NOISE_D0 = {"builder": "noise_extend", "d": 0, "lambda": ["1"]}
 PSI_D0 = {"builder": "spde_psi", "d": 0, "noise": False}
-PSI_D0_TWO = {"builder": "spde_psi", "d": 0, "lambda": ["2"], "noise": False}
 
 SYM_BASES = {
     "edge_basis": {"kind": "symbols", "id": "a", "names": ["a1", "a2"]},
@@ -79,6 +78,17 @@ def test_apply_phi_structured(tmp_path, capsys):
     assert json.loads(out) == {
         "terms": [["2", "<0,0>", "<1,1>"], ["1", "<1,0>", "<2,1>"]]
     }
+
+
+def test_apply_phi_series_builder_prints_the_closed_form_past_sixty_four_terms(tmp_path, capsys):
+    outs = []
+    for builder in ("phi_lambda", "phi_lambda_exp"):
+        phi = jfile(tmp_path, f"{builder}.json", {"builder": builder, "d": 0})
+        code, out, err = run(capsys, "apply-phi", "--phi", phi, "--a", "<70>", "--b", "<70>")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("(x)") == 71
 
 
 def test_apply_phi_rejects_label_outside_basis(tmp_path, capsys):
@@ -260,7 +270,7 @@ def test_psi_check_refuses_a_negative_bound(tmp_path, capsys):
 
 def test_psi_check_flags_other_coefficients(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0_TWO)
-    psi = jfile(tmp_path, "psi.json", PSI_D0_TWO)
+    psi = jfile(tmp_path, "psi.json", PSI_D0)
     code, out, _ = run(capsys, "psi-check", "--psi", psi, "--phi", phi, "--bound", "2")
     assert code == 1
     assert "map-intertwining" in out
@@ -279,7 +289,7 @@ def test_postlie_check_zero_residuals(tmp_path, capsys):
 
 def test_postlie_check_nonzero_residual(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0_TWO)
-    psi = jfile(tmp_path, "psi.json", PSI_D0_TWO)
+    psi = jfile(tmp_path, "psi.json", PSI_D0)
     u = tfile(tmp_path, "u.txt", "X_0")
     v = tfile(tmp_path, "v.txt", "[<2>](<1>)")
     w = tfile(tmp_path, "w.txt", "[<1>](<0>)")
@@ -497,7 +507,7 @@ def test_parse_error_carries_position(tmp_path, capsys):
         ({"builder": "polynomial", "of": {"builder": "phi_lambda", "d": 0}, "coeffs": 5}, "'coeffs'"),
         ({"builder": "polynomial", "of": {"builder": "phi_lambda", "d": 0}, "coeffs": [1, True]}, "bad rational True"),
         ({"builder": "exp", "of": {"builder": "phi_lambda", "d": 0}, "max_iter": -1}, "'max_iter'"),
-        ({"builder": "phi_lambda_exp", "d": 0, "max_iter": -3}, "'max_iter'"),
+        ({"builder": "phi_lambda_exp", "d": 0, "max_iter": -3}, "builder 'phi_lambda_exp' does not read 'max_iter'"),
         (
             {
                 "builder": "identity",
@@ -582,6 +592,7 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
         (PSI_SYM, {"generators": ["g"], "bracket": [{"on": ["g", "g", "g"], "terms": []}]}, "bracket[0]: 'on'"),
         ({"builder": "spde_psi", "d": 0, "noise": "no"}, None, "'noise'"),
         ({"builder": "spde_psi", "d": 0, "nosie": True}, None, "builder 'spde_psi' does not read 'nosie'"),
+        ({**PSI_D0, "lambda": ["2"]}, None, "builder 'spde_psi' does not read 'lambda'"),
         ({**PSI_SYM, "assert_compatible": True}, None, "does not read 'assert_compatible'"),
         (
             {**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]], "extra": 1}]},
@@ -597,7 +608,7 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
     ids=[
         "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
         "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
-        "noise-string", "noise-misspelt", "psi-assert-compatible", "edge-entry-unknown-key",
+        "noise-string", "noise-misspelt", "spde-psi-lambda", "psi-assert-compatible", "edge-entry-unknown-key",
         "postlie-unknown-key",
     ],
 )
@@ -787,7 +798,6 @@ GOLDEN_INPUTS = {
     "phi_d0.json": PHI_D0,
     "phi_d0_two.json": PHI_D0_TWO,
     "psi_d0.json": PSI_D0,
-    "psi_d0_two.json": PSI_D0_TWO,
     "grid_jd.json": {"builder": "blocks", "jd": {"A": [[0, 1], [0, 0]], "B": [[0, "1/2"], [0, 0]], "form": "J"}},
     "grid_diag.json": {"builder": "blocks", "blocks": [[[[1, 1], [0, 2]]]]},
     "grid_noncommuting.json": {
@@ -817,10 +827,10 @@ GRAFT_CASES = {
     "graft-free-lambda": ("graft-free", "--phi", "phi_frac.json", "--a", "<1,1>", "x.txt", "y.txt"),
     "graft-free-table": ("graft-free", "--phi", "phi_table.json", "--a", "a2", "xs.txt", "ys.txt"),
     "psi-check-clean": ("psi-check", "--psi", "psi_d0.json", "--phi", "phi_d0.json", "--bound", "2"),
-    "psi-check-defects": ("psi-check", "--psi", "psi_d0_two.json", "--phi", "phi_d0_two.json", "--bound", "2"),
+    "psi-check-defects": ("psi-check", "--psi", "psi_d0.json", "--phi", "phi_d0_two.json", "--bound", "2"),
     "postlie-check-zero": ("postlie-check", "--phi", "phi_d0.json", "--psi", "psi_d0.json", "u.txt", "v.txt", "w.txt"),
     "postlie-check-residual": (
-        "postlie-check", "--phi", "phi_d0_two.json", "--psi", "psi_d0_two.json", "u.txt", "v.txt", "w.txt",
+        "postlie-check", "--phi", "phi_d0_two.json", "--psi", "psi_d0.json", "u.txt", "v.txt", "w.txt",
     ),
 }
 

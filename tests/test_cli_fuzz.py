@@ -100,8 +100,6 @@ def leaf(draw, sig):
         obj = {"builder": builder, "d": d}
         if draw(st.booleans()):
             obj["lambda"] = draw(st.lists(RAT, min_size=d + 1, max_size=d + 1))
-        if builder == "phi_lambda_exp" and draw(st.booleans()):
-            obj["max_iter"] = draw(st.integers(0, 8))
         return obj
     (_, es), (_, vs) = SYMBOLS[sig]
     m, n = len(es), len(vs)

@@ -16,7 +16,6 @@ USERS = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rg
 TEST_ONLY = {
     "theta_bar": "the paper's forest edge-product operator; the tests check it against the tree operator",
     "go_triangle": "the paper's all-grafted forest product; the tests check it against planted grafting",
-    "nullspace": "an acceptance test finds the kernel of the root-regraft operator with it",
 }
 
 
@@ -61,25 +60,35 @@ def without_docstrings(source: str) -> str:
     return "\n".join(lines)
 
 
+def top_level_definitions(source: str):
+    """The top-level function and class statements of ``source``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [stmt for stmt in ast.parse(source).body if isinstance(stmt, defs)]
+
+
 def unused_definitions(modules, others):
     """The top-level functions and classes of the sources ``modules`` whose
     names occur, as whole words, in no source of ``modules`` or ``others``
     outside their own definition and outside docstrings.  A definition
     that only calls itself, or that only a docstring names, is unused; a
     name that only another string uses, such as a string annotation,
-    counts as used."""
+    counts as used.  A source that defines a top-level function or class
+    of the same name uses its own, so its occurrences do not count."""
     found = set()
-    stripped = {text: without_docstrings(text) for text in [*modules, *others]}
+    sources = [*modules, *others]
+    stripped = {text: without_docstrings(text) for text in sources}
+    defined = {text: {stmt.name for stmt in top_level_definitions(text)} for text in sources}
     for source in modules:
         lines = stripped[source].splitlines()
-        for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
-                rest = "\n".join(lines[: start - 1] + lines[stmt.end_lineno :])
-                pattern = re.compile(rf"\b{re.escape(stmt.name)}\b")
-                texts = [rest] + [stripped[other] for other in [*modules, *others] if other is not source]
-                if not any(pattern.search(text) for text in texts):
-                    found.add(stmt.name)
+        for stmt in top_level_definitions(source):
+            start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+            rest = "\n".join(lines[: start - 1] + lines[stmt.end_lineno :])
+            pattern = re.compile(rf"\b{re.escape(stmt.name)}\b")
+            texts = [rest] + [
+                stripped[other] for other in sources if other is not source and stmt.name not in defined[other]
+            ]
+            if not any(pattern.search(text) for text in texts):
+                found.add(stmt.name)
     return found
 
 
@@ -96,9 +105,11 @@ def test_the_definition_scan_sees_self_calls_and_string_only_names():
         "def used():\n    return os\n\n"
         "def quoted():\n    pass\n\n"
         "class Lonely:\n    pass\n\n"
+        "def shadowed():\n    pass\n\n"
         "x = 'quoted'\n"
     )
-    assert unused_definitions([module, "import m\nm.used()\n"], []) == {"loop", "Lonely"}
+    own_copy = "def shadowed():\n    pass\n\nshadowed()\n"
+    assert unused_definitions([module, "import m\nm.used()\n"], [own_copy]) == {"loop", "Lonely", "shadowed"}
 
 
 def test_the_definition_scan_skips_docstrings_but_not_string_annotations():

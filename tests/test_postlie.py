@@ -23,7 +23,6 @@ from rtcalc.postlie import (
     postlie_base,
     psi_compat_defects,
     render_ext,
-    trivial_postlie,
 )
 from rtcalc.trees import PlantedTree, leaf, node
 from rtcalc.verify import planted_up_to
@@ -45,7 +44,7 @@ def zero_psi():
 
 
 def test_trivial_base_accepts():
-    P = trivial_postlie(["p", "q"])
+    P = postlie_base(["p", "q"])
     assert P.bracket_of("p", "q").is_zero
     assert P.triangle_of("p", "q").is_zero
 
@@ -86,7 +85,7 @@ def vertex_bump_psi():
 
 def test_generator_acts_vertex_by_vertex():
     # The cherry with three decorated vertices: one relabel per vertex.
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = vertex_bump_psi()
     x = PlantedTree(a1, node(b1, [(a2, leaf(b2)), (a3, leaf(b3))]))
     got = ext_triangle(ID, P, psi, LinComb.of("p"), LinComb.of(x))
@@ -99,7 +98,7 @@ def test_generator_acts_vertex_by_vertex():
 
 
 def test_planted_triangle_generator_vanishes():
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = vertex_bump_psi()
     x = LinComb.of(PlantedTree(a1, leaf(b1)))
     assert ext_triangle(ID, P, psi, x, LinComb.of("p")).is_zero
@@ -115,7 +114,7 @@ def test_generator_triangle_generator_uses_constants():
 
 
 def test_bracket_acts_on_plant_label():
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = vertex_bump_psi()
     x = PlantedTree(a1, node(b1, [(a2, leaf(b2))]))
     got = ext_bracket(P, psi, LinComb.of(x), LinComb.of("p"))
@@ -125,7 +124,7 @@ def test_bracket_acts_on_plant_label():
 
 
 def test_bracket_between_planted_vanishes():
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = vertex_bump_psi()
     x = LinComb.of(PlantedTree(a1, leaf(b1)))
     y = LinComb.of(PlantedTree(a2, leaf(b2)))
@@ -194,14 +193,14 @@ def diagonal_psi(mu):
 def test_psi_compat_holds_for_scaling_family():
     # The vertex action satisfies [lower, action] = mu * lower on the
     # chain b3 -> b2 -> b1 -> 0, matching the edge action mu * id.
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = diagonal_psi(Fraction(1))
     defects = psi_compat_defects(swap_shift_phi(), P, psi, E.labels(), V.labels())
     assert defects == []
 
 
 def test_psi_compat_flags_noncommuting_vertex_actions():
-    P = trivial_postlie(["p", "q"])
+    P = postlie_base(["p", "q"])
     vmats = {
         "p": {b1: LinComb(), b2: LinComb.of(b2), b3: LinComb.of(b3, 2)},
         "q": {b1: LinComb.of(b2), b2: LinComb.of(b1), b3: LinComb.of(b3)},
@@ -213,7 +212,7 @@ def test_psi_compat_flags_noncommuting_vertex_actions():
 
 
 def test_psi_compat_flags_broken_intertwining():
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = diagonal_psi(Fraction(1))
     defects = psi_compat_defects(ID, P, psi, E.labels(), V.labels())
     kinds = {d.condition for d in defects}
@@ -274,7 +273,7 @@ def test_axioms_hold_for_compliant_actions():
         mu = 1 if p == "p1" else 2
         return LinComb.of(vb, mu) if b == vb else LinComb()
 
-    P = trivial_postlie(["p1", "p2"])
+    P = postlie_base(["p1", "p2"])
     psi = PsiPair(edge=edge, vertex=vertex)
     assert psi_compat_defects(phi, P, psi, E2.labels(), V2.labels()) == []
 
@@ -308,7 +307,7 @@ def test_axioms_fail_for_mutant_actions():
         # commute with the first, so the extension cannot be post-Lie.
         return LinComb.of(va) if b == vb else LinComb.of(vb)
 
-    P = trivial_postlie(["p1", "p2"])
+    P = postlie_base(["p1", "p2"])
     psi = PsiPair(edge=edge, vertex=vertex)
     assert psi_compat_defects(phi, P, psi, E2.labels(), V2.labels()) != []
 
@@ -323,7 +322,7 @@ def test_axioms_fail_for_mutant_actions():
 
 
 def test_planted_triples_reduce_to_pre_lie():
-    P = trivial_postlie(["p"])
+    P = postlie_base(["p"])
     psi = zero_psi()
     u = LinComb.of(PlantedTree(a1, leaf(b1)))
     v = LinComb.of(PlantedTree(a2, leaf(b2)))

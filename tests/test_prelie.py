@@ -40,7 +40,6 @@ from rtcalc.prelie import (
     nap_eigen_defect,
     root_regraft,
     root_split,
-    single_vertex,
     theta,
     theta_morphism_defect,
 )
@@ -94,14 +93,14 @@ def all_trees(max_vertices, elabels, vlabels):
 
 
 def test_graft_free_on_single_vertices():
-    x = single_vertex(b1)
-    y = single_vertex(b2)
+    x = LinComb.of(leaf(b1))
+    y = LinComb.of(leaf(b2))
     out = graft_free(x, a1, y)
     assert out == LinComb.of(node(b2, [(a1, leaf(b1))]))
 
 
 def test_graft_free_sums_over_all_vertices():
-    x = single_vertex(b1)
+    x = LinComb.of(leaf(b1))
     y = LinComb.of(ladder((b1, a2), (b2,)))
     out = graft_free(x, a1, y)
     assert len(out) == 2
@@ -117,19 +116,19 @@ def test_graft_phi_identity_is_free():
 
 def test_graft_phi_relabels_target():
     phi = from_table(E, V, {(a1, b2): [(Fraction(1, 2), a2, b1)]})
-    out = graft_phi(phi, single_vertex(b1), a1, single_vertex(b2))
+    out = graft_phi(phi, LinComb.of(leaf(b1)), a1, LinComb.of(leaf(b2)))
     assert out == LinComb.of(node(b1, [(a2, leaf(b1))]), Fraction(1, 2))
     # Target pairs the table misses vanish.
-    assert graft_phi(phi, single_vertex(b1), a1, single_vertex(b1)).is_zero
+    assert graft_phi(phi, LinComb.of(leaf(b1)), a1, LinComb.of(leaf(b1))).is_zero
 
 
 def test_graft_is_bilinear():
     phi = identity_map(E, V)
-    x = single_vertex(b1) + 2 * single_vertex(b2)
-    y = single_vertex(b1)
+    x = LinComb.of(leaf(b1)) + 2 * LinComb.of(leaf(b2))
+    y = LinComb.of(leaf(b1))
     out = graft_phi(phi, x, a1, y)
-    assert out == graft_phi(phi, single_vertex(b1), a1, y) + 2 * graft_phi(
-        phi, single_vertex(b2), a1, y
+    assert out == graft_phi(phi, LinComb.of(leaf(b1)), a1, y) + 2 * graft_phi(
+        phi, LinComb.of(leaf(b2)), a1, y
     )
 
 
@@ -161,7 +160,7 @@ def test_multiple_prelie_defect_detects_incompatible():
     found = False
     for ia, ia2, lx, ly, lz in product([a1, a2], [a1, a2], [b1, b2], [b1, b2], [b1, b2]):
         d = multiple_prelie_defect(
-            prod, ia, ia2, single_vertex(lx), single_vertex(ly), single_vertex(lz)
+            prod, ia, ia2, LinComb.of(leaf(lx)), LinComb.of(leaf(ly)), LinComb.of(leaf(lz))
         )
         if not d.is_zero:
             found = True
@@ -181,7 +180,7 @@ def test_apply_edge_maps_leaves_leaf_labels_alone():
 def test_theta_on_single_vertex_is_identity():
     phi = from_table(E, V, {(a1, b1): [(1, a2, b2)]})
     # Compatible on nothing to check for a single vertex: no edges at all.
-    assert theta(phi, single_vertex(b1)) == single_vertex(b1)
+    assert theta(phi, LinComb.of(leaf(b1))) == LinComb.of(leaf(b1))
 
 
 def test_theta_refuses_refuted_map():

@@ -155,6 +155,18 @@ def test_phi_lambda_matches_series_construction():
                 assert all(c != 0 for _, c in image.items())
 
 
+def test_series_construction_runs_past_sixty_four_terms():
+    # The series at (a, b) has |min(a, b)| + 1 terms, so it ends on every
+    # input however long it runs; no cap may cut it short.
+    cases = [
+        (SpdeConfig(0, (1,)), mi(70), mi(70)),
+        (SpdeConfig(1, (Fraction(1, 2), -1)), mi(65, 1), mi(66, 3)),
+    ]
+    for cfg, a, b in cases:
+        assert a.min_with(b).degree > 64
+        assert phi_lambda_via_exp(cfg)(a, b) == phi_lambda(cfg)(a, b)
+
+
 def phi_lambda_reference(cfg):
     """The closed form as it was summed before the per-label tables: for
     each l <= min(a, b), the weight lambda^l C(b, l) in ``Fraction``
@@ -371,20 +383,20 @@ def test_config_validation():
 
 
 def test_generator_actions_raise_and_lower():
-    _, psi = spde_psi(SpdeConfig(1, (1, 1)))
+    _, psi = spde_psi(1)
     assert psi.vertex("X_1", mi(0, 2)) == LinComb.of(mi(0, 3))
     assert psi.edge("X_0", mi(0, 5)).is_zero
     assert psi.edge("X_1", mi(0, 5)) == LinComb.of(mi(0, 4))
 
 
 def test_generator_actions_kill_noise_symbols():
-    _, psi = spde_psi(SpdeConfig(1, (1, 1), noise=True))
+    _, psi = spde_psi(1)
     assert psi.edge("X_0", XI).is_zero
     assert psi.vertex("X_1", STAR).is_zero
 
 
 def test_generator_base_is_trivial():
-    P, _ = spde_psi(SpdeConfig(2, (1, 1, 1)))
+    P, _ = spde_psi(2)
     assert P.names == ("X_0", "X_1", "X_2")
     for p in P.names:
         for q in P.names:
@@ -394,7 +406,7 @@ def test_generator_base_is_trivial():
 
 def test_actions_compatible_at_unit_coefficients():
     cfg = SpdeConfig(1, (1, 1))
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     rng = range(3)
     labels = [MultiIndex(t) for t in product(rng, repeat=2)]
     assert psi_compat_defects(phi_lambda(cfg), P, psi, labels, labels) == []
@@ -402,7 +414,7 @@ def test_actions_compatible_at_unit_coefficients():
 
 def test_actions_compatible_with_noise_symbols():
     cfg = SpdeConfig(0, (1,), noise=True)
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     edge_labels = [mi(0), mi(1), mi(2), XI]
     vertex_labels = [mi(0), mi(1), mi(2), STAR]
     assert psi_compat_defects(noise_extend(cfg), P, psi, edge_labels, vertex_labels) == []
@@ -410,7 +422,7 @@ def test_actions_compatible_with_noise_symbols():
 
 def test_actions_incompatible_away_from_unit_coefficients():
     cfg = SpdeConfig(0, (2,))
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     labels = [mi(0), mi(1), mi(2)]
     defects = psi_compat_defects(phi_lambda(cfg), P, psi, labels, labels)
     assert defects and all(d.condition == "map-intertwining" for d in defects)
@@ -420,7 +432,7 @@ def test_broken_edge_action_breaks_the_associator_axiom():
     # Clamping instead of vanishing at the boundary is a genuine mutation:
     # the intertwining condition fails, and so does the third axiom.
     cfg = SpdeConfig(0, (1,))
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
 
     def clamped_edge(gen, a):
         lowered = a.sub(mi_unit(0, 0))
@@ -439,7 +451,7 @@ def test_broken_edge_action_breaks_the_associator_axiom():
 
 def test_axioms_hold_on_sample_extension_triples():
     cfg = SpdeConfig(1, (1, 1), noise=True)
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     ph = noise_extend(cfg)
     elems = [
         LinComb.of("X_0"),
@@ -461,7 +473,7 @@ def test_axioms_hold_on_sample_extension_triples():
 
 def test_generator_bumps_each_vertex_of_a_planted_tree():
     cfg = SpdeConfig(1, (1, 1))
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     ph = phi_lambda(cfg)
     a, a1, a2, a3 = mi(1, 1), mi(1, 0), mi(0, 1), mi(2, 0)
     b1, b2, b3, b4 = mi(0, 0), mi(1, 0), mi(0, 1), mi(2, 2)
@@ -484,7 +496,7 @@ def test_generator_bumps_each_vertex_of_a_planted_tree():
 
 def test_bracket_lowers_the_plant_label():
     cfg = SpdeConfig(1, (1, 1))
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     body = node(mi(0, 0), [(mi(1, 0), leaf(mi(1, 0))), (mi(2, 0), leaf(mi(2, 2)))])
     carried = LinComb.of(PlantedTree(mi(1, 1), body))
     got = ext_bracket(P, psi, carried, LinComb.of("X_1"))
@@ -495,7 +507,7 @@ def test_bracket_lowers_the_plant_label():
 
 def test_generator_skips_noise_vertices():
     cfg = SpdeConfig(1, (1, 1), noise=True)
-    P, psi = spde_psi(cfg)
+    P, psi = spde_psi(cfg.d)
     ph = noise_extend(cfg)
     a1, a2 = mi(1, 0), mi(0, 1)
     b1, b2 = mi(0, 1), mi(2, 0)

@@ -5,7 +5,6 @@ from rtcalc.verify import (
     battery,
     forests_up_to,
     planted_up_to,
-    trees_exact,
     trees_up_to,
 )
 
@@ -14,8 +13,13 @@ V = symbols("b", ("b1", "b2"))
 EL, VL = E.labels(), V.labels()
 
 
+def trees_exact(k):
+    """The trees with exactly k vertices, in the order ``trees_up_to`` gives."""
+    return [t for t in trees_up_to(k, EL, VL) if t.vertex_count == k]
+
+
 def test_tree_counts_two_by_two_labels():
-    assert [len(trees_exact(k, EL, VL)) for k in (1, 2, 3)] == [2, 8, 52]
+    assert [len(trees_exact(k)) for k in (1, 2, 3)] == [2, 8, 52]
     assert len(trees_up_to(3, EL, VL)) == 62
 
 
@@ -38,7 +42,7 @@ def test_trees_are_canonical_and_deduplicated():
     ts = trees_up_to(2, EL, VL)
     assert len(set(ts)) == len(ts)
     for k in (1, 2):
-        batch = trees_exact(k, EL, VL)
+        batch = trees_exact(k)
         assert all(t.sort_key <= u.sort_key for t, u in zip(batch, batch[1:]))
 
 
