@@ -11,7 +11,7 @@ Modules:
 * ``prelie``      -- grafting products and the edge-product operator
 * ``hopf``        -- cut coproduct, deformed forest product, dual pairing
 * ``postlie``     -- generator actions on an extended space and their axioms
-* ``spde``        -- the multi-index instantiation with optional noise labels
+* ``spde``        -- the multi-index maps and their noise extension
 * ``parsing``     -- text forms of labels, trees, forests, combinations
 * ``mapfiles``    -- JSON descriptions of maps and generator actions
 * ``verify``      -- the cross-cutting property battery

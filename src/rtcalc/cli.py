@@ -250,7 +250,7 @@ def _cmd_spde_demo(args) -> int:
     d = args.d
     lam = _parse_lambda(args, d)
     try:
-        cfg = SpdeConfig(d, lam, noise=args.noise)
+        cfg = SpdeConfig(d, lam)
     except ValueError as e:
         raise UsageError(str(e))
     lines: List[str] = []
@@ -261,9 +261,9 @@ def _cmd_spde_demo(args) -> int:
     e0 = mi_unit(0, d)
     a = e0.add(e0)
     b = a.add(e0 if d == 0 else mi_unit(d, d))
-    phi = phi_lambda(SpdeConfig(d, lam))
+    phi = phi_lambda(cfg)
     lines.append(f"phi({a.render()} (x) {b.render()}) = " + phi(a, b).render(_render_pair))
-    back = phi_lambda(SpdeConfig(d, cfg.negated().lam)).apply(phi(a, b))
+    back = phi_lambda(cfg.negated()).apply(phi(a, b))
     lines.append(
         "inverse check: phi^(-lambda) applied to that image = " + back.render(_render_pair)
     )
@@ -299,8 +299,8 @@ def _cmd_spde_demo(args) -> int:
         lines.append("  " + g2.render(lambda t: t.render()))
         good = PlantedTree(XI, leaf(STAR))
         bad = PlantedTree(XI, leaf(zero))
-        lines.append(f"admissible {good.render()}: {xi_admissible(good, cfg)}")
-        lines.append(f"admissible {bad.render()}: {xi_admissible(bad, cfg)}")
+        lines.append(f"admissible {good.render()}: {xi_admissible(good)}")
+        lines.append(f"admissible {bad.render()}: {xi_admissible(bad)}")
 
     text = "\n".join(lines)
     _emit(args, text, {"lines": lines})

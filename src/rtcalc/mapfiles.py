@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .decorations import (
     STAR,
@@ -90,6 +90,14 @@ def _located(where: str) -> Iterator[None]:
         raise MapFileError(f"{where}: {e}")
 
 
+# The SPDE map builders, each read from ``d`` and ``lambda``.
+_SPDE_MAPS: Dict[str, Callable[[SpdeConfig], PhiMap]] = {
+    "phi_lambda": phi_lambda,
+    "partial_lambda": partial_lambda,
+    "phi_lambda_exp": phi_lambda_via_exp,
+    "noise_extend": noise_extend,
+}
+
 # The keys each map builder, action builder and basis kind reads.
 _READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "map": {
@@ -98,10 +106,7 @@ _READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
             "identity": ("edge_basis", "vertex_basis"),
             "zero": ("edge_basis", "vertex_basis"),
             "table": ("edge_basis", "vertex_basis", "entries"),
-            "phi_lambda": ("d", "lambda"),
-            "partial_lambda": ("d", "lambda"),
-            "phi_lambda_exp": ("d", "lambda"),
-            "noise_extend": ("d", "lambda"),
+            **{name: ("d", "lambda") for name in _SPDE_MAPS},
             "blocks": ("blocks", "jd", "edge_basis", "vertex_basis"),
             "tensor": ("edge_basis", "vertex_basis", "f", "g"),
             "direct_sum": ("first", "second", "lam", "mu"),
@@ -228,12 +233,12 @@ def _matrix(rows, key: str, where: str):
     return mat([[_rat(x, where) for x in row] for row in _rows(rows, key, where)])
 
 
-def _spde_config(obj: dict, where: str, noise: bool) -> SpdeConfig:
+def _spde_config(obj: dict, where: str) -> SpdeConfig:
     d = _int(obj, "d", where)
     lam = obj.get("lambda")
     lam = [1] * (d + 1) if lam is None else _list(lam, "lambda", where)
     with _located(where):
-        return SpdeConfig(d, tuple(_rat(c, where) for c in lam), noise=noise)
+        return SpdeConfig(d, tuple(_rat(c, where) for c in lam))
 
 
 def _block_grid(obj: dict, where: str) -> BlockMatrix:
@@ -292,16 +297,8 @@ def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
             )
         return from_table(E, V, table)
 
-    if builder in ("phi_lambda", "partial_lambda", "phi_lambda_exp"):
-        cfg = _spde_config(obj, where, noise=False)
-        if builder == "phi_lambda":
-            return phi_lambda(cfg)
-        if builder == "partial_lambda":
-            return partial_lambda(cfg)
-        return phi_lambda_via_exp(cfg)
-
-    if builder == "noise_extend":
-        return noise_extend(_spde_config(obj, where, noise=True))
+    if builder in _SPDE_MAPS:
+        return _SPDE_MAPS[builder](_spde_config(obj, where))
 
     if builder == "blocks":
         M = _block_grid(obj, where)

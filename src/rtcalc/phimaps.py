@@ -146,7 +146,7 @@ def from_table(
     for (a, b), out in table.items():
         if not edge_basis.contains(a) or not vertex_basis.contains(b):
             raise ValueError(f"table input ({a.render()},{b.render()}) outside the bases")
-        comb = out if isinstance(out, LinComb) else LinComb([((a2, b2), as_scalar(c)) for c, a2, b2 in out])
+        comb = LinComb([((a2, b2), as_scalar(c)) for c, a2, b2 in out])
         for (a2, b2), _ in comb.sorted_items():
             if not edge_basis.contains(a2) or not vertex_basis.contains(b2):
                 raise ValueError(
@@ -361,9 +361,10 @@ def polynomial(phi: PhiMap, coeffs: Sequence) -> PhiMap:
 def exp_series(phi: PhiMap, max_iter: Optional[int] = 64) -> PhiMap:
     """exp(phi), defined input by input for locally nilpotent maps.
 
-    Iterates until the running power of the input vanishes; raises
-    :class:`NonNilpotentError` if that has not happened after
-    ``max_iter`` applications.  ``max_iter=None`` sets no cap, for a map
+    Iterates until the running power of the input vanishes.  At most
+    ``max_iter`` terms are summed and the map is applied at most
+    ``max_iter`` times; a nonzero term past them raises
+    :class:`NonNilpotentError`.  ``max_iter=None`` sets no cap, for a map
     whose series the caller knows to end on every input.
     """
 
@@ -372,7 +373,7 @@ def exp_series(phi: PhiMap, max_iter: Optional[int] = 64) -> PhiMap:
         cur = LinComb.of((a, b))
         k = 0
         while cur:
-            if max_iter is not None and k > max_iter:
+            if max_iter is not None and k >= max_iter:
                 raise NonNilpotentError(
                     f"series for ({a.render()},{b.render()}) still alive after {max_iter} terms"
                 )

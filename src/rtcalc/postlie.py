@@ -32,7 +32,7 @@ action" as its local step, the same recursion that grafting uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb, as_scalar, multilinear
@@ -45,10 +45,7 @@ GenComb = LinComb  # over generator names
 
 
 def _as_gencomb(entries, names: Tuple[str, ...]) -> GenComb:
-    if isinstance(entries, LinComb):
-        out = entries
-    else:
-        out = LinComb([(g, as_scalar(c)) for c, g in entries])
+    out = LinComb([(g, as_scalar(c)) for c, g in entries])
     for g, _ in out.sorted_items():
         if g not in names:
             raise ValueError(f"unknown generator {g!r}")
@@ -147,14 +144,7 @@ def psi_from_tables(
     """Actions from explicit tables; unlisted inputs act as zero."""
 
     def compile_side(table):
-        out: Dict[Tuple[Gen, Label], LinComb] = {}
-        for key, entries in table.items():
-            out[key] = (
-                entries
-                if isinstance(entries, LinComb)
-                else LinComb([(lab, as_scalar(c)) for c, lab in entries])
-            )
-        return out
+        return {key: LinComb([(lab, as_scalar(c)) for c, lab in entries]) for key, entries in table.items()}
 
     etab = compile_side(edge_table)
     vtab = compile_side(vertex_table)

@@ -101,10 +101,10 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     return mat(rows), pivots
 
 
-def nullspace(a: Matrix) -> List[Tuple[Scalar, ...]]:
-    """A basis of the kernel (columns as coordinate vectors)."""
+def nullspace(a: Matrix, ncols: int) -> List[Tuple[Scalar, ...]]:
+    """A basis of the kernel of ``a``, a matrix with ``ncols`` columns and
+    possibly no rows (columns as coordinate vectors)."""
     red, pivots = rref(a)
-    ncols = len(a[0]) if a else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:

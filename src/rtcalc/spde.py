@@ -10,13 +10,15 @@ closed-form map reads its images from per-map tables that it fills
 lazily and that die with it.  The resulting one-parameter family is a
 semigroup under composition, with the sign-flipped member as inverse.
 
-The noise variant adds one edge symbol and one vertex symbol via a
-direct sum with a zero block.  Generators X_0 .. X_d act on decorations
-by raising vertex labels and lowering edge labels; together with the
-closed-form map at coefficients (1, .., 1) they satisfy the post-Lie
-compatibility conditions.  ``xi_admissible`` characterizes the planted
-trees generated from the three one-edge shapes, and
-``xi_generation_probe`` re-derives each admissible tree constructively.
+``noise_extend`` adds one edge symbol and one vertex symbol via a direct
+sum with a zero block; a caller names that map or the closed form, since
+a config holds only ``d`` and the coefficients.  Generators X_0 .. X_d
+act on decorations by raising vertex labels and lowering edge labels;
+together with the closed-form map at coefficients (1, .., 1), or its
+noise extension, they satisfy the post-Lie compatibility conditions.
+``xi_admissible`` characterizes the planted trees generated from the
+three one-edge shapes, and ``xi_generation_probe`` re-derives each
+admissible tree constructively.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from math import comb
 from operator import sub
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .decorations import (
     STAR,
@@ -46,11 +48,10 @@ from .trees import DecoratedTree, PlantedTree, node
 
 @dataclass(frozen=True)
 class SpdeConfig:
-    """Coordinate count, deformation coefficients, and the noise switch."""
+    """Coordinate count and deformation coefficients."""
 
     d: int
     lam: Tuple[Scalar, ...]
-    noise: bool = False
 
     def __post_init__(self):
         if self.d < 0:
@@ -160,15 +161,8 @@ def noise_extend(cfg: SpdeConfig) -> PhiMap:
     source vertex is killed while the noise edge over a multi-index
     vertex is left alone.
     """
-    if not cfg.noise:
-        raise ValueError("noise_extend needs a config with noise=True")
     block = zero_map(NoiseOnlyBasis(XI), NoiseOnlyBasis(STAR))
     return direct_sum(phi_lambda(cfg), block, 0, 1)
-
-
-def spde_phi(cfg: SpdeConfig) -> PhiMap:
-    """The decoration map matching the config: extended when noise is on."""
-    return noise_extend(cfg) if cfg.noise else phi_lambda(cfg)
 
 
 def spde_psi(d: int) -> Tuple[PostLieBase, PsiPair]:
@@ -209,15 +203,13 @@ def spde_psi(d: int) -> Tuple[PostLieBase, PsiPair]:
 # The noise-generated planted subalgebra
 
 
-def xi_admissible(p: PlantedTree, cfg: SpdeConfig) -> bool:
+def xi_admissible(p: PlantedTree) -> bool:
     """Membership test for the subalgebra generated by the one-edge shapes.
 
     Three conditions: a noise plant carries the bare source vertex,
     every noise edge ends at a source vertex, and source vertices are
-    leaves.
+    leaves.  A tree without noise labels meets all three.
     """
-    if not cfg.noise:
-        raise ValueError("admissibility concerns the noise extension; set noise=True")
     if p.plant is XI and (p.body.label is not STAR or p.body.children):
         return False
     return _body_admissible(p.body)
@@ -242,15 +234,13 @@ class NotReached(Exception):
         self.residual = residual
 
 
-PlantedElem = PlantedTree | LinComb
-
-
 def xi_generation_probe(
     cfg: SpdeConfig,
-    targets: Iterable[PlantedElem],
+    targets: Iterable[PlantedTree],
     max_vertices: int = 8,
 ) -> bool:
-    """Rebuild each admissible target from the one-edge generators.
+    """Rebuild each admissible planted tree from the one-edge generators,
+    under the noise extension of the closed-form map at ``cfg.lam``.
 
     Follows the inductive construction: detach the first child subtree,
     apply the sign-flipped map to the pair (edge label, root label) so
@@ -260,28 +250,21 @@ def xi_generation_probe(
     :class:`NotReached` with the offending element if any step leaves a
     residual outside the subalgebra.
     """
-    if not cfg.noise:
-        raise ValueError("the generation argument needs the noise extension")
     phi = noise_extend(cfg)
     phi_inv = noise_extend(cfg.negated())
-    trees: List[PlantedTree] = []
-    for elem in targets:
-        support = [elem] if isinstance(elem, PlantedTree) else [p for p, _ in elem.sorted_items()]
-        for p in support:
-            if not xi_admissible(p, cfg):
-                raise ValueError(f"target {p.render()} is not admissible")
-            if p.body.vertex_count > max_vertices:
-                raise ValueError(
-                    f"target {p.render()} exceeds the vertex bound {max_vertices}"
-                )
-            trees.append(p)
+    trees = list(targets)
+    for p in trees:
+        if not xi_admissible(p):
+            raise ValueError(f"target {p.render()} is not admissible")
+        if p.body.vertex_count > max_vertices:
+            raise ValueError(f"target {p.render()} exceeds the vertex bound {max_vertices}")
     verified: set = set()
     for p in trees:
-        _probe(cfg, phi, phi_inv, p, verified)
+        _probe(phi, phi_inv, p, verified)
     return True
 
 
-def _probe(cfg: SpdeConfig, phi: PhiMap, phi_inv: PhiMap, p: PlantedTree, verified: set) -> None:
+def _probe(phi: PhiMap, phi_inv: PhiMap, p: PlantedTree, verified: set) -> None:
     if p in verified:
         return
     if not p.body.children:
@@ -294,16 +277,16 @@ def _probe(cfg: SpdeConfig, phi: PhiMap, phi_inv: PhiMap, p: PlantedTree, verifi
     for (new_edge, new_root), coeff in correction.sorted_items():
         left = PlantedTree(new_edge, first)
         right = PlantedTree(p.plant, node(new_root, rest_children))
-        _probe(cfg, phi, phi_inv, left, verified)
-        _probe(cfg, phi, phi_inv, right, verified)
+        _probe(phi, phi_inv, left, verified)
+        _probe(phi, phi_inv, right, verified)
         parts.append(planted_graft(phi, left, right).scale(coeff))
     residual = lc_sum(parts) - LinComb.of(p)
     if residual.coeff(p) != 0:
         raise NotReached(residual, f"target {p.render()} not met with coefficient 1")
     for q, _ in residual.sorted_items():
-        if not xi_admissible(q, cfg):
+        if not xi_admissible(q):
             raise NotReached(residual, f"residual term {q.render()} left the subalgebra")
         if len(q.body.children) >= len(p.body.children):
             raise NotReached(residual, f"residual term {q.render()} did not shrink")
-        _probe(cfg, phi, phi_inv, q, verified)
+        _probe(phi, phi_inv, q, verified)
     verified.add(p)

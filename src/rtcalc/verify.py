@@ -68,7 +68,6 @@ from .spde import (
     partial_lambda,
     phi_lambda,
     phi_lambda_via_exp,
-    spde_phi,
     spde_psi,
     xi_admissible,
     xi_generation_probe,
@@ -460,7 +459,8 @@ def _check_spde_actions(scale: Scale) -> str:
     label_pairs = 0
     for d in scale.psi_dims:
         for noise in (False, True):
-            phi = spde_phi(SpdeConfig(d, _ones(d), noise=noise))
+            cfg = SpdeConfig(d, _ones(d))
+            phi = noise_extend(cfg) if noise else phi_lambda(cfg)
             base, psi = spde_psi(d)
             mis = list(MultiIndexBasis(d).labels_up_to(scale.psi_entries))
             elabels = mis + [XI] if noise else mis
@@ -470,7 +470,7 @@ def _check_spde_actions(scale: Scale) -> str:
                 d0 = defects[0]
                 raise Defect(f"{d0.condition} defect at d={d}, noise={noise}")
             label_pairs += len(elabels) * len(vlabels)
-    phi = spde_phi(SpdeConfig(1, _ones(1), noise=True))
+    phi = noise_extend(SpdeConfig(1, _ones(1)))
     base, psi = spde_psi(1)
     elems = [
         LinComb.of("X_0"),
@@ -496,25 +496,25 @@ def _adm_labels(cfg: SpdeConfig) -> Tuple[List[Label], List[Label]]:
 
 def _admissible_pool(cfg: SpdeConfig, max_vertices: int) -> List[PlantedTree]:
     elabels, vlabels = _adm_labels(cfg)
-    return [p for p in planted_up_to(max_vertices, elabels, vlabels) if xi_admissible(p, cfg)]
+    return [p for p in planted_up_to(max_vertices, elabels, vlabels) if xi_admissible(p)]
 
 
 def _check_admissible_closure(scale: Scale) -> str:
-    cfg = SpdeConfig(0, _ones(0), noise=True)
+    cfg = SpdeConfig(0, _ones(0))
     phi = noise_extend(cfg)
     pool = _admissible_pool(cfg, scale.adm_vertices)
     products = 0
     for u in pool:
         for w in pool:
             for q, _ in planted_graft(phi, u, w).sorted_items():
-                if not xi_admissible(q, cfg):
+                if not xi_admissible(q):
                     raise Defect(f"{u.render()} times {w.render()} left the subalgebra at {q.render()}")
             products += 1
     return f"{products} products of {len(pool)} admissible trees stay admissible"
 
 
 def _check_generation(scale: Scale) -> str:
-    cfg = SpdeConfig(0, _ones(0), noise=True)
+    cfg = SpdeConfig(0, _ones(0))
     pool = _admissible_pool(cfg, scale.adm_vertices)
     xi_generation_probe(cfg, pool, max_vertices=scale.adm_vertices)
     return f"all {len(pool)} admissible trees rebuilt from the one-edge generators"
@@ -573,7 +573,7 @@ def _check_nap(scale: Scale) -> str:
     for j, img in enumerate(columns):
         for key, c in img.items():
             rows[pair_index[key]][j] = c
-    kernel_dim = len(nullspace(mat(rows))) if rows else len(basis)
+    kernel_dim = len(nullspace(mat(rows), len(basis)))
     single = [p for p in basis if not p.body.children]
     if kernel_dim != len(single):
         raise Defect(f"kernel dimension {kernel_dim} != {len(single)} single-vertex trees")

@@ -58,7 +58,7 @@ from rtcalc.prelie import (
     theta,
 )
 from rtcalc.ratmat import nullspace
-from rtcalc.spde import SpdeConfig, noise_extend, partial_lambda, phi_lambda, phi_lambda_via_exp, spde_phi, spde_psi, xi_admissible, xi_generation_probe
+from rtcalc.spde import SpdeConfig, noise_extend, partial_lambda, phi_lambda, phi_lambda_via_exp, spde_psi, xi_admissible, xi_generation_probe
 from rtcalc.trees import EMPTY_FOREST, PlantedTree, forest, forest_mul, leaf, node
 from rtcalc.verify import forests_up_to, planted_up_to, trees_up_to
 
@@ -376,9 +376,9 @@ def test_criterion_07_generator_actions_fit_the_extension():
     checked = 0
     for d in (0, 1, 2):
         for noise in (False, True):
-            cfg = SpdeConfig(d, tuple(Fraction(1) for _ in range(d + 1)), noise=noise)
+            cfg = SpdeConfig(d, tuple(Fraction(1) for _ in range(d + 1)))
             P, psi = spde_psi(cfg.d)
-            ph = spde_phi(cfg)
+            ph = noise_extend(cfg) if noise else phi_lambda(cfg)
             edge_labels = list(mi_labels(d, 3))
             vertex_labels = list(mi_labels(d, 3))
             if noise:
@@ -491,7 +491,7 @@ def test_criterion_09_regraft_eigenrelation_and_coproduct_kernel():
         [columns[j].get(i, Fraction(0)) for j in range(len(pool3))]
         for i in range(len(targets))
     ]
-    kernel = nullspace(matrix)
+    kernel = nullspace(matrix, len(pool3))
     singles = [p for p in pool3 if p.vertex_count == 1]
     assert len(kernel) == len(singles) == 2
     single_ix = {index[p] for p in singles}
@@ -505,17 +505,17 @@ def test_criterion_09_regraft_eigenrelation_and_coproduct_kernel():
 
 def test_criterion_10_noise_admissible_trees_closed_and_generated():
     t0 = time.monotonic()
-    cfg = SpdeConfig(0, (Fraction(1),), noise=True)
+    cfg = SpdeConfig(0, (Fraction(1),))
     phi = noise_extend(cfg)
     elabels = [mi(0), mi(1), XI]
     vlabels = [mi(0), mi(1), STAR]
-    pool = [p for p in planted_up_to(3, elabels, vlabels) if xi_admissible(p, cfg)]
+    pool = [p for p in planted_up_to(3, elabels, vlabels) if xi_admissible(p)]
     assert len(pool) == 259
     products = 0
     for u in pool:
         for w in pool:
             for p, _ in planted_graft(phi, u, w).items():
-                assert xi_admissible(p, cfg)
+                assert xi_admissible(p)
             products += 1
     assert xi_generation_probe(cfg, pool)
     elapsed = time.monotonic() - t0

@@ -168,6 +168,21 @@ def test_exp_series_nilpotent_and_not():
         exp_series(ident, max_iter=8)(a1, b1)
 
 
+def test_exp_series_max_iter_caps_the_terms():
+    # A two-term series: (a1,b1) -> (a2,b2) -> 0.
+    table = from_table(E, V, {(a1, b1): [(1, a2, b2)]})
+    calls = []
+    phi = PhiMap(E, V, lambda a, b: calls.append((a, b)) or table(a, b))
+    with pytest.raises(NonNilpotentError, match="still alive after 0 terms"):
+        exp_series(phi, max_iter=0)(a1, b1)
+    assert calls == []
+    with pytest.raises(NonNilpotentError, match="still alive after 1 terms"):
+        exp_series(phi, max_iter=1)(a1, b1)
+    assert calls == [(a1, b1)]
+    assert exp_series(phi, max_iter=2)(a1, b1) == pair(a1, b1) + pair(a2, b2)
+    assert calls == [(a1, b1), (a2, b2)]
+
+
 def test_tensor_product_acts_slotwise():
     phi = from_table(E, V, {(a1, b1): [(2, a2, b1)]})
     psi = identity_map(E, V)

@@ -16,7 +16,7 @@ from rtcalc.decorations import lambda_pow, mi, symbols
 from rtcalc.hopf import cut_coproduct, delta_pairing, forest_elem, pair_forests, pair_tensor, star_product
 from rtcalc.lincomb import LinComb, as_scalar, exact_div, lc_sum
 from rtcalc.phimaps import build_JD, from_blocks
-from rtcalc.ratmat import det, inv2, mat, rref
+from rtcalc.ratmat import det, inv2, mat, nullspace, rref
 from rtcalc.spde import SpdeConfig, phi_lambda
 from rtcalc.trees import EMPTY_FOREST
 from rtcalc.verify import forests_up_to
@@ -145,3 +145,7 @@ def test_exact_division_on_int_matrices_agrees_with_fractions(rows):
         inv = inv2(ints)
         assert inv == inv2(fracs)
         assert all(is_stored_scalar(x) for row in inv for x in row)
+
+
+def test_nullspace_of_a_matrix_with_no_rows_is_everything():
+    assert nullspace(mat([]), 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -32,7 +32,6 @@ from rtcalc.spde import (
     partial_lambda,
     phi_lambda,
     phi_lambda_via_exp,
-    spde_phi,
     spde_psi,
     xi_admissible,
     xi_generation_probe,
@@ -293,14 +292,14 @@ def test_inverse_at_flipped_sign():
 
 
 def test_noise_extension_rules():
-    ph = noise_extend(SpdeConfig(0, (1,), noise=True))
+    ph = noise_extend(SpdeConfig(0, (1,)))
     assert ph(XI, mi(2)) == LinComb.of((XI, mi(2)))
     assert ph(mi(2), STAR).is_zero
     assert ph(XI, STAR).is_zero
 
 
 def test_noise_extension_restricts_to_closed_form():
-    cfg = SpdeConfig(1, (1, -1), noise=True)
+    cfg = SpdeConfig(1, (1, -1))
     extended = noise_extend(cfg)
     plain = phi_lambda(SpdeConfig(1, (1, -1)))
     for a, b in pairs_up_to(1, 2):
@@ -310,7 +309,7 @@ def test_noise_extension_restricts_to_closed_form():
 
 
 def test_noise_extension_acts_on_the_map_file_noise_bases():
-    extended = noise_extend(SpdeConfig(1, (1, 2), noise=True))
+    extended = noise_extend(SpdeConfig(1, (1, 2)))
     basis = {"kind": "multiindex_noise", "d": 1}
     from_file = build_phi({"builder": "zero", "edge_basis": basis, "vertex_basis": basis})
     assert from_file.edge_basis == extended.edge_basis
@@ -318,13 +317,13 @@ def test_noise_extension_acts_on_the_map_file_noise_bases():
 
 
 def test_noise_block_first_is_the_same_extension():
-    cfg = SpdeConfig(1, (1, 2), noise=True)
+    cfg = SpdeConfig(1, (1, 2))
     extended = noise_extend(cfg)
     flipped = direct_sum(zero_map(NoiseOnlyBasis(XI), NoiseOnlyBasis(STAR)), phi_lambda(cfg), 1, 0)
     assert flipped.edge_basis == extended.edge_basis
     assert flipped.vertex_basis == extended.vertex_basis
     twice = compose(extended, flipped)
-    doubled = noise_extend(SpdeConfig(1, (2, 4), noise=True))
+    doubled = noise_extend(SpdeConfig(1, (2, 4)))
     edges = extended.edge_basis.labels_up_to(2)
     verts = extended.vertex_basis.labels_up_to(2)
     assert edges[-1] == XI and verts[-1] == STAR
@@ -347,7 +346,7 @@ def test_noise_extension_runs_each_action_once_per_pair(monkeypatch):
         return dataclasses.replace(inner, action=counted)
 
     monkeypatch.setattr(spde, "phi_lambda", counting_phi_lambda)
-    ph = noise_extend(SpdeConfig(1, (1, 2), noise=True))
+    ph = noise_extend(SpdeConfig(1, (1, 2)))
     pairs = pairs_up_to(1, 2) + [(XI, mi(1, 1)), (mi(1, 0), STAR), (XI, STAR)]
     first = {ab: ph(*ab) for ab in pairs}
     for _ in range(3):
@@ -361,14 +360,12 @@ def test_noise_extension_runs_each_action_once_per_pair(monkeypatch):
     assert (STAR, mi(0, 0)) not in calls
 
 
-def test_noise_extension_requires_the_flag():
-    with pytest.raises(ValueError):
-        noise_extend(SpdeConfig(0, (1,)))
-
-
-def test_spde_phi_dispatches_on_noise():
-    assert not spde_phi(SpdeConfig(0, (1,))).edge_basis.contains(XI)
-    assert spde_phi(SpdeConfig(0, (1,), noise=True)).edge_basis.contains(XI)
+def test_one_config_gives_the_closed_form_and_its_noise_extension():
+    cfg = SpdeConfig(0, (1,))
+    assert not phi_lambda(cfg).edge_basis.contains(XI)
+    ph = noise_extend(cfg)
+    assert ph.edge_basis.contains(XI) and ph.vertex_basis.contains(STAR)
+    assert ph(XI, mi(1)) == LinComb.of((XI, mi(1)))
 
 
 def test_config_validation():
@@ -413,7 +410,7 @@ def test_actions_compatible_at_unit_coefficients():
 
 
 def test_actions_compatible_with_noise_symbols():
-    cfg = SpdeConfig(0, (1,), noise=True)
+    cfg = SpdeConfig(0, (1,))
     P, psi = spde_psi(cfg.d)
     edge_labels = [mi(0), mi(1), mi(2), XI]
     vertex_labels = [mi(0), mi(1), mi(2), STAR]
@@ -450,7 +447,7 @@ def test_broken_edge_action_breaks_the_associator_axiom():
 
 
 def test_axioms_hold_on_sample_extension_triples():
-    cfg = SpdeConfig(1, (1, 1), noise=True)
+    cfg = SpdeConfig(1, (1, 1))
     P, psi = spde_psi(cfg.d)
     ph = noise_extend(cfg)
     elems = [
@@ -506,7 +503,7 @@ def test_bracket_lowers_the_plant_label():
 
 
 def test_generator_skips_noise_vertices():
-    cfg = SpdeConfig(1, (1, 1), noise=True)
+    cfg = SpdeConfig(1, (1, 1))
     P, psi = spde_psi(cfg.d)
     ph = noise_extend(cfg)
     a1, a2 = mi(1, 0), mi(0, 1)
@@ -549,7 +546,7 @@ def test_grafting_display_with_binomial_weights():
 
 def test_grafting_display_with_noise_leaf():
     # Same shape with the noise leaf: the group grafted there disappears.
-    ph = noise_extend(SpdeConfig(0, (1,), noise=True))
+    ph = noise_extend(SpdeConfig(0, (1,)))
     x = node(mi(0), [(mi(0), leaf(mi(1)))])
     y = node(mi(2), [(mi(0), leaf(mi(1))), (XI, leaf(STAR))])
 
@@ -570,7 +567,7 @@ def test_grafting_display_with_noise_leaf():
 
 
 def test_grafting_onto_a_bare_noise_vertex_is_zero():
-    ph = noise_extend(SpdeConfig(0, (1,), noise=True))
+    ph = noise_extend(SpdeConfig(0, (1,)))
     got = graft_phi(ph, LinComb.of(leaf(mi(1))), mi(1), LinComb.of(leaf(STAR)))
     assert got.is_zero
 
@@ -607,42 +604,34 @@ def test_edge_operator_inverts_at_flipped_sign():
 
 
 def adm_cfg():
-    return SpdeConfig(1, (1, 1), noise=True)
+    return SpdeConfig(1, (1, 1))
 
 
 def test_admissibility_of_the_generators():
-    cfg = adm_cfg()
-    assert xi_admissible(PlantedTree(XI, leaf(STAR)), cfg)
-    assert xi_admissible(PlantedTree(mi(1, 0), leaf(STAR)), cfg)
-    assert xi_admissible(PlantedTree(mi(1, 0), leaf(mi(0, 2))), cfg)
+    assert xi_admissible(PlantedTree(XI, leaf(STAR)))
+    assert xi_admissible(PlantedTree(mi(1, 0), leaf(STAR)))
+    assert xi_admissible(PlantedTree(mi(1, 0), leaf(mi(0, 2))))
 
 
 def test_admissibility_rejections():
-    cfg = adm_cfg()
-    assert not xi_admissible(PlantedTree(XI, leaf(mi(0, 0))), cfg)
-    assert not xi_admissible(PlantedTree(XI, node(STAR, [(mi(0, 0), leaf(STAR))])), cfg)
-    assert not xi_admissible(
-        PlantedTree(mi(0, 0), node(mi(1, 1), [(XI, leaf(mi(0, 0)))])), cfg
-    )
-    assert not xi_admissible(
-        PlantedTree(mi(0, 0), node(STAR, [(mi(0, 0), leaf(mi(0, 0)))])), cfg
-    )
+    assert not xi_admissible(PlantedTree(XI, leaf(mi(0, 0))))
+    assert not xi_admissible(PlantedTree(XI, node(STAR, [(mi(0, 0), leaf(STAR))])))
+    assert not xi_admissible(PlantedTree(mi(0, 0), node(mi(1, 1), [(XI, leaf(mi(0, 0)))])))
+    assert not xi_admissible(PlantedTree(mi(0, 0), node(STAR, [(mi(0, 0), leaf(mi(0, 0)))])))
 
 
 def test_admissibility_accepts_noise_leaves():
-    cfg = adm_cfg()
     p = PlantedTree(
         mi(1, 0), node(mi(2, 1), [(XI, leaf(STAR)), (mi(0, 1), leaf(mi(1, 1)))])
     )
-    assert xi_admissible(p, cfg)
+    assert xi_admissible(p)
 
 
-def test_admissibility_needs_the_noise_flag():
-    with pytest.raises(ValueError):
-        xi_admissible(PlantedTree(mi(1, 0), leaf(mi(0, 0))), SpdeConfig(1, (1, 1)))
+def test_admissibility_holds_on_a_noise_free_tree():
+    assert xi_admissible(PlantedTree(mi(1, 0), node(mi(2, 1), [(mi(0, 1), leaf(mi(1, 1)))])))
 
 
-def admissible_pool(cfg):
+def admissible_pool():
     return [
         PlantedTree(XI, leaf(STAR)),
         PlantedTree(mi(1, 1), leaf(STAR)),
@@ -655,12 +644,12 @@ def admissible_pool(cfg):
 def test_products_of_admissible_elements_stay_admissible():
     cfg = adm_cfg()
     ph = noise_extend(cfg)
-    pool = admissible_pool(cfg)
+    pool = admissible_pool()
     for u in pool:
         for w in pool:
             grafted = graft_phi(ph, LinComb.of(u.body), u.plant, LinComb.of(w.body))
             for body, _ in grafted.items():
-                assert xi_admissible(PlantedTree(w.plant, body), cfg)
+                assert xi_admissible(PlantedTree(w.plant, body))
 
 
 def test_probe_accepts_the_generators():
@@ -694,7 +683,7 @@ def test_probe_handles_noise_edges_and_wide_roots():
         mi(0, 1),
         node(mi(1, 1), [(mi(1, 0), node(mi(1, 2), [(XI, leaf(STAR))]))]),
     )
-    assert xi_generation_probe(cfg, [LinComb.of(wide) + LinComb.of(deep)], max_vertices=5)
+    assert xi_generation_probe(cfg, [wide, deep], max_vertices=5)
 
 
 def test_probe_rejects_inadmissible_targets():
@@ -708,8 +697,3 @@ def test_probe_enforces_the_vertex_bound():
     chain = PlantedTree(mi(1, 1), node(mi(2, 0), [(mi(1, 0), leaf(mi(0, 3)))]))
     with pytest.raises(ValueError):
         xi_generation_probe(cfg, [chain], max_vertices=1)
-
-
-def test_probe_needs_the_noise_flag():
-    with pytest.raises(ValueError):
-        xi_generation_probe(SpdeConfig(0, (1,)), [])
