@@ -181,10 +181,7 @@ def _cmd_deshuffle(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    phi = load_phi(args.phi)
-    phi2 = load_phi(args.phi2) if args.phi2 else phi
-    xprime = parse_forest_comb(_read(args.xprime), phi2.edge_basis, phi2.vertex_basis)
-    y = parse_forest_comb(_read(args.y), phi.edge_basis, phi.vertex_basis)
+    _, _, (xprime, y) = _operands(args, parse_forest_comb)
     value = pair_forests(delta_pairing(), xprime, y)
     _emit(args, str(value), {"value": str(value)})
     return 0
@@ -369,7 +366,6 @@ def nonnegative_int(text: str) -> int:
 
 FLAGS = {
     "phi": dict(required=True, metavar="FILE", help="map description (JSON)"),
-    "phi2": dict(metavar="FILE", help="map for the primed side (default: --phi)"),
     "psi": dict(required=True, metavar="FILE", help="generator-action description (JSON)"),
     "postlie": dict(metavar="FILE", help="generator algebra (default: the one in --psi)"),
     "a": dict(required=True, metavar="LABEL", help="edge label"),
@@ -391,7 +387,7 @@ SUBCOMMANDS = (
     ("star", "deformed Grossman-Larson product of forests", ("phi",), ("x", "y"), _cmd_star),
     ("coprod", "deformed cut coproduct of a forest expression", ("phi",), ("x",), _cmd_coprod),
     ("deshuffle", "deshuffle coproduct (the map supplies bases only)", ("phi",), ("x",), _cmd_deshuffle),
-    ("pair", "dual pairing of a primed and an unprimed forest", ("phi", "phi2"), ("xprime", "y"), _cmd_pair),
+    ("pair", "dual pairing of a primed and an unprimed forest", ("phi",), ("xprime", "y"), _cmd_pair),
     (
         "postlie-check",
         "axiom residuals on the extension, for three elements",

@@ -53,7 +53,7 @@ from math import comb, factorial, prod
 from typing import Dict, List, Tuple
 
 from .lincomb import LinComb, Scalar, as_scalar, multilinear
-from .phimaps import PhiMap, ensure_usable
+from .phimaps import PhiMap, ensure_usable, transpose_map
 from .prelie import apply_edge_maps
 from .trees import EMPTY_FOREST, DecoratedTree, Forest, PlantedTree, forest, forest_mul, node
 
@@ -365,10 +365,6 @@ def pair_tensor(pairing: Pairing, x: PairComb, y: PairComb) -> Scalar:
     return as_scalar(total)
 
 
-class AdjointnessViolated(Exception):
-    """The second map is not the transpose of the first."""
-
-
 def counit(x: ForestComb) -> Scalar:
     return x.coeff(EMPTY_FOREST)
 
@@ -381,51 +377,25 @@ class PairingDefect:
     rhs: Scalar
 
 
-def check_adjoint(phi: PhiMap, phi2: PhiMap) -> None:
-    """Assert that ``phi2`` is the transpose of ``phi``, the adjointness
-    that duality needs: the coefficient of (a, b) in ``phi2(a2, b2)``
-    equals that of (a2, b2) in ``phi(a, b)``, label pair by label pair.
+def hopf_pairing_defects(phi: PhiMap, pairing: Pairing, forests: List[Forest]) -> List[PairingDefect]:
+    """Check the four duality identities over sample forests, ``forests``
+    on both sides of the pairing.
 
-    The bases must be finite; an infinite one raises ``ValueError``.
+    The cut coproduct runs ``phi`` and the forest product runs its
+    transpose (:func:`rtcalc.phimaps.transpose_map`), the adjoint that
+    duality needs; so the bases of ``phi`` must be finite, and an infinite
+    one raises ``ValueError``.  Returns the violations of the counit and
+    product-coproduct identities, empty when everything holds.
     """
-    edges = phi.edge_basis.labels()
-    verts = phi.vertex_basis.labels()
-    for a2 in phi2.edge_basis.labels():
-        for b2 in phi2.vertex_basis.labels():
-            img2 = phi2(a2, b2)
-            for a in edges:
-                for b in verts:
-                    lhs = img2.coeff((a, b))
-                    rhs = phi(a, b).coeff((a2, b2))
-                    if lhs != rhs:
-                        raise AdjointnessViolated(
-                            f"on ({a2.render()},{b2.render()}) vs ({a.render()},{b.render()}): {lhs} != {rhs}"
-                        )
-
-
-def hopf_pairing_defects(
-    phi: PhiMap,
-    phi2: PhiMap,
-    pairing: Pairing,
-    primed: List[Forest],
-    unprimed: List[Forest],
-) -> List[PairingDefect]:
-    """Check the four duality identities over sample forests.
-
-    That ``phi2`` is the transpose of ``phi`` is asserted first
-    (:func:`check_adjoint`) and raised as :class:`AdjointnessViolated`
-    when broken; the returned list collects violations of the counit and
-    product-coproduct identities (empty when everything holds).
-    """
-    check_adjoint(phi, phi2)
+    phi_t = transpose_map(phi)
     defects: List[PairingDefect] = []
 
-    for f in unprimed:
+    for f in forests:
         lhs = pair_forests(pairing, UNIT, forest_elem(f))
         rhs = counit(forest_elem(f))
         if lhs != rhs:
             defects.append(PairingDefect("unit-counit", (f,), lhs, rhs))
-    for f in primed:
+    for f in forests:
         lhs = pair_forests(pairing, forest_elem(f), UNIT)
         rhs = counit(forest_elem(f))
         if lhs != rhs:
@@ -433,18 +403,17 @@ def hopf_pairing_defects(
 
     # Both identities only pair forests of matching total size, so the
     # forests are bucketed by vertex count once.
-    unprimed_sizes = [(f, f.vertex_count) for f in unprimed]
+    sizes = [(f, f.vertex_count) for f in forests]
     by_size: Dict[int, List[Forest]] = {}
-    for f, n in unprimed_sizes:
+    for f, n in sizes:
         by_size.setdefault(n, []).append(f)
-    cut_cache = {f: cut_coproduct(phi, forest_elem(f)) for f in unprimed}
-    primed_sizes = [(x1, x1.vertex_count) for x1 in primed]
-    for x1, nx in primed_sizes:
-        for y1, ny in primed_sizes:
+    cut_cache = {f: cut_coproduct(phi, forest_elem(f)) for f in forests}
+    for x1, nx in sizes:
+        for y1, ny in sizes:
             targets = by_size.get(nx + ny)
             if not targets:
                 continue
-            prod = star_product(phi2, forest_elem(x1), forest_elem(y1))
+            prod = star_product(phi_t, forest_elem(x1), forest_elem(y1))
             for f in targets:
                 lhs = pair_forests(pairing, prod, forest_elem(f))
                 rhs = pair_tensor(
@@ -453,9 +422,9 @@ def hopf_pairing_defects(
                 if lhs != rhs:
                     defects.append(PairingDefect("product-vs-cut", (x1, y1, f), lhs, rhs))
 
-    for x1, nx in primed_sizes:
+    for x1, nx in sizes:
         dx = deshuffle(forest_elem(x1))
-        for f, nf in unprimed_sizes:
+        for f, nf in sizes:
             for g in by_size.get(nx - nf, ()):
                 lhs = pair_tensor(pairing, dx, LinComb.of((f, g)))
                 rhs = pair_forests(pairing, forest_elem(x1), forest_elem(forest_mul(f, g)))

@@ -9,19 +9,18 @@ they appear in (edge slots get Xi, vertex slots get *).  A
 MultiIndexBasis(d), NoiseOnlyBasis(noise))``, the basis ``noise_extend``
 acts on; its noise label comes after the multi-indices.  Rationals are
 JSON integers or strings like ``"1/2"``; labels are strings in the same
-syntax the expression parser accepts.  Builders that take another map
+syntax the expression parser accepts, and a basis ``id`` or a generator
+name that is not a string is refused.  Builders that take another map
 (``compose``, ``exp``, ...) nest the description inline.
 
-Any map object may set ``"assert_compatible": true`` to record a
-compatibility argument made outside the checker.  Each builder and basis
-kind reads the keys that ``_READS`` lists for it, besides ``builder`` or
-``kind``; any other key is refused by name, in nested maps and bases too,
-so a misspelt optional key does not silently take its default.  That
-includes ``name``: maps carry no names.  The other objects of a file are
-key-checked the same way: a ``jd`` object reads ``A``, ``B`` and
-``form``; each entry of ``entries``, ``edge``, ``vertex``, ``bracket``
-and ``triangle`` reads ``on`` and ``terms``; and a post-Lie file
-(:func:`load_postlie`) reads ``generators``, ``bracket`` and
+Each builder and basis kind reads the keys that ``_READS`` lists for
+it, besides ``builder`` or ``kind``; any other key is refused by name, in
+nested maps and bases too, so a misspelt optional key does not silently
+take its default.  That includes ``name``: maps carry no names.  The
+other objects of a file are key-checked the same way: a ``jd`` object
+reads ``A``, ``B`` and ``form``; each entry of ``entries``, ``edge``,
+``vertex``, ``bracket`` and ``triangle`` reads ``on`` and ``terms``; and a
+post-Lie file (:func:`load_postlie`) reads ``generators``, ``bracket`` and
 ``triangle``.  :func:`_only` makes every such refusal.
 
 A malformed file raises :class:`MapFileError` (a ``ValueError``) whose
@@ -63,7 +62,6 @@ from .phimaps import (
     from_blocks,
     from_table,
     identity_map,
-    mark_compatible,
     polynomial,
     tensor_map,
     transpose_map,
@@ -101,20 +99,17 @@ _SPDE_MAPS: Dict[str, Callable[[SpdeConfig], PhiMap]] = {
 # The keys each map builder, action builder and basis kind reads.
 _READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "map": {
-        name: ("assert_compatible", *keys)
-        for name, keys in {
-            "identity": ("edge_basis", "vertex_basis"),
-            "zero": ("edge_basis", "vertex_basis"),
-            "table": ("edge_basis", "vertex_basis", "entries"),
-            **{name: ("d", "lambda") for name in _SPDE_MAPS},
-            "blocks": ("blocks", "jd", "edge_basis", "vertex_basis"),
-            "tensor": ("edge_basis", "vertex_basis", "f", "g"),
-            "direct_sum": ("first", "second", "lam", "mu"),
-            "compose": ("outer", "inner"),
-            "exp": ("of", "max_iter"),
-            "polynomial": ("of", "coeffs"),
-            "transpose": ("of",),
-        }.items()
+        "identity": ("edge_basis", "vertex_basis"),
+        "zero": ("edge_basis", "vertex_basis"),
+        "table": ("edge_basis", "vertex_basis", "entries"),
+        **{name: ("d", "lambda") for name in _SPDE_MAPS},
+        "blocks": ("blocks", "jd", "edge_basis", "vertex_basis"),
+        "tensor": ("edge_basis", "vertex_basis", "f", "g"),
+        "direct_sum": ("first", "second", "lam", "mu"),
+        "compose": ("outer", "inner"),
+        "exp": ("of", "max_iter"),
+        "polynomial": ("of", "coeffs"),
+        "transpose": ("of",),
     },
     "action": {
         "spde_psi": ("d", "noise"),
@@ -193,8 +188,16 @@ def _entries(x, key: str, where: str, on: Tuple[str, str], term: Tuple[str, ...]
         yield spot, pair, terms
 
 
+def _name(x, what: str, where: str) -> str:
+    """``x``, a basis id or generator name; ``what`` names its place in error messages."""
+    if not isinstance(x, str):
+        raise MapFileError(f"{where}: {what} must be a string, not {x!r}")
+    return x
+
+
 def _generators(obj: dict, where: str) -> Tuple[str, ...]:
-    return tuple(str(n) for n in _list(_req(obj, "generators", where), "generators", where))
+    names = _list(_req(obj, "generators", where), "generators", where)
+    return tuple(_name(n, "each of 'generators'", where) for n in names)
 
 
 def _rat(x, where: str) -> Scalar:
@@ -214,7 +217,7 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
         names = _list(_req(obj, "names", where), "names", where)
         if not all(isinstance(n, str) for n in names):
             raise MapFileError(f"{where}: 'names' must be a list of strings, not {names!r}")
-        return SymbolBasis(str(_req(obj, "id", where)), tuple(names))
+        return SymbolBasis(_name(_req(obj, "id", where), "'id'", where), tuple(names))
     if kind == "multiindex":
         return MultiIndexBasis(_int(obj, "d", where))
     if kind == "multiindex_noise":
@@ -271,13 +274,7 @@ def _symbol_basis_opt(obj: dict, key: str, side: str, where: str) -> Optional[Sy
 def build_phi(obj: dict, where: str = "map") -> PhiMap:
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected a map object")
-    phi = _dispatch_phi(obj, _kind(obj, "map", where), where)
-    if obj.get("assert_compatible"):
-        phi = mark_compatible(phi)
-    return phi
-
-
-def _dispatch_phi(obj: dict, builder: str, where: str) -> PhiMap:
+    builder = _kind(obj, "map", where)
     if builder in ("identity", "zero"):
         E = _basis(_req(obj, "edge_basis", where), "edge", where)
         V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
@@ -379,7 +376,7 @@ def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair, Tupl
         out = {}
         entries = _entries(obj.get(key, []), key, where, ("generator", "label"), ("coefficient", "label"))
         for spot, (gen, lab), terms in entries:
-            if gen not in names:
+            if _name(gen, "a generator in 'on'", spot) not in names:
                 raise MapFileError(f"{spot}: unknown generator {gen!r}")
             label = _label(lab, basis, key, spot)
             out[(gen, label)] = [(_rat(c, spot), _label(l, basis, key, spot)) for c, l in terms]
@@ -396,7 +393,11 @@ def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
 
     def consts(key: str):
         entries = _entries(obj.get(key, []), key, where, ("generator", "generator"), ("coefficient", "generator"))
-        return {(str(p), str(q)): [(_rat(c, spot), str(r)) for c, r in terms] for spot, (p, q), terms in entries}
+        on, term = "a generator in 'on'", "a generator in 'terms'"
+        return {
+            (_name(p, on, spot), _name(q, on, spot)): [(_rat(c, spot), _name(r, term, spot)) for c, r in terms]
+            for spot, (p, q), terms in entries
+        }
 
     bracket, triangle = consts("bracket"), consts("triangle")
     with _located(where):

@@ -32,7 +32,7 @@ or keyed by a map.  The only global caches are the weak intern tables of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -325,19 +325,13 @@ def _require_same_bases(phi: PhiMap, psi: PhiMap) -> None:
 
 def compose(outer: PhiMap, inner: PhiMap) -> PhiMap:
     """outer o inner.  Compatibility of the parts does not transfer by
-    itself; it does under the mixed commutation hypothesis, which callers
-    assert explicitly via ``mark_compatible`` when they have it."""
+    itself, so the composite is checked like any other map."""
     _require_same_bases(outer, inner)
     return PhiMap(
         outer.edge_basis,
         outer.vertex_basis,
         lambda a, b: outer.apply(inner(a, b)),
     )
-
-
-def mark_compatible(phi: PhiMap) -> PhiMap:
-    """Assert compatibility established by an argument outside the checker."""
-    return replace(phi, compat_by_construction=True)
 
 
 def polynomial(phi: PhiMap, coeffs: Sequence) -> PhiMap:

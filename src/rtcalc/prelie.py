@@ -16,8 +16,7 @@ exactly when the map is tree-compatible, which is what
 ``theta`` applies the decoration map once across every (edge, lower
 endpoint) pair of a tree.  For tree-compatible maps the edge order is
 irrelevant and the operator intertwines the free product with the
-deformed one; ``theta_morphism_defect`` measures the general version of
-that statement for a pair of maps.
+deformed one; ``theta_morphism_defect`` measures that statement.
 
 The operator factorises over subtrees.  The edge from v down to its
 parent p acts on two label slots only: the decoration of that edge and
@@ -48,7 +47,7 @@ from typing import Callable, Dict, Tuple
 
 from .decorations import Label
 from .lincomb import LinComb, multilinear
-from .phimaps import PhiMap, compose, ensure_usable
+from .phimaps import PhiMap, ensure_usable
 from .trees import (
     DecoratedTree,
     PlantedTree,
@@ -173,20 +172,13 @@ def multiple_prelie_defect(
     return left - right
 
 
-def theta_morphism_defect(
-    phi: PhiMap, psi: PhiMap, x: TreeComb, a: Label, y: TreeComb
-) -> TreeComb:
-    """Residual of the intertwining property of the edge-product operator.
-
-    Applies the operator of ``phi`` to a psi-deformed product and
-    compares with the (phi o psi)-deformed product of the images.  Zero
-    (for all inputs) under the mixed commutation hypothesis on the pair;
-    with ``psi`` the identity this says the operator maps the free
-    product onto the phi-deformed one.
+def theta_morphism_defect(phi: PhiMap, x: TreeComb, a: Label, y: TreeComb) -> TreeComb:
+    """Residual of the intertwining property of the edge-product operator:
+    the operator of ``phi`` applied to the free product of ``x`` and ``y``,
+    less the phi-deformed product of their images.  Zero for all inputs
+    when ``phi`` is tree-compatible.
     """
-    lhs = theta(phi, graft_phi(psi, x, a, y))
-    rhs = graft_phi(compose(phi, psi), theta(phi, x), a, theta(phi, y))
-    return lhs - rhs
+    return theta(phi, graft_free(x, a, y)) - graft_phi(phi, theta(phi, x), a, theta(phi, y))
 
 
 # ---------------------------------------------------------------------------

@@ -44,27 +44,13 @@ def commute(a: Matrix, b: Matrix) -> bool:
 
 
 def det(a: Matrix) -> Scalar:
-    """Determinant by exact Gaussian elimination with partial pivoting."""
+    """Determinant: the signed product of the pivots :func:`_eliminate`
+    divides out, or 0 when a column has no pivot."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")
-    rows: List[List[Scalar]] = [list(r) for r in a]
-    out = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            out = -out
-        out *= rows[col][col]
-        inv = exact_div(1, rows[col][col])
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return as_scalar(out)
+    _, pivots, product = _eliminate(a)
+    return product if len(pivots) == n else 0
 
 
 def inv2(a: Matrix) -> Matrix:
@@ -76,12 +62,15 @@ def inv2(a: Matrix) -> Matrix:
     return mat([[exact_div(s, d), exact_div(-q, d)], [exact_div(-r, d), exact_div(p, d)]])
 
 
-def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form together with the pivot column indices."""
+def _eliminate(a: Matrix) -> Tuple[List[List[Scalar]], List[int], Scalar]:
+    """Gauss-Jordan elimination: the reduced rows, the pivot column
+    indices, and the product of the pivots divided out, negated once per
+    row swap (the determinant when every column has a pivot)."""
     rows: List[List[Scalar]] = [list(r) for r in a]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
+    product: Scalar = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -89,7 +78,10 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
         piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            product = -product
+        product *= rows[r][c]
         inv = exact_div(1, rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
@@ -98,6 +90,12 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
+    return rows, pivots, as_scalar(product)
+
+
+def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form together with the pivot column indices."""
+    rows, pivots, _ = _eliminate(a)
     return mat(rows), pivots
 
 

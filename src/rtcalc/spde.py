@@ -234,11 +234,7 @@ class NotReached(Exception):
         self.residual = residual
 
 
-def xi_generation_probe(
-    cfg: SpdeConfig,
-    targets: Iterable[PlantedTree],
-    max_vertices: int = 8,
-) -> bool:
+def xi_generation_probe(cfg: SpdeConfig, targets: Iterable[PlantedTree]) -> bool:
     """Rebuild each admissible planted tree from the one-edge generators,
     under the noise extension of the closed-form map at ``cfg.lam``.
 
@@ -248,7 +244,9 @@ def xi_generation_probe(
     and recurse into the strictly smaller factors and into the deeper
     grafting terms, which have one root child less.  Raises
     :class:`NotReached` with the offending element if any step leaves a
-    residual outside the subalgebra.
+    residual outside the subalgebra, and ``ValueError`` on a target that
+    is not admissible.  The work grows with the size of the targets, which
+    the caller bounds (the battery draws them from a pool of bounded size).
     """
     phi = noise_extend(cfg)
     phi_inv = noise_extend(cfg.negated())
@@ -256,8 +254,6 @@ def xi_generation_probe(
     for p in trees:
         if not xi_admissible(p):
             raise ValueError(f"target {p.render()} is not admissible")
-        if p.body.vertex_count > max_vertices:
-            raise ValueError(f"target {p.render()} exceeds the vertex bound {max_vertices}")
     verified: set = set()
     for p in trees:
         _probe(phi, phi_inv, p, verified)

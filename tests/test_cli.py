@@ -268,6 +268,20 @@ def test_psi_check_refuses_a_negative_bound(tmp_path, capsys):
     assert "argument --bound: must be nonnegative, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [("check-compat", "the bases are infinite"), ("psi-check", "the edge basis is infinite")],
+    ids=["check-compat", "psi-check"],
+)
+def test_an_infinite_basis_without_bound_exits_2_naming_the_flag(tmp_path, capsys, command, message):
+    argv = ["--phi", jfile(tmp_path, "phi.json", PHI_D0)]
+    if command == "psi-check":
+        argv += ["--psi", jfile(tmp_path, "psi.json", PSI_D0)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: {message}; pass an explicit --bound\n"
+
+
 def test_psi_check_flags_other_coefficients(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0_TWO)
     psi = jfile(tmp_path, "psi.json", PSI_D0)
@@ -327,6 +341,30 @@ def test_psi_tables_builder_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "psi-check", "--psi", psi, "--phi", phi)
     assert code == 1
     assert "map-intertwining" in out
+
+
+def test_psi_check_prints_one_line_per_edge_action_bracket_defect(tmp_path, capsys):
+    # g sends a1 to a2 and h sends a2 to a1, so the two edge actions do not
+    # commute; under the zero map the intertwining condition holds.
+    psi = jfile(
+        tmp_path,
+        "psi.json",
+        {
+            "builder": "psi_tables",
+            "generators": ["g", "h"],
+            **SYM_BASES,
+            "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]]}, {"on": ["h", "a2"], "terms": [[1, "a1"]]}],
+        },
+    )
+    phi = jfile(tmp_path, "phi.json", {"builder": "zero", **SYM_BASES})
+    code, out, _ = run(capsys, "psi-check", "--psi", psi, "--phi", phi)
+    assert code == 1
+    assert out == (
+        "edge-action-bracket at gens=(g, h) label=a1: -a1\n"
+        "edge-action-bracket at gens=(g, h) label=a2: a2\n"
+        "edge-action-bracket at gens=(h, g) label=a1: a1\n"
+        "edge-action-bracket at gens=(h, g) label=a2: -a2\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +564,15 @@ def test_parse_error_carries_position(tmp_path, capsys):
         ),
         ({"builder": "phi_lambda", "d": 0, "lamda": ["1/2"]}, "builder 'phi_lambda' does not read 'lamda'"),
         ({"builder": "phi_lambda", "d": 0, "name": "phi"}, "does not read 'name'"),
+        ({**PHI_D0, "assert_compatible": True}, "builder 'phi_lambda' does not read 'assert_compatible'"),
+        (
+            {"builder": "identity", **SYM_BASES, "edge_basis": {**SYM_BASES["edge_basis"], "id": None}},
+            ".edge_basis: 'id' must be a string, not None",
+        ),
+        (
+            {"builder": "identity", **SYM_BASES, "vertex_basis": {**SYM_BASES["vertex_basis"], "id": 7}},
+            ".vertex_basis: 'id' must be a string, not 7",
+        ),
         (
             {"builder": "exp", "of": {"builder": "phi_lambda", "d": 0, "lamda": [2]}},
             ".of: builder 'phi_lambda' does not read 'lamda'",
@@ -558,7 +605,7 @@ def test_parse_error_carries_position(tmp_path, capsys):
         "lambda-int", "lambda-zero-denominator", "transpose-lambda-zero-denominator", "names-int", "entries-int", "entries-item-int", "terms-short",
         "coeffs-int", "coeffs-bool", "exp-max-iter-negative", "phi-lambda-exp-max-iter-negative",
         "multiindex-d-negative", "multiindex-noise-d-negative",
-        "lamda-misspelt", "name-refused", "nested-of-unknown-key", "nested-inner-unknown-keys", "basis-unknown-key",
+        "lamda-misspelt", "name-refused", "assert-compatible-refused", "id-null", "id-int", "nested-of-unknown-key", "nested-inner-unknown-keys", "basis-unknown-key",
         "blocks-and-jd", "jd-unknown-key", "entry-unknown-key",
     ],
 )
@@ -594,6 +641,19 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
         ({"builder": "spde_psi", "d": 0, "nosie": True}, None, "builder 'spde_psi' does not read 'nosie'"),
         ({**PSI_D0, "lambda": ["2"]}, None, "builder 'spde_psi' does not read 'lambda'"),
         ({**PSI_SYM, "assert_compatible": True}, None, "does not read 'assert_compatible'"),
+        ({**PSI_SYM, "generators": [1]}, None, "each of 'generators' must be a string, not 1"),
+        (
+            {**PSI_SYM, "edge": [{"on": [1, "a1"], "terms": [[1, "a2"]]}]},
+            None,
+            "edge[0]: a generator in 'on' must be a string, not 1",
+        ),
+        ({**PSI_SYM, "bracket": [{"on": [1, 1], "terms": []}]}, None, "bracket[0]: a generator in 'on' must be a string"),
+        (
+            {**PSI_SYM, "triangle": [{"on": ["g", "g"], "terms": [[1, 1]]}]},
+            None,
+            "triangle[0]: a generator in 'terms' must be a string, not 1",
+        ),
+        (PSI_SYM, {"generators": [None]}, "each of 'generators' must be a string, not None"),
         (
             {**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]], "extra": 1}]},
             None,
@@ -608,7 +668,9 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
     ids=[
         "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
         "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
-        "noise-string", "noise-misspelt", "spde-psi-lambda", "psi-assert-compatible", "edge-entry-unknown-key",
+        "noise-string", "noise-misspelt", "spde-psi-lambda", "psi-assert-compatible",
+        "generators-item-int", "edge-on-generator-int", "bracket-on-generator-int", "triangle-terms-generator-int",
+        "postlie-generators-item-null", "edge-entry-unknown-key",
         "postlie-unknown-key",
     ],
 )
@@ -857,7 +919,6 @@ GOLDEN_CASES = {
     "coprod": ("coprod", "--phi", "phi_frac.json", "f1.txt"),
     "deshuffle": ("deshuffle", "--phi", "phi_frac.json", "f1.txt"),
     "pair": ("pair", "--phi", "phi_frac.json", "f1.txt", "f1.txt"),
-    "pair-phi2": ("pair", "--phi", "phi_d1.json", "--phi2", "phi_frac.json", "f2.txt", "f2.txt"),
     "classify-m2-jd": ("classify-m2", "--phi", "grid_jd.json"),
     "classify-m2-diagonal": ("classify-m2", "--phi", "grid_diag.json"),
     "classify-m2-noncommuting": ("classify-m2", "--phi", "grid_noncommuting.json"),

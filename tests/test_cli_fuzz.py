@@ -27,7 +27,7 @@ from rtcalc.cli import main
 
 # Every key that some object of a map, action or post-Lie file reads.
 VOCABULARY = {
-    "builder", "kind", "assert_compatible", "edge_basis", "vertex_basis", "entries", "d", "lambda",
+    "builder", "kind", "edge_basis", "vertex_basis", "entries", "d", "lambda",
     "max_iter", "blocks", "jd", "f", "g", "first", "second", "lam", "mu", "outer", "inner", "of",
     "coeffs", "id", "names", "A", "B", "form", "on", "terms", "generators", "edge", "vertex",
     "bracket", "triangle", "noise",

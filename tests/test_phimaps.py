@@ -31,7 +31,6 @@ from rtcalc.phimaps import (
     from_blocks,
     from_table,
     identity_map,
-    mark_compatible,
     polynomial,
     refuted_on,
     tensor_map,
@@ -305,7 +304,7 @@ class Untouched:
 
 def test_flagged_and_finite_maps_walk_no_tree():
     lam = phi_lambda(SpdeConfig(0, (1,)))
-    flagged = [identity_map(E, V), lam, mark_compatible(compose(lam, lam))]
+    flagged = [identity_map(E, V), lam, dataclasses.replace(compose(lam, lam), compat_by_construction=True)]
     for phi in flagged + [from_table(E, V, {(a1, b1): [(2, a1, b1)]})]:
         ensure_usable(phi, Untouched())
     bad = from_table(E, V, {(a1, b1): [(1, a2, b2)], (a1, b2): [(1, a1, b1)]})

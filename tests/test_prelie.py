@@ -28,7 +28,6 @@ from rtcalc.phimaps import (
     from_blocks,
     from_table,
     identity_map,
-    mark_compatible,
     tensor_map,
 )
 from rtcalc.prelie import (
@@ -210,10 +209,9 @@ def test_theta_morphism_identity_psi():
         return lambda l: img[l]
 
     phi = tensor_map(E, V, rand_endo(list(E.labels())), rand_endo(list(V.labels())))
-    psi = identity_map(E, V)
     trees = all_trees(2, [a1, a2], [b1, b2])
     for tx, ty, a in product(trees[:6], trees[:6], [a1, a2]):
-        d = theta_morphism_defect(phi, psi, LinComb.of(tx), a, LinComb.of(ty))
+        d = theta_morphism_defect(phi, LinComb.of(tx), a, LinComb.of(ty))
         assert d.is_zero
 
 
@@ -434,7 +432,7 @@ def vertex_sum_maps():
     assert isinstance(check_compat(table), Refuted)
     d1 = phi_lambda(SpdeConfig(1, (Fraction(1, 2), Fraction(-2, 3))))
     return {
-        "table": (mark_compatible(table), [a1, a2], [b1, b2]),
+        "table": (dataclasses.replace(table, compat_by_construction=True), [a1, a2], [b1, b2]),
         "phi_lambda": (d1, [mi(1, 0), mi(0, 1)], [mi(1, 1), mi(0, 2)]),
     }
 

@@ -8,6 +8,8 @@ where a ``Fraction`` with denominator 1 would slip through.
 """
 
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -145,6 +147,26 @@ def test_exact_division_on_int_matrices_agrees_with_fractions(rows):
         inv = inv2(ints)
         assert inv == inv2(fracs)
         assert all(is_stored_scalar(x) for row in inv for x in row)
+
+
+def leibniz(rows):
+    """The determinant by its definition: a signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+rational_matrices = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(halves, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(rational_matrices)
+def test_det_is_the_leibniz_sum(rows):
+    assert det(mat(rows)) == leibniz(rows)
 
 
 def test_nullspace_of_a_matrix_with_no_rows_is_everything():

@@ -683,17 +683,10 @@ def test_probe_handles_noise_edges_and_wide_roots():
         mi(0, 1),
         node(mi(1, 1), [(mi(1, 0), node(mi(1, 2), [(XI, leaf(STAR))]))]),
     )
-    assert xi_generation_probe(cfg, [wide, deep], max_vertices=5)
+    assert xi_generation_probe(cfg, [wide, deep])
 
 
 def test_probe_rejects_inadmissible_targets():
     cfg = adm_cfg()
     with pytest.raises(ValueError):
         xi_generation_probe(cfg, [PlantedTree(XI, leaf(mi(0, 0)))])
-
-
-def test_probe_enforces_the_vertex_bound():
-    cfg = adm_cfg()
-    chain = PlantedTree(mi(1, 1), node(mi(2, 0), [(mi(1, 0), leaf(mi(0, 3)))]))
-    with pytest.raises(ValueError):
-        xi_generation_probe(cfg, [chain], max_vertices=1)
