@@ -846,7 +846,9 @@ def test_output_is_deterministic(tmp_path, capsys):
 # from the subcommand handlers as each was written out by hand (commit
 # 5a61031): every subcommand in both formats, every verdict of check-compat
 # and classify-m2, spde-demo at d = 0, 1, 2 with and without noise, a
-# refusal, a parse error, a missing flag, and every --help text.
+# refusal, a parse error, a missing flag, and every --help text.  The
+# ``-noise`` post-Lie cases, d = 1 with the noise labels, were recorded while
+# action files still named their own ``d`` and ``noise`` (commit c4a5f97).
 # ``python tests/record_cli_goldens.py`` (with ``src`` on PYTHONPATH)
 # records them again.
 
@@ -860,6 +862,8 @@ GOLDEN_INPUTS = {
     "phi_d0.json": PHI_D0,
     "phi_d0_two.json": PHI_D0_TWO,
     "psi_d0.json": PSI_D0,
+    "phi_d1_noise.json": {"builder": "noise_extend", "d": 1, "lambda": ["1", "2"]},
+    "psi_d1_noise.json": {"builder": "spde_psi", "d": 1, "noise": True},
     "grid_jd.json": {"builder": "blocks", "jd": {"A": [[0, 1], [0, 0]], "B": [[0, "1/2"], [0, 0]], "form": "J"}},
     "grid_diag.json": {"builder": "blocks", "blocks": [[[[1, 1], [0, 2]]]]},
     "grid_noncommuting.json": {
@@ -877,6 +881,9 @@ GOLDEN_INPUTS = {
     "u.txt": "X_0 + 2*[<1>](<0>)",
     "v.txt": "X_0 - 1/2*[<2>](<1> [<1>](<0>) [<1>](<0>))",
     "w.txt": "[<2>](<1> [<1>](<0>) [<0>](<2>))",
+    "un.txt": "X_1 + 2*[Xi](*)",
+    "vn.txt": "X_0 - 1/2*[<1,1>](<0,1> [Xi](*) [<1,0>](<1,0>))",
+    "wn.txt": "[Xi](<1,0> [<0,1>](*) [<1,0>](<0,2>))",
     "f1.txt": "[<1,1>](<2,0> [<0,1>](<1,0>)) - 3/2*[<1,0>](<0,1>) [<0,1>](<1,0>)",
     "f2.txt": "[<0,1>](<1,0> [<1,0>](<0,0>)) + 1/3*[<1,1>](<0,1>)",
     "fs.txt": "[a1](b2 [a2](b1)) [a2](b1)",
@@ -919,6 +926,10 @@ GOLDEN_CASES = {
     "coprod": ("coprod", "--phi", "phi_frac.json", "f1.txt"),
     "deshuffle": ("deshuffle", "--phi", "phi_frac.json", "f1.txt"),
     "pair": ("pair", "--phi", "phi_frac.json", "f1.txt", "f1.txt"),
+    "psi-check-noise": ("psi-check", "--psi", "psi_d1_noise.json", "--phi", "phi_d1_noise.json", "--bound", "2"),
+    "postlie-check-noise": (
+        "postlie-check", "--phi", "phi_d1_noise.json", "--psi", "psi_d1_noise.json", "un.txt", "vn.txt", "wn.txt",
+    ),
     "classify-m2-jd": ("classify-m2", "--phi", "grid_jd.json"),
     "classify-m2-diagonal": ("classify-m2", "--phi", "grid_diag.json"),
     "classify-m2-noncommuting": ("classify-m2", "--phi", "grid_noncommuting.json"),
