@@ -96,11 +96,9 @@ def _operands(args, parse: Optional[Callable] = None):
 
 
 def _load_psi(args, phi):
-    """The generator algebra and actions of ``--psi``, on the bases of ``phi``;
+    """The generator algebra and actions of ``--psi``, read over the bases of ``phi``;
     ``--postlie`` may replace the algebra, naming only generators of ``--psi``."""
-    base, psi, bases = load_psi(args.psi)
-    if bases != (phi.edge_basis, phi.vertex_basis):
-        raise UsageError(f"{args.psi}: the actions are on other label bases than the map of {args.phi}")
+    base, psi = load_psi(args.psi, (phi.edge_basis, phi.vertex_basis))
     if not args.postlie:
         return base, psi
     algebra = load_postlie(args.postlie)

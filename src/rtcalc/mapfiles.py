@@ -9,9 +9,12 @@ they appear in (edge slots get Xi, vertex slots get *).  A
 MultiIndexBasis(d), NoiseOnlyBasis(noise))``, the basis ``noise_extend``
 acts on; its noise label comes after the multi-indices.  Rationals are
 JSON integers or strings like ``"1/2"``; labels are strings in the same
-syntax the expression parser accepts, and a basis ``id`` or a generator
-name that is not a string is refused.  Builders that take another map
-(``compose``, ``exp``, ...) nest the description inline.
+syntax the expression parser accepts, so a symbol name it cannot read
+back is refused, as is a basis ``id`` or a generator name that is not a
+string.  Builders that take another map (``compose``, ``exp``, ...) nest
+the description inline.  An action file names no basis: it is read over
+the bases of the map it acts with, ``spde_psi`` taking ``d`` and the
+noise labels from them and ``psi_tables`` parsing its labels over them.
 
 Each builder and basis kind reads the keys that ``_READS`` lists for
 it, besides ``builder`` or ``kind``; any other key is refused by name, in
@@ -47,6 +50,7 @@ from .decorations import (
     MultiIndexBasis,
     NoiseOnlyBasis,
     SymbolBasis,
+    UnionBasis,
     union_bases,
 )
 from .lincomb import LinComb, Scalar, as_scalar
@@ -112,8 +116,8 @@ _READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "transpose": ("of",),
     },
     "action": {
-        "spde_psi": ("d", "noise"),
-        "psi_tables": ("generators", "edge_basis", "vertex_basis", "edge", "vertex", "bracket", "triangle"),
+        "spde_psi": (),
+        "psi_tables": ("generators", "edge", "vertex", "bracket", "triangle"),
     },
     "basis": {"symbols": ("id", "names"), "multiindex": ("d",), "multiindex_noise": ("d",), "noise_only": ()},
 }
@@ -217,7 +221,13 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
         names = _list(_req(obj, "names", where), "names", where)
         if not all(isinstance(n, str) for n in names):
             raise MapFileError(f"{where}: 'names' must be a list of strings, not {names!r}")
-        return SymbolBasis(_name(_req(obj, "id", where), "'id'", where), tuple(names))
+        basis = SymbolBasis(_name(_req(obj, "id", where), "'id'", where), tuple(names))
+        for n in names:
+            try:
+                parse_label(n, basis, side)
+            except ParseError as e:
+                raise MapFileError(f"{where}: name {n!r} cannot be written as a label ({e})")
+        return basis
     if kind == "multiindex":
         return MultiIndexBasis(_int(obj, "d", where))
     if kind == "multiindex_noise":
@@ -354,23 +364,25 @@ def _matrix_action(m, labels, where: str):
     return act
 
 
-def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair, Tuple[DecorationBasis, DecorationBasis]]:
-    """The generator algebra, the actions, and their (edge, vertex) bases."""
+def build_psi(
+    obj: dict, bases: Tuple[DecorationBasis, DecorationBasis], where: str = "psi"
+) -> Tuple[PostLieBase, PsiPair]:
+    """The generator algebra and the actions, read over the (edge, vertex)
+    ``bases`` of the map they act with."""
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected an action object")
     builder = _kind(obj, "action", where)
+    E, V = bases
 
     if builder == "spde_psi":
-        noise = obj.get("noise", False)
-        if not isinstance(noise, bool):
-            raise MapFileError(f"{where}: 'noise' must be true or false, not {noise!r}")
-        d = _int(obj, "d", where)
-        basis = {"kind": "multiindex_noise" if noise else "multiindex", "d": d}
-        return (*spde_psi(d), (_basis(basis, "edge", where), _basis(basis, "vertex", where)))
+        mi = E.left if isinstance(E, UnionBasis) else E
+        if isinstance(mi, MultiIndexBasis):
+            noisy = (union_bases(mi, NoiseOnlyBasis(XI)), union_bases(mi, NoiseOnlyBasis(STAR)))
+            if bases in ((mi, mi), noisy):
+                return spde_psi(mi.d)
+        raise MapFileError(f"{where}: builder 'spde_psi' needs a map on multi-indices, with or without noise labels")
 
     names = _generators(obj, where)  # psi_tables
-    E = _basis(_req(obj, "edge_basis", where), "edge", where)
-    V = _basis(_req(obj, "vertex_basis", where), "vertex", where)
 
     def side(key: str, basis: DecorationBasis):
         out = {}
@@ -383,7 +395,7 @@ def build_psi(obj: dict, where: str = "psi") -> Tuple[PostLieBase, PsiPair, Tupl
         return out
 
     psi = psi_from_tables(side("edge", E), side("vertex", V))
-    return build_postlie(obj, where), psi, (E, V)
+    return build_postlie(obj, where), psi
 
 
 def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
@@ -418,8 +430,8 @@ def load_phi(path: str) -> PhiMap:
     return build_phi(_load(path), path)
 
 
-def load_psi(path: str) -> Tuple[PostLieBase, PsiPair, Tuple[DecorationBasis, DecorationBasis]]:
-    return build_psi(_load(path), path)
+def load_psi(path: str, bases: Tuple[DecorationBasis, DecorationBasis]) -> Tuple[PostLieBase, PsiPair]:
+    return build_psi(_load(path), bases, path)
 
 
 def load_postlie(path: str) -> PostLieBase:

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .decorations import STAR, DecorationBasis, Label, MultiIndex
 from .lincomb import LinComb, as_scalar, lc_sum
-from .trees import DecoratedTree, Forest, PlantedTree, forest, node
+from .trees import EMPTY_FOREST, DecoratedTree, Forest, PlantedTree, forest, node
 
 
 class ParseError(ValueError):
@@ -124,7 +124,7 @@ class _Parser:
         elif tok.kind == "punct" and tok.text == "*":
             candidate = STAR
         else:
-            self.fail(tok, f"expected a {side} label")
+            self.fail(tok, f"expected {'an' if side[0] in 'aeiou' else 'a'} {side} label")
         if not basis.contains(candidate):
             raise ParseError(tok.line, tok.col, f"label {tok.text!r} is not in the {side} basis")
         return candidate
@@ -159,7 +159,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number" and tok.text == "1":
             self.take()
-            return forest([])
+            return EMPTY_FOREST
         if tok.text != "[":
             self.fail(tok, "expected a forest of planted trees")
         trees = [self.planted()]
@@ -220,8 +220,6 @@ def parse_tree_comb(src: str, edge_basis: DecorationBasis, vertex_basis: Decorat
 
 
 def parse_forest_comb(src: str, edge_basis: DecorationBasis, vertex_basis: DecorationBasis) -> LinComb:
-    from .trees import EMPTY_FOREST
-
     p = _Parser(src, edge_basis, vertex_basis)
     out = p.comb(p.item_forest, EMPTY_FOREST)
     p.done()

@@ -32,7 +32,7 @@ or keyed by a map.  The only global caches are the weak intern tables of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -146,18 +146,11 @@ def from_table(
     for (a, b), out in table.items():
         if not edge_basis.contains(a) or not vertex_basis.contains(b):
             raise ValueError(f"table input ({a.render()},{b.render()}) outside the bases")
-        comb = LinComb([((a2, b2), as_scalar(c)) for c, a2, b2 in out])
+        comb = compiled[(a, b)] = LinComb(((a2, b2), c) for c, a2, b2 in out)
         for (a2, b2), _ in comb.sorted_items():
             if not edge_basis.contains(a2) or not vertex_basis.contains(b2):
-                raise ValueError(
-                    f"table output ({a2.render()},{b2.render()}) outside the bases"
-                )
-        compiled[(a, b)] = comb
-    return PhiMap(
-        edge_basis,
-        vertex_basis,
-        lambda a, b: compiled.get((a, b), LinComb()),
-    )
+                raise ValueError(f"table output ({a2.render()},{b2.render()}) outside the bases")
+    return PhiMap(edge_basis, vertex_basis, lambda a, b: compiled.get((a, b), LinComb()))
 
 
 def tensor_map(
@@ -385,21 +378,16 @@ def exp_series(phi: PhiMap, max_iter: Optional[int] = 64) -> PhiMap:
 
 
 def transpose_map(phi: PhiMap) -> PhiMap:
-    """The adjoint with respect to the basis pairing; finite bases only."""
+    """The adjoint under the basis pairing, built by :func:`from_table`; finite bases only."""
     if not (phi.edge_basis.is_finite and phi.vertex_basis.is_finite):
         raise ValueError("transpose needs finite bases")
-    cols: Dict[Tuple[Label, Label], List[Tuple[Tuple[Label, Label], Scalar]]] = {}
+    table: Dict[Tuple[Label, Label], List[Tuple[Scalar, Label, Label]]] = {}
     for a in phi.edge_basis.labels():
         for b in phi.vertex_basis.labels():
             for (a2, b2), c in phi(a, b).items():
-                cols.setdefault((a2, b2), []).append(((a, b), c))
-    table = {ab: LinComb(entries) for ab, entries in cols.items()}
-    return PhiMap(
-        phi.edge_basis,
-        phi.vertex_basis,
-        lambda a, b: table.get((a, b), LinComb()),
-        compat_by_construction=phi.compat_by_construction,
-    )
+                table.setdefault((a2, b2), []).append((c, a, b))
+    transposed = from_table(phi.edge_basis, phi.vertex_basis, table)
+    return replace(transposed, compat_by_construction=phi.compat_by_construction)
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +435,16 @@ def from_blocks(
     edge_basis: Optional[SymbolBasis] = None,
     vertex_basis: Optional[SymbolBasis] = None,
 ) -> PhiMap:
+    """The map of the block grid ``M``, built by :func:`from_table`, on e1.. and v1.. by default."""
     dflt_e, dflt_v = default_block_bases(M.m, M.n)
     E = edge_basis or dflt_e
     V = vertex_basis or dflt_v
     if len(E.names) != M.m or len(V.names) != M.n:
         raise ValueError("basis sizes do not match the block grid")
     es, vs = E.labels(), V.labels()
-    table: Dict[Tuple[Label, Label], LinComb] = {}
-    for j in range(M.m):
-        for l in range(M.n):
-            entries = []
-            for i in range(M.m):
-                blk = M.blocks[i][j]
-                for k in range(M.n):
-                    if blk[k][l]:
-                        entries.append(((es[i], vs[k]), blk[k][l]))
-            table[(es[j], vs[l])] = LinComb(entries)
-    return PhiMap(E, V, lambda a, b: table.get((a, b), LinComb()))
+    cells = [(i, k) for i in range(M.m) for k in range(M.n)]
+    table = {(es[j], vs[l]): [(M.blocks[i][j][k][l], es[i], vs[k]) for i, k in cells] for j, l in cells}
+    return from_table(E, V, table)
 
 
 def noncommuting_pair(M: BlockMatrix) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
@@ -574,12 +555,11 @@ def classify_m2(M: BlockMatrix) -> ClassifyResult:
     if bad is not None:
         return NotCompatible(bad)
     flat = [(i, j) for i in range(M.m) for j in range(M.m)]
-    if all(_is_scalar(M.blocks[i][j]) for i, j in flat):
-        return _read_cells(M, lambda blk: (blk[0][0], 0), "J", identity(2))
-    if all(_is_dcell(M.blocks[i][j]) for i, j in flat):
-        return _read_cells(M, lambda blk: (blk[0][0], blk[1][1]), "D", identity(2))
+    # A scalar block is a J-cell with b = 0, so an all-scalar grid reads as J.
     if all(_is_jcell(M.blocks[i][j]) for i, j in flat):
         return _read_cells(M, lambda blk: (blk[0][0], blk[0][1]), "J", identity(2))
+    if all(_is_dcell(M.blocks[i][j]) for i, j in flat):
+        return _read_cells(M, lambda blk: (blk[0][0], blk[1][1]), "D", identity(2))
 
     pivot = next((i, j) for i, j in flat if not _is_scalar(M.blocks[i][j]))
     blk = M.blocks[pivot[0]][pivot[1]]

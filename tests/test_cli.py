@@ -17,8 +17,7 @@ from rtcalc.cli import main
 PHI_D1 = {"builder": "phi_lambda", "d": 1, "lambda": ["1", "1"]}
 PHI_D0 = {"builder": "phi_lambda", "d": 0, "lambda": ["1"]}
 PHI_D0_TWO = {"builder": "phi_lambda", "d": 0, "lambda": ["2"]}
-NOISE_D0 = {"builder": "noise_extend", "d": 0, "lambda": ["1"]}
-PSI_D0 = {"builder": "spde_psi", "d": 0, "noise": False}
+PSI_SPDE = {"builder": "spde_psi"}
 
 SYM_BASES = {
     "edge_basis": {"kind": "symbols", "id": "a", "names": ["a1", "a2"]},
@@ -251,7 +250,7 @@ def test_pair_counts_forest_symmetry(tmp_path, capsys):
 
 def test_psi_check_clean_at_unit_coefficients(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     code, out, _ = run(capsys, "psi-check", "--psi", psi, "--phi", phi, "--bound", "2")
     assert code == 0
     assert "no defects" in out
@@ -259,7 +258,7 @@ def test_psi_check_clean_at_unit_coefficients(tmp_path, capsys):
 
 def test_psi_check_refuses_a_negative_bound(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     with pytest.raises(SystemExit) as exc:
         main(["psi-check", "--psi", psi, "--phi", phi, "--bound", "-1"])
     assert exc.value.code == 2
@@ -276,7 +275,7 @@ def test_psi_check_refuses_a_negative_bound(tmp_path, capsys):
 def test_an_infinite_basis_without_bound_exits_2_naming_the_flag(tmp_path, capsys, command, message):
     argv = ["--phi", jfile(tmp_path, "phi.json", PHI_D0)]
     if command == "psi-check":
-        argv += ["--psi", jfile(tmp_path, "psi.json", PSI_D0)]
+        argv += ["--psi", jfile(tmp_path, "psi.json", PSI_SPDE)]
     code, out, err = run(capsys, command, *argv)
     assert (code, out) == (2, "")
     assert err == f"rtcalc: error: {message}; pass an explicit --bound\n"
@@ -284,7 +283,7 @@ def test_an_infinite_basis_without_bound_exits_2_naming_the_flag(tmp_path, capsy
 
 def test_psi_check_flags_other_coefficients(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0_TWO)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     code, out, _ = run(capsys, "psi-check", "--psi", psi, "--phi", phi, "--bound", "2")
     assert code == 1
     assert "map-intertwining" in out
@@ -292,7 +291,7 @@ def test_psi_check_flags_other_coefficients(tmp_path, capsys):
 
 def test_postlie_check_zero_residuals(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     u = tfile(tmp_path, "u.txt", "X_0")
     v = tfile(tmp_path, "v.txt", "[<2>](<1>)")
     w = tfile(tmp_path, "w.txt", "[<1>](<0>)")
@@ -303,7 +302,7 @@ def test_postlie_check_zero_residuals(tmp_path, capsys):
 
 def test_postlie_check_nonzero_residual(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0_TWO)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     u = tfile(tmp_path, "u.txt", "X_0")
     v = tfile(tmp_path, "v.txt", "[<2>](<1>)")
     w = tfile(tmp_path, "w.txt", "[<1>](<0>)")
@@ -317,7 +316,7 @@ def test_postlie_check_nonzero_residual(tmp_path, capsys):
 
 def test_postlie_check_accepts_mixed_elements(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     u = tfile(tmp_path, "u.txt", "X_0 + 2*[<1>](<0>)")
     v = tfile(tmp_path, "v.txt", "X_0")
     w = tfile(tmp_path, "w.txt", "[<2>](<1> [<1>](<0>))")
@@ -332,7 +331,6 @@ def test_psi_tables_builder_roundtrip(tmp_path, capsys):
         {
             "builder": "psi_tables",
             "generators": ["g"],
-            **SYM_BASES,
             "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]]}],
             "vertex": [],
         },
@@ -352,7 +350,6 @@ def test_psi_check_prints_one_line_per_edge_action_bracket_defect(tmp_path, caps
         {
             "builder": "psi_tables",
             "generators": ["g", "h"],
-            **SYM_BASES,
             "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]]}, {"on": ["h", "a2"], "terms": [[1, "a1"]]}],
         },
     )
@@ -598,6 +595,13 @@ def test_parse_error_carries_position(tmp_path, capsys):
             },
             "entries[0]: an entry of 'entries' does not read 'term'",
         ),
+        *(
+            (
+                {**IDENTITY_SYM, "edge_basis": {"kind": "symbols", "id": "a", "names": ["a1", name]}},
+                f".edge_basis: name {name!r} cannot be written as a label",
+            )
+            for name in ("1", "a b", "*")
+        ),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
@@ -606,7 +610,7 @@ def test_parse_error_carries_position(tmp_path, capsys):
         "coeffs-int", "coeffs-bool", "exp-max-iter-negative", "phi-lambda-exp-max-iter-negative",
         "multiindex-d-negative", "multiindex-noise-d-negative",
         "lamda-misspelt", "name-refused", "assert-compatible-refused", "id-null", "id-int", "nested-of-unknown-key", "nested-inner-unknown-keys", "basis-unknown-key",
-        "blocks-and-jd", "jd-unknown-key", "entry-unknown-key",
+        "blocks-and-jd", "jd-unknown-key", "entry-unknown-key", "name-number", "name-space", "name-star",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
@@ -621,7 +625,7 @@ def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
     assert "Traceback" not in err
 
 
-PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
+PSI_SYM = {"builder": "psi_tables", "generators": ["g"]}
 
 
 @pytest.mark.parametrize(
@@ -637,9 +641,10 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
         ({**PSI_SYM, "triangle": [{"on": ["g", "g"], "terms": [["1/2"]]}]}, None, "triangle[0]: each of 'terms'"),
         (PSI_SYM, {"generators": "g"}, "'generators'"),
         (PSI_SYM, {"generators": ["g"], "bracket": [{"on": ["g", "g", "g"], "terms": []}]}, "bracket[0]: 'on'"),
-        ({"builder": "spde_psi", "d": 0, "noise": "no"}, None, "'noise'"),
-        ({"builder": "spde_psi", "d": 0, "nosie": True}, None, "builder 'spde_psi' does not read 'nosie'"),
-        ({**PSI_D0, "lambda": ["2"]}, None, "builder 'spde_psi' does not read 'lambda'"),
+        ({**PSI_SPDE, "d": 0}, None, "builder 'spde_psi' does not read 'd'"),
+        ({**PSI_SPDE, "noise": True}, None, "builder 'spde_psi' does not read 'noise'"),
+        *(({**PSI_SYM, key: SYM_BASES[key]}, None, f"builder 'psi_tables' does not read {key!r}") for key in SYM_BASES),
+        ({**PSI_SPDE, "lambda": ["2"]}, None, "builder 'spde_psi' does not read 'lambda'"),
         ({**PSI_SYM, "assert_compatible": True}, None, "does not read 'assert_compatible'"),
         ({**PSI_SYM, "generators": [1]}, None, "each of 'generators' must be a string, not 1"),
         (
@@ -668,7 +673,8 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"], **SYM_BASES}
     ids=[
         "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
         "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
-        "noise-string", "noise-misspelt", "spde-psi-lambda", "psi-assert-compatible",
+        "spde-psi-d", "spde-psi-noise", "psi-tables-edge-basis", "psi-tables-vertex-basis",
+        "spde-psi-lambda", "psi-assert-compatible",
         "generators-item-int", "edge-on-generator-int", "bracket-on-generator-int", "triangle-terms-generator-int",
         "postlie-generators-item-null", "edge-entry-unknown-key",
         "postlie-unknown-key",
@@ -691,7 +697,7 @@ def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, postli
 
 def test_postlie_file_naming_a_generator_the_actions_lack_exits_2(tmp_path, capsys):
     phi = jfile(tmp_path, "phi.json", PHI_D0)
-    psi = jfile(tmp_path, "psi.json", PSI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
     postlie = jfile(tmp_path, "postlie.json", {"generators": ["X_0", "g"]})
     code, out, err = run(capsys, "psi-check", "--phi", phi, "--psi", psi, "--postlie", postlie, "--bound", "1")
     assert (code, out) == (2, "")
@@ -700,23 +706,26 @@ def test_postlie_file_naming_a_generator_the_actions_lack_exits_2(tmp_path, caps
 
 @pytest.mark.parametrize("command", ["psi-check", "postlie-check"])
 @pytest.mark.parametrize(
-    "phi, psi",
-    [
-        (IDENTITY_SYM, PSI_D0),
-        (PHI_D0, PSI_SYM),
-        (PHI_D0, {**PSI_D0, "noise": True}),
-        (NOISE_D0, PSI_D0),
-        (PHI_D0, {**PSI_D0, "d": 1}),
-        ({**IDENTITY_SYM, "vertex_basis": {"kind": "symbols", "id": "b", "names": ["b1"]}}, PSI_SYM),
-    ],
-    ids=["symbols-vs-spde", "multiindex-vs-tables", "noise-vs-plain", "plain-vs-noise", "d0-vs-d1", "names"],
+    "phi",
+    [IDENTITY_SYM, {"builder": "direct_sum", "first": PHI_D0, "second": IDENTITY_SYM}],
+    ids=["symbols", "sum"],
 )
-def test_actions_on_other_bases_than_the_map_exit_2_naming_both_files(tmp_path, capsys, command, phi, psi):
-    phi, psi = jfile(tmp_path, "phi.json", phi), jfile(tmp_path, "psi.json", psi)
-    argv = ["--bound", "1"] if command == "psi-check" else [tfile(tmp_path, f"{k}.txt", "g") for k in "uvw"]
+def test_spde_psi_off_the_multi_indices_exits_2(tmp_path, capsys, command, phi):
+    phi, psi = jfile(tmp_path, "phi.json", phi), jfile(tmp_path, "psi.json", PSI_SPDE)
+    argv = ["--bound", "1"] if command == "psi-check" else [tfile(tmp_path, f"{k}.txt", "X_0") for k in "uvw"]
     code, out, err = run(capsys, command, "--phi", phi, "--psi", psi, *argv)
     assert (code, out) == (2, "")
-    assert err == f"rtcalc: error: {psi}: the actions are on other label bases than the map of {phi}\n"
+    assert err == (
+        f"rtcalc: error: {psi}: builder 'spde_psi' needs a map on multi-indices, with or without noise labels\n"
+    )
+
+
+def test_psi_tables_label_off_the_map_bases_is_a_parse_error(tmp_path, capsys):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    psi = jfile(tmp_path, "psi.json", {**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1, "a1"]]}]})
+    code, out, err = run(capsys, "psi-check", "--phi", phi, "--psi", psi, "--bound", "1")
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: {psi}: edge[0]: 1:1: unknown edge label 'a1'\n"
 
 
 def test_internal_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
@@ -861,9 +870,8 @@ GOLDEN_INPUTS = {
     "phi_identity.json": IDENTITY_SYM,
     "phi_d0.json": PHI_D0,
     "phi_d0_two.json": PHI_D0_TWO,
-    "psi_d0.json": PSI_D0,
     "phi_d1_noise.json": {"builder": "noise_extend", "d": 1, "lambda": ["1", "2"]},
-    "psi_d1_noise.json": {"builder": "spde_psi", "d": 1, "noise": True},
+    "psi.json": PSI_SPDE,
     "grid_jd.json": {"builder": "blocks", "jd": {"A": [[0, 1], [0, 0]], "B": [[0, "1/2"], [0, 0]], "form": "J"}},
     "grid_diag.json": {"builder": "blocks", "blocks": [[[[1, 1], [0, 2]]]]},
     "grid_noncommuting.json": {
@@ -895,11 +903,11 @@ GRAFT_CASES = {
     "graft-table": ("graft", "--phi", "phi_table.json", "--a", "a2", "xs.txt", "ys.txt"),
     "graft-free-lambda": ("graft-free", "--phi", "phi_frac.json", "--a", "<1,1>", "x.txt", "y.txt"),
     "graft-free-table": ("graft-free", "--phi", "phi_table.json", "--a", "a2", "xs.txt", "ys.txt"),
-    "psi-check-clean": ("psi-check", "--psi", "psi_d0.json", "--phi", "phi_d0.json", "--bound", "2"),
-    "psi-check-defects": ("psi-check", "--psi", "psi_d0.json", "--phi", "phi_d0_two.json", "--bound", "2"),
-    "postlie-check-zero": ("postlie-check", "--phi", "phi_d0.json", "--psi", "psi_d0.json", "u.txt", "v.txt", "w.txt"),
+    "psi-check-clean": ("psi-check", "--psi", "psi.json", "--phi", "phi_d0.json", "--bound", "2"),
+    "psi-check-defects": ("psi-check", "--psi", "psi.json", "--phi", "phi_d0_two.json", "--bound", "2"),
+    "postlie-check-zero": ("postlie-check", "--phi", "phi_d0.json", "--psi", "psi.json", "u.txt", "v.txt", "w.txt"),
     "postlie-check-residual": (
-        "postlie-check", "--phi", "phi_d0_two.json", "--psi", "psi_d0.json", "u.txt", "v.txt", "w.txt",
+        "postlie-check", "--phi", "phi_d0_two.json", "--psi", "psi.json", "u.txt", "v.txt", "w.txt",
     ),
 }
 
@@ -926,9 +934,9 @@ GOLDEN_CASES = {
     "coprod": ("coprod", "--phi", "phi_frac.json", "f1.txt"),
     "deshuffle": ("deshuffle", "--phi", "phi_frac.json", "f1.txt"),
     "pair": ("pair", "--phi", "phi_frac.json", "f1.txt", "f1.txt"),
-    "psi-check-noise": ("psi-check", "--psi", "psi_d1_noise.json", "--phi", "phi_d1_noise.json", "--bound", "2"),
+    "psi-check-noise": ("psi-check", "--psi", "psi.json", "--phi", "phi_d1_noise.json", "--bound", "2"),
     "postlie-check-noise": (
-        "postlie-check", "--phi", "phi_d1_noise.json", "--psi", "psi_d1_noise.json", "un.txt", "vn.txt", "wn.txt",
+        "postlie-check", "--phi", "phi_d1_noise.json", "--psi", "psi.json", "un.txt", "vn.txt", "wn.txt",
     ),
     "classify-m2-jd": ("classify-m2", "--phi", "grid_jd.json"),
     "classify-m2-diagonal": ("classify-m2", "--phi", "grid_diag.json"),

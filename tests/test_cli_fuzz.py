@@ -30,7 +30,7 @@ VOCABULARY = {
     "builder", "kind", "edge_basis", "vertex_basis", "entries", "d", "lambda",
     "max_iter", "blocks", "jd", "f", "g", "first", "second", "lam", "mu", "outer", "inner", "of",
     "coeffs", "id", "names", "A", "B", "form", "on", "terms", "generators", "edge", "vertex",
-    "bracket", "triangle", "noise",
+    "bracket", "triangle",
 }
 
 RAT = st.sampled_from([0, 1, -1, 2, "1/2", "-3/2"])
@@ -165,9 +165,9 @@ def structure_constants(gens, key, min_size=0):
 
 @st.composite
 def psi_tables(draw, gens, with_entries=False):
-    """A 'psi_tables' action on "ab"; ``with_entries`` makes its 'edge' list nonempty."""
+    """A 'psi_tables' action for a map on "ab"; ``with_entries`` makes its 'edge' list nonempty."""
     g, (_, es), (_, vs) = st.sampled_from(gens), *SYMBOLS["ab"]
-    obj = {"builder": "psi_tables", "generators": gens, **bases("ab")}
+    obj = {"builder": "psi_tables", "generators": gens}
     for key, labels in (("edge", es), ("vertex", vs)):
         if (with_entries and key == "edge") or draw(st.booleans()):
             label = st.sampled_from(labels)
@@ -286,23 +286,21 @@ def test_check_compat_on_generated_map_files(tmp_path, capsys, case):
 
 
 # Where to put the unknown key: (file, kind of object), or None.
-SPOIL_AT = [None, ("psi", "builder"), ("psi", "kind"), ("psi", "on"), ("postlie", "generators"), ("postlie", "on")]
+SPOIL_AT = [None, ("psi", "builder"), ("psi", "on"), ("postlie", "generators"), ("postlie", "on")]
 
 
 @st.composite
 def psi_case(draw):
     """A map, an action and perhaps a post-Lie file for ``psi-check``, one of them perhaps spoilt."""
     at = draw(st.sampled_from(SPOIL_AT))
-    if at in (("psi", "kind"), ("psi", "on")) or draw(st.booleans()):
+    if at == ("psi", "on") or draw(st.booleans()):
         gens = draw(GENERATORS)
         phi, psi = {"builder": "identity", **bases("ab")}, draw(psi_tables(gens, at == ("psi", "on")))
     else:
         d, noise = draw(st.integers(0, 1)), draw(st.booleans())
         phi = {"builder": "noise_extend" if noise else "phi_lambda", "d": d}
-        psi = {"builder": "spde_psi", "d": d, "noise": noise}
+        psi = {"builder": "spde_psi"}
         gens = draw(st.sampled_from([[f"X_{i}" for i in range(d + 1)], ["g"]]))
-        if noise or draw(st.booleans()):
-            psi["noise"] = noise
     files, key = {"phi.json": phi, "psi.json": psi}, None
     if (at and at[0] == "postlie") or draw(st.booleans()):
         files["postlie.json"] = draw(postlie_file(gens, at == ("postlie", "on")))

@@ -45,6 +45,13 @@ def test_parse_label_noise_names():
     assert parse_label("*", V_NOISE) == STAR
 
 
+def test_a_missing_label_is_named_with_its_article():
+    with pytest.raises(ParseError, match="expected an edge label, got '1'"):
+        parse_label("1", E_SYM, "edge")
+    with pytest.raises(ParseError, match="expected a vertex label, got '1'"):
+        parse_label("1", V_SYM, "vertex")
+
+
 def test_parse_label_rejects_wrong_basis():
     with pytest.raises(ParseError, match="unknown"):
         parse_label("b1", E_SYM)
