@@ -380,7 +380,7 @@ def build_psi(
             noisy = (union_bases(mi, NoiseOnlyBasis(XI)), union_bases(mi, NoiseOnlyBasis(STAR)))
             if bases in ((mi, mi), noisy):
                 return spde_psi(mi.d)
-        raise MapFileError(f"{where}: builder 'spde_psi' needs a map on multi-indices, with or without noise labels")
+        raise MapFileError(f"{where}: builder 'spde_psi' needs multi-indices of one d on both sides, noise or not")
 
     names = _generators(obj, where)  # psi_tables
 

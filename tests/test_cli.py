@@ -707,17 +707,20 @@ def test_postlie_file_naming_a_generator_the_actions_lack_exits_2(tmp_path, caps
 @pytest.mark.parametrize("command", ["psi-check", "postlie-check"])
 @pytest.mark.parametrize(
     "phi",
-    [IDENTITY_SYM, {"builder": "direct_sum", "first": PHI_D0, "second": IDENTITY_SYM}],
-    ids=["symbols", "sum"],
+    [
+        IDENTITY_SYM,
+        {"builder": "direct_sum", "first": PHI_D0, "second": IDENTITY_SYM},
+        {"builder": "identity", "edge_basis": {"kind": "multiindex", "d": 0}, "vertex_basis": {"kind": "multiindex", "d": 1}},
+        {"builder": "zero", "edge_basis": {"kind": "multiindex_noise", "d": 0}, "vertex_basis": {"kind": "multiindex", "d": 0}},
+    ],
+    ids=["symbols", "sum", "two-d", "noise-on-one-side"],
 )
 def test_spde_psi_off_the_multi_indices_exits_2(tmp_path, capsys, command, phi):
     phi, psi = jfile(tmp_path, "phi.json", phi), jfile(tmp_path, "psi.json", PSI_SPDE)
     argv = ["--bound", "1"] if command == "psi-check" else [tfile(tmp_path, f"{k}.txt", "X_0") for k in "uvw"]
     code, out, err = run(capsys, command, "--phi", phi, "--psi", psi, *argv)
     assert (code, out) == (2, "")
-    assert err == (
-        f"rtcalc: error: {psi}: builder 'spde_psi' needs a map on multi-indices, with or without noise labels\n"
-    )
+    assert err == f"rtcalc: error: {psi}: builder 'spde_psi' needs multi-indices of one d on both sides, noise or not\n"
 
 
 def test_psi_tables_label_off_the_map_bases_is_a_parse_error(tmp_path, capsys):
