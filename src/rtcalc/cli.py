@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .decorations import DecorationBasis
 from .hopf import cut_coproduct, delta_pairing, deshuffle, pair_forests, star_product
 from .lincomb import LinComb
-from .mapfiles import load_blockmatrix, load_phi, load_postlie, load_psi
+from .mapfiles import load_blockmatrix, load_phi, load_psi
 from .parsing import parse_ext_elem, parse_forest_comb, parse_label, parse_tree_comb
 from .phimaps import (
     AlreadyJD,
@@ -93,19 +93,6 @@ def _operands(args, parse: Optional[Callable] = None):
     phi = load_phi(args.phi)
     a = parse_label(args.a, phi.edge_basis, "edge") if "a" in args else None
     return phi, a, [parse(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis) for f in args.files]
-
-
-def _load_psi(args, phi):
-    """The generator algebra and actions of ``--psi``, read over the bases of ``phi``;
-    ``--postlie`` may replace the algebra, naming only generators of ``--psi``."""
-    base, psi = load_psi(args.psi, (phi.edge_basis, phi.vertex_basis))
-    if not args.postlie:
-        return base, psi
-    algebra = load_postlie(args.postlie)
-    unknown = [g for g in algebra.names if g not in base.names]
-    if unknown:
-        raise UsageError(f"{args.postlie}: {args.psi} has no generator {', '.join(map(repr, unknown))}")
-    return algebra, psi
 
 
 def _span(basis: DecorationBasis, bound: Optional[int], what: str) -> Sequence:
@@ -187,7 +174,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_postlie_check(args) -> int:
     phi = load_phi(args.phi)
-    base, psi = _load_psi(args, phi)
+    base, psi = load_psi(args.psi, (phi.edge_basis, phi.vertex_basis))
     elems = [
         parse_ext_elem(_read(getattr(args, f)), phi.edge_basis, phi.vertex_basis, base.names) for f in args.files
     ]
@@ -199,7 +186,7 @@ def _cmd_postlie_check(args) -> int:
 
 def _cmd_psi_check(args) -> int:
     phi = load_phi(args.phi)
-    base, psi = _load_psi(args, phi)
+    base, psi = load_psi(args.psi, (phi.edge_basis, phi.vertex_basis))
     edge_labels = _span(phi.edge_basis, args.bound, "edge")
     vertex_labels = _span(phi.vertex_basis, args.bound, "vertex")
     defects = psi_compat_defects(phi, base, psi, edge_labels, vertex_labels)
@@ -365,7 +352,6 @@ def nonnegative_int(text: str) -> int:
 FLAGS = {
     "phi": dict(required=True, metavar="FILE", help="map description (JSON)"),
     "psi": dict(required=True, metavar="FILE", help="generator-action description (JSON)"),
-    "postlie": dict(metavar="FILE", help="generator algebra (default: the one in --psi)"),
     "a": dict(required=True, metavar="LABEL", help="edge label"),
     "b": dict(required=True, metavar="LABEL", help="vertex label"),
     "bound": dict(type=nonnegative_int, metavar="N", help="entry bound for infinite bases"),
@@ -389,14 +375,14 @@ SUBCOMMANDS = (
     (
         "postlie-check",
         "axiom residuals on the extension, for three elements",
-        ("phi", "psi", "postlie"),
+        ("phi", "psi"),
         ("u", "v", "w"),
         _cmd_postlie_check,
     ),
     (
         "psi-check",
         "compatibility residuals of generator actions against a map",
-        ("phi", "psi", "postlie", "bound"),
+        ("phi", "psi", "bound"),
         (),
         _cmd_psi_check,
     ),

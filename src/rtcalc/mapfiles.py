@@ -14,7 +14,8 @@ back is refused, as is a basis ``id`` or a generator name that is not a
 string.  Builders that take another map (``compose``, ``exp``, ...) nest
 the description inline.  An action file names no basis: it is read over
 the bases of the map it acts with, ``spde_psi`` taking ``d`` and the
-noise labels from them and ``psi_tables`` parsing its labels over them.
+noise labels from them and ``psi_tables`` parsing its labels over them;
+it is also the one place the generator algebra P is read.
 
 Each builder and basis kind reads the keys that ``_READS`` lists for
 it, besides ``builder`` or ``kind``; any other key is refused by name, in
@@ -22,9 +23,8 @@ nested maps and bases too, so a misspelt optional key does not silently
 take its default.  That includes ``name``: maps carry no names.  The
 other objects of a file are key-checked the same way: a ``jd`` object
 reads ``A``, ``B`` and ``form``; each entry of ``entries``, ``edge``,
-``vertex``, ``bracket`` and ``triangle`` reads ``on`` and ``terms``; and a
-post-Lie file (:func:`load_postlie`) reads ``generators``, ``bracket`` and
-``triangle``.  :func:`_only` makes every such refusal.
+``vertex``, ``bracket`` and ``triangle`` reads ``on`` and ``terms``.
+:func:`_only` makes every such refusal.
 
 A malformed file raises :class:`MapFileError` (a ``ValueError``) whose
 message starts with its location once: the file path, extended by
@@ -199,11 +199,6 @@ def _name(x, what: str, where: str) -> str:
     return x
 
 
-def _generators(obj: dict, where: str) -> Tuple[str, ...]:
-    names = _list(_req(obj, "generators", where), "generators", where)
-    return tuple(_name(n, "each of 'generators'", where) for n in names)
-
-
 def _rat(x, where: str) -> Scalar:
     try:
         return as_scalar(x)
@@ -221,7 +216,8 @@ def _basis(obj, side: str, where: str) -> DecorationBasis:
         names = _list(_req(obj, "names", where), "names", where)
         if not all(isinstance(n, str) for n in names):
             raise MapFileError(f"{where}: 'names' must be a list of strings, not {names!r}")
-        basis = SymbolBasis(_name(_req(obj, "id", where), "'id'", where), tuple(names))
+        with _located(where):
+            basis = SymbolBasis(_name(_req(obj, "id", where), "'id'", where), tuple(names))
         for n in names:
             try:
                 parse_label(n, basis, side)
@@ -367,8 +363,10 @@ def _matrix_action(m, labels, where: str):
 def build_psi(
     obj: dict, bases: Tuple[DecorationBasis, DecorationBasis], where: str = "psi"
 ) -> Tuple[PostLieBase, PsiPair]:
-    """The generator algebra and the actions, read over the (edge, vertex)
-    ``bases`` of the map they act with."""
+    """The generator algebra P and its actions, one datum, read over the
+    (edge, vertex) ``bases`` of the map they act with: ``spde_psi`` builds
+    both, and ``psi_tables`` reads P from ``generators``, ``bracket`` and
+    ``triangle`` and the actions from ``edge`` and ``vertex``."""
     if not isinstance(obj, dict):
         raise MapFileError(f"{where}: expected an action object")
     builder = _kind(obj, "action", where)
@@ -382,7 +380,8 @@ def build_psi(
                 return spde_psi(mi.d)
         raise MapFileError(f"{where}: builder 'spde_psi' needs multi-indices of one d on both sides, noise or not")
 
-    names = _generators(obj, where)  # psi_tables
+    gens = _list(_req(obj, "generators", where), "generators", where)  # psi_tables
+    names = tuple(_name(n, "each of 'generators'", where) for n in gens)
 
     def side(key: str, basis: DecorationBasis):
         out = {}
@@ -394,15 +393,6 @@ def build_psi(
             out[(gen, label)] = [(_rat(c, spot), _label(l, basis, key, spot)) for c, l in terms]
         return out
 
-    psi = psi_from_tables(side("edge", E), side("vertex", V))
-    return build_postlie(obj, where), psi
-
-
-def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
-    if not isinstance(obj, dict):
-        raise MapFileError(f"{where}: expected a generator-algebra object")
-    names = _generators(obj, where)
-
     def consts(key: str):
         entries = _entries(obj.get(key, []), key, where, ("generator", "generator"), ("coefficient", "generator"))
         on, term = "a generator in 'on'", "a generator in 'terms'"
@@ -411,9 +401,9 @@ def build_postlie(obj: dict, where: str = "postlie") -> PostLieBase:
             for spot, (p, q), terms in entries
         }
 
-    bracket, triangle = consts("bracket"), consts("triangle")
+    psi = psi_from_tables(side("edge", E), side("vertex", V))
     with _located(where):
-        return postlie_base(names, bracket, triangle)
+        return postlie_base(names, consts("bracket"), consts("triangle")), psi
 
 
 def _load(path: str) -> dict:
@@ -432,13 +422,6 @@ def load_phi(path: str) -> PhiMap:
 
 def load_psi(path: str, bases: Tuple[DecorationBasis, DecorationBasis]) -> Tuple[PostLieBase, PsiPair]:
     return build_psi(_load(path), bases, path)
-
-
-def load_postlie(path: str) -> PostLieBase:
-    obj = _load(path)
-    if isinstance(obj, dict):
-        _only(obj, ("generators", "bracket", "triangle"), path, "a post-Lie file")
-    return build_postlie(obj, path)
 
 
 def load_blockmatrix(path: str) -> BlockMatrix:

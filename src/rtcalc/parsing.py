@@ -192,7 +192,10 @@ class _Parser:
         coeff = 1
         if tok.kind == "number":
             self.take()
-            coeff = as_scalar(tok.text)
+            try:
+                coeff = as_scalar(tok.text)
+            except ZeroDivisionError:
+                raise ParseError(tok.line, tok.col, f"zero denominator in {tok.text!r}") from None
             nxt = self.peek()
             if nxt.kind == "punct" and nxt.text == "*":
                 self.take()

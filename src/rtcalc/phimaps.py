@@ -159,19 +159,18 @@ def tensor_map(
     f: Callable[[Label], LinComb],
     g: Callable[[Label], LinComb],
 ) -> PhiMap:
-    """The decomposable map sending a (x) b to f(a) (x) g(b).
+    """The decomposable map sending a (x) b to f(a) (x) g(b), built by
+    :func:`from_table`; finite bases only.
 
     Decomposable maps act through each slot independently, so they are
-    tree-compatible outright.  The pairs (a2, b2) of the image are distinct
-    and a product of two nonzero coefficients is nonzero, so the image is
-    built as it is, unsorted and unsummed.
+    tree-compatible outright.
     """
-
-    def act(a: Label, b: Label) -> PairComb:
-        gb = g(b).items()
-        return LinComb._raw({(a2, b2): as_scalar(ca * cb) for a2, ca in f(a).items() for b2, cb in gb})
-
-    return PhiMap(edge_basis, vertex_basis, act, compat_by_construction=True)
+    table = {
+        (a, b): [(ca * cb, a2, b2) for a2, ca in f(a).items() for b2, cb in g(b).items()]
+        for a in edge_basis.labels()
+        for b in vertex_basis.labels()
+    }
+    return replace(from_table(edge_basis, vertex_basis, table), compat_by_construction=True)
 
 
 # ---------------------------------------------------------------------------

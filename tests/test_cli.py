@@ -267,6 +267,25 @@ def test_psi_check_refuses_a_negative_bound(tmp_path, capsys):
     assert "argument --bound: must be nonnegative, got -1" in err
 
 
+@pytest.mark.parametrize("command", ["psi-check", "postlie-check"])
+def test_the_generator_algebra_comes_from_the_action_file_only(tmp_path, capsys, command):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
+    postlie = jfile(tmp_path, "postlie.json", {"generators": ["X_0"]})
+    operands = ["--bound", "1"] if command == "psi-check" else [tfile(tmp_path, f"{k}.txt", "X_0") for k in "uvw"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--phi", phi, "--psi", psi, "--postlie", postlie, *operands])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --postlie" in err
+
+
+def test_every_flag_belongs_to_a_subcommand():
+    named = {flag for _, _, flags, _, _ in cli.SUBCOMMANDS for flag in flags}
+    assert sorted(set(cli.FLAGS) - named) == []
+
+
 @pytest.mark.parametrize(
     "command, message",
     [("check-compat", "the bases are infinite"), ("psi-check", "the edge basis is infinite")],
@@ -513,6 +532,14 @@ def test_parse_error_carries_position(tmp_path, capsys):
     assert "2:1" in err
 
 
+@pytest.mark.parametrize("command, text", [("theta", "1/0*(<0>)"), ("coprod", "0/0")])
+def test_zero_denominator_in_expression_text_is_a_parse_error(tmp_path, capsys, command, text):
+    phi = jfile(tmp_path, "phi.json", PHI_D0)
+    code, out, err = run(capsys, command, "--phi", phi, tfile(tmp_path, "x.txt", text))
+    assert (code, out) == (2, "")
+    assert err == f"rtcalc: error: 1:1: zero denominator in {text.split('*')[0]!r}\n"
+
+
 @pytest.mark.parametrize(
     "phi, key",
     [
@@ -602,6 +629,10 @@ def test_parse_error_carries_position(tmp_path, capsys):
             )
             for name in ("1", "a b", "*")
         ),
+        (
+            {**IDENTITY_SYM, "edge_basis": {"kind": "symbols", "id": "a", "names": ["a1", "a1"]}},
+            ".edge_basis: duplicate names in basis a",
+        ),
     ],
     ids=[
         "blocks-int", "blocks-nested-int", "blocks-ragged-rows", "blocks-ragged-block",
@@ -611,6 +642,7 @@ def test_parse_error_carries_position(tmp_path, capsys):
         "multiindex-d-negative", "multiindex-noise-d-negative",
         "lamda-misspelt", "name-refused", "assert-compatible-refused", "id-null", "id-int", "nested-of-unknown-key", "nested-inner-unknown-keys", "basis-unknown-key",
         "blocks-and-jd", "jd-unknown-key", "entry-unknown-key", "name-number", "name-space", "name-star",
+        "name-duplicate",
     ],
 )
 def test_malformed_map_file_exits_2_naming_the_key(tmp_path, capsys, phi, key):
@@ -629,79 +661,54 @@ PSI_SYM = {"builder": "psi_tables", "generators": ["g"]}
 
 
 @pytest.mark.parametrize(
-    "psi, postlie, key",
+    "psi, key",
     [
-        ({**PSI_SYM, "generators": 5}, None, "'generators'"),
-        ({**PSI_SYM, "edge": 7}, None, "'edge'"),
-        ({**PSI_SYM, "vertex": [5]}, None, "vertex[0]: each of 'vertex'"),
-        ({**PSI_SYM, "edge": [{"on": "g", "terms": []}]}, None, "edge[0]: 'on'"),
-        ({**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1]]}]}, None, "edge[0]: each of 'terms'"),
-        ({**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": 3}]}, None, "edge[0]: 'terms'"),
-        ({**PSI_SYM, "bracket": [{"on": ["g"], "terms": [[1, "g"]]}]}, None, "bracket[0]: 'on'"),
-        ({**PSI_SYM, "triangle": [{"on": ["g", "g"], "terms": [["1/2"]]}]}, None, "triangle[0]: each of 'terms'"),
-        (PSI_SYM, {"generators": "g"}, "'generators'"),
-        (PSI_SYM, {"generators": ["g"], "bracket": [{"on": ["g", "g", "g"], "terms": []}]}, "bracket[0]: 'on'"),
-        ({**PSI_SPDE, "d": 0}, None, "builder 'spde_psi' does not read 'd'"),
-        ({**PSI_SPDE, "noise": True}, None, "builder 'spde_psi' does not read 'noise'"),
-        *(({**PSI_SYM, key: SYM_BASES[key]}, None, f"builder 'psi_tables' does not read {key!r}") for key in SYM_BASES),
-        ({**PSI_SPDE, "lambda": ["2"]}, None, "builder 'spde_psi' does not read 'lambda'"),
-        ({**PSI_SYM, "assert_compatible": True}, None, "does not read 'assert_compatible'"),
-        ({**PSI_SYM, "generators": [1]}, None, "each of 'generators' must be a string, not 1"),
+        ({**PSI_SYM, "generators": 5}, "'generators'"),
+        ({**PSI_SYM, "edge": 7}, "'edge'"),
+        ({**PSI_SYM, "vertex": [5]}, "vertex[0]: each of 'vertex'"),
+        ({**PSI_SYM, "edge": [{"on": "g", "terms": []}]}, "edge[0]: 'on'"),
+        ({**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1]]}]}, "edge[0]: each of 'terms'"),
+        ({**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": 3}]}, "edge[0]: 'terms'"),
+        ({**PSI_SYM, "bracket": [{"on": ["g"], "terms": [[1, "g"]]}]}, "bracket[0]: 'on'"),
+        ({**PSI_SYM, "triangle": [{"on": ["g", "g"], "terms": [["1/2"]]}]}, "triangle[0]: each of 'terms'"),
+        ({**PSI_SPDE, "d": 0}, "builder 'spde_psi' does not read 'd'"),
+        ({**PSI_SPDE, "noise": True}, "builder 'spde_psi' does not read 'noise'"),
+        *(({**PSI_SYM, key: SYM_BASES[key]}, f"builder 'psi_tables' does not read {key!r}") for key in SYM_BASES),
+        ({**PSI_SPDE, "lambda": ["2"]}, "builder 'spde_psi' does not read 'lambda'"),
+        ({**PSI_SYM, "assert_compatible": True}, "does not read 'assert_compatible'"),
+        ({**PSI_SYM, "generators": [1]}, "each of 'generators' must be a string, not 1"),
         (
             {**PSI_SYM, "edge": [{"on": [1, "a1"], "terms": [[1, "a2"]]}]},
-            None,
             "edge[0]: a generator in 'on' must be a string, not 1",
         ),
-        ({**PSI_SYM, "bracket": [{"on": [1, 1], "terms": []}]}, None, "bracket[0]: a generator in 'on' must be a string"),
+        ({**PSI_SYM, "bracket": [{"on": [1, 1], "terms": []}]}, "bracket[0]: a generator in 'on' must be a string"),
         (
             {**PSI_SYM, "triangle": [{"on": ["g", "g"], "terms": [[1, 1]]}]},
-            None,
             "triangle[0]: a generator in 'terms' must be a string, not 1",
         ),
-        (PSI_SYM, {"generators": [None]}, "each of 'generators' must be a string, not None"),
         (
             {**PSI_SYM, "edge": [{"on": ["g", "a1"], "terms": [[1, "a2"]], "extra": 1}]},
-            None,
             "edge[0]: an entry of 'edge' does not read 'extra'",
-        ),
-        (
-            PSI_SYM,
-            {"generators": ["g"], "brackets": [{"on": ["g", "g"], "terms": [[1, "g"]]}]},
-            ": a post-Lie file does not read 'brackets'",
         ),
     ],
     ids=[
         "generators-int", "edge-int", "vertex-item-int", "on-string", "terms-short", "terms-int",
-        "bracket-on-short", "triangle-terms-short", "postlie-generators-string", "postlie-on-long",
+        "bracket-on-short", "triangle-terms-short",
         "spde-psi-d", "spde-psi-noise", "psi-tables-edge-basis", "psi-tables-vertex-basis",
         "spde-psi-lambda", "psi-assert-compatible",
         "generators-item-int", "edge-on-generator-int", "bracket-on-generator-int", "triangle-terms-generator-int",
-        "postlie-generators-item-null", "edge-entry-unknown-key",
-        "postlie-unknown-key",
+        "edge-entry-unknown-key",
     ],
 )
-def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, postlie, key):
+def test_malformed_psi_file_exits_2_naming_the_key(tmp_path, capsys, psi, key):
     path = jfile(tmp_path, "psi.json", psi)
-    argv = ["psi-check", "--phi", jfile(tmp_path, "phi.json", IDENTITY_SYM), "--psi", path]
-    if postlie is not None:
-        path = jfile(tmp_path, "postlie.json", postlie)
-        argv += ["--postlie", path]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "psi-check", "--phi", jfile(tmp_path, "phi.json", IDENTITY_SYM), "--psi", path)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("rtcalc: error:")
     assert key in err
     assert err.count(path) == 1
     assert "Traceback" not in err
-
-
-def test_postlie_file_naming_a_generator_the_actions_lack_exits_2(tmp_path, capsys):
-    phi = jfile(tmp_path, "phi.json", PHI_D0)
-    psi = jfile(tmp_path, "psi.json", PSI_SPDE)
-    postlie = jfile(tmp_path, "postlie.json", {"generators": ["X_0", "g"]})
-    code, out, err = run(capsys, "psi-check", "--phi", phi, "--psi", psi, "--postlie", postlie, "--bound", "1")
-    assert (code, out) == (2, "")
-    assert err == f"rtcalc: error: {postlie}: {psi} has no generator 'g'\n"
 
 
 @pytest.mark.parametrize("command", ["psi-check", "postlie-check"])

@@ -1,10 +1,10 @@
-"""Fuzzing ``rtcalc`` through ``cli.main`` with generated map, action and
-post-Lie files, and with generated tree text.
+"""Fuzzing ``rtcalc`` through ``cli.main`` with generated map and action
+files, and with generated tree text.
 
 The files are built from the builder names of the README and are well
 formed, so loading them fails only on a key put in on purpose: one
 misspelt or unknown key, in the top-level map, a nested map, a basis, a
-``jd`` object, an ``{"on", "terms"}`` entry or a post-Lie file.  Every
+``jd`` object, an action or an ``{"on", "terms"}`` entry.  Every
 run must exit 0, 1 or 2 with no traceback and no internal error; exit 1
 must come from a refutation or a nonzero residual, and a file with an
 unknown key must exit 2 with a message naming it.
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from rtcalc.cli import main
 
-# Every key that some object of a map, action or post-Lie file reads.
+# Every key that some object of a map or action file reads.
 VOCABULARY = {
     "builder", "kind", "edge_basis", "vertex_basis", "entries", "d", "lambda",
     "max_iter", "blocks", "jd", "f", "g", "first", "second", "lam", "mu", "outer", "inner", "of",
@@ -155,12 +155,12 @@ def nested(inner, sig):
 GENERATORS = st.sampled_from([["g"], ["g", "h"]])
 
 
-def structure_constants(gens, key, min_size=0):
+def structure_constants(gens, key):
     """Entries for 'bracket' or 'triangle' that meet the post-Lie axioms: all
     zero, except that one generator may act on itself by any multiple."""
     g = st.sampled_from(gens)
     coefficient = RAT if key == "triangle" and len(gens) == 1 else st.just(0)
-    return entries(st.tuples(g, g), st.tuples(coefficient, g), min_size)
+    return entries(st.tuples(g, g), st.tuples(coefficient, g))
 
 
 @st.composite
@@ -175,16 +175,6 @@ def psi_tables(draw, gens, with_entries=False):
     for key in ("bracket", "triangle"):
         if draw(st.booleans()):
             obj[key] = draw(structure_constants(gens, key))
-    return obj
-
-
-@st.composite
-def postlie_file(draw, gens, with_entries=False):
-    """A post-Lie file; ``with_entries`` makes its 'bracket' list nonempty."""
-    obj = {"generators": gens}
-    for key in ("bracket", "triangle"):
-        if (with_entries and key == "bracket") or draw(st.booleans()):
-            obj[key] = draw(structure_constants(gens, key, with_entries))
     return obj
 
 
@@ -225,9 +215,9 @@ def objects(obj):
 
 def role(obj):
     """The kind of a file's object, by the key that marks it: a map or an
-    action ("builder"), a basis ("kind"), a 'jd' object ("form"), an entry
-    ("on") or a post-Lie file ("generators")."""
-    return next(key for key in ("builder", "kind", "form", "on", "generators") if key in obj)
+    action ("builder"), a basis ("kind"), a 'jd' object ("form") or an entry
+    ("on")."""
+    return next(key for key in ("builder", "kind", "form", "on") if key in obj)
 
 
 @st.composite
@@ -285,37 +275,31 @@ def test_check_compat_on_generated_map_files(tmp_path, capsys, case):
         assert out.startswith("Refuted")
 
 
-# Where to put the unknown key: (file, kind of object), or None.
-SPOIL_AT = [None, ("psi", "builder"), ("psi", "on"), ("postlie", "generators"), ("postlie", "on")]
+# Where to put the unknown key in the action: the kind of object, or None.
+SPOIL_AT = [None, "builder", "on"]
 
 
 @st.composite
 def psi_case(draw):
-    """A map, an action and perhaps a post-Lie file for ``psi-check``, one of them perhaps spoilt."""
+    """A map and an action for ``psi-check``, the action perhaps spoilt."""
     at = draw(st.sampled_from(SPOIL_AT))
-    if at == ("psi", "on") or draw(st.booleans()):
-        gens = draw(GENERATORS)
-        phi, psi = {"builder": "identity", **bases("ab")}, draw(psi_tables(gens, at == ("psi", "on")))
+    if at == "on" or draw(st.booleans()):
+        phi, psi = {"builder": "identity", **bases("ab")}, draw(psi_tables(draw(GENERATORS), at == "on"))
     else:
         d, noise = draw(st.integers(0, 1)), draw(st.booleans())
         phi = {"builder": "noise_extend" if noise else "phi_lambda", "d": d}
         psi = {"builder": "spde_psi"}
-        gens = draw(st.sampled_from([[f"X_{i}" for i in range(d + 1)], ["g"]]))
-    files, key = {"phi.json": phi, "psi.json": psi}, None
-    if (at and at[0] == "postlie") or draw(st.booleans()):
-        files["postlie.json"] = draw(postlie_file(gens, at == ("postlie", "on")))
+    key = None
     if at:
-        files[f"{at[0]}.json"], key = draw(spoilt(files[f"{at[0]}.json"], at[1]))
-    return files, key
+        psi, key = draw(spoilt(psi, at))
+    return {"phi.json": phi, "psi.json": psi}, key
 
 
 @FUZZ
 @given(psi_case())
-def test_psi_check_on_generated_action_and_postlie_files(tmp_path, capsys, case):
+def test_psi_check_on_generated_action_files(tmp_path, capsys, case):
     files, key = case
     argv = ["psi-check", "--phi", "phi.json", "--psi", "psi.json", "--bound", "1"]
-    if "postlie.json" in files:
-        argv += ["--postlie", "postlie.json"]
     code, out, err = run_cli(capsys, tmp_path, argv, files)
     if key is not None:
         assert_refused(code, out, err, key)

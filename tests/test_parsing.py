@@ -155,6 +155,20 @@ def test_error_on_planted_where_tree_expected():
         parse_tree_comb("[a1](b1)", E_SYM, V_SYM)
 
 
+@pytest.mark.parametrize(
+    "parse, src, at",
+    [
+        (lambda src: parse_tree_comb(src, E_SYM, V_SYM), "(b1) + 1/0*(b2)", "1:8"),
+        (lambda src: parse_forest_comb(src, E_SYM, V_SYM), "0/0", "1:1"),
+        (lambda src: parse_ext_elem(src, MI1, MI1, ("X_0",)), "X_0\n - 3/0 X_0", "2:4"),
+    ],
+    ids=["tree", "forest", "ext-elem"],
+)
+def test_error_on_zero_denominator_points_at_the_number(parse, src, at):
+    with pytest.raises(ParseError, match=f"^{at}: zero denominator in"):
+        parse(src)
+
+
 # -- round trips
 
 tree_sym = st.deferred(
